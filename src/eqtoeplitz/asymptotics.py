@@ -20,7 +20,8 @@ import numpy as np
 from .geometry import ProjectiveModel, coords_of, section_basis
 from .observables import Observable
 from .reduction import effective_volume
-from .symmetry import TorusAction, equivariant_kernel_pairs, isotype_basis, moment_map
+from .symmetry import (TorusAction, equivariant_kernel_pairs, isotype_basis, moment_map,
+                       torus_grid_overlaps)
 from .toeplitz import TraceSeries
 
 __all__ = [
@@ -107,12 +108,10 @@ class FitReport:
 
 
 def compare_and_fit(series: TraceSeries, predictions, order: int,
-                    cond_cap: float = 1e10, slope_window: str = "top-half") -> FitReport:
+                    cond_cap: float = 1e10) -> FitReport:
     """Least squares of trace/prediction - 1 against {k^{-1/2}, ..., k^{-A/2}}
-    plus the empirical convergence order of |ratio - 1|.
-
-    slope_window selects the levels entering the log-log slope regression:
-    "top-half" (default) or "full"."""
+    plus the empirical convergence order of |ratio - 1| over the top half of
+    the levels."""
     ks = series.k_values.astype(float)
     preds = np.asarray(predictions, dtype=complex)
     mask = (np.abs(preds) > 0) & (ks >= 1)
@@ -137,7 +136,7 @@ def compare_and_fit(series: TraceSeries, predictions, order: int,
     se = 0.0
     ci = (-math.inf, -math.inf)
     if not exact:
-        half = 0 if slope_window == "full" else len(ks) // 2
+        half = len(ks) // 2
         kk = np.log(ks[half:])
         vv = np.log(np.maximum(np.abs(y[half:]), 1e-300))
         A = np.stack([kk, np.ones_like(kk)], axis=1)
@@ -158,15 +157,7 @@ def compare_and_fit(series: TraceSeries, predictions, order: int,
 
 def orbit_distance(x, y, action: TorusAction, n_grid: int = 256) -> float:
     """min over the torus of the base distance between mu_t(x) and y."""
-    xv, yv = coords_of(x), coords_of(y)
-    if action.g == 0:
-        return math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(yv, xv))))
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    mesh = np.meshgrid(*([grid] * action.g), indexing="ij")
-    thetas = np.stack([mm.ravel() for mm in mesh], axis=1)
-    best = 0.0
-    ips = np.abs(np.exp(1j * (thetas @ action.W)) @ (xv * np.conj(yv)))
-    best = float(np.max(ips))
+    best = max(float(np.max(ov)) for _, ov in torus_grid_overlaps(x, y, action, n_grid))
     return math.sqrt(max(0.0, 2.0 - 2.0 * best))
 
 

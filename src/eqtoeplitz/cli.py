@@ -157,18 +157,28 @@ def _write_report(out, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _complete_sweep(cfg: ExperimentConfig, threads: int):
+    """Exact traces over every configured level; any failed level is a
+    numeric failure, so no output is ever written over a gapped series."""
+    series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
+                         cfg.action(), cfg.model(), threads=threads)
+    if series.failures:
+        for k, err in series.failures:
+            print(f"level {k} failed: {err}", file=sys.stderr)
+        raise NumericFailure("trace sweep failed at levels "
+                             + ", ".join(str(k) for k, _ in series.failures))
+    return series
+
+
 def cmd_trace(args) -> int:
     t0 = time.perf_counter()
     cfg = _effective_config(args)
     out = _out_dir(cfg, args)
-    series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
-                         cfg.action(), cfg.model(), threads=args.threads)
+    series = _complete_sweep(cfg, args.threads)
     series.to_csv(os.path.join(out, "trace.csv"))
     nonzero = [r for r in series.records if r.dim_isotype > 0]
     print(f"trace sweep: {len(series.records)} levels, {len(nonzero)} with "
           f"nonempty isotype -> trace.csv")
-    for k, err in series.failures:
-        print(f"  level {k} failed: {err}", file=sys.stderr)
     _write_run_record(out, cfg, ["trace.csv"], {"trace": time.perf_counter() - t0})
     return EXIT_OK
 
@@ -209,10 +219,7 @@ def cmd_compare(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(cfg, args)
     cache = Cache(os.path.join(out, "cache"))
-    series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
-                         cfg.action(), cfg.model(), threads=args.threads)
-    for k, err in series.failures:
-        print(f"level {k} failed: {err}", file=sys.stderr)
+    series = _complete_sweep(cfg, args.threads)
     ks = [rec.k for rec in series.records]
     preds, method = _prediction_values(cfg, cache, ks)
     rows = []

@@ -4,7 +4,8 @@ The ambient picture is concrete: the circle bundle is the unit sphere of
 C^(d+1), the base is the sphere modulo a global phase, and level-k sections
 are degree-k homogeneous monomials evaluated on unit vectors.  The volume
 normalization is vol(M) = pi^d / d!, and the circle-fiber constant kappa_X
-is calibrated once (see `eqtoeplitz.conventions`).
+is calibrated once (pinned in `selftest.PINNED`, checked by
+`selftest.check_kappa_calibration`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ __all__ = [
 ]
 
 #: Circle-fiber normalization: vol_X = KAPPA_X * vol_M.  Calibrated once by
-#: the on-diagonal kernel scaling identity (k/pi)^d; see conventions module.
+#: the on-diagonal kernel scaling identity (k/pi)^d; see
+#: `selftest.check_kappa_calibration`.
 KAPPA_X = 1.0
 
 

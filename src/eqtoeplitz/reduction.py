@@ -1,10 +1,13 @@
 """Zero level set of the moment map, the reduced space, and every fixed-point
 invariant feeding the leading trace term.
 
-Geometry is Monte-Carlo over the ambient sphere with a coarea correction;
-fixed loci of the descended symmetry are found algebraically on coordinate
-support patterns (phase congruences over the weight lattice) with a numeric
-orbit-distance sweep available as a completeness oracle.
+Geometry is Monte-Carlo over the ambient sphere with a coarea correction.
+Each diagnosis draws the zero locus once (`zero_locus_sample`) and then
+integrates that sample (`reduced_space_integral`).  Fixed loci of the
+descended symmetry are found algebraically on coordinate support patterns
+(phase congruences over the weight lattice); the numeric orbit-distance
+sweep that checks their completeness lives in
+tests/test_reduction.py::TestCompleteness.
 
 Conventions pinned here and validated by the self-test suite:
 
@@ -30,7 +33,8 @@ from scipy.special import gammaln
 from ._intlinalg import homogeneous_torsion_angles, solve_phase_congruence, smith_normal_form
 from .geometry import ProjectiveModel, coords_of, sample_sphere
 from .observables import Observable
-from .symmetry import DiagonalSymmetry, TorusAction, moment_map, moment_polytope_contains
+from .symmetry import (DiagonalSymmetry, TorusAction, moment_map, moment_polytope_contains,
+                       torus_grid_overlaps)
 
 __all__ = [
     "ReductionHypothesisError",
@@ -95,6 +99,16 @@ def point_support(x, tol: float = 1e-8) -> tuple:
     return tuple(int(j) for j in np.nonzero(c > tol)[0])
 
 
+def _point_stabilizers(points: np.ndarray, action: TorusAction) -> list:
+    """stabilizer_info of each row's coordinate support; a continuous
+    stabilizer is a hypothesis violation."""
+    infos = [stabilizer_info(action, point_support(x)) for x in points]
+    for x, info in zip(points, infos):
+        if info["free_rank"] > 0:
+            raise ReductionHypothesisError("continuous stabilizer on zero locus", witness=x)
+    return infos
+
+
 # ---------------------------------------------------------------------------
 # zero-locus sampling
 
@@ -106,23 +120,16 @@ def _newton_refine(points: np.ndarray, action: TorusAction, tol: float = 1e-12,
                    max_iter: int = 60) -> np.ndarray:
     """Project sphere points onto the moment-map zero set by damped Newton
     steps along the gradient directions, renormalizing each step."""
-    if action.g == 0:
-        return points
     pts = points.copy()
     W = action.W.astype(float)
     for _ in range(max_iter):
-        u = np.abs(pts) ** 2
-        phi = -(u @ W.T)
-        bad = np.linalg.norm(phi, axis=1) > tol
+        bad = np.linalg.norm(moment_map(pts, action), axis=1) > tol
         if not np.any(bad):
             break
         sub = pts[bad]
-        usub = np.abs(sub) ** 2
-        G = np.einsum("ij,nj,lj->nil", W, usub, W)
-        phis = -(usub @ W.T)
-        G = G - phis[:, :, None] * phis[:, None, :]
+        phis = moment_map(sub, action)
         try:
-            c = np.linalg.solve(G, (phis / 2.0)[..., None])[..., 0]
+            c = np.linalg.solve(action.orbit_gram(sub), (phis / 2.0)[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise ReductionHypothesisError("singular orbit Gram during refinement",
                                            witness=sub[0])
@@ -138,11 +145,13 @@ class ZeroLocusSample:
     """Refined points on the zero locus with coarea-corrected weights.
 
     sum(weights * h(points)) estimates the integral of h over the locus with
-    respect to the induced Riemannian volume of the base.
+    respect to the induced Riemannian volume of the base.  gram_det holds the
+    orbit Gram determinant at each point (ones for a trivial group).
     """
 
     points: np.ndarray
     weights: np.ndarray
+    gram_det: np.ndarray
     n_total: int
     band: float
     support: tuple | None = None
@@ -174,74 +183,57 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
     sub_model = ProjectiveModel(sub_d, kappa_x=model.kappa_x)
     sub_action = TorusAction(action.W[:, list(support)])
     pts = sample_sphere(n_samples, seed, sub_model)
-    phi = moment_map(pts, sub_action)
-    in_band = np.linalg.norm(np.atleast_2d(phi.reshape(n_samples, -1)), axis=1) < band
-    kept = pts[in_band]
-    if kept.shape[0] == 0:
-        return ZeroLocusSample(points=np.zeros((0, model.n_coords), complex),
-                               weights=np.zeros(0), n_total=n_samples, band=band,
-                               support=support)
+    kept = pts[np.linalg.norm(moment_map(pts, sub_action), axis=1) < band]
     refined = _newton_refine(kept, sub_action)
-    resid = np.linalg.norm(np.atleast_2d(moment_map(refined, sub_action).reshape(len(refined), -1)), axis=1)
-    ok = resid <= 1e-9
-    refined = refined[ok]
-    G = sub_action.orbit_gram(refined)
-    detG = np.linalg.det(G) if action.g else np.ones(refined.shape[0])
+    refined = refined[np.linalg.norm(moment_map(refined, sub_action), axis=1) <= 1e-9]
+    detG = np.linalg.det(sub_action.orbit_gram(refined))     # ones for a trivial group
     jac = (2.0 ** action.g) * np.sqrt(np.maximum(detG, 0.0))
     w = sub_model.vol_M * jac / (n_samples * _ball_volume(action.g, band))
     emb = np.zeros((refined.shape[0], model.n_coords), complex)
     emb[:, list(support)] = refined
-    return ZeroLocusSample(points=emb, weights=w, n_total=n_samples, band=band,
-                           support=support)
+    return ZeroLocusSample(points=emb, weights=w, gram_det=detG, n_total=n_samples,
+                           band=band, support=support)
 
 
 # ---------------------------------------------------------------------------
 # effective volume and reduced integrals
 
-def effective_volume(x, action: TorusAction, model: ProjectiveModel,
-                     stab_order: int | None = None) -> float:
+def effective_volume(x, action: TorusAction, model: ProjectiveModel, stab_order=None):
     """Riemannian volume of the orbit through x: (2pi)^g sqrt(det Gram)
-    divided by the finite stabilizer order.  Returns 1 for a trivial group."""
-    if action.g == 0:
-        return 1.0
-    xv = coords_of(x)
+    divided by the finite stabilizer order.
+
+    x is a unit vector, rows of unit vectors, or a ZeroLocusSample (whose
+    Gram determinants are reused).  stab_order is one order or one per row;
+    by default it is read off each row's coordinate support.  Returns a float
+    for a single vector, else one value per row; 1 for a trivial group.
+    """
+    if isinstance(x, ZeroLocusSample):
+        pts, det, single = x.points, x.gram_det, False
+    else:
+        single = np.ndim(coords_of(x)) == 1
+        pts = np.atleast_2d(coords_of(x))
+        det = np.linalg.det(action.orbit_gram(pts))
     if stab_order is None:
-        info = stabilizer_info(action, point_support(xv))
-        if info["free_rank"] > 0:
-            raise ReductionHypothesisError("positive-dimensional stabilizer", witness=xv)
-        stab_order = info["order"]
-    G = action.orbit_gram(xv)[0]
-    det = float(np.linalg.det(G))
-    if det <= 1e-16:
+        stab_order = np.array([info["order"] for info in _point_stabilizers(pts, action)])
+    if np.any(det <= 1e-16):
         raise ReductionHypothesisError("degenerate orbit Gram (non-locally-free point)",
-                                       witness=xv)
-    return (2.0 * math.pi) ** action.g * math.sqrt(det) / stab_order
+                                       witness=pts[int(np.argmin(det))])
+    out = (2.0 * math.pi) ** action.g * np.sqrt(det) / stab_order
+    return float(out[0]) if single else out
 
 
 def reduced_space_integral(action: TorusAction, model: ProjectiveModel,
-                           n_samples: int, seed: int, h=None, support=None,
-                           band: float = 0.05) -> tuple[float, float]:
-    """Monte-Carlo of int_{reduced space of the support stratum} h-average,
-    i.e. the zero-locus integral of h / V_eff.  h maps point rows to floats
-    (default 1)."""
-    sample = zero_locus_sample(action, model, n_samples, seed, band=band, support=support)
+                           sample: ZeroLocusSample, h=None) -> tuple[float, float]:
+    """Monte-Carlo of int_{reduced space of the sampled stratum} h-average,
+    i.e. the zero-locus integral of h / V_eff over an already-drawn sample.
+    h maps point rows to floats (default 1)."""
     if sample.points.shape[0] == 0:
         raise ReductionHypothesisError("empty zero locus in the requested stratum")
-    supp = sample.support
-    info = stabilizer_info(action, supp)
+    info = stabilizer_info(action, sample.support)
     if info["free_rank"] > 0:
         raise ReductionHypothesisError("positive-dimensional stabilizer on stratum",
                                        witness=sample.points[0])
-    order = info["order"]
-    if action.g:
-        G = TorusAction(action.W[:, list(supp)]).orbit_gram(sample.points[:, list(supp)])
-        det = np.linalg.det(G)
-        if np.any(det <= 1e-16):
-            raise ReductionHypothesisError("degenerate orbit Gram on zero locus",
-                                           witness=sample.points[int(np.argmin(det))])
-        veff = (2.0 * math.pi) ** action.g * np.sqrt(det) / order
-    else:
-        veff = np.ones(sample.points.shape[0])
+    veff = effective_volume(sample, action, model, stab_order=info["order"])
     hv = np.ones(sample.points.shape[0]) if h is None else np.asarray(h(sample.points), float)
     return sample.integrate(hv / veff)
 
@@ -249,7 +241,8 @@ def reduced_space_integral(action: TorusAction, model: ProjectiveModel,
 def reduced_volume(action: TorusAction, model: ProjectiveModel, n_samples: int,
                    seed: int, band: float = 0.05) -> tuple[float, float]:
     """vol(M0) = int over the zero locus of 1/V_eff, with standard error."""
-    return reduced_space_integral(action, model, n_samples, seed, h=None, band=band)
+    return reduced_space_integral(action, model,
+                                  zero_locus_sample(action, model, n_samples, seed, band=band))
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +250,22 @@ def reduced_volume(action: TorusAction, model: ProjectiveModel, n_samples: int,
 
 @dataclass(frozen=True)
 class ReductionDiagnostics:
+    """Defaults describe a locus on which nothing could be established."""
+
     empty_locus: bool
-    regular_value: bool
-    min_singular_dphi: float
-    free_action: bool
-    kernel_order: int | None
-    stabilizer_order: int | None
-    stabilizer_constant: bool
-    orbit_injectivity_proxy: float
-    vol_M0: float | None
-    vol_M0_stderr: float | None
-    v_eff_min: float | None
-    v_eff_mean: float | None
-    v_eff_max: float | None
-    n_samples: int
+    regular_value: bool = False
+    min_singular_dphi: float = 0.0
+    free_action: bool = False
+    kernel_order: int | None = None
+    stabilizer_order: int | None = None
+    stabilizer_constant: bool = True
+    orbit_injectivity_proxy: float = 0.0
+    vol_M0: float | None = None
+    vol_M0_stderr: float | None = None
+    v_eff_min: float | None = None
+    v_eff_mean: float | None = None
+    v_eff_max: float | None = None
+    n_samples: int = 0
 
 
 def _generic_support(action: TorusAction, model: ProjectiveModel, tol: float = 1e-9) -> tuple:
@@ -289,44 +284,24 @@ def _generic_support(action: TorusAction, model: ProjectiveModel, tol: float = 1
     return tuple(members)
 
 
-def _d_phi_fd(x: np.ndarray, action: TorusAction, step: float = 1e-6) -> np.ndarray:
-    """Finite-difference differential of the moment map in an orthonormal
-    real frame of the base tangent space at x; shape (g, 2d)."""
-    basis_c = null_space(np.conj(x)[None, :])      # (d+1, d) complex columns
-    dirs = []
-    for i in range(basis_c.shape[1]):
-        dirs.append(basis_c[:, i])
-        dirs.append(1j * basis_c[:, i])
-    cols = []
-    for v in dirs:
-        xp = x + step * v
-        xm = x - step * v
-        xp /= np.linalg.norm(xp)
-        xm /= np.linalg.norm(xm)
-        cols.append((moment_map(xp, action) - moment_map(xm, action)) / (2 * step))
-    return np.array(cols).T.reshape(action.g, -1)
+def _dphi_singular_values(points: np.ndarray, action: TorusAction) -> np.ndarray:
+    """Singular values of the moment-map differential on the horizontal space
+    x^perp, ascending, one row per point.
+
+    dPhi_i(v) = -2 Re sum_j W_ij conj(x_j) v_j, so over an orthonormal real
+    frame of x^perp, dPhi dPhi^T = 4 * (orbit Gram) in closed form.
+    """
+    return 2.0 * np.sqrt(np.maximum(np.linalg.eigvalsh(action.orbit_gram(points)), 0.0))
 
 
 def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
                            n_samples: int = 200_000, seed: int = 0,
                            band: float = 0.05, n_probe: int = 64) -> ReductionDiagnostics:
     """Estimate the reduction hypotheses: 0 a regular value, action free
-    modulo a constant finite stabilizer; also report vol(M0) and V_eff stats."""
-    if action.g == 0:
-        vol, err = reduced_volume(action, model, n_samples, seed, band=band)
-        return ReductionDiagnostics(
-            empty_locus=False, regular_value=True, min_singular_dphi=float("inf"),
-            free_action=True, kernel_order=1, stabilizer_order=1, stabilizer_constant=True,
-            orbit_injectivity_proxy=float("inf"), vol_M0=vol, vol_M0_stderr=err,
-            v_eff_min=1.0, v_eff_mean=1.0, v_eff_max=1.0, n_samples=n_samples)
-
+    modulo a constant finite stabilizer; also report vol(M0) and V_eff stats.
+    A trivial group passes vacuously (no dPhi, point orbits of volume 1)."""
     if not moment_polytope_contains(action, np.zeros(action.g)):
-        return ReductionDiagnostics(
-            empty_locus=True, regular_value=False, min_singular_dphi=0.0,
-            free_action=False, kernel_order=None, stabilizer_order=None,
-            stabilizer_constant=True, orbit_injectivity_proxy=0.0,
-            vol_M0=None, vol_M0_stderr=None, v_eff_min=None, v_eff_mean=None,
-            v_eff_max=None, n_samples=0)
+        return ReductionDiagnostics(empty_locus=True)
 
     supp = _generic_support(action, model)
     if len(supp) < 2:
@@ -339,31 +314,19 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
     sample = zero_locus_sample(action, model, n_samples, seed, band=band, support=supp)
     if sample.points.shape[0] == 0:
         # polytope feasible but measure-zero band: boundary case
-        return ReductionDiagnostics(
-            empty_locus=False, regular_value=False, min_singular_dphi=0.0,
-            free_action=False, kernel_order=None, stabilizer_order=info["order"],
-            stabilizer_constant=True, orbit_injectivity_proxy=0.0,
-            vol_M0=None, vol_M0_stderr=None, v_eff_min=None, v_eff_mean=None,
-            v_eff_max=None, n_samples=n_samples)
+        return ReductionDiagnostics(empty_locus=False, stabilizer_order=info["order"],
+                                    n_samples=n_samples)
 
     pts = sample.points
-    probe_idx = np.linspace(0, pts.shape[0] - 1, min(n_probe, pts.shape[0])).astype(int)
-    min_sv = float("inf")
-    stab_ok = True
-    inj = float("inf")
-    veffs = []
-    for i in probe_idx:
-        x = pts[i]
-        sv = np.linalg.svd(_d_phi_fd(x, action), compute_uv=False)
-        min_sv = min(min_sv, float(sv[-1]))
-        pinfo = stabilizer_info(action, point_support(x))
-        if pinfo["free_rank"] > 0:
-            raise ReductionHypothesisError("continuous stabilizer on zero locus", witness=x)
-        if pinfo["order"] != info["order"]:
-            stab_ok = False
-        veffs.append(effective_volume(x, action, model, stab_order=pinfo["order"]))
-        inj = min(inj, _injectivity_proxy(x, action, pinfo["angles"]))
-    vol, err = reduced_space_integral(action, model, n_samples, seed, support=supp, band=band)
+    probes = pts[np.linspace(0, pts.shape[0] - 1, min(n_probe, pts.shape[0])).astype(int)]
+    pinfos = _point_stabilizers(probes, action)
+    orders = np.array([pinfo["order"] for pinfo in pinfos])
+    stab_ok = bool(np.all(orders == info["order"]))
+    min_sv = float(np.min(_dphi_singular_values(probes, action), initial=np.inf))
+    veffs = effective_volume(probes, action, model, stab_order=orders)
+    inj = min(_injectivity_proxy(x, action, pinfo["angles"])
+              for x, pinfo in zip(probes, pinfos))
+    vol, err = reduced_space_integral(action, model, sample)
     regular = min_sv > 1e-6
     free = stab_ok and info["free_rank"] == 0
     return ReductionDiagnostics(
@@ -379,26 +342,14 @@ def _injectivity_proxy(x: np.ndarray, action: TorusAction, stab_angles: np.ndarr
                        n_grid: int = 48) -> float:
     """min over torus grid points away from the stabilizer of
     dist_M(mu_t x, x) / dist_T(t, Stab); coarse lower-bound proxy."""
-    if action.g == 0:
-        return float("inf")
-    grid = np.linspace(0, 2 * math.pi, n_grid, endpoint=False)
-    mesh = np.meshgrid(*([grid] * action.g), indexing="ij")
-    thetas = np.stack([mm.ravel() for mm in mesh], axis=1)
     best = float("inf")
-    for th in thetas:
-        dt = _torus_distance(th, stab_angles)
-        if dt < 0.3:
-            continue
-        moved = action.act(th, x)
-        dist = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(moved, x))))
-        best = min(best, dist / dt)
+    for theta, overlap in torus_grid_overlaps(x, x, action, n_grid):
+        diff = np.angle(np.exp(1j * (theta[:, None, :] - stab_angles[None, :, :])))
+        dt = np.min(np.linalg.norm(diff, axis=2), axis=1)
+        far = dt >= 0.3
+        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlap[far]))
+        best = min(best, float(np.min(dist / dt[far], initial=np.inf)))
     return best
-
-
-def _torus_distance(theta: np.ndarray, angles: np.ndarray) -> float:
-    diff = theta[None, :] - angles
-    diff = np.angle(np.exp(1j * diff))
-    return float(np.min(np.linalg.norm(diff, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +636,6 @@ def f_bar_integral(report: FixedComponentReport, f: Observable, action: TorusAct
         # the component is all of M: the moment-free integral is closed form
         return replace(report, f_bar_integral=complex(favg.integral_over_M(model)),
                        f_bar_stderr=0.0)
-    est, err = reduced_space_integral(
-        action, model, n_samples, seed,
-        h=lambda pts: favg.value(pts), support=report.support)
+    sample = zero_locus_sample(action, model, n_samples, seed, support=report.support)
+    est, err = reduced_space_integral(action, model, sample, h=favg.value)
     return replace(report, f_bar_integral=complex(est), f_bar_stderr=err)

@@ -26,10 +26,10 @@ __all__ = [
     "isotype_basis",
     "moment_map",
     "moment_polytope_contains",
+    "torus_grid_overlaps",
     "vanishing_level",
     "occurring_weights",
     "gamma_phase",
-    "equivariant_kernel",
     "equivariant_kernel_pairs",
     "equivariant_kernel_fourier",
 ]
@@ -63,11 +63,6 @@ class TorusAction:
         fac = np.exp(1j * (theta @ self.W))
         return pts * fac
 
-    def fundamental_fields(self, points: np.ndarray) -> np.ndarray:
-        """Generator vector fields at sphere lifts: (..., g, d+1)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        return 1j * self.W[None, :, :] * pts[:, None, :]
-
     def orbit_gram(self, points: np.ndarray) -> np.ndarray:
         """Gram matrix of the generator fields in the base metric, (..., g, g).
 
@@ -99,6 +94,26 @@ def moment_map(x, action: TorusAction) -> np.ndarray:
     u = np.abs(np.atleast_2d(pts)) ** 2
     out = -(u @ action.W.T.astype(float))
     return out[0] if single else out
+
+
+#: angles per block of the torus-grid sweep; bounds its working memory
+_GRID_BLOCK = 4096
+
+
+def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
+    """Walk the uniform n_grid^g torus grid in blocks, yielding for each
+    block the angles theta (rows) and |<mu_theta x, y>| = |e^{i theta W} . (x conj(y))|.
+
+    The grid is visited in row-major order of the per-circle node indices;
+    memory stays bounded by the block size whatever n_grid^g is.
+    """
+    xy = coords_of(x) * np.conj(coords_of(y))
+    strides = n_grid ** np.arange(action.g - 1, -1, -1)
+    total = n_grid ** action.g
+    for start in range(0, total, _GRID_BLOCK):
+        idx = np.arange(start, min(start + _GRID_BLOCK, total))
+        theta = (idx[:, None] // strides % n_grid) * (2.0 * math.pi / n_grid)
+        yield theta, np.abs(np.exp(1j * (theta @ action.W)) @ xy)
 
 
 def moment_polytope_contains(action: TorusAction, target: np.ndarray,
@@ -216,14 +231,6 @@ def occurring_weights(k: int, action: TorusAction, basis: SectionBasis) -> np.nd
     """Distinct character labels present at level k, lexicographically sorted."""
     w = weight_of(basis.indices, action)
     return np.unique(w, axis=0)
-
-
-def equivariant_kernel(x, y, iso: IsotypeBasis) -> complex:
-    """Pi_{varpi,k}(x, y) by direct summation over the isotype basis."""
-    xv = np.atleast_2d(coords_of(x))
-    yv = np.atleast_2d(coords_of(y))
-    out = kernel_pair_values(xv, yv, iso.indices, iso.log_norms)
-    return complex(out[0])
 
 
 def equivariant_kernel_pairs(xs, ys, iso: IsotypeBasis) -> np.ndarray:

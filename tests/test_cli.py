@@ -145,6 +145,28 @@ class TestCompare:
             file_hash(tmp_path / "r2" / "comparison.csv")
 
 
+class TestFailedLevels:
+    @pytest.mark.parametrize("command, csv", [("trace", "trace.csv"),
+                                              ("compare", "comparison.csv")])
+    def test_failed_level_exits_4(self, tmp_path, monkeypatch, capsys, command, csv):
+        import eqtoeplitz.toeplitz as tp
+        orig = tp.section_basis
+
+        def flaky(k, model):
+            if k == 7:
+                raise RuntimeError("boom")
+            return orig(k, model)
+
+        monkeypatch.setattr(tp, "section_basis", flaky)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, k_range={"min": 2, "max": 12,
+                                                               "step": 1}))
+        assert main([command, "--config", cfg]) == 4
+        assert "levels 7" in capsys.readouterr().err
+        assert not (out / csv).exists()
+        assert not (out / "fit_report.txt").exists()
+
+
 class TestTraceAndPredict:
     def test_trace_csv(self, tmp_path):
         out = tmp_path / "out"

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from eqtoeplitz.geometry import sample_sphere
+import eqtoeplitz.reduction as red
+from eqtoeplitz.geometry import ProjectiveModel, sample_sphere
 from eqtoeplitz.observables import Observable
 from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, moment_map
 from eqtoeplitz.reduction import (DegenerateSymmetryError, ReductionHypothesisError,
@@ -16,8 +18,41 @@ from eqtoeplitz.reduction import (DegenerateSymmetryError, ReductionHypothesisEr
                                   stabilizer_info, zero_locus_sample)
 
 
+#: weights of a rank-2 action on P3 with a finite stabilizer of order 3
+D3_WEIGHTS = [[1, 0, -1, 2], [0, 1, -1, -1]]
+
+
 def sym_of(*phis, theta_A=0.0):
     return DiagonalSymmetry(phi=list(phis), theta_A=theta_A)
+
+
+def d_phi_fd(x, action, step=1e-6):
+    """Finite-difference oracle for the moment-map differential in an
+    orthonormal real frame of the horizontal space x^perp; shape (g, 2d)."""
+    basis_c = null_space(np.conj(x)[None, :])
+    cols = []
+    for b in basis_c.T:
+        for v in (b, 1j * b):
+            xp, xm = x + step * v, x - step * v
+            xp /= np.linalg.norm(xp)
+            xm /= np.linalg.norm(xm)
+            cols.append((moment_map(xp, action) - moment_map(xm, action)) / (2 * step))
+    return np.array(cols).T.reshape(action.g, -1)
+
+
+def injectivity_oracle(x, action, stab_angles, n_grid=48):
+    """Scalar per-angle sweep of dist_M(mu_t x, x) / dist_T(t, Stab)."""
+    grid = np.linspace(0, 2 * math.pi, n_grid, endpoint=False)
+    mesh = np.meshgrid(*([grid] * action.g), indexing="ij")
+    best = float("inf")
+    for th in np.stack([mm.ravel() for mm in mesh], axis=1):
+        diff = np.angle(np.exp(1j * (th[None, :] - stab_angles)))
+        dt = float(np.min(np.linalg.norm(diff, axis=1)))
+        if dt < 0.3:
+            continue
+        dist = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(action.act(th, x), x))))
+        best = min(best, dist / dt)
+    return best
 
 
 class TestDiagnostics:
@@ -48,6 +83,49 @@ class TestDiagnostics:
     def test_trivial_group(self, p1, trivial_g1):
         diag = check_regular_and_free(trivial_g1, p1, n_samples=2 ** 15, seed=2)
         assert diag.vol_M0 == pytest.approx(p1.vol_M, rel=1e-12)
+
+    def test_draws_zero_locus_once(self, p2, circle_p2, monkeypatch):
+        calls = []
+        orig = red.zero_locus_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(red, "zero_locus_sample", counting)
+        check_regular_and_free(circle_p2, p2, n_samples=2 ** 12, seed=3, n_probe=4)
+        assert len(calls) == 1
+
+    def test_volume_matches_reduced_volume(self, p2, circle_p2):
+        diag = check_regular_and_free(circle_p2, p2, n_samples=2 ** 14, seed=9,
+                                      band=0.04, n_probe=4)
+        vol, err = reduced_volume(circle_p2, p2, 2 ** 14, seed=9, band=0.04)
+        assert diag.vol_M0 == vol and diag.vol_M0_stderr == err
+
+    @pytest.mark.parametrize("weights", [[[1, -1, -1]], D3_WEIGHTS])
+    def test_closed_form_dphi_matches_fd(self, weights):
+        action = TorusAction(weights)
+        model = ProjectiveModel(action.n_coords - 1)
+        pts = zero_locus_sample(action, model, 2 ** 12, seed=4).points[:16]
+        closed = red._dphi_singular_values(pts, action)
+        fd = np.array([np.sort(np.linalg.svd(d_phi_fd(x, action), compute_uv=False))
+                       for x in pts])
+        assert np.max(np.abs(closed - fd)) <= 1e-8
+
+    @pytest.mark.parametrize("weights", [[[1, -1, -1]], D3_WEIGHTS])
+    def test_injectivity_proxy_matches_scalar_oracle(self, weights):
+        action = TorusAction(weights)
+        model = ProjectiveModel(action.n_coords - 1)
+        n_probe = 6
+        diag = check_regular_and_free(action, model, n_samples=2 ** 12, seed=6,
+                                      n_probe=n_probe)
+        assert red._generic_support(action, model) == tuple(range(model.n_coords))
+        pts = zero_locus_sample(action, model, 2 ** 12, seed=6).points
+        probes = pts[np.linspace(0, pts.shape[0] - 1, n_probe).astype(int)]
+        want = min(injectivity_oracle(x, action,
+                                      stabilizer_info(action, red.point_support(x))["angles"])
+                   for x in probes)
+        assert diag.orbit_injectivity_proxy == pytest.approx(want, rel=1e-12)
 
 
 class TestZeroLocusSample:
@@ -86,6 +164,12 @@ class TestEffectiveVolume:
             pred = (k / math.pi) ** 0.5 * 2 ** 0.5 / veff
             ratio = math.exp(logv) / pred
             assert abs(ratio - 1) < 2.0 / k
+
+    def test_rows_match_single_points(self):
+        action, model = TorusAction(D3_WEIGHTS), ProjectiveModel(3)
+        pts = zero_locus_sample(action, model, 2 ** 12, seed=8).points[:10]
+        rows = effective_volume(pts, action, model)
+        assert rows.tolist() == [effective_volume(x, action, model) for x in pts]
 
     def test_invariance_along_orbit(self, p1, circle_p1):
         x = np.array([1, 1], complex) / math.sqrt(2)

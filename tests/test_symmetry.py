@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis, szego_kernel
-from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel,
-                                 equivariant_kernel_fourier, gamma_phase, isotype_basis,
+from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel_fourier,
+                                 equivariant_kernel_pairs, gamma_phase, isotype_basis,
                                  moment_map, moment_polytope_contains, occurring_weights,
-                                 vanishing_level, weight_of)
+                                 torus_grid_overlaps, vanishing_level, weight_of)
 
 
 class TestWeights:
@@ -112,7 +112,7 @@ class TestEquivariantKernel:
         k = 6
         basis = section_basis(k, p2)
         x, y = sample_sphere(2, 41, p2)
-        total = sum(equivariant_kernel(x, y, isotype_basis(k, w, circle_p2, basis))
+        total = sum(equivariant_kernel_pairs(x, y, isotype_basis(k, w, circle_p2, basis))[0]
                     for w in occurring_weights(k, circle_p2, basis))
         assert abs(total - szego_kernel(x, y, k, p2)) < 1e-10
 
@@ -121,7 +121,7 @@ class TestEquivariantKernel:
         basis = section_basis(k, p2)
         x, y = sample_sphere(2, 43, p2)
         for w in [(0,), (-2,), (3,)]:
-            direct = equivariant_kernel(x, y, isotype_basis(k, w, circle_p2, basis))
+            direct = equivariant_kernel_pairs(x, y, isotype_basis(k, w, circle_p2, basis))[0]
             fourier = equivariant_kernel_fourier(x, y, k, w, circle_p2, p2)
             assert abs(direct - fourier) < 1e-12
 
@@ -131,7 +131,7 @@ class TestEquivariantKernel:
         basis = section_basis(k, p2)
         x, y = sample_sphere(2, 47, p2)
         w = (0, 1)
-        direct = equivariant_kernel(x, y, isotype_basis(k, w, act, basis))
+        direct = equivariant_kernel_pairs(x, y, isotype_basis(k, w, act, basis))[0]
         fourier = equivariant_kernel_fourier(x, y, k, w, act, p2)
         assert abs(direct - fourier) < 1e-12
 
@@ -142,8 +142,8 @@ class TestEquivariantKernel:
         x, y = sample_sphere(2, 53, p2)
         for w in [(0,), (1,)]:
             iso = isotype_basis(k, w, circle_p2, basis)
-            lhs = equivariant_kernel(sym.gamma_X(x), sym.gamma_X(y), iso)
-            rhs = equivariant_kernel(x, y, iso)
+            lhs = equivariant_kernel_pairs(sym.gamma_X(x), sym.gamma_X(y), iso)[0]
+            rhs = equivariant_kernel_pairs(x, y, iso)[0]
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
     def test_projector_laws_exact(self, p2, circle_p2):
@@ -197,3 +197,17 @@ class TestTorusAction:
         w = weight_of(basis.indices, circle_p1)
         expect = vals * np.exp(1j * (w @ theta))[None, :]
         assert np.allclose(vals_moved, expect, atol=1e-12)
+
+    def test_grid_overlaps_cover_grid_in_blocks(self, p2):
+        # 70^2 angles span two blocks; the walk must equal the full meshgrid
+        act = TorusAction([[1, -1, 0], [0, 1, -1]])
+        x, y = sample_sphere(2, 59, p2)
+        blocks = list(torus_grid_overlaps(x, y, act, 70))
+        assert len(blocks) == 2
+        theta = np.concatenate([th for th, _ in blocks])
+        grid = np.linspace(0, 2 * math.pi, 70, endpoint=False)
+        mesh = np.meshgrid(grid, grid, indexing="ij")
+        assert np.array_equal(theta, np.stack([m.ravel() for m in mesh], axis=1))
+        want = [abs(np.vdot(y, act.act(th, x))) for th in theta]
+        got = np.concatenate([ov for _, ov in blocks])
+        assert np.max(np.abs(got - want)) < 1e-12
