@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ProjectiveModel, coords_of, section_basis
+from .geometry import ProjectiveModel, coords_of
 from .observables import Observable
 from .reduction import effective_volume
-from .symmetry import (TorusAction, equivariant_kernel_pairs, isotype_basis, moment_map,
-                       torus_grid_overlaps)
-from .toeplitz import TraceSeries
+from .symmetry import TorusAction, equivariant_kernel_pairs, moment_map, torus_grid_overlaps
+from .toeplitz import TraceSeries, isotype_slice
 
 __all__ = [
     "NumericFailure",
@@ -188,7 +187,7 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
     floored = False
     xv, yv = coords_of(x)[None, :], coords_of(y)[None, :]
     for k in ks:
-        iso = isotype_basis(k, varpi, action, section_basis(k, model))
+        iso = isotype_slice(k, varpi, action, model)
         if iso.dim == 0:
             v = 0.0
         else:
@@ -296,12 +295,12 @@ def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
          + 1j * (omega(wv, wt) - omega(vv, vt)))
     psi2 = (complex(np.sum(wh * np.conj(vh)))
             - 0.5 * (np.linalg.norm(wh) ** 2 + np.linalg.norm(vh) ** 2))
-    veff = effective_volume(xv, action, model)
+    veff = effective_volume(xv, action)
     amp = 2.0 ** (action.g / 2.0) * dim_V / veff * np.exp(Q + psi2)
 
     rows = []
     for k in sorted(int(k) for k in probe.k_values):
-        iso = isotype_basis(k, varpi, action, section_basis(k, model))
+        iso = isotype_slice(k, varpi, action, model)
         xk = _displace(xv, probe.w, k)[None, :]
         yk = _displace(xv, probe.v, k)[None, :]
         exact = complex(equivariant_kernel_pairs(xk, yk, iso)[0])

@@ -55,18 +55,32 @@ def _effective_config(args) -> ExperimentConfig:
 
 def _write_run_record(out: str, cfg: ExperimentConfig | None, artifacts: list,
                       timings: dict) -> None:
+    """Merge this subcommand's artifacts and timing into <out>/run_record.json.
+
+    Subcommands run on the same config accumulate in one record, timings
+    keyed by subcommand; a different config (or an unreadable record)
+    starts a new one."""
+    path = os.path.join(out, "run_record.json")
+    config_hash = cfg.config_hash() if cfg else None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            old = json.load(fh)
+    except (OSError, ValueError):
+        old = {}
+    if not isinstance(old, dict) or old.get("config_hash") != config_hash:
+        old = {}
     record = {
-        "config_hash": cfg.config_hash() if cfg else None,
+        "config_hash": config_hash,
         "calibration": PINNED.to_dict(),
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(set(old.get("artifacts", [])) | set(artifacts)),
         "versions": {
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "timings_seconds": timings,
+        "timings_seconds": {**old.get("timings_seconds", {}), **timings},
     }
-    with open(os.path.join(out, "run_record.json"), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
 
 

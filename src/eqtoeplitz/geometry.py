@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.special import gammaln, ndtri
-from scipy.stats import qmc
 
 __all__ = [
     "ProjectiveModel",
@@ -133,12 +133,14 @@ def multi_indices(k: int, n_vars: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """The monomial basis of level-k sections with L2(X) log-norms."""
+    """The monomial basis of level-k sections with L2(X) log-norms, or its
+    slice of one torus weight when `isotype` = (W rows, varpi) is set."""
 
     k: int
     indices: np.ndarray     # (N, d+1) int64
     log_norms: np.ndarray   # (N,)
     model: ProjectiveModel = field(repr=False)
+    isotype: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -173,11 +175,82 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
     return float(np.exp(log_monomial_norm(alpha, model)))
 
 
-def section_basis(k: int, model: ProjectiveModel) -> SectionBasis:
+def _int_det(M) -> int:
+    """Exact determinant of a small integer matrix by Laplace expansion."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _int_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def _pivot_minor(A: list) -> tuple:
+    """(rows, cols, det) of a nonzero maximal minor of the integer matrix A;
+    its size is the rank of A.  A must have a nonzero entry."""
+    m, n = len(A), len(A[0])
+    for r in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), r):
+            for cols in combinations(range(n), r):
+                det = _int_det([[A[i][j] for j in cols] for i in rows])
+                if det:
+                    return rows, cols, det
+    raise ValueError("zero matrix has no pivot minor")
+
+
+def _weight_slice(k: int, n: int, W: np.ndarray, varpi: np.ndarray) -> np.ndarray:
+    """All alpha >= 0 with |alpha| = k and -W alpha = varpi, lex-descending.
+
+    The g+1 equations [1; -W] alpha = [k; varpi] have rank r.  A nonzero
+    r x r minor M (rows R, columns D) makes the other n-r coordinates free:
+    they run over every |alpha_F| <= k, and alpha_D = adj(M)(b_R - A_RF alpha_F)
+    / det(M) exactly in integers.  Rows that are integral, nonnegative and
+    satisfy all g+1 equations are the slice.
+    """
+    A = np.vstack([np.ones((1, n), np.int64), -W])
+    b = np.concatenate([[k], varpi])
+    rows, dep, det = _pivot_minor(A.tolist())
+    r = len(dep)
+    free = [j for j in range(n) if j not in dep]
+    M = [[int(A[i, j]) for j in dep] for i in rows]
+
+    def cofactor(j, i):   # signed minor of M without row j and column i
+        return (-1) ** (i + j) * _int_det([row[:i] + row[i + 1:]
+                                           for t, row in enumerate(M) if t != j])
+
+    adj = np.array([[cofactor(j, i) for j in range(r)] for i in range(r)], dtype=np.int64)
+    if det < 0:
+        adj, det = -adj, -det
+    a_free = multi_indices(k, n - r + 1)[:, :n - r]
+    num = (b[list(rows)][None, :] - a_free @ A[np.ix_(rows, free)].T) @ adj.T
+    alpha = np.empty((a_free.shape[0], n), np.int64)
+    alpha[:, free] = a_free
+    alpha[:, dep] = num // det
+    keep = (np.all(num % det == 0, axis=1) & np.all(alpha >= 0, axis=1)
+            & np.all(alpha @ A.T == b[None, :], axis=1))
+    alpha = alpha[keep]
+    return alpha[np.lexsort(-alpha.T[::-1])]
+
+
+def section_basis(k: int, model: ProjectiveModel, W=None, varpi=None) -> SectionBasis:
+    """The level-k monomial basis; with a torus weight matrix W (g x (d+1))
+    and a label varpi, only its rows with -W alpha = varpi.
+
+    The weight slice is enumerated directly, over C(k+d+1-r, d+1-r) candidate
+    rows (r = rank [1; -W]) instead of the C(k+d, d) rows of the full basis;
+    rows and their order are those of the filtered full basis.
+    """
     if k < 0:
         raise ValueError("level k must be nonnegative")
-    idx = multi_indices(k, model.n_coords)
-    return SectionBasis(k=k, indices=idx, log_norms=log_monomial_norm(idx, model), model=model)
+    if W is None:
+        idx, tag = multi_indices(k, model.n_coords), None
+    else:
+        W = np.asarray(W, dtype=np.int64)
+        if W.ndim != 2 or W.shape[1] != model.n_coords:
+            raise ValueError("W must be a g x (d+1) integer matrix")
+        varpi = np.asarray(varpi, dtype=np.int64).reshape(W.shape[0])
+        idx = _weight_slice(k, model.n_coords, W, varpi)
+        tag = (tuple(map(tuple, W.tolist())), tuple(varpi.tolist()))
+    return SectionBasis(k=k, indices=idx, log_norms=log_monomial_norm(idx, model),
+                        model=model, isotype=tag)
 
 
 def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:
@@ -202,6 +275,7 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    from scipy.stats import qmc   # scipy.stats costs ~0.5 s to import; only sampling needs it
     dim = 2 * model.n_coords
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(1, math.ceil(math.log2(n)))

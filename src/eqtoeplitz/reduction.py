@@ -198,7 +198,7 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
 # ---------------------------------------------------------------------------
 # effective volume and reduced integrals
 
-def effective_volume(x, action: TorusAction, model: ProjectiveModel, stab_order=None):
+def effective_volume(x, action: TorusAction, stab_order=None):
     """Riemannian volume of the orbit through x: (2pi)^g sqrt(det Gram)
     divided by the finite stabilizer order.
 
@@ -222,8 +222,8 @@ def effective_volume(x, action: TorusAction, model: ProjectiveModel, stab_order=
     return float(out[0]) if single else out
 
 
-def reduced_space_integral(action: TorusAction, model: ProjectiveModel,
-                           sample: ZeroLocusSample, h=None) -> tuple[float, float]:
+def reduced_space_integral(action: TorusAction, sample: ZeroLocusSample,
+                           h=None) -> tuple[float, float]:
     """Monte-Carlo of int_{reduced space of the sampled stratum} h-average,
     i.e. the zero-locus integral of h / V_eff over an already-drawn sample.
     h maps point rows to floats (default 1)."""
@@ -233,7 +233,7 @@ def reduced_space_integral(action: TorusAction, model: ProjectiveModel,
     if info["free_rank"] > 0:
         raise ReductionHypothesisError("positive-dimensional stabilizer on stratum",
                                        witness=sample.points[0])
-    veff = effective_volume(sample, action, model, stab_order=info["order"])
+    veff = effective_volume(sample, action, stab_order=info["order"])
     hv = np.ones(sample.points.shape[0]) if h is None else np.asarray(h(sample.points), float)
     return sample.integrate(hv / veff)
 
@@ -241,8 +241,8 @@ def reduced_space_integral(action: TorusAction, model: ProjectiveModel,
 def reduced_volume(action: TorusAction, model: ProjectiveModel, n_samples: int,
                    seed: int, band: float = 0.05) -> tuple[float, float]:
     """vol(M0) = int over the zero locus of 1/V_eff, with standard error."""
-    return reduced_space_integral(action, model,
-                                  zero_locus_sample(action, model, n_samples, seed, band=band))
+    return reduced_space_integral(action, zero_locus_sample(action, model, n_samples, seed,
+                                                            band=band))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +323,10 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
     orders = np.array([pinfo["order"] for pinfo in pinfos])
     stab_ok = bool(np.all(orders == info["order"]))
     min_sv = float(np.min(_dphi_singular_values(probes, action), initial=np.inf))
-    veffs = effective_volume(probes, action, model, stab_order=orders)
+    veffs = effective_volume(probes, action, stab_order=orders)
     inj = min(_injectivity_proxy(x, action, pinfo["angles"])
               for x, pinfo in zip(probes, pinfos))
-    vol, err = reduced_space_integral(action, model, sample)
+    vol, err = reduced_space_integral(action, sample)
     regular = min_sv > 1e-6
     free = stab_ok and info["free_rank"] == 0
     return ReductionDiagnostics(
@@ -637,5 +637,5 @@ def f_bar_integral(report: FixedComponentReport, f: Observable, action: TorusAct
         return replace(report, f_bar_integral=complex(favg.integral_over_M(model)),
                        f_bar_stderr=0.0)
     sample = zero_locus_sample(action, model, n_samples, seed, support=report.support)
-    est, err = reduced_space_integral(action, model, sample, h=favg.value)
+    est, err = reduced_space_integral(action, sample, h=favg.value)
     return replace(report, f_bar_integral=complex(est), f_bar_stderr=err)

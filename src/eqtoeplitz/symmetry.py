@@ -215,11 +215,16 @@ class IsotypeBasis:
 def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> IsotypeBasis:
     """Filter the level-k monomials with weight_of(alpha) == varpi.
 
+    `basis` is the full level-k basis or its slice of this same (W, varpi),
+    as `section_basis(k, model, action.W, varpi)` enumerates it directly.
     Empty results are valid (that is the content of the vanishing statement).
     """
     if basis.k != k:
         raise ValueError("basis level mismatch")
     varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
+    if basis.isotype is not None and basis.isotype != (
+            tuple(map(tuple, action.W.tolist())), tuple(varpi_vec.tolist())):
+        raise ValueError("basis is the slice of another torus weight")
     w = weight_of(basis.indices, action)
     mask = np.all(w == varpi_vec[None, :], axis=1) if action.g else np.ones(basis.dim, bool)
     return IsotypeBasis(k=k, varpi=tuple(int(v) for v in varpi_vec),

@@ -20,6 +20,7 @@ from .symmetry import (DiagonalSymmetry, IsotypeBasis, TorusAction, equivariant_
                        gamma_phase, isotype_basis)
 
 __all__ = [
+    "isotype_slice",
     "toeplitz_entry",
     "toeplitz_matrix",
     "trace_psi",
@@ -110,18 +111,23 @@ def toeplitz_matrix(f: Observable, iso: IsotypeBasis, model: ProjectiveModel,
     return T
 
 
+def isotype_slice(k: int, varpi, action: TorusAction, model: ProjectiveModel) -> IsotypeBasis:
+    """The varpi isotype at level k, enumerated directly as a weight slice
+    (memory scales with the isotype, not with the C(k+d, d) level basis)."""
+    return isotype_basis(k, varpi, action, section_basis(k, model, action.W, varpi))
+
+
 def trace_psi(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
               action: TorusAction, model: ProjectiveModel,
-              method: str = "diagonal", basis=None) -> complex:
+              method: str = "diagonal", iso: IsotypeBasis | None = None) -> complex:
     """trace of (level-k lift of the symmetry) o (compressed observable) on
-    the varpi isotype.
+    the varpi isotype (`iso`, enumerated here when not given).
 
     The lift is diagonal in the monomial basis for a diagonal symmetry, so
     the trace needs only diagonal Toeplitz entries; the full-matrix path is
     retained for invariance tests.
     """
-    basis = basis if basis is not None else section_basis(k, model)
-    iso = isotype_basis(k, varpi, action, basis)
+    iso = iso if iso is not None else isotype_slice(k, varpi, action, model)
     if iso.dim == 0:
         return 0.0 + 0.0j
     phases = gamma_phase(iso.indices, sym)
@@ -135,14 +141,12 @@ def trace_psi(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
 
 def trace_via_kernel_quadrature(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
                                 action: TorusAction, model: ProjectiveModel,
-                                n_samples: int, seed: int,
-                                basis=None) -> tuple[complex, float]:
+                                n_samples: int, seed: int) -> tuple[complex, float]:
     """Independent circle-bundle quadrature of the trace: Monte-Carlo of
     Pi_{varpi,k}(gamma_X^{-1}(y), y) f(y) against the calibrated volume.
 
     Returns (estimate, standard error)."""
-    basis = basis if basis is not None else section_basis(k, model)
-    iso = isotype_basis(k, varpi, action, basis)
+    iso = isotype_slice(k, varpi, action, model)
     ys = sample_sphere(n_samples, seed, model)
     if iso.dim == 0:
         return 0.0 + 0.0j, 0.0
@@ -206,9 +210,8 @@ def trace_sweep(k_values, varpi, f: Observable, sym: DiagonalSymmetry,
 
     def one(k: int):
         try:
-            basis = section_basis(k, model)
-            iso = isotype_basis(k, varpi_t, action, basis)
-            tr = trace_psi(k, varpi_t, f, sym, action, model, method=method, basis=basis)
+            iso = isotype_slice(k, varpi_t, action, model)
+            tr = trace_psi(k, varpi_t, f, sym, action, model, method=method, iso=iso)
             return TraceRecord(k=k, varpi=varpi_t, trace=tr, dim_isotype=iso.dim,
                                method=method)
         except Exception as exc:

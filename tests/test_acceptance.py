@@ -176,11 +176,10 @@ def test_criterion_6_trace_identity_randomized():
         basis = section_basis(k, model)
         ws = occurring_weights(k, action, basis)
         varpi = tuple(int(v) for v in ws[rng.integers(0, len(ws))])
-        alg = trace_psi(k, varpi, f, sym, action, model, basis=basis)
+        alg = trace_psi(k, varpi, f, sym, action, model)
         est, err = trace_via_kernel_quadrature(k, varpi, f, sym, action, model,
                                                n_samples=2 ** 14,
-                                               seed=int(rng.integers(0, 10 ** 6)),
-                                               basis=basis)
+                                               seed=int(rng.integers(0, 10 ** 6)))
         if abs(est - alg) <= 3 * err + 1e-13:
             hits += 1
     ok = hits >= 0.95 * total

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,10 +154,10 @@ class TestFailedLevels:
         import eqtoeplitz.toeplitz as tp
         orig = tp.section_basis
 
-        def flaky(k, model):
+        def flaky(k, model, *rest):
             if k == 7:
                 raise RuntimeError("boom")
-            return orig(k, model)
+            return orig(k, model, *rest)
 
         monkeypatch.setattr(tp, "section_basis", flaky)
         out = tmp_path / "out"
@@ -297,3 +299,21 @@ class TestSelfTest:
         assert record["calibration"]["kappa_x"] == 1.0
         assert "trace.csv" in record["artifacts"]
         assert record["config_hash"]
+
+    def test_run_records_merge_across_subcommands(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, k_range={"min": 2, "max": 12,
+                                                               "step": 1}))
+        assert main(["trace", "--config", cfg]) == 0
+        assert main(["predict", "--config", cfg]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        assert set(record["timings_seconds"]) == {"trace", "predict"}
+        assert {"trace.csv", "predictions.csv"} <= set(record["artifacts"])
+
+
+class TestImport:
+    def test_cli_import_skips_scipy_stats(self):
+        # scipy.stats is the sampler's dependency only; trace never samples
+        code = "import sys, eqtoeplitz.cli; assert 'scipy.stats' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)

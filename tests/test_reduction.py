@@ -146,18 +146,18 @@ class TestZeroLocusSample:
 class TestEffectiveVolume:
     def test_trivial_group_point_orbit(self, p1, trivial_g1):
         x = sample_sphere(1, 3, p1)[0]
-        assert effective_volume(x, trivial_g1, p1) == 1.0
+        assert effective_volume(x, trivial_g1) == 1.0
 
-    def test_p1_balanced_value(self, p1, circle_p1):
+    def test_p1_balanced_value(self, circle_p1):
         x = np.array([1, 1], complex) / math.sqrt(2)
         # orbit sweeps the equator twice: image length is pi
-        assert effective_volume(x, circle_p1, p1) == pytest.approx(math.pi, rel=1e-12)
+        assert effective_volume(x, circle_p1) == pytest.approx(math.pi, rel=1e-12)
 
     def test_on_diagonal_scaling_identity(self, p1, circle_p1):
         # oracle: exact equivariant kernel at the balanced point,
         # Pi_{0,k}(x,x) = 2^{-k} (k+1)!/((k/2)!)^2 / vol_X
         x = np.array([1, 1], complex) / math.sqrt(2)
-        veff = effective_volume(x, circle_p1, p1)
+        veff = effective_volume(x, circle_p1)
         for k in (512, 2048):
             logv = k * math.log(0.5) + gammaln(k + 2) - 2 * gammaln(k / 2 + 1) \
                 - math.log(p1.vol_X)
@@ -168,12 +168,12 @@ class TestEffectiveVolume:
     def test_rows_match_single_points(self):
         action, model = TorusAction(D3_WEIGHTS), ProjectiveModel(3)
         pts = zero_locus_sample(action, model, 2 ** 12, seed=8).points[:10]
-        rows = effective_volume(pts, action, model)
-        assert rows.tolist() == [effective_volume(x, action, model) for x in pts]
+        rows = effective_volume(pts, action)
+        assert rows.tolist() == [effective_volume(x, action) for x in pts]
 
-    def test_invariance_along_orbit(self, p1, circle_p1):
+    def test_invariance_along_orbit(self, circle_p1):
         x = np.array([1, 1], complex) / math.sqrt(2)
-        vals = [effective_volume(circle_p1.act(np.array([t]), x), circle_p1, p1)
+        vals = [effective_volume(circle_p1.act(np.array([t]), x), circle_p1)
                 for t in np.linspace(0, 2, 7)]
         assert np.max(np.abs(np.array(vals) - vals[0])) < 1e-8
 

@@ -45,6 +45,65 @@ class TestWeights:
             assert counts.sum() == math.comb(k + 2, 2)
 
 
+@st.composite
+def _slice_cases(draw):
+    d, g = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    W = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1),
+                      min_size=g, max_size=g))
+    k = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        ws = occurring_weights(k, TorusAction(W), section_basis(k, ProjectiveModel(d)))
+        varpi = tuple(int(v) for v in ws[draw(st.integers(0, len(ws) - 1))])
+    else:
+        varpi = tuple(draw(st.lists(st.integers(-30, 30), min_size=g, max_size=g)))
+    return ProjectiveModel(d), TorusAction(W), k, varpi
+
+
+def _assert_slice_matches_filter(model, action, k, varpi):
+    direct = isotype_basis(k, varpi, action, section_basis(k, model, action.W, varpi))
+    oracle = isotype_basis(k, varpi, action, section_basis(k, model))
+    assert np.array_equal(direct.indices, oracle.indices)
+    assert np.array_equal(direct.log_norms, oracle.log_norms)
+    assert direct.parent.dim == direct.dim
+    return direct
+
+
+class TestIsotypeSlice:
+    """The directly enumerated weight slice against the full-basis filter."""
+
+    @given(_slice_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_direct_equals_filter(self, case):
+        _assert_slice_matches_filter(*case)
+
+    @pytest.mark.parametrize("W, varpi", [
+        ([[1, 1]], None),                        # parallel to |alpha| = k: rank 1
+        ([[1, 1]], (0,)),                        # ... and inconsistent with it
+        ([[1, -1, -1], [1, -1, -1]], (0, 0)),    # repeated rows
+        ([[1, -1, -1], [1, -1, -1]], (0, 1)),    # repeated rows, inconsistent labels
+        ([[1, -1]], (0,)),                       # empty at odd k (parity)
+        ([[2, 0, -1], [0, 1, -1]], (0, 0)),
+        (np.zeros((0, 3), np.int64), ()),        # trivial group: the whole basis
+    ])
+    @pytest.mark.parametrize("k", [0, 1, 5, 12])
+    def test_fixed_cases(self, W, varpi, k):
+        W = np.asarray(W, dtype=np.int64)
+        model, action = ProjectiveModel(W.shape[1] - 1), TorusAction(W)
+        iso = _assert_slice_matches_filter(model, action, k, (-k,) if varpi is None else varpi)
+        if W.shape[0] == 0:
+            assert iso.dim == math.comb(k + W.shape[1] - 1, k)
+
+    def test_slice_rows_scale_with_isotype(self):
+        action = TorusAction([[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]])
+        basis = section_basis(100, ProjectiveModel(4), action.W, (0, 0))
+        assert basis.dim == isotype_basis(100, (0, 0), action, basis).dim < 1000
+
+    def test_slice_of_another_weight_refused(self, p2, circle_p2):
+        basis = section_basis(6, p2, circle_p2.W, (0,))
+        with pytest.raises(ValueError):
+            isotype_basis(6, (2,), circle_p2, basis)
+
+
 class TestMomentMap:
     def test_coordinate_point(self, circle_p2):
         assert moment_map(np.array([1, 0, 0], complex), circle_p2)[0] == pytest.approx(-1.0)
