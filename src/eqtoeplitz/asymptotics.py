@@ -25,6 +25,7 @@ from .toeplitz import TraceSeries, isotype_slice
 
 __all__ = [
     "NumericFailure",
+    "ProbeDomainError",
     "TracePrediction",
     "predict_leading",
     "predict_toeplitz_leading",
@@ -40,6 +41,10 @@ __all__ = [
 
 class NumericFailure(RuntimeError):
     """Numerical breakdown with diagnostics (rank-deficient fits etc.)."""
+
+
+class ProbeDomainError(ValueError):
+    """A kernel probe's points or displacements violate its precondition."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def compare_and_fit(series: TraceSeries, predictions, order: int,
 
 def orbit_distance(x, y, action: TorusAction, n_grid: int = 256) -> float:
     """min over the torus of the base distance between mu_t(x) and y."""
-    best = max(float(np.max(ov)) for _, ov in torus_grid_overlaps(x, y, action, n_grid))
+    best = max(float(np.max(np.abs(ov))) for _, ov in torus_grid_overlaps(x, y, action, n_grid))
     return math.sqrt(max(0.0, 2.0 - 2.0 * best))
 
 
@@ -179,7 +184,7 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
     phin = float(np.linalg.norm(np.atleast_1d(moment_map(x, action))))
     odist = orbit_distance(x, y, action)
     if phin < threshold and odist < threshold:
-        raise ValueError(
+        raise ProbeDomainError(
             f"probe pair lies in the concentration set (|Phi| = {phin:.3g}, "
             f"orbit distance = {odist:.3g}, threshold {threshold})")
     ks = np.array(sorted(int(k) for k in k_values))
@@ -280,12 +285,12 @@ def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
     xv = coords_of(probe.x)
     phin = float(np.linalg.norm(np.atleast_1d(moment_map(xv, action))))
     if phin > 1e-8:
-        raise ValueError("scaling probe base point must lie on the zero locus")
+        raise ProbeDomainError("scaling probe base point must lie on the zero locus")
     for vec in (probe.w, probe.v):
         if np.linalg.norm(vec) > 2.0 + 1e-12:
-            raise ValueError("displacements must have norm at most 2")
+            raise ProbeDomainError("displacements must have norm at most 2")
         if abs(np.vdot(xv, vec)) > 1e-10:
-            raise ValueError("displacements must be tangent (orthogonal to x)")
+            raise ProbeDomainError("displacements must be tangent (orthogonal to x)")
     frame = tangent_frame(xv, action)
     wt, wv, wh = frame.decompose(probe.w)
     vt, vv, vh = frame.decompose(probe.v)

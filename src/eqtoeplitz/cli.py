@@ -20,15 +20,17 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .asymptotics import (NumericFailure, ScalingProbe, TracePrediction, compare_and_fit,
-                          decay_probe, predict_toeplitz_leading, scaling_probe)
+from .asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe, TracePrediction,
+                          compare_and_fit, decay_probe, predict_toeplitz_leading,
+                          scaling_probe)
 from .cache import Cache
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .iotools import write_csv
 from .reduction import (DegenerateSymmetryError, ReductionHypothesisError,
                         check_regular_and_free, component_invariants, f_bar_integral,
                         find_fixed_components)
 from .selftest import FLIPPABLE_PINS, PINNED, run_selftest
+from .symmetry import vanishing_level
 from .toeplitz import trace_sweep
 
 EXIT_OK = 0
@@ -48,7 +50,6 @@ def _effective_config(args) -> ExperimentConfig:
     if args.seed is not None:
         doc = dict(cfg.raw)
         doc["sampling"] = dict(doc["sampling"], seed=args.seed)
-        from .config import parse_config
         cfg = parse_config(doc)
     return cfg
 
@@ -134,7 +135,6 @@ def cmd_analyze(args) -> int:
     if diagnostics.empty_locus:
         lines.append("")
         lines.append("empty zero locus: twisted operators vanish identically for k >= k0;")
-        from .symmetry import vanishing_level
         k0 = vanishing_level(action, cfg.varpi)
         lines.append(f"k0 (weight-range bound for the configured isotype): {k0}")
     else:
@@ -272,7 +272,7 @@ def cmd_kernel(args) -> int:
     if probe is None:
         raise ConfigError("kernel subcommand needs a kernel_probe config section")
     model, action = cfg.model(), cfg.action()
-    ks = [int(k) for k in probe["k_values"]]
+    ks = probe["k_values"]
     if probe["type"] == "decay":
         x = _parse_point(probe.get("point"), model)
         y = _parse_point(probe.get("second_point"), model) if probe.get("second_point") else x
@@ -381,7 +381,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ProbeDomainError) as exc:
+        # only `kernel` runs a probe, on points and displacements from the config
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ReductionHypothesisError as exc:

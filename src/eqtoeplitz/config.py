@@ -178,6 +178,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
                       {"type", "k_values"}, "kernel_probe")
         if probe["type"] not in ("decay", "scaling"):
             raise ConfigError("kernel_probe.type must be 'decay' or 'scaling'")
+        # k = 0 has no decay exponent (log 0) and no 1/sqrt(k) scaling
+        ks = probe["k_values"]
+        if not isinstance(ks, list) or not ks \
+                or not all(isinstance(k, int) and k >= 1 for k in ks):
+            raise ConfigError("kernel_probe.k_values must be a nonempty list of "
+                              "positive integers")
 
     return ExperimentConfig(
         d=d, W=W, phi=phi, theta_A=theta_A, u_terms=u_terms, h_term=h_term,

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 from scipy.special import gammaln
 
 from ._intlinalg import homogeneous_torsion_angles, solve_phase_congruence, smith_normal_form
@@ -271,6 +269,7 @@ class ReductionDiagnostics:
 def _generic_support(action: TorusAction, model: ProjectiveModel, tol: float = 1e-9) -> tuple:
     """Coordinates that can be nonzero somewhere on the zero locus: for each
     j maximize u_j over the feasible polytope {u >= 0, sum u = 1, W u = 0}."""
+    from scipy.optimize import linprog   # ~0.3 s to import; trace and kernel never run an LP
     n = model.n_coords
     members = []
     for j in range(n):
@@ -347,7 +346,7 @@ def _injectivity_proxy(x: np.ndarray, action: TorusAction, stab_angles: np.ndarr
         diff = np.angle(np.exp(1j * (theta[:, None, :] - stab_angles[None, :, :])))
         dt = np.min(np.linalg.norm(diff, axis=2), axis=1)
         far = dt >= 0.3
-        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlap[far]))
+        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.abs(overlap[far])))
         best = min(best, float(np.min(dist / dt[far], initial=np.inf)))
     return best
 
@@ -393,6 +392,7 @@ class FixedComponentReport:
 def _support_feasibility(action: TorusAction, support, tol: float = 1e-9):
     """LP: maximize the interior margin of {u >= eps on S, sum u = 1, W u = 0}.
     Returns (u_star or None, margin)."""
+    from scipy.optimize import linprog
     S = list(support)
     n = len(S)
     g = action.g
@@ -501,6 +501,7 @@ def _affine_chart(zeta: np.ndarray, base: np.ndarray) -> np.ndarray:
 def _horizontal_frames(rep: np.ndarray, support, action: TorusAction):
     """Orthonormal frames of the horizontal space at a component lift,
     split into (tangent-to-component, normal) blocks."""
+    from scipy.linalg import null_space
     n = rep.shape[0]
     S = list(support)
     comp = [j for j in range(n) if j not in S]
@@ -595,6 +596,7 @@ def component_representatives(report: FixedComponentReport, action: TorusAction,
                               n: int, seed: int = 0) -> list[np.ndarray]:
     """Distinct lifts over the component: random stratum phases and, for
     positive-dimensional components, interior moduli variations."""
+    from scipy.optimize import linprog
     rng = np.random.default_rng(seed)
     S = list(report.support)
     out = [report.representative]

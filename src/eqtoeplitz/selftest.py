@@ -23,7 +23,7 @@ from .reduction import (component_invariants, f_bar_integral, find_fixed_compone
 from .symmetry import (DiagonalSymmetry, TorusAction, isotype_basis,
                        moment_polytope_contains, occurring_weights)
 from .toeplitz import toeplitz_matrix, trace_psi, trace_via_kernel_quadrature
-from .asymptotics import ScalingProbe, TracePrediction, scaling_probe
+from .asymptotics import ScalingProbe, TracePrediction, scaling_probe, tangent_frame
 
 __all__ = ["CalibrationRecord", "SelfTestResult", "run_selftest", "FLIPPABLE_PINS"]
 
@@ -250,7 +250,6 @@ def check_scaling_gaussian():
     model = ProjectiveModel(1)
     action = TorusAction([[1, -1]])
     x = np.array([1.0, 1.0], complex) / math.sqrt(2)
-    from .asymptotics import tangent_frame
     fr = tangent_frame(x, action)
     vt = 0.8 * fr.transverse[0]
     rows = scaling_probe(ScalingProbe(x=x, w=vt, v=vt, k_values=(300,)), (0,),

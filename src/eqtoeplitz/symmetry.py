@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .geometry import ProjectiveModel, SectionBasis, coords_of, kernel_pair_values, szego_kernel
+from .geometry import ProjectiveModel, SectionBasis, coords_of, kernel_pair_values
 
 __all__ = [
     "TorusAction",
@@ -102,7 +101,7 @@ _GRID_BLOCK = 4096
 
 def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
     """Walk the uniform n_grid^g torus grid in blocks, yielding for each
-    block the angles theta (rows) and |<mu_theta x, y>| = |e^{i theta W} . (x conj(y))|.
+    block the angles theta (rows) and <mu_theta x, y> = e^{i theta W} . (x conj(y)).
 
     The grid is visited in row-major order of the per-circle node indices;
     memory stays bounded by the block size whatever n_grid^g is.
@@ -113,7 +112,7 @@ def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
     for start in range(0, total, _GRID_BLOCK):
         idx = np.arange(start, min(start + _GRID_BLOCK, total))
         theta = (idx[:, None] // strides % n_grid) * (2.0 * math.pi / n_grid)
-        yield theta, np.abs(np.exp(1j * (theta @ action.W)) @ xy)
+        yield theta, np.exp(1j * (theta @ action.W)) @ xy
 
 
 def moment_polytope_contains(action: TorusAction, target: np.ndarray,
@@ -122,6 +121,7 @@ def moment_polytope_contains(action: TorusAction, target: np.ndarray,
     columns of -W; decided by an exact-feasibility LP."""
     if action.g == 0:
         return True
+    from scipy.optimize import linprog   # ~0.3 s to import; only the LP paths need it
     verts = -action.W.T.astype(float) * scale      # (d+1, g)
     n = verts.shape[0]
     A_eq = np.vstack([verts.T, np.ones((1, n))])
@@ -139,6 +139,7 @@ def vanishing_level(action: TorusAction, varpi) -> int | None:
     the LP is unbounded, i.e. 0 lies in Phi(M) and the support never
     empties; returns 0 when varpi is never admissible at all.
     """
+    from scipy.optimize import linprog
     varpi = np.asarray(varpi, dtype=float).reshape(action.g)
     n = action.n_coords
     res = linprog(-np.ones(n), A_eq=-action.W.astype(float), b_eq=varpi,
@@ -247,19 +248,13 @@ def equivariant_kernel_fourier(x, y, k: int, varpi, action: TorusAction,
     """Character-average cross-check: (1/2pi)^g int chi_varpi(t) Pi_k(t.x, y) dt.
 
     Trapezoid rule per circle factor; exact once the node count exceeds the
-    trigonometric bandwidth k * max|W| + |varpi|.
+    trigonometric bandwidth k * max|W| + |varpi|.  Pi_k(t.x, y) is
+    binom(k+d, d)/vol_X * <mu_t x, y>^k, summed over the grid in blocks.
     """
     varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
-    if action.g == 0:
-        return szego_kernel(x, y, k, model)
-    band = int(k * np.abs(action.W).max() + np.abs(varpi_vec).sum())
+    band = int(k * np.abs(action.W).max(initial=0) + np.abs(varpi_vec).sum())
     n = n_nodes or (2 * band + 5)
-    nodes = 2.0 * np.pi * np.arange(n) / n
-    grids = np.meshgrid(*([nodes] * action.g), indexing="ij")
-    thetas = np.stack([gg.ravel() for gg in grids], axis=1)
-    xv, yv = coords_of(x), coords_of(y)
     total = 0.0 + 0.0j
-    for th in thetas:
-        chi = np.exp(1j * float(varpi_vec @ th))
-        total += chi * szego_kernel(action.act(th, xv), yv, k, model)
-    return complex(total / thetas.shape[0])
+    for theta, overlap in torus_grid_overlaps(x, y, action, n):
+        total += np.sum(np.exp(1j * (theta @ varpi_vec)) * overlap ** k)
+    return complex(total * model.dim_sections(k) / model.vol_X / n ** action.g)

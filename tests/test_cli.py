@@ -237,35 +237,45 @@ class TestCache:
         assert c.get(key) == {"v": 1.25}
 
 
+def decay_config(out, **probe):
+    # P2 under the circle W=[[1,-1,-1]], probed off the zero locus
+    return base_config(out, model={"d": 2}, action={"W": [[1, -1, -1]]},
+                       symmetry={"phi": [0.0, 0.0, 0.0]},
+                       observable={"u_terms": [{"beta": [0, 0, 0], "coef": 1.0}]},
+                       isotype=[0],
+                       kernel_probe={"type": "decay",
+                                     "point": [0.894427190999916, 0.3872983346207417,
+                                               0.22360679774997896],
+                                     "k_values": [40, 80, 120, 160, 200], **probe})
+
+
+S = 1 / math.sqrt(2)
+
+
+def scaling_config(out, **probe):
+    # P1 under W=[[1,-1]] at the zero-locus point (S, S), tangent displacements
+    return base_config(out, model={"d": 1}, action={"W": [[1, -1]]},
+                       symmetry={"phi": [0.0, 0.0]},
+                       observable={"u_terms": [{"beta": [0, 0], "coef": 1.0}]},
+                       isotype=[0],
+                       kernel_probe={"type": "scaling",
+                                     "point": [S, S],
+                                     "displacement_w": [[-S * 0.8, 0.0], [S * 0.8, 0.0]],
+                                     "displacement_v": [[-S * 0.8, 0.0], [S * 0.8, 0.0]],
+                                     "k_values": [200, 400], **probe})
+
+
 class TestKernelCommands:
     def test_decay_probe_csv(self, tmp_path):
         out = tmp_path / "out"
-        doc = base_config(out, model={"d": 2}, action={"W": [[1, -1, -1]]},
-                          symmetry={"phi": [0.0, 0.0, 0.0]},
-                          observable={"u_terms": [{"beta": [0, 0, 0], "coef": 1.0}]},
-                          isotype=[0],
-                          kernel_probe={"type": "decay",
-                                        "point": [0.894427190999916, 0.3872983346207417,
-                                                  0.22360679774997896],
-                                        "k_values": [40, 80, 120, 160, 200]})
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, decay_config(out))
         assert main(["kernel", "--config", cfg]) == 0
         header, rows = read_csv(out / "kernel_decay.csv")
         assert len(rows) == 5
 
     def test_scaling_probe_csv(self, tmp_path):
         out = tmp_path / "out"
-        s = 1 / math.sqrt(2)
-        doc = base_config(out, model={"d": 1}, action={"W": [[1, -1]]},
-                          symmetry={"phi": [0.0, 0.0]},
-                          observable={"u_terms": [{"beta": [0, 0], "coef": 1.0}]},
-                          isotype=[0],
-                          kernel_probe={"type": "scaling",
-                                        "point": [s, s],
-                                        "displacement_w": [[-s * 0.8, 0.0], [s * 0.8, 0.0]],
-                                        "displacement_v": [[-s * 0.8, 0.0], [s * 0.8, 0.0]],
-                                        "k_values": [200, 400]})
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, scaling_config(out))
         assert main(["kernel", "--config", cfg]) == 0
         header, rows = read_csv(out / "kernel_scaling.csv")
         ir = header.index("abs_ratio")
@@ -274,6 +284,30 @@ class TestKernelCommands:
     def test_kernel_without_probe_config(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "o"))
         assert main(["kernel", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("ks", [[-5, 10], ["a"], [], [10.7, 20], [0]],
+                             ids=["negative", "string", "empty", "float", "zero"])
+    def test_bad_k_values_exit_2(self, tmp_path, capsys, ks):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, decay_config(out, k_values=ks))
+        assert main(["kernel", "--config", cfg]) == 2
+        assert "k_values" in capsys.readouterr().err
+        assert not (out / "kernel_decay.csv").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        (scaling_config("o", point=[0.8, 0.6]), "zero locus"),
+        (scaling_config("o", displacement_w=[[-S * 3, 0.0], [S * 3, 0.0]]), "norm at most 2"),
+        (scaling_config("o", displacement_v=[[S * 0.8, 0.0], [S * 0.8, 0.0]]), "tangent"),
+        (decay_config("o", point=[S, 0.5, 0.5]), "concentration set"),
+    ], ids=["off-locus", "too-long", "not-tangent", "concentration-set"])
+    def test_probe_precondition_exit_2(self, tmp_path, capsys, doc, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(doc, output_dir=str(out)))
+        assert main(["kernel", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (out / "kernel_decay.csv").exists()
+        assert not (out / "kernel_scaling.csv").exists()
 
 
 class TestSelfTest:
@@ -311,9 +345,33 @@ class TestSelfTest:
         assert {"trace.csv", "predictions.csv"} <= set(record["artifacts"])
 
 
+#: scipy modules that only sampling, LPs and null spaces need
+HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats")
+
+
 class TestImport:
-    def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats is the sampler's dependency only; trace never samples
-        code = "import sys, eqtoeplitz.cli; assert 'scipy.stats' not in sys.modules"
+    def run_isolated(self, code):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+    def test_cli_import_skips_scipy_stats(self):
+        # scipy.stats is the sampler's dependency only, scipy.optimize and
+        # scipy.linalg serve the LP and null-space paths; import needs none
+        self.run_isolated(f"""
+import sys, eqtoeplitz.cli
+loaded = [m for m in {HEAVY!r} if m in sys.modules]
+assert not loaded, loaded
+""")
+
+    def test_trace_and_kernel_skip_lp_linalg_and_stats(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60]))
+        self.run_isolated(f"""
+import sys
+from eqtoeplitz.cli import main
+assert main(["trace", "--config", {cfg!r}]) == 0
+assert main(["kernel", "--config", {cfg!r}]) == 0
+loaded = [m for m in {HEAVY!r} if m in sys.modules]
+assert not loaded, loaded
+""")
+        assert (out / "trace.csv").exists() and (out / "kernel_decay.csv").exists()

@@ -267,6 +267,6 @@ class TestTorusAction:
         grid = np.linspace(0, 2 * math.pi, 70, endpoint=False)
         mesh = np.meshgrid(grid, grid, indexing="ij")
         assert np.array_equal(theta, np.stack([m.ravel() for m in mesh], axis=1))
-        want = [abs(np.vdot(y, act.act(th, x))) for th in theta]
+        want = [np.vdot(y, act.act(th, x)) for th in theta]
         got = np.concatenate([ov for _, ov in blocks])
         assert np.max(np.abs(got - want)) < 1e-12
