@@ -8,14 +8,13 @@ and kernel-scaling validators.
 
 __version__ = "0.1.0"
 
-from .geometry import ProjectiveModel, PointX, SectionBasis, section_basis
+from .geometry import ProjectiveModel, SectionBasis, section_basis
 from .observables import Observable
 from .symmetry import DiagonalSymmetry, TorusAction
 
 __all__ = [
     "__version__",
     "ProjectiveModel",
-    "PointX",
     "SectionBasis",
     "section_basis",
     "Observable",

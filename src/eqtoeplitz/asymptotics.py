@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ProjectiveModel, coords_of
+from .geometry import ProjectiveModel
 from .observables import Observable
 from .reduction import effective_volume
 from .symmetry import TorusAction, equivariant_kernel_pairs, moment_map, torus_grid_overlaps
@@ -27,7 +27,6 @@ __all__ = [
     "NumericFailure",
     "ProbeDomainError",
     "TracePrediction",
-    "predict_leading",
     "predict_toeplitz_leading",
     "FitReport",
     "compare_and_fit",
@@ -72,12 +71,6 @@ class TracePrediction:
         if not self.reports:
             return 0.0 + 0.0j
         return complex(self.component_terms(k).sum())
-
-
-def predict_leading(k: int, varpi, reports, dim_V: int = 1) -> complex:
-    """Evaluate the leading-term sum at level k (empty report list -> 0)."""
-    varpi_t = tuple(int(v) for v in np.asarray(varpi).reshape(-1))
-    return TracePrediction(tuple(reports), varpi_t, dim_V)(k)
 
 
 def predict_toeplitz_leading(k: int, f: Observable, model: ProjectiveModel) -> float:
@@ -180,17 +173,24 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
     Precondition: the pair lies off the concentration set, i.e. either the
     moment map is bounded away from zero at x or the points are on distinct
     orbits; both margins are checked numerically at the given threshold.
+    The slope is fitted over the upper half of the sorted levels, which must
+    hold at least two distinct levels.
     """
+    ks = np.array(sorted(int(k) for k in k_values))
+    half = len(ks) // 2
+    if len(set(ks[half:].tolist())) < 2:
+        raise ProbeDomainError(
+            f"decay fit needs two distinct levels in the upper half of k_values, "
+            f"got {ks[half:].tolist()}")
     phin = float(np.linalg.norm(np.atleast_1d(moment_map(x, action))))
     odist = orbit_distance(x, y, action)
     if phin < threshold and odist < threshold:
         raise ProbeDomainError(
             f"probe pair lies in the concentration set (|Phi| = {phin:.3g}, "
             f"orbit distance = {odist:.3g}, threshold {threshold})")
-    ks = np.array(sorted(int(k) for k in k_values))
     vals = []
     floored = False
-    xv, yv = coords_of(x)[None, :], coords_of(y)[None, :]
+    xv, yv = np.asarray(x, dtype=complex)[None, :], np.asarray(y, dtype=complex)[None, :]
     for k in ks:
         iso = isotype_slice(k, varpi, action, model)
         if iso.dim == 0:
@@ -202,7 +202,6 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
             floored = True
         vals.append(v)
     vals = np.array(vals)
-    half = len(ks) // 2
     kk, vv = np.log(ks[half:].astype(float)), np.log(vals[half:])
     A = np.stack([kk, np.ones_like(kk)], axis=1)
     sol, _, _, _ = np.linalg.lstsq(A, vv, rcond=None)
@@ -236,7 +235,7 @@ class TangentFrame:
 
 
 def tangent_frame(x, action: TorusAction) -> TangentFrame:
-    xv = coords_of(x)
+    xv = np.asarray(x, dtype=complex)
     if action.g == 0:
         z = np.zeros((0, xv.shape[0]), complex)
         return TangentFrame(x=xv, vertical=z, transverse=z)
@@ -282,7 +281,7 @@ def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
     Q = -|v_t|^2 - |w_t|^2 + i[omega(w_v, w_t) - omega(v_v, v_t)] and
     psi2 = <w_h, v_h> - (|w_h|^2 + |v_h|^2)/2.
     """
-    xv = coords_of(probe.x)
+    xv = np.asarray(probe.x, dtype=complex)
     phin = float(np.linalg.norm(np.atleast_1d(moment_map(xv, action))))
     if phin > 1e-8:
         raise ProbeDomainError("scaling probe base point must lie on the zero locus")

@@ -340,7 +340,7 @@ def cmd_selftest(args) -> int:
         if not r.passed:
             failed.append(r.name)
     with open(os.path.join(out, "calibration_record.json"), "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(record.to_dict(results), fh, indent=2, sort_keys=True)
     print(f"calibration record -> {os.path.join(out, 'calibration_record.json')}")
     print(f"selftest: {len(results) - len(failed)}/{len(results)} passed "
           f"in {time.perf_counter() - t0:.1f}s")

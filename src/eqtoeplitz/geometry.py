@@ -19,7 +19,6 @@ from scipy.special import gammaln, ndtri
 
 __all__ = [
     "ProjectiveModel",
-    "PointX",
     "multi_indices",
     "SectionBasis",
     "section_basis",
@@ -68,46 +67,6 @@ class ProjectiveModel:
 
     def dim_sections(self, k: int) -> int:
         return math.comb(k + self.d, self.d)
-
-
-class PointX:
-    """A point of the circle bundle: a unit vector in C^(d+1).
-
-    The circle action multiplies all coordinates by a unit complex number;
-    the projection to the base forgets that phase.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        c = np.asarray(coords, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(c)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"coords must be a unit vector, got norm {nrm!r}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @staticmethod
-    def normalized(coords) -> "PointX":
-        c = np.asarray(coords, dtype=complex).reshape(-1)
-        return PointX(c / np.linalg.norm(c))
-
-    def rotate(self, t: complex) -> "PointX":
-        """Circle action r_t, |t| = 1."""
-        if abs(abs(t) - 1.0) > 1e-12:
-            raise ValueError("t must lie on the unit circle")
-        return PointX(self.coords * t)
-
-    def base_distance(self, other: "PointX") -> float:
-        """Chordal distance on the base (phase forgotten)."""
-        return math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(other.coords, self.coords))))
-
-    def __repr__(self):
-        return f"PointX({np.array2string(self.coords, precision=6)})"
-
-
-def coords_of(x) -> np.ndarray:
-    return x.coords if isinstance(x, PointX) else np.asarray(x, dtype=complex)
 
 
 def multi_indices(k: int, n_vars: int) -> np.ndarray:
@@ -258,7 +217,7 @@ def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:
 
     <x, y> = sum_j x_j * conj(y_j).  Stable for large k via log magnitude.
     """
-    xv, yv = coords_of(x), coords_of(y)
+    xv, yv = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     ip = complex(np.sum(xv * np.conj(yv)))
     c = math.comb(k + model.d, model.d) / model.vol_X
     if ip == 0:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._intlinalg import homogeneous_torsion_angles, solve_phase_congruence, smith_normal_form
-from .geometry import ProjectiveModel, coords_of, sample_sphere
+from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
 from .symmetry import (DiagonalSymmetry, TorusAction, moment_map, moment_polytope_contains,
                        torus_grid_overlaps)
@@ -93,7 +93,7 @@ def stabilizer_info(action: TorusAction, support) -> dict:
 
 
 def point_support(x, tol: float = 1e-8) -> tuple:
-    c = np.abs(coords_of(x))
+    c = np.abs(np.asarray(x, dtype=complex))
     return tuple(int(j) for j in np.nonzero(c > tol)[0])
 
 
@@ -208,8 +208,8 @@ def effective_volume(x, action: TorusAction, stab_order=None):
     if isinstance(x, ZeroLocusSample):
         pts, det, single = x.points, x.gram_det, False
     else:
-        single = np.ndim(coords_of(x)) == 1
-        pts = np.atleast_2d(coords_of(x))
+        single = np.ndim(x) == 1
+        pts = np.atleast_2d(np.asarray(x, dtype=complex))
         det = np.linalg.det(action.orbit_gram(pts))
     if stab_order is None:
         stab_order = np.array([info["order"] for info in _point_stabilizers(pts, action)])
@@ -590,34 +590,6 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
     return replace(report, c_l=c_l, c_l_exact=c_exact,
                    normal_eigenvalues=np.array(lam), h_l=h,
                    frame_diag_error=diag_err)
-
-
-def component_representatives(report: FixedComponentReport, action: TorusAction,
-                              n: int, seed: int = 0) -> list[np.ndarray]:
-    """Distinct lifts over the component: random stratum phases and, for
-    positive-dimensional components, interior moduli variations."""
-    from scipy.optimize import linprog
-    rng = np.random.default_rng(seed)
-    S = list(report.support)
-    out = [report.representative]
-    g = action.g
-    for _ in range(n - 1):
-        u = report.u_star[S].copy()
-        if report.d_l > 0:
-            nS = len(S)
-            c = rng.normal(size=nS)
-            A_eq = np.zeros((1 + g, nS))
-            A_eq[0] = 1.0
-            if g:
-                A_eq[1:] = action.W[:, S].astype(float)
-            res = linprog(c, A_eq=A_eq, b_eq=np.concatenate([[1.0], np.zeros(g)]),
-                          bounds=[(0, None)] * nS, method="highs")
-            if res.success:
-                u = 0.6 * u + 0.4 * res.x
-        z = np.zeros(report.representative.shape[0], complex)
-        z[S] = np.sqrt(u) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=len(S)))
-        out.append(z)
-    return out
 
 
 def f_bar_integral(report: FixedComponentReport, f: Observable, action: TorusAction,

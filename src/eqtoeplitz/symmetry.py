@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ProjectiveModel, SectionBasis, coords_of, kernel_pair_values
+from .geometry import ProjectiveModel, SectionBasis, kernel_pair_values
 
 __all__ = [
     "TorusAction",
@@ -88,7 +88,7 @@ def weight_of(alpha: np.ndarray, action: TorusAction) -> np.ndarray:
 
 def moment_map(x, action: TorusAction) -> np.ndarray:
     """Phi_i = -sum_j W_ij |x_j|^2 on unit vectors; batched over rows."""
-    pts = np.asarray(coords_of(x), dtype=complex)
+    pts = np.asarray(x, dtype=complex)
     single = pts.ndim == 1
     u = np.abs(np.atleast_2d(pts)) ** 2
     out = -(u @ action.W.T.astype(float))
@@ -106,7 +106,7 @@ def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
     The grid is visited in row-major order of the per-circle node indices;
     memory stays bounded by the block size whatever n_grid^g is.
     """
-    xy = coords_of(x) * np.conj(coords_of(y))
+    xy = np.asarray(x, dtype=complex) * np.conj(np.asarray(y, dtype=complex))
     strides = n_grid ** np.arange(action.g - 1, -1, -1)
     total = n_grid ** action.g
     for start in range(0, total, _GRID_BLOCK):

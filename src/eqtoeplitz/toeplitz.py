@@ -21,7 +21,6 @@ from .symmetry import (DiagonalSymmetry, IsotypeBasis, TorusAction, equivariant_
 
 __all__ = [
     "isotype_slice",
-    "toeplitz_entry",
     "toeplitz_matrix",
     "trace_psi",
     "trace_via_kernel_quadrature",
@@ -60,36 +59,14 @@ def toeplitz_diagonal(f: Observable, indices: np.ndarray, k: int,
     return out
 
 
-def toeplitz_entry(f: Observable, alpha, alpha2, model: ProjectiveModel) -> complex:
-    """Single matrix element <f z^alpha, z^alpha2> / sqrt(N N').
-
-    u-terms contribute only on the diagonal; an h-term entry (a, b) connects
-    alpha2 = alpha + e_a - e_b.  Index mismatches return 0.
-    """
-    a1 = np.asarray(alpha, dtype=np.int64)
-    a2 = np.asarray(alpha2, dtype=np.int64)
-    if a1.sum() != a2.sum():
-        return 0.0
-    k = int(a1.sum())
-    val = 0.0 + 0.0j
-    if np.array_equal(a1, a2):
-        val += toeplitz_diagonal(f, a1[None, :], k, model)[0]
-    elif f.h_term is not None:
-        diff = a2 - a1
-        pos = np.nonzero(diff == 1)[0]
-        neg = np.nonzero(diff == -1)[0]
-        if len(pos) == 1 and len(neg) == 1 and np.count_nonzero(diff) == 2:
-            a, b = int(pos[0]), int(neg[0])
-            val += (f.h_term[a, b]
-                    * math.sqrt((a1[a] + 1) * a1[b]) / (model.d + k + 1))
-    return complex(val)
+#: largest isotype the dense matrix is built for (4000^2 complex is 256 MB)
+_DENSE_MAX_DIM = 4000
 
 
-def toeplitz_matrix(f: Observable, iso: IsotypeBasis, model: ProjectiveModel,
-                    max_dim: int = 4000) -> np.ndarray:
+def toeplitz_matrix(f: Observable, iso: IsotypeBasis, model: ProjectiveModel) -> np.ndarray:
     """Dense matrix of the compressed operator over the orthonormalized
     isotype basis.  Meant for property tests; the trace path is diagonal."""
-    if iso.dim > max_dim:
+    if iso.dim > _DENSE_MAX_DIM:
         raise ValueError(f"isotype dimension {iso.dim} too large for the dense path")
     T = np.diag(toeplitz_diagonal(f, iso.indices, iso.k, model)).astype(complex)
     if f.h_term is not None:
@@ -119,24 +96,18 @@ def isotype_slice(k: int, varpi, action: TorusAction, model: ProjectiveModel) ->
 
 def trace_psi(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
               action: TorusAction, model: ProjectiveModel,
-              method: str = "diagonal", iso: IsotypeBasis | None = None) -> complex:
+              iso: IsotypeBasis | None = None) -> complex:
     """trace of (level-k lift of the symmetry) o (compressed observable) on
     the varpi isotype (`iso`, enumerated here when not given).
 
     The lift is diagonal in the monomial basis for a diagonal symmetry, so
-    the trace needs only diagonal Toeplitz entries; the full-matrix path is
-    retained for invariance tests.
+    the trace needs only diagonal Toeplitz entries.
     """
     iso = iso if iso is not None else isotype_slice(k, varpi, action, model)
     if iso.dim == 0:
         return 0.0 + 0.0j
     phases = gamma_phase(iso.indices, sym)
-    if method == "diagonal":
-        return complex(np.sum(phases * toeplitz_diagonal(f, iso.indices, k, model)))
-    if method == "full":
-        T = toeplitz_matrix(f, iso, model)
-        return complex(np.trace(np.diag(phases) @ T))
-    raise ValueError(f"unknown method {method!r}")
+    return complex(np.sum(phases * toeplitz_diagonal(f, iso.indices, k, model)))
 
 
 def trace_via_kernel_quadrature(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
@@ -163,7 +134,6 @@ class TraceRecord:
     varpi: tuple
     trace: complex
     dim_isotype: int
-    method: str
 
 
 @dataclass
@@ -193,13 +163,13 @@ class TraceSeries:
     def to_csv(self, path):
         from .iotools import write_csv
         rows = [[r.k, ";".join(str(v) for v in r.varpi), r.trace.real, r.trace.imag,
-                 r.dim_isotype, r.method] for r in self.records]
+                 r.dim_isotype, "diagonal"] for r in self.records]
         write_csv(path, ["k", "varpi", "trace_re", "trace_im", "dim", "method"], rows)
 
 
 def trace_sweep(k_values, varpi, f: Observable, sym: DiagonalSymmetry,
                 action: TorusAction, model: ProjectiveModel,
-                method: str = "diagonal", threads: int = 1) -> TraceSeries:
+                threads: int = 1) -> TraceSeries:
     """Exact traces over a level range; deterministic ordering, independent
     (k) tasks distributed over a thread pool when requested.
 
@@ -211,9 +181,8 @@ def trace_sweep(k_values, varpi, f: Observable, sym: DiagonalSymmetry,
     def one(k: int):
         try:
             iso = isotype_slice(k, varpi_t, action, model)
-            tr = trace_psi(k, varpi_t, f, sym, action, model, method=method, iso=iso)
-            return TraceRecord(k=k, varpi=varpi_t, trace=tr, dim_isotype=iso.dim,
-                               method=method)
+            tr = trace_psi(k, varpi_t, f, sym, action, model, iso=iso)
+            return TraceRecord(k=k, varpi=varpi_t, trace=tr, dim_isotype=iso.dim)
         except Exception as exc:
             return (k, repr(exc))
 

@@ -8,10 +8,10 @@ from eqtoeplitz.observables import Observable
 from eqtoeplitz.reduction import component_invariants, f_bar_integral, find_fixed_components
 from eqtoeplitz.symmetry import DiagonalSymmetry
 from eqtoeplitz.toeplitz import TraceRecord, TraceSeries, trace_psi, trace_sweep
-from eqtoeplitz.asymptotics import (NumericFailure, ScalingProbe, TracePrediction,
-                                    compare_and_fit, decay_probe, orbit_distance,
-                                    predict_leading, predict_toeplitz_leading,
-                                    scaling_probe, tangent_frame)
+from eqtoeplitz.asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe,
+                                    TracePrediction, compare_and_fit, decay_probe, orbit_distance,
+                                    predict_toeplitz_leading, scaling_probe, tangent_frame)
+from eqtoeplitz.selftest import check_fixed_point_pin, check_scaling_gaussian
 
 
 def completed_components(action, sym, model, f, n=2 ** 15, seed=5):
@@ -32,7 +32,7 @@ class TestPredictLeading:
         comps = completed_components(circle_p2, sym_id(3), p2, one, n=2 ** 17)
         vol = comps[0].f_bar_integral.real
         for k in (10, 11, 40):
-            pred = predict_leading(k, (0,), comps)
+            pred = TracePrediction(tuple(comps), (0,))(k)
             expect = (k / math.pi) * vol if k % 2 == 0 else 0.0
             assert pred == pytest.approx(expect, abs=1e-12)
 
@@ -42,15 +42,15 @@ class TestPredictLeading:
         one = Observable.constant(1.0, 2)
         comps = completed_components(trivial_g1, sym, p1, one)
         for k in (0, 7, 50, 200):
-            pred = predict_leading(k, (), comps)
+            pred = TracePrediction(tuple(comps), ())(k)
             manual = (1.0 / (1 - np.exp(-1j * phi1))
                       + np.exp(-1j * k * phi1) / (1 - np.exp(1j * phi1)))
             assert abs(pred - manual) < 1e-10
-            exact = trace_psi(k, (), one, sym, trivial_g1, p1)
-            assert abs(exact - pred) < 1e-10
+        ok, detail = check_fixed_point_pin(phi=(0.0, phi1), levels=(0, 7, 50, 200), tol=1e-10)
+        assert ok, detail
 
     def test_empty_reports_vanish(self):
-        assert predict_leading(10, (0,), []) == 0.0
+        assert TracePrediction((), (0,))(10) == 0.0
 
     def test_theta_A_sweep_covariance(self, p2, circle_p2):
         # shifting the lift phase by delta multiplies trace and prediction
@@ -74,7 +74,7 @@ class TestPredictLeading:
         sym = DiagonalSymmetry(phi=[0.0, 1.0])
         comps = find_fixed_components(trivial_g1, sym, p1)
         with pytest.raises(ValueError):
-            predict_leading(4, (), comps)
+            TracePrediction(tuple(comps), ())(4)
 
 
 class TestPredictToeplitz:
@@ -98,8 +98,7 @@ class TestCompareAndFit:
     def _series(self, ks, values):
         s = TraceSeries()
         for k, v in zip(ks, values):
-            s.append(TraceRecord(k=int(k), varpi=(), trace=complex(v), dim_isotype=1,
-                                 method="diagonal"))
+            s.append(TraceRecord(k=int(k), varpi=(), trace=complex(v), dim_isotype=1))
         return s
 
     def test_d1_toeplitz_recovers_1_over_k(self, p1, trivial_g1):
@@ -168,6 +167,12 @@ class TestDecayProbe:
         res = decay_probe(x, y, (), trivial_g1, p1, range(20, 301, 40))
         assert res.slope < -20  # exponential beats any power
 
+    def test_fit_needs_two_distinct_upper_levels(self, p2, circle_p2):
+        # the slope is fitted over the upper half: here one repeated level
+        x = np.array([math.sqrt(0.8), math.sqrt(0.15), math.sqrt(0.05)], complex)
+        with pytest.raises(ProbeDomainError, match="two distinct levels"):
+            decay_probe(x, x, (0,), circle_p2, p2, [20, 20, 20])
+
     def test_same_orbit_allowed_off_locus(self, p2, circle_p2):
         x = np.array([math.sqrt(0.9), math.sqrt(0.1), 0], complex)
         y = circle_p2.act(np.array([0.9]), x)
@@ -193,15 +198,9 @@ class TestScalingProbe:
         assert abs(measured / math.exp(-0.5) - 1) < 0.05
         assert abs(rows[0].abs_ratio - 1) < 0.05
 
-    def test_transverse_gaussian_g1(self, p1, circle_p1):
-        x = np.array([1, 1], complex) / math.sqrt(2)
-        fr = tangent_frame(x, circle_p1)
-        for s in (0.6, 1.0):
-            vt = s * fr.transverse[0]
-            rows = scaling_probe(ScalingProbe(x=x, w=vt, v=vt, k_values=(500,)),
-                                 (0,), circle_p1, p1)
-            assert abs(rows[0].abs_ratio - 1) < 0.1
-            assert abs(rows[0].phase_err) < 0.02
+    def test_transverse_gaussian_g1(self):
+        ok, detail = check_scaling_gaussian(scales=(0.6, 1.0), levels=(500,), phase_tol=0.02)
+        assert ok, detail
 
     def test_frame_orthogonality(self, p1, circle_p1):
         x = np.array([1, 1], complex) / math.sqrt(2)

@@ -299,7 +299,11 @@ class TestKernelCommands:
         (scaling_config("o", displacement_w=[[-S * 3, 0.0], [S * 3, 0.0]]), "norm at most 2"),
         (scaling_config("o", displacement_v=[[S * 0.8, 0.0], [S * 0.8, 0.0]]), "tangent"),
         (decay_config("o", point=[S, 0.5, 0.5]), "concentration set"),
-    ], ids=["off-locus", "too-long", "not-tangent", "concentration-set"])
+        (decay_config("o", k_values=[10]), "two distinct levels"),
+        (decay_config("o", k_values=[10, 20]), "two distinct levels"),
+        (decay_config("o", k_values=[20, 20, 20]), "two distinct levels"),
+    ], ids=["off-locus", "too-long", "not-tangent", "concentration-set", "one-level",
+            "two-levels", "repeated-level"])
     def test_probe_precondition_exit_2(self, tmp_path, capsys, doc, message):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, dict(doc, output_dir=str(out)))
@@ -316,6 +320,10 @@ class TestSelfTest:
         record = json.loads((tmp_path / "calibration_record.json").read_text())
         assert record["kappa_x"] == 1.0
         assert record["gamma_phase_sign"] == -1
+        assert set(record["pin_checks"]) == {"calibrate-kappa-x", "pin-gamma-phase",
+                                             "pin-h-orientation", "pin-moment-sign"}
+        assert all(c["passed"] and c["detail"] for c in record["pin_checks"].values())
+        assert record["verified"] is True
 
     def test_flip_pin_fails_named_check(self, tmp_path, capsys):
         code = main(["selftest", "--out", str(tmp_path),
@@ -323,6 +331,10 @@ class TestSelfTest:
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL" in out and "pin-gamma-phase" in out
+        record = json.loads((tmp_path / "calibration_record.json").read_text())
+        assert record["pin_checks"]["pin-gamma-phase"]["passed"] is False
+        assert record["pin_checks"]["pin-h-orientation"]["passed"] is True
+        assert record["verified"] is False
 
     def test_run_record_written(self, tmp_path):
         out = tmp_path / "out"
@@ -331,6 +343,7 @@ class TestSelfTest:
         assert main(["trace", "--config", cfg]) == 0
         record = json.loads((out / "run_record.json").read_text())
         assert record["calibration"]["kappa_x"] == 1.0
+        assert record["calibration"]["verified"] is False
         assert "trace.csv" in record["artifacts"]
         assert record["config_hash"]
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz.geometry import (ProjectiveModel, PointX, kernel_pair_values, monomial_matrix,
-                                 monomial_norm, multi_indices, sample_sphere, section_basis,
-                                 szego_kernel)
+from eqtoeplitz.geometry import (ProjectiveModel, monomial_matrix, monomial_norm, multi_indices,
+                                 sample_sphere, section_basis, szego_kernel)
+from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
+                                 check_reproducing_property, check_sampler_determinism)
 
 from conftest import plain_sphere
 
@@ -21,13 +22,6 @@ class TestModel:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             ProjectiveModel(0)
-
-    def test_point_validation(self):
-        with pytest.raises(ValueError):
-            PointX([1.0, 1.0])
-        x = PointX(np.array([1.0, 0.0]))
-        y = x.rotate(np.exp(0.3j))
-        assert y.base_distance(x) < 1e-12
 
 
 class TestMultiIndices:
@@ -45,24 +39,22 @@ class TestMultiIndices:
 
 class TestMonomialNorms:
     def test_constant_section(self, p1):
-        assert monomial_norm([0, 0], p1) == pytest.approx(p1.vol_X, rel=1e-15)
+        assert check_norm_table(closed_forms=((1, (0, 0), 1),), tol=1e-15 * p1.vol_X)[0]
 
     def test_d1_balanced(self, p1):
         # oracle: plain Monte-Carlo of |z0 z1|^2 over the unit 3-sphere
         rng = np.random.default_rng(2)
         pts = plain_sphere(1_000_000, 1, rng)
         mc = p1.vol_X * np.mean(np.abs(pts[:, 0] * pts[:, 1]) ** 2)
-        closed = monomial_norm([1, 1], p1)
-        assert closed == pytest.approx(p1.vol_X / 6, rel=1e-14)
-        assert mc == pytest.approx(closed, rel=2e-3)
+        assert check_norm_table(closed_forms=((1, (1, 1), 6),), tol=1e-14 * p1.vol_X / 6)[0]
+        assert mc == pytest.approx(monomial_norm([1, 1], p1), rel=2e-3)
 
     def test_d2_linear(self, p2):
         rng = np.random.default_rng(3)
         pts = plain_sphere(1_000_000, 2, rng)
         mc = p2.vol_X * np.mean(np.abs(pts[:, 0]) ** 2)
-        closed = monomial_norm([1, 0, 0], p2)
-        assert closed == pytest.approx(p2.vol_X / 3, rel=1e-14)
-        assert mc == pytest.approx(closed, rel=2e-3)
+        assert check_norm_table(closed_forms=((2, (1, 0, 0), 3),), tol=1e-14 * p2.vol_X / 3)[0]
+        assert mc == pytest.approx(monomial_norm([1, 0, 0], p2), rel=2e-3)
 
     def test_negative_entries_rejected(self, p1):
         with pytest.raises(ValueError):
@@ -71,9 +63,9 @@ class TestMonomialNorms:
     @given(st.permutations([0, 1, 3, 2]))
     @settings(max_examples=24, deadline=None)
     def test_permutation_invariance(self, perm):
-        model = ProjectiveModel(3)
-        base = monomial_norm([0, 1, 3, 2], model)
-        assert monomial_norm(list(perm), model) == pytest.approx(base, rel=1e-14)
+        base = monomial_norm([0, 1, 3, 2], ProjectiveModel(3))
+        assert check_norm_table(permutations=((3, (0, 1, 3, 2), tuple(perm)),),
+                                perm_tol=1e-14 * base)[0]
 
 
 class TestSzegoKernel:
@@ -134,12 +126,8 @@ class TestSampler:
         pts = sample_sphere(2 ** 20, 12, p2)
         assert np.mean(np.abs(pts[:, 0]) ** 2) == pytest.approx(1 / 3, abs=0.002)
 
-    def test_deterministic(self, p2):
-        a = sample_sphere(4096, 21, p2)
-        b = sample_sphere(4096, 21, p2)
-        c = sample_sphere(4096, 22, p2)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+    def test_deterministic(self):
+        assert check_sampler_determinism(seed=21)[0]
 
 
 class TestReproducingProperty:
@@ -147,28 +135,12 @@ class TestReproducingProperty:
                                            (2, 9, (3, 3, 3)), (2, 12, (12, 0, 0))])
     def test_reproduces_monomials(self, d, k, alpha):
         # Pi_k(x, .) integrated against z^alpha returns z^alpha(x); the
-        # closed-form kernel equals the basis sum (tested separately)
-        model = ProjectiveModel(d)
-        alpha = np.array(alpha)
-        c_kd = math.comb(k + d, d) / model.vol_X
-        ys = sample_sphere(2 ** 19, 177, model)
-        mono = np.prod(ys ** alpha[None, :], axis=1)
-        xs = sample_sphere(5, 77, model)
-        for x in xs:
-            ip = ys.conj() @ x
-            est = model.vol_X * np.mean(c_kd * ip ** k * mono)
-            exact = np.prod(x ** alpha)
-            assert abs(est - exact) < 2e-3
+        # closed-form kernel equals the basis sum (projector-partition check)
+        ok, detail = check_reproducing_property(d=d, k=k, alpha=alpha, log2_nodes=19, seed=177,
+                                                n_points=5, point_seed=77, tol=2e-3)
+        assert ok, detail
 
-    def test_projector_trace(self, p2):
+    def test_projector_trace(self):
         # int Pi_k(x, x) dens = dim H^0; the integrand is constant on X
-        k = 8
-        pts = sample_sphere(2 ** 14, 3, p2)
-        vals = kernel_pair_values(pts, pts, *_basis_arrays(k, p2))
-        est = p2.vol_X * np.mean(np.real(vals))
-        assert est == pytest.approx(math.comb(k + 2, 2), rel=1e-10)
-
-
-def _basis_arrays(k, model):
-    b = section_basis(k, model)
-    return b.indices, b.log_norms
+        ok, detail = check_kappa_calibration(log2_nodes=14, seed=3)
+        assert ok, detail

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis, szego_kernel
+from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis
 from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel_fourier,
                                  equivariant_kernel_pairs, gamma_phase, isotype_basis,
-                                 moment_map, moment_polytope_contains, occurring_weights,
+                                 moment_map, occurring_weights,
                                  torus_grid_overlaps, vanishing_level, weight_of)
+from eqtoeplitz.selftest import (check_dimension_case, check_moment_sign_pin,
+                                 check_projector_partition)
 
 
 class TestWeights:
@@ -33,9 +35,9 @@ class TestWeights:
         iso = isotype_basis(2, (0,), circle_p2, section_basis(2, p2))
         assert sorted(map(tuple, iso.indices)) == [(1, 0, 1), (1, 1, 0)]
 
-    def test_parity_obstruction(self, p1, circle_p1):
-        iso = isotype_basis(3, (0,), circle_p1, section_basis(3, p1))
-        assert iso.dim == 0
+    def test_parity_obstruction(self):
+        ok, detail = check_dimension_case(levels=(3,))
+        assert ok, detail
 
     def test_dimension_bookkeeping_large(self, p2, circle_p2):
         for k in (40, 200):
@@ -113,21 +115,17 @@ class TestMomentMap:
         assert moment_map(x, circle_p2)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_support_principle_p1(self, p1, circle_p1):
-        k = 10
-        basis = section_basis(k, p1)
-        ws = occurring_weights(k, circle_p1, basis)
+        ws = occurring_weights(10, circle_p1, section_basis(10, p1))
         assert set(int(w[0]) for w in ws) == set(range(-10, 11, 2))
-        for w in ws:
-            assert moment_polytope_contains(circle_p1, np.asarray(w, float), scale=float(k))
+        ok, detail = check_moment_sign_pin(d=1, weights=([[1, -1]],), levels=(10,))
+        assert ok, detail
 
     @given(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
            st.integers(2, 14))
     @settings(max_examples=40, deadline=None)
     def test_support_principle_random(self, row, k):
-        action = TorusAction([row])
-        basis = section_basis(k, ProjectiveModel(2))
-        for w in occurring_weights(k, action, basis):
-            assert moment_polytope_contains(action, np.asarray(w, float), scale=float(k))
+        ok, detail = check_moment_sign_pin(d=2, weights=([row],), levels=(k,))
+        assert ok, detail
 
 
 class TestVanishingLevel:
@@ -167,13 +165,9 @@ class TestGammaPhase:
 
 
 class TestEquivariantKernel:
-    def test_partition_of_basis(self, p2, circle_p2):
-        k = 6
-        basis = section_basis(k, p2)
-        x, y = sample_sphere(2, 41, p2)
-        total = sum(equivariant_kernel_pairs(x, y, isotype_basis(k, w, circle_p2, basis))[0]
-                    for w in occurring_weights(k, circle_p2, basis))
-        assert abs(total - szego_kernel(x, y, k, p2)) < 1e-10
+    def test_partition_of_basis(self):
+        ok, detail = check_projector_partition(levels=(6,), seed=41)
+        assert ok, detail
 
     def test_character_average_oracle(self, p2, circle_p2):
         k = 5

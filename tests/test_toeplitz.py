@@ -5,18 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz.geometry import ProjectiveModel, section_basis
+from eqtoeplitz.geometry import section_basis
 from eqtoeplitz.observables import Observable
 from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, gamma_phase, isotype_basis,
                                  vanishing_level)
-from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, toeplitz_entry, toeplitz_matrix,
-                                 trace_psi, trace_sweep, trace_via_kernel_quadrature)
+from eqtoeplitz.selftest import check_toeplitz_closed_forms, check_trace_quadrature
+from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, toeplitz_matrix, trace_psi, trace_sweep,
+                                 trace_via_kernel_quadrature)
 
 from conftest import plain_sphere
 
 
 def sym_id(n):
     return DiagonalSymmetry(phi=[0.0] * n)
+
+
+def toeplitz_entry(f, alpha, alpha2, model):
+    """<f z^alpha, z^alpha2> / sqrt(N N'): the (alpha2, alpha) entry of the
+    dense Toeplitz matrix of level |alpha| (trivial group, full basis)."""
+    k, n = int(sum(alpha)), model.n_coords
+    iso = isotype_basis(k, (), TorusAction(np.zeros((0, n), np.int64)), section_basis(k, model))
+    row = {tuple(a): i for i, a in enumerate(iso.indices.tolist())}
+    return toeplitz_matrix(f, iso, model)[row[tuple(alpha2)], row[tuple(alpha)]]
 
 
 class TestEntries:
@@ -76,17 +86,11 @@ class TestEntries:
         oracle = num / math.sqrt(na * nb)
         assert val == pytest.approx(np.real(oracle), rel=5e-3)
 
-    def test_degree_mismatch_zero(self, p1):
-        u0 = Observable.coordinate_modulus(0, 2)
-        assert toeplitz_entry(u0, np.array([1, 1]), np.array([2, 1]), p1) == 0.0
-
 
 class TestTraces:
-    def test_d1_u0_closed_form(self, p1, trivial_g1):
-        u0 = Observable.coordinate_modulus(0, 2)
-        for k in range(1, 101):
-            t = trace_psi(k, (), u0, sym_id(2), trivial_g1, p1)
-            assert abs(t - (k + 1) / 2) < 1e-10
+    def test_d1_u0_closed_form(self):
+        ok, detail = check_toeplitz_closed_forms(levels=range(1, 101))
+        assert ok, detail
 
     def test_geometric_sum(self, p1, trivial_g1):
         phi1 = 1.234
@@ -107,9 +111,9 @@ class TestTraces:
                        h_term=np.array([[0.1, 0, 0], [0, 0.0, 0.2 + 0.1j],
                                         [0, 0.2 - 0.1j, -0.3]]))
         sym = DiagonalSymmetry(phi=[0.2, 1.0, 2.4], theta_A=0.05)
-        a = trace_psi(8, (0,), f, sym, circle_p2, p2, method="diagonal")
-        b = trace_psi(8, (0,), f, sym, circle_p2, p2, method="full")
-        assert abs(a - b) < 1e-12
+        iso = isotype_basis(8, (0,), circle_p2, section_basis(8, p2))
+        dense = np.trace(np.diag(gamma_phase(iso.indices, sym)) @ toeplitz_matrix(f, iso, p2))
+        assert abs(trace_psi(8, (0,), f, sym, circle_p2, p2) - dense) < 1e-12
 
     def test_basis_independence_under_remix(self, p2, circle_p2):
         # full-matrix trace is invariant under a random unitary change of
@@ -131,13 +135,10 @@ class TestTraces:
     @given(st.integers(0, 2), st.integers(0, 2), st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=25, deadline=None)
     def test_hermiticity_property(self, b0, b1, c0, c1):
-        model = ProjectiveModel(1)
         f = Observable(u_terms={(b0, b1): c0, (0, 0): c1},
                        h_term=np.array([[0.2, 0.4 - 0.1j], [0.4 + 0.1j, -0.6]]))
-        iso = isotype_basis(6, (), TorusAction(np.zeros((0, 2), np.int64)),
-                            section_basis(6, model))
-        T = toeplitz_matrix(f, iso, model)
-        assert np.max(np.abs(T - T.conj().T)) < 1e-12
+        ok, detail = check_toeplitz_closed_forms(f=f, herm_level=6)
+        assert ok, detail
 
     def test_positivity_of_diagonal(self, p2, circle_p2):
         f = Observable(u_terms={(1, 2, 0): 1.0})
@@ -155,20 +156,15 @@ class TestTraces:
 
 
 class TestQuadratureIdentity:
-    def test_trivial_group_case(self, p1, trivial_g1):
-        u0 = Observable.coordinate_modulus(0, 2)
-        alg = trace_psi(10, (), u0, sym_id(2), trivial_g1, p1)
-        est, err = trace_via_kernel_quadrature(10, (), u0, sym_id(2), trivial_g1, p1,
-                                               n_samples=2 ** 15, seed=3)
-        assert abs(est - alg) <= 3 * err
+    def test_trivial_group_case(self):
+        ok, detail = check_trace_quadrature(phi=(0.0, 0.0), k=10, seed=3, slack=0.0)
+        assert ok, detail
 
-    def test_equivariant_case(self, p2, circle_p2):
-        f = Observable(u_terms={(0, 1, 0): 1.0})
-        sym = DiagonalSymmetry(phi=[0.0, 0.9, 2.1])
-        alg = trace_psi(8, (0,), f, sym, circle_p2, p2)
-        est, err = trace_via_kernel_quadrature(8, (0,), f, sym, circle_p2, p2,
-                                               n_samples=2 ** 15, seed=5)
-        assert abs(est - alg) <= 3 * err
+    def test_equivariant_case(self):
+        ok, detail = check_trace_quadrature(phi=(0.0, 0.9, 2.1), W=[[1, -1, -1]], varpi=(0,),
+                                            f=Observable(u_terms={(0, 1, 0): 1.0}), k=8,
+                                            seed=5, slack=0.0)
+        assert ok, detail
 
     def test_projector_trace_over_all_labels(self, p1, circle_p1):
         # f = 1, identity lift: summing over occurring labels gives dim H^0
@@ -231,11 +227,11 @@ class TestSweep:
 
     def test_series_invariants(self):
         s = TraceSeries()
-        s.append(TraceRecord(k=1, varpi=(), trace=1.0, dim_isotype=2, method="diagonal"))
+        s.append(TraceRecord(k=1, varpi=(), trace=1.0, dim_isotype=2))
         with pytest.raises(ValueError):
-            s.append(TraceRecord(k=1, varpi=(), trace=1.0, dim_isotype=2, method="diagonal"))
+            s.append(TraceRecord(k=1, varpi=(), trace=1.0, dim_isotype=2))
         with pytest.raises(ValueError):
-            s.append(TraceRecord(k=5, varpi=(), trace=1.0, dim_isotype=0, method="diagonal"))
+            s.append(TraceRecord(k=5, varpi=(), trace=1.0, dim_isotype=0))
 
     def test_csv_roundtrip(self, tmp_path, p1, trivial_g1):
         from eqtoeplitz.iotools import read_csv
