@@ -2,12 +2,106 @@
 
 Smith normal form with unimodular transforms, used to solve phase
 congruences t^(W_j - W_j0) = e^{i delta_j} over the torus and to
-enumerate finite stabilizer subgroups.
+enumerate finite stabilizer subgroups; integer adjugates, used to list
+weight slices and the vertices of polytopes {x >= 0, A x = b}.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations, product
+
 import numpy as np
+
+#: most r x r basis solves `basic_feasible_solutions` makes: 40-90 us each
+#: for r <= 5, so at most ~2 s
+MAX_BASIS_SOLVES = 20_000
+
+
+class NumericFailure(RuntimeError):
+    """Numerical breakdown with diagnostics (rank-deficient fits, work over
+    a stated budget)."""
+
+
+def int_det(M) -> int:
+    """Exact determinant of a small integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    M = [list(row) for row in M]
+    r, sign, prev = len(M), 1, 1
+    for k in range(r - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, r) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        for row in M[k + 1:]:
+            for j in range(k + 1, r):
+                row[j] = (row[j] * M[k][k] - row[k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if r else 1
+
+
+def int_adjugate(M) -> tuple[list, int]:
+    """(adj, det) of a square integer matrix, adj @ M = det * I exactly,
+    both negated if needed so that det >= 0."""
+    r = len(M)
+    adj = [[(-1) ** (i + j) * int_det([row[:i] + row[i + 1:] for t, row in enumerate(M)
+                                       if t != j]) for j in range(r)] for i in range(r)]
+    det = sum(M[0][j] * adj[j][0] for j in range(r)) if r else 1
+    if det < 0:
+        adj, det = [[-a for a in row] for row in adj], -det
+    return adj, det
+
+
+def pivot_minor(A) -> tuple:
+    """(rows, cols) of a nonzero maximal minor of the integer matrix A; its
+    size is the rank of A (0 for a zero or empty matrix)."""
+    m, n = len(A), len(A[0]) if A else 0
+    for r in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), r):
+            for cols in combinations(range(n), r):
+                if int_det([[A[i][j] for j in cols] for i in rows]):
+                    return rows, cols
+    return (), ()
+
+
+def basic_feasible_solutions(A, b) -> list:
+    """The vertices of {x >= 0, A x = b} for an integer (m, n) array A and
+    integers b, exactly: sorted (numerators, denominator) pairs in lowest
+    terms, x = numerators / denominator.
+
+    With rows R spanning the row space of A (rank r), each vertex solves
+    A_RB x_B = b_R for a column subset B with det A_RB != 0; one adjugate
+    solve det * x_B = adj(A_RB) b_R per subset (by Cramer's rule), kept when
+    nonnegative and consistent with every row.  An empty list means the
+    polytope is empty.  Raises NumericFailure before any solve when C(n, r)
+    exceeds MAX_BASIS_SOLVES.
+    """
+    n = np.shape(A)[1]
+    A = np.asarray(A, dtype=np.int64).tolist()
+    b = [int(v) for v in b]
+    rows, _ = pivot_minor(A)
+    r = len(rows)
+    if math.comb(n, r) > MAX_BASIS_SOLVES:
+        raise NumericFailure(f"vertex enumeration needs C({n}, {r}) = {math.comb(n, r)} "
+                             f"basis solves, over the budget of {MAX_BASIS_SOLVES}")
+    out = set()
+    bR = [b[i] for i in rows]
+    for B in combinations(range(n), r):
+        M = [[A[i][j] for j in B] for i in rows]
+        det = int_det(M)
+        if not det:
+            continue
+        sign, det = (1 if det > 0 else -1), abs(det)
+        x = [0] * n
+        for t, j in enumerate(B):
+            x[j] = sign * int_det([row[:t] + [v] + row[t + 1:] for row, v in zip(M, bR)])
+        if min(x, default=0) < 0 or any(
+                sum(a * v for a, v in zip(Ai, x)) != bi * det for Ai, bi in zip(A, b)):
+            continue
+        g = math.gcd(det, *x)
+        out.add((tuple(v // g for v in x), det // g))
+    return sorted(out)
 
 
 def smith_normal_form(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,17 +269,7 @@ def homogeneous_torsion_angles(D: np.ndarray, max_order: int = 4096) -> np.ndarr
         order *= d
     if order > max_order:
         raise ValueError(f"stabilizer order {order} exceeds cap {max_order}")
-    combos = [np.zeros(g)]
-    out = []
-    grids = [np.arange(d) for d in diag[:rank]]
-    mesh = np.meshgrid(*grids, indexing="ij") if grids else []
-    if grids:
-        coeffs = np.stack([mm.ravel() for mm in mesh], axis=1)  # (order, rank)
-    else:
-        coeffs = np.zeros((1, 0))
-    for row in coeffs:
-        psi = np.zeros(g)
-        for i, (c, d) in enumerate(zip(row, diag[:rank])):
-            psi[i] = 2.0 * np.pi * c / d
-        out.append(Vf @ psi)
-    return np.array(out) if out else np.array(combos)
+    coeffs = np.array(list(product(*(range(d) for d in diag[:rank]))), dtype=np.int64)
+    psi = np.zeros((coeffs.shape[0], g))
+    psi[:, :rank] = 2.0 * np.pi * coeffs / diag[:rank]
+    return psi @ Vf.T

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._intlinalg import NumericFailure
 from .geometry import ProjectiveModel
 from .observables import Observable
 from .reduction import effective_volume
@@ -36,10 +37,6 @@ __all__ = [
     "ScalingProbe",
     "scaling_probe",
 ]
-
-
-class NumericFailure(RuntimeError):
-    """Numerical breakdown with diagnostics (rank-deficient fits etc.)."""
 
 
 class ProbeDomainError(ValueError):

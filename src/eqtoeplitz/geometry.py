@@ -10,12 +10,16 @@ is calibrated once (pinned in `selftest.PINNED`, checked by
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
+import scipy
 from scipy.special import gammaln, ndtri
+
+from ._intlinalg import int_adjugate, pivot_minor
 
 __all__ = [
     "ProjectiveModel",
@@ -134,27 +138,6 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
     return float(np.exp(log_monomial_norm(alpha, model)))
 
 
-def _int_det(M) -> int:
-    """Exact determinant of a small integer matrix by Laplace expansion."""
-    if not M:
-        return 1
-    return sum((-1) ** j * M[0][j] * _int_det([row[:j] + row[j + 1:] for row in M[1:]])
-               for j in range(len(M)) if M[0][j])
-
-
-def _pivot_minor(A: list) -> tuple:
-    """(rows, cols, det) of a nonzero maximal minor of the integer matrix A;
-    its size is the rank of A.  A must have a nonzero entry."""
-    m, n = len(A), len(A[0])
-    for r in range(min(m, n), 0, -1):
-        for rows in combinations(range(m), r):
-            for cols in combinations(range(n), r):
-                det = _int_det([[A[i][j] for j in cols] for i in rows])
-                if det:
-                    return rows, cols, det
-    raise ValueError("zero matrix has no pivot minor")
-
-
 def _weight_slice(k: int, n: int, W: np.ndarray, varpi: np.ndarray) -> np.ndarray:
     """All alpha >= 0 with |alpha| = k and -W alpha = varpi, lex-descending.
 
@@ -166,18 +149,11 @@ def _weight_slice(k: int, n: int, W: np.ndarray, varpi: np.ndarray) -> np.ndarra
     """
     A = np.vstack([np.ones((1, n), np.int64), -W])
     b = np.concatenate([[k], varpi])
-    rows, dep, det = _pivot_minor(A.tolist())
+    rows, dep = pivot_minor(A.tolist())
     r = len(dep)
     free = [j for j in range(n) if j not in dep]
-    M = [[int(A[i, j]) for j in dep] for i in rows]
-
-    def cofactor(j, i):   # signed minor of M without row j and column i
-        return (-1) ** (i + j) * _int_det([row[:i] + row[i + 1:]
-                                           for t, row in enumerate(M) if t != j])
-
-    adj = np.array([[cofactor(j, i) for j in range(r)] for i in range(r)], dtype=np.int64)
-    if det < 0:
-        adj, det = -adj, -det
+    adj, det = int_adjugate([[int(A[i, j]) for j in dep] for i in rows])
+    adj = np.array(adj, dtype=np.int64)
     a_free = multi_indices(k, n - r + 1)[:, :n - r]
     num = (b[list(rows)][None, :] - a_free @ A[np.ix_(rows, free)].T) @ adj.T
     alpha = np.empty((a_free.shape[0], n), np.int64)
@@ -226,21 +202,70 @@ def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:
     return c * mag * complex(math.cos(k * np.angle(ip)), math.sin(k * np.angle(ip)))
 
 
+#: bits of the Sobol generator (scipy's default for 32-bit output)
+_SOBOL_BITS = 30
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Direction numbers (dim, 30) of Joe & Kuo (2008), each column shifted to
+    its bit position.  The table is the one scipy's Sobol engine reads, loaded
+    as a file so that none of scipy's statistics modules is imported."""
+    B = _SOBOL_BITS
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                        "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly, vinit = table["poly"][:dim].tolist(), table["vinit"][:dim].tolist()
+    v = np.ones((dim, B), np.int64)
+    for d in range(1, dim):
+        p = poly[d]
+        m = p.bit_length() - 1
+        row = vinit[d][:m]
+        for j in range(m, B):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    v <<= B - 1 - np.arange(B)
+    v.setflags(write=False)
+    return v
+
+
+def _sobol(dim: int, seed: int, m: int) -> np.ndarray:
+    """The first 2^m points of scrambled Sobol in [0, 1)^dim, bit-identical to
+    scipy's `qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)`:
+    a random lower-triangular (unit diagonal) linear matrix scramble of the
+    direction numbers and a random digital shift, drawn in that order from
+    `default_rng(seed)`, then the points in Gray-code order."""
+    B = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (dim, B), np.uint32) @ (1 << np.arange(B, dtype=np.uint32))
+    ltm = np.tril(rng.integers(0, 2, (dim, B, B), np.uint32)).astype(np.int64)
+    ltm[:, np.arange(B), np.arange(B)] = 1
+    pos = B - 1 - np.arange(B)          # bit position of row / column index p
+    v_bits = (_sobol_directions(dim)[:, :, None] >> pos) & 1      # (dim, j, k)
+    sv = ((np.einsum("dpk,djk->djp", ltm, v_bits) & 1) @ (1 << pos)).astype(np.uint32)
+    # point i is shift ^ (xor of sv[:, c] over the bits c of gray(i) = i ^ (i >> 1));
+    # the reflected Gray code doubles the prefix one direction number at a time
+    pts = np.empty((1 << m, dim), np.uint32)
+    pts[0] = shift
+    for c in range(m):
+        pts[1 << c:2 << c] = pts[(1 << c) - 1::-1] ^ sv[:, c]
+    return pts * 2.0 ** -B
+
+
 def sample_sphere(n: int, seed: int, model: ProjectiveModel) -> np.ndarray:
     """Deterministic quasi-random unit vectors in C^(d+1), rows of shape (n, d+1).
 
-    Scrambled Sobol points mapped through the Gaussian-normalize
-    construction; identical (n, seed, d) always yields the same array.
+    The first n of 2^ceil(log2 n) scrambled Sobol points (bit-identical to
+    scipy's) mapped through the Gaussian-normalize construction; identical
+    (n, seed, d) always yields the same array.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    from scipy.stats import qmc   # scipy.stats costs ~0.5 s to import; only sampling needs it
-    dim = 2 * model.n_coords
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(n)))
-    u = eng.random_base2(m)
-    if u.shape[0] < n:
-        u = np.vstack([u, eng.random(n - u.shape[0])])
+    u = _sobol(2 * model.n_coords, seed, max(1, math.ceil(math.log2(n))))
     u = np.clip(u[:n], 1e-15, 1.0 - 1e-15)
     gau = ndtri(u)
     z = gau[:, ::2] + 1j * gau[:, 1::2]

@@ -117,15 +117,17 @@ def check_fixed_point_pin(flip=None, phi=(0.0, 1.3), theta_A=0.0, levels=range(4
     n = len(phi)
     model = ProjectiveModel(n - 1)
     action = TorusAction(np.zeros((0, n), dtype=np.int64))
-    sym = DiagonalSymmetry(phi=phi, theta_A=theta_A,
-                           phase_sign=(+1 if flip == "gamma-phase" else -1))
+    sym = DiagonalSymmetry(phi=phi, theta_A=theta_A)
+    # the reversed lift eigenvalue e^{i k theta_A} e^{+i <phi, alpha>} is the
+    # pinned one of the symmetry with phases -phi, so that one is traced
+    traced = replace(sym, phi=-sym.phi) if flip == "gamma-phase" else sym
     one = Observable.constant(1.0, n)
     comps = [f_bar_integral(component_invariants(c, sym, action, model), one, action, model)
              for c in find_fixed_components(action, sym, model)]
     if flip == "h-orientation":
         comps = [replace(c, h_l=np.conj(c.h_l)) for c in comps]
     pred = TracePrediction(tuple(comps), ())
-    worst = max(abs(trace_psi(k, (), one, sym, action, model) - pred(k)) for k in levels)
+    worst = max(abs(trace_psi(k, (), one, traced, action, model) - pred(k)) for k in levels)
     return worst < tol, f"max |trace - leading| = {worst:.3e} over k <= {max(levels)}"
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._intlinalg import basic_feasible_solutions
 from .geometry import ProjectiveModel, SectionBasis, kernel_pair_values
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "weight_of",
     "isotype_basis",
     "moment_map",
+    "slice_vertices",
     "moment_polytope_contains",
     "torus_grid_overlaps",
     "vanishing_level",
@@ -115,61 +117,63 @@ def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
         yield theta, np.exp(1j * (theta @ action.W)) @ xy
 
 
+def slice_vertices(action: TorusAction) -> list:
+    """Exact vertices of the zero-locus polytope P = {u >= 0, sum u = 1, W u = 0}
+    (u the squared coordinate moduli) as `basic_feasible_solutions` pairs;
+    empty when the zero locus is.  Every face of P is P cut by a face of the
+    simplex, so the coordinate supports of points of the zero locus are the
+    unions of vertex supports."""
+    n = action.n_coords
+    return basic_feasible_solutions(np.vstack([np.ones((1, n), np.int64), action.W]),
+                                    [1] + [0] * action.g)
+
+
 def moment_polytope_contains(action: TorusAction, target: np.ndarray,
-                             scale: float = 1.0, tol: float = 1e-9) -> bool:
-    """Is target inside scale * Phi(M)?  Phi(M) is the convex hull of the
-    columns of -W; decided by an exact-feasibility LP."""
+                             scale: float = 1.0) -> bool:
+    """Is target inside scale * Phi(M) (scale >= 0)?  Phi(M) is the convex
+    hull of the columns of -W, so this asks for nu >= 0 with sum nu = scale
+    and -W nu = target; decided exactly on the binary values of the floats."""
     if action.g == 0:
         return True
-    from scipy.optimize import linprog   # ~0.3 s to import; only the LP paths need it
-    verts = -action.W.T.astype(float) * scale      # (d+1, g)
-    n = verts.shape[0]
-    A_eq = np.vstack([verts.T, np.ones((1, n))])
-    b_eq = np.concatenate([np.asarray(target, dtype=float), [1.0]])
-    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n, method="highs")
-    return bool(res.status == 0 and res.success)
+    ratios = [float(v).as_integer_ratio()
+              for v in (scale, *np.asarray(target, dtype=float).reshape(action.g))]
+    den = math.lcm(*(q for _, q in ratios))
+    A = np.vstack([np.ones((1, action.n_coords), np.int64), -action.W])
+    return bool(basic_feasible_solutions(A, [p * (den // q) for p, q in ratios]))
 
 
 def vanishing_level(action: TorusAction, varpi) -> int | None:
     """Smallest k0 with varpi outside k*Phi(M) for every k >= k0.
 
-    The largest admissible k solves the LP  max sum(nu) s.t. -W nu = varpi,
-    nu >= 0  (substituting nu = k * barycentric weights).  Returns None when
-    the LP is unbounded, i.e. 0 lies in Phi(M) and the support never
-    empties; returns 0 when varpi is never admissible at all.
+    k is admissible when -W nu = varpi for some nu >= 0 with sum(nu) = k, so
+    the largest admissible k is the maximum of sum(nu) over that polyhedron,
+    attained at a vertex when finite.  Returns None when it is unbounded,
+    i.e. 0 lies in Phi(M) (P nonempty) and the support never empties;
+    returns 0 when varpi is never admissible at all.
     """
-    from scipy.optimize import linprog
-    varpi = np.asarray(varpi, dtype=float).reshape(action.g)
-    n = action.n_coords
-    res = linprog(-np.ones(n), A_eq=-action.W.astype(float), b_eq=varpi,
-                  bounds=[(0, None)] * n, method="highs")
-    if res.status == 3:   # unbounded: 0 in Phi(M)
-        return None
-    if res.status == 2 or not res.success:
+    varpi = np.asarray(varpi, dtype=np.int64).reshape(action.g)
+    nus = basic_feasible_solutions(-action.W, varpi.tolist())
+    if not nus:
         return 0
-    return int(math.floor(-res.fun + 1e-9)) + 1
+    if slice_vertices(action):
+        return None
+    return max(sum(num) // den for num, den in nus) + 1
 
 
 @dataclass(frozen=True)
 class DiagonalSymmetry:
     """Gamma = diag(e^{i phi_j}) with an extra global lift phase theta_A.
 
-    Always unitary and commuting with any diagonal torus action.  The
-    private phase_sign exists only for the negative-control self-test that
-    demonstrates the pinned lift convention.
+    Always unitary and commuting with any diagonal torus action.
     """
 
     phi: np.ndarray
     theta_A: float = 0.0
-    phase_sign: int = field(default=-1, repr=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float).reshape(-1)
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
-        if self.phase_sign not in (-1, 1):
-            raise ValueError("phase_sign must be +-1")
 
     @property
     def n_coords(self) -> int:
@@ -194,7 +198,7 @@ def gamma_phase(alpha: np.ndarray, sym: DiagonalSymmetry) -> np.ndarray:
     single = a.ndim == 1
     a2 = np.atleast_2d(a)
     k = a2.sum(axis=1)
-    out = np.exp(1j * (k * sym.theta_A + sym.phase_sign * (a2 @ sym.phi)))
+    out = np.exp(1j * (k * sym.theta_A - a2 @ sym.phi))
     return out[0] if single else out
 
 

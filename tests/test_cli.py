@@ -10,6 +10,7 @@ import pytest
 from eqtoeplitz.cli import main
 from eqtoeplitz.config import ConfigError, load_config, parse_config
 from eqtoeplitz.iotools import read_csv
+from eqtoeplitz.reduction import MAX_SCAN_COORDS
 
 
 def base_config(out, **over):
@@ -358,8 +359,10 @@ class TestSelfTest:
         assert {"trace.csv", "predictions.csv"} <= set(record["artifacts"])
 
 
-#: scipy modules that only sampling, LPs and null spaces need
+#: scipy modules that only sampling, LPs and null spaces needed
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats")
+#: modules no subcommand needs: the sampler and the slice polytope are numpy
+NEVER = ("scipy.optimize", "scipy.stats")
 
 
 class TestImport:
@@ -388,3 +391,32 @@ loaded = [m for m in {HEAVY!r} if m in sys.modules]
 assert not loaded, loaded
 """)
         assert (out / "trace.csv").exists() and (out / "kernel_decay.csv").exists()
+
+    def test_no_subcommand_loads_optimize_or_stats(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(decay_config(out, k_values=[20, 40, 60]),
+                                          k_range={"min": 2, "max": 20, "step": 1}))
+        self.run_isolated(f"""
+import sys
+from eqtoeplitz.cli import main
+for cmd in ("analyze", "predict", "compare", "trace", "kernel"):
+    assert main([cmd, "--config", {cfg!r}]) == 0, cmd
+assert main(["selftest", "--out", {str(out)!r}]) == 0
+loaded = [m for m in {NEVER!r} if m in sys.modules]
+assert not loaded, loaded
+""")
+        assert (out / "comparison.csv").exists() and (out / "calibration_record.json").exists()
+
+
+class TestBudgets:
+    def test_oversize_component_search_exits_4(self, tmp_path, capsys):
+        n = MAX_SCAN_COORDS + 1
+        doc = base_config(tmp_path / "o", model={"d": n - 1},
+                          action={"W": [[1, -1] + [0] * (n - 2)]},
+                          symmetry={"phi": [0.0] * n},
+                          observable={"u_terms": [{"beta": [0] * n, "coef": 1.0}]},
+                          isotype=[0], k_range={"min": 2, "max": 8, "step": 1})
+        cfg = write_config(tmp_path, doc)
+        assert main(["predict", "--config", cfg]) == 4
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()

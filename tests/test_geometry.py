@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz.geometry import (ProjectiveModel, monomial_matrix, monomial_norm, multi_indices,
-                                 sample_sphere, section_basis, szego_kernel)
+from eqtoeplitz.geometry import (ProjectiveModel, _sobol, monomial_matrix, monomial_norm,
+                                 multi_indices, sample_sphere, section_basis, szego_kernel)
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
@@ -128,6 +128,17 @@ class TestSampler:
 
     def test_deterministic(self):
         assert check_sampler_determinism(seed=21)[0]
+
+    @pytest.mark.parametrize("m", [0, 1, 10, 18])
+    def test_sobol_bits_match_scipy(self, m):
+        # scipy's scrambled Sobol is the oracle, over every dimension 2(d+1)
+        # sample_sphere draws for d <= 9 and the odd ones between
+        from scipy.stats import qmc
+        seeds = (0, 1, 2 ** 40 + 7) if m < 18 else (3,)
+        for dim in range(2, 21):
+            for seed in seeds:
+                want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)
+                assert np.array_equal(_sobol(dim, seed, m), want), (dim, seed)
 
 
 class TestReproducingProperty:

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz._intlinalg import (homogeneous_torsion_angles, smith_normal_form,
+import eqtoeplitz._intlinalg as il
+from eqtoeplitz._intlinalg import (NumericFailure, basic_feasible_solutions,
+                                   homogeneous_torsion_angles, smith_normal_form,
                                    solve_phase_congruence)
 
 
@@ -70,3 +75,44 @@ def test_torsion_enumeration_rank_two():
     for a in angles:
         assert abs(np.exp(2j * a[0]) - 1) < 1e-9
         assert abs(np.exp(3j * a[1]) - 1) < 1e-9
+
+
+def test_vertex_enumeration_over_budget_fails_before_solving(monkeypatch):
+    # C(60, 4) = 487,635 basis solves; only the rank search may run
+    calls = []
+    det = il.int_det
+    monkeypatch.setattr(il, "int_det", lambda M: calls.append(1) or det(M))
+    A = np.vstack([np.ones((1, 60), np.int64),
+                   np.random.default_rng(0).integers(-3, 4, (3, 60))])
+    with pytest.raises(NumericFailure, match="budget"):
+        basic_feasible_solutions(A, [1, 0, 0, 0])
+    assert len(calls) < 100
+
+
+@given(st.lists(st.integers(-9, 9), min_size=16, max_size=16), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_int_det_and_adjugate(entries, r):
+    M = np.array(entries[:r * r], dtype=np.int64).reshape(r, r)
+    det = il.int_det(M.tolist())
+    assert det == round(np.linalg.det(M)) if r else det == 1
+    adj, d = il.int_adjugate(M.tolist())
+    assert d == abs(det)
+    assert np.array_equal(np.array(adj, dtype=np.int64).reshape(r, r) @ M, d * np.eye(r))
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+                min_size=1, max_size=3).filter(lambda rows: len({len(r) for r in rows}) == 1))
+@settings(max_examples=100, deadline=None)
+def test_torsion_angles_match_loop_reference(rows):
+    # one angle per torsion coefficient combination, V^T-mapped row by row
+    D = np.array(rows, dtype=np.int64)
+    _, S, V = smith_normal_form(D)
+    diag = [int(S[i][i]) for i in range(min(D.shape)) if S[i][i]]
+    Vf = as_int(V).astype(float)
+    want = []
+    for combo in itertools.product(*(range(d) for d in diag)):
+        psi = np.zeros(D.shape[1])
+        psi[:len(diag)] = [2.0 * np.pi * c / d for c, d in zip(combo, diag)]
+        want.append(Vf @ psi)
+    got = homogeneous_torsion_angles(D, max_order=10 ** 6)
+    assert np.allclose(got, np.array(want), rtol=0, atol=1e-12 * max(1.0, np.abs(Vf).sum()) * 8)

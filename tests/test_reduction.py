@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import eqtoeplitz.reduction as red
+from eqtoeplitz._intlinalg import NumericFailure
 from eqtoeplitz.geometry import ProjectiveModel, sample_sphere
 from eqtoeplitz.observables import Observable
-from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, moment_map
+from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, moment_map, slice_vertices
 from eqtoeplitz.reduction import (DegenerateSymmetryError, ReductionHypothesisError,
                                   check_regular_and_free, component_invariants,
                                   effective_volume, f_bar_integral, find_fixed_components,
@@ -28,24 +29,17 @@ def sym_of(*phis, theta_A=0.0):
 
 def component_representatives(report, action, n, seed=0):
     """Distinct lifts over a fixed component: random stratum phases and, for
-    positive-dimensional components, interior moduli variations."""
+    positive-dimensional components, interior moduli variations toward a
+    random convex combination of the component's face vertices."""
     rng = np.random.default_rng(seed)
     S = list(report.support)
+    face = np.array([np.array(num) / den for num, den in slice_vertices(action)
+                     if not np.any(np.delete(num, S))])
     out = [report.representative]
-    g = action.g
     for _ in range(n - 1):
         u = report.u_star[S].copy()
         if report.d_l > 0:
-            nS = len(S)
-            A_eq = np.zeros((1 + g, nS))
-            A_eq[0] = 1.0
-            if g:
-                A_eq[1:] = action.W[:, S].astype(float)
-            res = linprog(rng.normal(size=nS), A_eq=A_eq,
-                          b_eq=np.concatenate([[1.0], np.zeros(g)]),
-                          bounds=[(0, None)] * nS, method="highs")
-            if res.success:
-                u = 0.6 * u + 0.4 * res.x
+            u = 0.6 * u + 0.4 * (rng.dirichlet(np.ones(len(face))) @ face)[S]
         z = np.zeros(report.representative.shape[0], complex)
         z[S] = np.sqrt(u) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=len(S)))
         out.append(z)
@@ -145,7 +139,7 @@ class TestDiagnostics:
         n_probe = 6
         diag = check_regular_and_free(action, model, n_samples=2 ** 12, seed=6,
                                       n_probe=n_probe)
-        assert red._generic_support(action, model) == tuple(range(model.n_coords))
+        assert red._generic_support(action) == tuple(range(model.n_coords))
         pts = zero_locus_sample(action, model, 2 ** 12, seed=6).points
         probes = pts[np.linspace(0, pts.shape[0] - 1, n_probe).astype(int)]
         want = min(injectivity_oracle(x, action,
@@ -267,6 +261,18 @@ class TestFixedComponents:
         comps = find_fixed_components(circle_p2, sym_of(0.0, 1.3, 1.3), p2)
         assert len(comps) == 1
         assert comps[0].support == (0, 1, 2) and comps[0].d_l == 1
+
+
+    def test_oversize_search_fails_before_enumerating(self, monkeypatch):
+        n = red.MAX_SCAN_COORDS + 1
+
+        def enumerated(action):
+            raise AssertionError("the polytope was enumerated")
+
+        monkeypatch.setattr(red, "slice_vertices", enumerated)
+        with pytest.raises(NumericFailure, match="budget"):
+            find_fixed_components(TorusAction([[1, -1] + [0] * (n - 2)]),
+                                  sym_of(*[0.0] * n), ProjectiveModel(n - 1))
 
 
 class TestComponentInvariants:

@@ -1,0 +1,112 @@
+"""The exact zero-locus polytope P = {u >= 0, sum u = 1, W u = 0} and the
+moment-image questions decided on it, against scipy's HiGHS LP solver as an
+independent oracle over random small weight matrices (g <= 2, d <= 5)."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+import eqtoeplitz.reduction as red
+from eqtoeplitz.geometry import ProjectiveModel, section_basis
+from eqtoeplitz.symmetry import (TorusAction, moment_polytope_contains, occurring_weights,
+                                 slice_vertices, vanishing_level)
+
+#: g in {1, 2} weight rows of d + 1 entries in [-3, 3], d in 1..5
+weights = st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1), min_size=1, max_size=2))
+
+
+def lp(c, A_eq, b_eq, **kw):
+    return linprog(c, A_eq=A_eq, b_eq=b_eq, method="highs", **kw)
+
+
+def lp_pattern_feasible(W, S):
+    """Positive interior margin: max eps with u >= eps on S, u = 0 off S."""
+    g, nS = W.shape[0], len(S)
+    A_eq = np.zeros((1 + g, nS + 1))
+    A_eq[0, :nS] = 1.0
+    A_eq[1:, :nS] = W[:, S]
+    c = np.zeros(nS + 1)
+    c[-1] = -1.0
+    res = lp(c, A_eq, np.r_[1.0, np.zeros(g)],
+             A_ub=np.hstack([-np.eye(nS), np.ones((nS, 1))]), b_ub=np.zeros(nS),
+             bounds=[(0, None)] * nS + [(0, 1)])
+    return res.success and -res.fun > 1e-9
+
+
+def lp_contains(W, target, scale):
+    n = W.shape[1]
+    res = lp(np.zeros(n), np.vstack([-W * scale, np.ones((1, n))]), np.r_[target, 1.0],
+             bounds=[(0, None)] * n)
+    return res.status == 0
+
+
+def lp_vanishing_level(W, varpi):
+    n = W.shape[1]
+    res = lp(-np.ones(n), -W, np.asarray(varpi, float), bounds=[(0, None)] * n)
+    if res.status == 3:
+        return None
+    if res.status == 2 or not res.success:
+        return 0
+    return int(math.floor(-res.fun + 1e-9)) + 1
+
+
+def test_vertices_solve_the_slice_exactly():
+    action = TorusAction([[1, 0, -1, 2], [0, 1, -1, -1]])
+    verts = slice_vertices(action)
+    assert verts
+    for num, den in verts:
+        assert min(num) >= 0 and sum(num) == den
+        assert not np.any(action.W @ np.array(num))
+    assert slice_vertices(TorusAction([[1, 1, 2]])) == []
+
+
+@given(weights)
+@settings(max_examples=30, deadline=None)
+def test_face_patterns_match_lp(rows):
+    W = np.array(rows)
+    n = W.shape[1]
+    vmasks = np.array([red._support_mask(num) for num, _ in slice_vertices(TorusAction(W))],
+                      dtype=np.int64)
+    feasible = red._face_patterns(vmasks, n)
+    for mask in range(1, 1 << n):
+        S = [j for j in range(n) if mask >> j & 1]
+        assert feasible[mask] == lp_pattern_feasible(W, S), S
+
+
+@given(weights)
+@settings(max_examples=40, deadline=None)
+def test_generic_support_matches_lp(rows):
+    W = np.array(rows)
+    n = W.shape[1]
+    want = []
+    for j in range(n):
+        res = lp(-np.eye(n)[j], np.vstack([np.ones((1, n)), W]), np.r_[1.0, np.zeros(len(W))],
+                 bounds=[(0, None)] * n)
+        if res.success and -res.fun > 1e-9:
+            want.append(j)
+    assert red._generic_support(TorusAction(W)) == tuple(want)
+
+
+@given(weights, st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_containment_matches_lp(rows, k):
+    # occurring labels lie in k Phi(M); their reflections may or may not
+    W = np.array(rows)
+    action = TorusAction(W)
+    labels = occurring_weights(k, action, section_basis(k, ProjectiveModel(W.shape[1] - 1)))
+    for w in labels:
+        assert moment_polytope_contains(action, w, scale=float(k))
+        assert lp_contains(W, w, k)
+        assert moment_polytope_contains(action, -w, scale=float(k)) == lp_contains(W, -w, k)
+
+
+@given(weights, st.lists(st.integers(-8, 8), min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_vanishing_level_matches_lp(rows, label):
+    W = np.array(rows)
+    varpi = label[:W.shape[0]]
+    assert vanishing_level(TorusAction(W), varpi) == lp_vanishing_level(W, varpi)
