@@ -210,7 +210,10 @@ def solve_phase_congruence(D: np.ndarray, delta: np.ndarray, tol: float = 1e-9):
 
     D is an integer (m, g) matrix, delta a real m-vector.  Returns
     (theta, info) where theta is one particular solution, or (None, info)
-    when the congruence has no solution.  info carries the residual of the
+    when the congruence has no solution.  With U @ D @ V = S the Smith form,
+    obstruction row i (i >= rank) is solvable when (U @ delta)_i lies within
+    tol of 2*pi*Z beyond its own rounding, 8 eps (|U_i| @ (|delta| + 2*pi)),
+    which grows with the entries of U.  info carries the raw residual of the
     obstruction rows and the homogeneous solution structure:
 
     - info["rank"]: rank of D
@@ -229,17 +232,16 @@ def solve_phase_congruence(D: np.ndarray, delta: np.ndarray, tol: float = 1e-9):
     rhs = (Uf @ delta).reshape(m)
 
     two_pi = 2.0 * np.pi
-    residual = 0.0
-    for i in range(rank, m):
-        frac = np.abs(rhs[i]) % two_pi
-        residual = max(residual, min(frac, two_pi - frac))
+    frac = np.abs(rhs[rank:]) % two_pi
+    miss = np.minimum(frac, two_pi - frac)
+    rounding = 8.0 * np.finfo(float).eps * (np.abs(Uf[rank:]) @ (np.abs(delta) + two_pi))
     info = {
         "rank": rank,
         "free_rank": g - rank,
         "torsion": [d for d in diag[:rank]],
-        "residual": residual,
+        "residual": float(np.max(miss, initial=0.0)),
     }
-    if residual > tol:
+    if np.any(miss > tol + rounding):
         return None, info
     psi = np.zeros(g)
     for i in range(rank):

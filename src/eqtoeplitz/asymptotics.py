@@ -3,7 +3,7 @@ kernel-level validators (off-diagonal decay, near-diagonal scaling limits).
 
 The leading term sums over fixed components of the descended symmetry:
 
-    dim(V) * (k/pi)^(d_l) * h_l^k / c_l * chi(F_l) * int_{F_l} fbar
+    (k/pi)^(d_l) * h_l^k / c_l * chi(F_l) * int_{F_l} fbar
 
 with the h^k chi factor averaged over the finite stabilizer coset, which
 makes the prediction well-defined (and exactly zero at levels where the
@@ -49,7 +49,6 @@ class TracePrediction:
 
     reports: tuple
     varpi: tuple
-    dim_V: int = 1
 
     def component_terms(self, k: int) -> np.ndarray:
         out = []
@@ -58,7 +57,7 @@ class TracePrediction:
                 raise ValueError("component invariants incomplete; run "
                                  "component_invariants and f_bar_integral first")
             branch = complex(np.mean(rep.branch_phases(self.varpi, k)))
-            term = (self.dim_V * (k / math.pi) ** rep.d_l
+            term = ((k / math.pi) ** rep.d_l
                     * rep.h_l ** k / rep.c_l * rep.chi(self.varpi)
                     * rep.f_bar_integral * branch)
             out.append(term)
@@ -101,6 +100,20 @@ class FitReport:
         return "\n".join(lines)
 
 
+def _loglog_slope(ks, values) -> tuple[float, float]:
+    """Least-squares slope of log values against log k over the upper half
+    of the levels (from index len // 2 on), with its standard error."""
+    half = len(ks) // 2
+    kk = np.log(np.asarray(ks[half:], dtype=float))
+    vv = np.log(values[half:])
+    A = np.stack([kk, np.ones_like(kk)], axis=1)
+    sol, _, _, _ = np.linalg.lstsq(A, vv, rcond=None)
+    dof = max(len(kk) - 2, 1)
+    s2 = float(np.sum((vv - A @ sol) ** 2)) / dof
+    sxx = float(np.sum((kk - kk.mean()) ** 2))
+    return float(sol[0]), math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
+
+
 def compare_and_fit(series: TraceSeries, predictions, order: int,
                     cond_cap: float = 1e10) -> FitReport:
     """Least squares of trace/prediction - 1 against {k^{-1/2}, ..., k^{-A/2}}
@@ -130,17 +143,7 @@ def compare_and_fit(series: TraceSeries, predictions, order: int,
     se = 0.0
     ci = (-math.inf, -math.inf)
     if not exact:
-        half = len(ks) // 2
-        kk = np.log(ks[half:])
-        vv = np.log(np.maximum(np.abs(y[half:]), 1e-300))
-        A = np.stack([kk, np.ones_like(kk)], axis=1)
-        sol, _, _, _ = np.linalg.lstsq(A, vv, rcond=None)
-        slope = float(sol[0])
-        fitted = A @ sol
-        dof = max(len(kk) - 2, 1)
-        s2 = float(np.sum((vv - fitted) ** 2)) / dof
-        sxx = float(np.sum((kk - kk.mean()) ** 2))
-        se = math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
+        slope, se = _loglog_slope(ks, np.maximum(np.abs(y), 1e-300))
         ci = (slope - 1.96 * se, slope + 1.96 * se)
     return FitReport(order=order, coefficients=coef, residual=resid, slope=slope,
                      slope_stderr=se, slope_ci95=ci, condition=cond, exact=exact)
@@ -163,13 +166,17 @@ class DecayProbeResult:
     floored: bool
 
 
+#: the decay probe's pair must have |Phi(x)| or its orbit distance at least this
+DECAY_MARGIN = 0.05
+
+
 def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
-                k_values, threshold: float = 0.05) -> DecayProbeResult:
+                k_values) -> DecayProbeResult:
     """Fitted log-log decay exponent of |Pi_{varpi,k}(x, y)| on a k grid.
 
     Precondition: the pair lies off the concentration set, i.e. either the
     moment map is bounded away from zero at x or the points are on distinct
-    orbits; both margins are checked numerically at the given threshold.
+    orbits; both margins are checked numerically against DECAY_MARGIN.
     The slope is fitted over the upper half of the sorted levels, which must
     hold at least two distinct levels.
     """
@@ -181,10 +188,10 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
             f"got {ks[half:].tolist()}")
     phin = float(np.linalg.norm(np.atleast_1d(moment_map(x, action))))
     odist = orbit_distance(x, y, action)
-    if phin < threshold and odist < threshold:
+    if phin < DECAY_MARGIN and odist < DECAY_MARGIN:
         raise ProbeDomainError(
             f"probe pair lies in the concentration set (|Phi| = {phin:.3g}, "
-            f"orbit distance = {odist:.3g}, threshold {threshold})")
+            f"orbit distance = {odist:.3g}, threshold {DECAY_MARGIN})")
     vals = []
     floored = False
     xv, yv = np.asarray(x, dtype=complex)[None, :], np.asarray(y, dtype=complex)[None, :]
@@ -199,11 +206,8 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
             floored = True
         vals.append(v)
     vals = np.array(vals)
-    kk, vv = np.log(ks[half:].astype(float)), np.log(vals[half:])
-    A = np.stack([kk, np.ones_like(kk)], axis=1)
-    sol, _, _, _ = np.linalg.lstsq(A, vv, rcond=None)
-    return DecayProbeResult(k_values=ks, abs_values=vals, slope=float(sol[0]),
-                            floored=floored)
+    slope, _ = _loglog_slope(ks, vals)
+    return DecayProbeResult(k_values=ks, abs_values=vals, slope=slope, floored=floored)
 
 
 @dataclass(frozen=True)
@@ -270,11 +274,11 @@ class ScalingRow:
 
 
 def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
-                  model: ProjectiveModel, dim_V: int = 1) -> list[ScalingRow]:
+                  model: ProjectiveModel) -> list[ScalingRow]:
     """Exact equivariant kernel at x + w/sqrt(k), x + v/sqrt(k) against the
     predicted Gaussian leading term.
 
-    Prediction: (k/pi)^(d - g/2) 2^(g/2) dim(V) V_eff^-1 e^Q e^psi2 with
+    Prediction: (k/pi)^(d - g/2) 2^(g/2) V_eff^-1 e^Q e^psi2 with
     Q = -|v_t|^2 - |w_t|^2 + i[omega(w_v, w_t) - omega(v_v, v_t)] and
     psi2 = <w_h, v_h> - (|w_h|^2 + |v_h|^2)/2.
     """
@@ -297,7 +301,7 @@ def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
     psi2 = (complex(np.sum(wh * np.conj(vh)))
             - 0.5 * (np.linalg.norm(wh) ** 2 + np.linalg.norm(vh) ** 2))
     veff = effective_volume(xv, action)
-    amp = 2.0 ** (action.g / 2.0) * dim_V / veff * np.exp(Q + psi2)
+    amp = 2.0 ** (action.g / 2.0) / veff * np.exp(Q + psi2)
 
     rows = []
     for k in sorted(int(k) for k in probe.k_values):

@@ -21,14 +21,13 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe, TracePrediction,
-                          compare_and_fit, decay_probe, predict_toeplitz_leading,
-                          scaling_probe)
+                          compare_and_fit, decay_probe, scaling_probe)
 from .cache import Cache
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .iotools import write_csv
 from .reduction import (DegenerateSymmetryError, ReductionHypothesisError,
                         check_regular_and_free, component_invariants, f_bar_integral,
-                        find_fixed_components)
+                        f_bar_is_sampled, find_fixed_components)
 from .selftest import FLIPPABLE_PINS, PINNED, run_selftest
 from .symmetry import vanishing_level
 from .toeplitz import trace_sweep
@@ -38,94 +37,91 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERIC = 4
 
-
-def _out_dir(cfg: ExperimentConfig, args) -> str:
-    out = args.out or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+#: the one prediction route: the leading term summed over fixed components
+METHOD = "fixed-component-sum"
 
 
-def _effective_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        doc = dict(cfg.raw)
-        doc["sampling"] = dict(doc["sampling"], seed=args.seed)
-        cfg = parse_config(doc)
-    return cfg
-
-
-def _write_run_record(out: str, cfg: ExperimentConfig | None, artifacts: list,
-                      timings: dict) -> None:
-    """Merge this subcommand's artifacts and timing into <out>/run_record.json.
+def _configured(name: str, cmd):
+    """The subcommand `name`: load the config (with the --seed override),
+    create the output directory, run cmd(cfg, out, args) and merge the
+    artifacts it returns and the wall time into <out>/run_record.json.
 
     Subcommands run on the same config accumulate in one record, timings
     keyed by subcommand; a different config (or an unreadable record)
     starts a new one."""
-    path = os.path.join(out, "run_record.json")
-    config_hash = cfg.config_hash() if cfg else None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
-    except (OSError, ValueError):
-        old = {}
-    if not isinstance(old, dict) or old.get("config_hash") != config_hash:
-        old = {}
-    record = {
-        "config_hash": config_hash,
-        "calibration": PINNED.to_dict(),
-        "artifacts": sorted(set(old.get("artifacts", [])) | set(artifacts)),
-        "versions": {
-            "package": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "timings_seconds": {**old.get("timings_seconds", {}), **timings},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+    def run(args) -> int:
+        t0 = time.perf_counter()
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            doc = dict(cfg.raw)
+            doc["sampling"] = dict(doc["sampling"], seed=args.seed)
+            cfg = parse_config(doc)
+        out = args.out or cfg.output_dir
+        os.makedirs(out, exist_ok=True)
+        artifacts = cmd(cfg, out, args)
+        seconds = time.perf_counter() - t0
+        path = os.path.join(out, "run_record.json")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                old = json.load(fh)
+        except (OSError, ValueError):
+            old = {}
+        if not isinstance(old, dict) or old.get("config_hash") != cfg.config_hash():
+            old = {}
+        record = {
+            "config_hash": cfg.config_hash(),
+            "calibration": PINNED.to_dict(),
+            "artifacts": sorted(set(old.get("artifacts", [])) | set(artifacts)),
+            "versions": {
+                "package": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+            "timings_seconds": {**old.get("timings_seconds", {}), name: seconds},
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+        return EXIT_OK
+    return run
 
 
-def _components_with_invariants(cfg: ExperimentConfig, cache: Cache):
-    model, action, sym = cfg.model(), cfg.action(), cfg.symmetry()
-    f = cfg.observable()
-    comps = find_fixed_components(action, sym, model)
-    done = []
-    for rep in comps:
+def _components(cfg: ExperimentConfig, out: str) -> list:
+    """Every fixed component with its invariants and f-bar integral; the
+    Monte-Carlo integrals are cached under <out>/cache."""
+    model, action, sym, f = cfg.model(), cfg.action(), cfg.symmetry(), cfg.observable()
+    cache = Cache(os.path.join(out, "cache"))
+    comps = []
+    for rep in find_fixed_components(action, sym, model):
         rep = component_invariants(rep, sym, action, model)
-        if rep.d_l > 0 and not (action.g == 0 and len(rep.support) == model.n_coords):
-            key = {
-                "purpose": "f_bar_integral",
-                "config": cfg.subhash("model", "action", "symmetry", "observable"),
-                "support": list(rep.support),
-                "n_samples": cfg.n_samples,
-                "seed": cfg.seed,
-            }
-            cached = cache.get_or_compute(key, lambda rep=rep: _fbar_payload(
-                rep, f, action, model, cfg))
-            rep = replace(rep, f_bar_integral=complex(cached["re"], cached["im"]),
-                          f_bar_stderr=cached["stderr"])
-        else:
-            rep = f_bar_integral(rep, f, action, model, cfg.n_samples, cfg.seed)
-        done.append(rep)
-    return done
+        fill = lambda: f_bar_integral(rep, f, action, model, cfg.n_samples, cfg.seed)
+        if not f_bar_is_sampled(rep, action, model):
+            comps.append(fill())
+            continue
+        key = {
+            "purpose": "f_bar_integral",
+            "config": cfg.subhash("model", "action", "symmetry", "observable"),
+            "support": list(rep.support),
+            "n_samples": cfg.n_samples,
+            "seed": cfg.seed,
+        }
+
+        def compute():
+            val = fill()
+            return {"re": val.f_bar_integral.real, "im": val.f_bar_integral.imag,
+                    "stderr": val.f_bar_stderr}
+        val = cache.get_or_compute(key, compute)
+        comps.append(replace(rep, f_bar_integral=complex(val["re"], val["im"]),
+                             f_bar_stderr=val["stderr"]))
+    return comps
 
 
-def _fbar_payload(rep, f, action, model, cfg):
-    filled = f_bar_integral(rep, f, action, model, cfg.n_samples, cfg.seed)
-    return {"re": filled.f_bar_integral.real, "im": filled.f_bar_integral.imag,
-            "stderr": filled.f_bar_stderr}
+def _predictions(cfg: ExperimentConfig, out: str, ks) -> np.ndarray:
+    pred = TracePrediction(tuple(_components(cfg, out)), cfg.varpi)
+    return np.array([pred(k) for k in ks], dtype=complex)
 
 
-def _prediction(cfg: ExperimentConfig, cache: Cache) -> TracePrediction:
-    comps = _components_with_invariants(cfg, cache)
-    return TracePrediction(tuple(comps), cfg.varpi)
-
-
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _effective_config(args)
-    out = _out_dir(cfg, args)
-    model, action, sym = cfg.model(), cfg.action(), cfg.symmetry()
+def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
+    model, action = cfg.model(), cfg.action()
     diagnostics = check_regular_and_free(action, model, n_samples=cfg.n_samples,
                                          seed=cfg.seed)
     lines = ["reduction diagnostics", "====================="]
@@ -138,8 +134,7 @@ def cmd_analyze(args) -> int:
         k0 = vanishing_level(action, cfg.varpi)
         lines.append(f"k0 (weight-range bound for the configured isotype): {k0}")
     else:
-        cache = Cache(os.path.join(out, "cache"))
-        comps = _components_with_invariants(cfg, cache)
+        comps = _components(cfg, out)
         rows = []
         for c in comps:
             chi = c.chi(cfg.varpi)
@@ -158,17 +153,15 @@ def cmd_analyze(args) -> int:
         lines.append(f"fixed components: {len(comps)} (see components.csv)")
         if not (diagnostics.regular_value and diagnostics.free_action):
             _write_report(out, lines)
-            print("\n".join(lines))
             raise ReductionHypothesisError("reduction hypotheses violated; see report")
     _write_report(out, lines)
-    print("\n".join(lines))
-    _write_run_record(out, cfg, artifacts, {"analyze": time.perf_counter() - t0})
-    return EXIT_OK
+    return artifacts
 
 
 def _write_report(out, lines):
     with open(os.path.join(out, "reduction_report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
 
 
 def _complete_sweep(cfg: ExperimentConfig, threads: int):
@@ -184,58 +177,29 @@ def _complete_sweep(cfg: ExperimentConfig, threads: int):
     return series
 
 
-def cmd_trace(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _effective_config(args)
-    out = _out_dir(cfg, args)
+def cmd_trace(cfg: ExperimentConfig, out: str, args) -> list:
     series = _complete_sweep(cfg, args.threads)
     series.to_csv(os.path.join(out, "trace.csv"))
     nonzero = [r for r in series.records if r.dim_isotype > 0]
     print(f"trace sweep: {len(series.records)} levels, {len(nonzero)} with "
           f"nonempty isotype -> trace.csv")
-    _write_run_record(out, cfg, ["trace.csv"], {"trace": time.perf_counter() - t0})
-    return EXIT_OK
+    return ["trace.csv"]
 
 
-def _is_plain_toeplitz(cfg: ExperimentConfig) -> bool:
-    sym = cfg.symmetry()
-    return (cfg.action().g == 0 and cfg.theta_A == 0.0
-            and np.allclose(np.mod(sym.phi - sym.phi[0], 2 * math.pi), 0.0))
-
-
-def _prediction_values(cfg: ExperimentConfig, cache: Cache, ks):
-    if _is_plain_toeplitz(cfg):
-        f = cfg.observable()
-        model = cfg.model()
-        return np.array([predict_toeplitz_leading(k, f, model) for k in ks],
-                        dtype=complex), "toeplitz-leading"
-    pred = _prediction(cfg, cache)
-    return np.array([pred(k) for k in ks], dtype=complex), "fixed-component-sum"
-
-
-def cmd_predict(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _effective_config(args)
-    out = _out_dir(cfg, args)
-    cache = Cache(os.path.join(out, "cache"))
+def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
     ks = cfg.k_values()
-    vals, method = _prediction_values(cfg, cache, ks)
-    rows = [[k, v.real, v.imag, method] for k, v in zip(ks, vals)]
+    vals = _predictions(cfg, out, ks)
+    rows = [[k, v.real, v.imag, METHOD] for k, v in zip(ks, vals)]
     write_csv(os.path.join(out, "predictions.csv"),
               ["k", "pred_re", "pred_im", "method"], rows)
-    print(f"predictions: {len(ks)} levels via {method} -> predictions.csv")
-    _write_run_record(out, cfg, ["predictions.csv"], {"predict": time.perf_counter() - t0})
-    return EXIT_OK
+    print(f"predictions: {len(ks)} levels via {METHOD} -> predictions.csv")
+    return ["predictions.csv"]
 
 
-def cmd_compare(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _effective_config(args)
-    out = _out_dir(cfg, args)
-    cache = Cache(os.path.join(out, "cache"))
+def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
     series = _complete_sweep(cfg, args.threads)
     ks = [rec.k for rec in series.records]
-    preds, method = _prediction_values(cfg, cache, ks)
+    preds = _predictions(cfg, out, ks)
     rows = []
     for rec, p in zip(series.records, preds):
         t = rec.trace
@@ -248,7 +212,7 @@ def cmd_compare(args) -> int:
                "phase_err"], rows)
     artifacts = ["comparison.csv"]
     usable = np.abs(preds) > 0
-    summary = [f"comparison over {len(ks)} levels (prediction: {method})"]
+    summary = [f"comparison over {len(ks)} levels (prediction: {METHOD})"]
     if np.any(usable):
         diffs = np.abs(series.traces - preds)
         summary.append(f"max |trace - prediction| = {diffs.max():.6e}")
@@ -260,71 +224,33 @@ def cmd_compare(args) -> int:
             fh.write("\n".join(summary) + "\n")
         artifacts.append("fit_report.txt")
     print("\n".join(summary))
-    _write_run_record(out, cfg, artifacts, {"compare": time.perf_counter() - t0})
-    return EXIT_OK
+    return artifacts
 
 
-def cmd_kernel(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _effective_config(args)
-    out = _out_dir(cfg, args)
+def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
     probe = cfg.kernel_probe
     if probe is None:
         raise ConfigError("kernel subcommand needs a kernel_probe config section")
     model, action = cfg.model(), cfg.action()
     ks = probe["k_values"]
     if probe["type"] == "decay":
-        x = _parse_point(probe.get("point"), model)
-        y = _parse_point(probe.get("second_point"), model) if probe.get("second_point") else x
-        res = decay_probe(x, y, cfg.varpi, action, model, ks)
+        res = decay_probe(probe["point"], probe["second_point"], cfg.varpi, action, model, ks)
         rows = [[int(k), float(v)] for k, v in zip(res.k_values, res.abs_values)]
         write_csv(os.path.join(out, "kernel_decay.csv"), ["k", "abs_kernel"], rows)
         print(f"decay probe: fitted log-log slope {res.slope:.3f}"
               + (" (values floored at 1e-300)" if res.floored else ""))
-        artifacts = ["kernel_decay.csv"]
-    else:
-        x = _parse_point(probe.get("point"), model)
-        w = _parse_vector(probe.get("displacement_w"), model)
-        v = _parse_vector(probe.get("displacement_v"), model)
-        rows_out = scaling_probe(ScalingProbe(x=x, w=w, v=v, k_values=tuple(ks)),
-                                 cfg.varpi, action, model)
-        rows = [[r.k, r.exact.real, r.exact.imag, r.predicted.real, r.predicted.imag,
-                 r.abs_ratio, r.phase_err] for r in rows_out]
-        write_csv(os.path.join(out, "kernel_scaling.csv"),
-                  ["k", "exact_re", "exact_im", "pred_re", "pred_im", "abs_ratio",
-                   "phase_err"], rows)
-        print("scaling probe: " + ", ".join(
-            f"k={r.k} ratio={r.abs_ratio:.4f}" for r in rows_out))
-        artifacts = ["kernel_scaling.csv"]
-    _write_run_record(out, cfg, artifacts, {"kernel": time.perf_counter() - t0})
-    return EXIT_OK
-
-
-def _parse_point(obj, model):
-    if obj is None:
-        raise ConfigError("kernel_probe requires a point")
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape == (model.n_coords,):
-        vec = arr.astype(complex)
-    elif arr.shape == (model.n_coords, 2):
-        vec = arr[:, 0] + 1j * arr[:, 1]
-    else:
-        raise ConfigError(f"point must be length {model.n_coords} (or pairs re/im)")
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        raise ConfigError("point must be nonzero")
-    return vec / nrm
-
-
-def _parse_vector(obj, model):
-    if obj is None:
-        return np.zeros(model.n_coords, complex)
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape == (model.n_coords,):
-        return arr.astype(complex)
-    if arr.shape == (model.n_coords, 2):
-        return arr[:, 0] + 1j * arr[:, 1]
-    raise ConfigError(f"displacement must be length {model.n_coords} (or pairs re/im)")
+        return ["kernel_decay.csv"]
+    rows_out = scaling_probe(ScalingProbe(x=probe["point"], w=probe["displacement_w"],
+                                          v=probe["displacement_v"], k_values=tuple(ks)),
+                             cfg.varpi, action, model)
+    rows = [[r.k, r.exact.real, r.exact.imag, r.predicted.real, r.predicted.imag,
+             r.abs_ratio, r.phase_err] for r in rows_out]
+    write_csv(os.path.join(out, "kernel_scaling.csv"),
+              ["k", "exact_re", "exact_im", "pred_re", "pred_im", "abs_ratio",
+               "phase_err"], rows)
+    print("scaling probe: " + ", ".join(
+        f"k={r.k} ratio={r.abs_ratio:.4f}" for r in rows_out))
+    return ["kernel_scaling.csv"]
 
 
 def cmd_selftest(args) -> int:
@@ -354,20 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="eqtoeplitz",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True, help="path to the JSON config")
+    for name, cmd in (("analyze", cmd_analyze), ("trace", cmd_trace),
+                      ("predict", cmd_predict), ("compare", cmd_compare),
+                      ("kernel", cmd_kernel)):
+        sp = sub.add_parser(name)
+        sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
         sp.add_argument("--threads", type=int, default=1, help="worker threads")
-
-    for name, fn in (("analyze", cmd_analyze), ("trace", cmd_trace),
-                     ("predict", cmd_predict), ("compare", cmd_compare),
-                     ("kernel", cmd_kernel)):
-        sp = sub.add_parser(name)
-        add_common(sp)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=_configured(name, cmd))
 
     sp = sub.add_parser("selftest")
     sp.add_argument("--out", default=None)

@@ -52,7 +52,7 @@ class ExperimentConfig:
     seed: int
     fit_order: int
     output_dir: str
-    kernel_probe: dict | None = None
+    kernel_probe: dict | None = None     # with the points and displacements as arrays
     raw: dict = field(default=None, repr=False)
 
     # ---- constructed objects -------------------------------------------
@@ -96,6 +96,30 @@ def _parse_h_term(obj, d):
     if np.max(np.abs(h - h.conj().T)) > 1e-12:
         raise ConfigError("observable.h_term: matrix must be Hermitian")
     return h
+
+
+def _probe_coords(probe: dict, key: str, n: int, default=None) -> np.ndarray:
+    """kernel_probe[key] as a complex n-vector from n numbers or n [re, im]
+    pairs, or default when absent (required without one).  Points must be
+    nonzero and are normalized to the unit sphere."""
+    where = f"kernel_probe.{key}"
+    if probe.get(key) is None:
+        if default is None:
+            raise ConfigError(f"{where} is required")
+        return default
+    try:
+        arr = np.asarray(probe[key], dtype=float)
+    except (TypeError, ValueError):
+        arr = np.zeros(0)
+    if arr.shape not in ((n,), (n, 2)) or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where} must be d+1 = {n} finite numbers or {n} [re, im] pairs")
+    vec = arr.astype(complex) if arr.ndim == 1 else arr[:, 0] + 1j * arr[:, 1]
+    if not key.endswith("point"):
+        return vec
+    nrm = np.linalg.norm(vec)
+    if nrm == 0:
+        raise ConfigError(f"{where} must be nonzero")
+    return vec / nrm
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -184,6 +208,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 or not all(isinstance(k, int) and k >= 1 for k in ks):
             raise ConfigError("kernel_probe.k_values must be a nonempty list of "
                               "positive integers")
+        n = d + 1
+        point = _probe_coords(probe, "point", n)
+        zero = np.zeros(n, complex)
+        probe = {"type": probe["type"], "k_values": ks, "point": point,
+                 "second_point": _probe_coords(probe, "second_point", n, point),
+                 "displacement_w": _probe_coords(probe, "displacement_w", n, zero),
+                 "displacement_v": _probe_coords(probe, "displacement_v", n, zero)}
 
     return ExperimentConfig(
         d=d, W=W, phi=phi, theta_A=theta_A, u_terms=u_terms, h_term=h_term,

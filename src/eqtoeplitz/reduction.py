@@ -48,8 +48,16 @@ __all__ = [
     "reduced_space_integral",
     "find_fixed_components",
     "component_invariants",
+    "f_bar_is_sampled",
     "f_bar_integral",
 ]
+
+#: a coordinate of modulus above SUPPORT_TOL is in a point's support
+SUPPORT_TOL = 1e-8
+#: Newton refinement stops once every |Phi| <= NEWTON_TOL, or after NEWTON_MAX_ITER steps
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-12, 60
+#: central finite-difference step of the descended differential
+FD_STEP = 1e-5
 
 
 class ReductionHypothesisError(RuntimeError):
@@ -93,9 +101,9 @@ def stabilizer_info(action: TorusAction, support) -> dict:
     return {"order": angles.shape[0], "angles": angles, "free_rank": 0}
 
 
-def point_support(x, tol: float = 1e-8) -> tuple:
+def point_support(x) -> tuple:
     c = np.abs(np.asarray(x, dtype=complex))
-    return tuple(int(j) for j in np.nonzero(c > tol)[0])
+    return tuple(int(j) for j in np.nonzero(c > SUPPORT_TOL)[0])
 
 
 def _point_stabilizers(points: np.ndarray, action: TorusAction) -> list:
@@ -115,14 +123,13 @@ def _ball_volume(g: int, eps: float) -> float:
     return math.pi ** (g / 2.0) * eps ** g / math.exp(gammaln(g / 2.0 + 1.0))
 
 
-def _newton_refine(points: np.ndarray, action: TorusAction, tol: float = 1e-12,
-                   max_iter: int = 60) -> np.ndarray:
+def _newton_refine(points: np.ndarray, action: TorusAction) -> np.ndarray:
     """Project sphere points onto the moment-map zero set by damped Newton
     steps along the gradient directions, renormalizing each step."""
     pts = points.copy()
     W = action.W.astype(float)
-    for _ in range(max_iter):
-        bad = np.linalg.norm(moment_map(pts, action), axis=1) > tol
+    for _ in range(NEWTON_MAX_ITER):
+        bad = np.linalg.norm(moment_map(pts, action), axis=1) > NEWTON_TOL
         if not np.any(bad):
             break
         sub = pts[bad]
@@ -391,6 +398,11 @@ class FixedComponentReport:
 #: normal form (~0.2 ms): d = 14, g = 2 takes ~0.3 s for a generic symmetry
 #: and ~5 s when every pattern's congruence is solvable
 MAX_SCAN_COORDS = 16
+#: a support pattern's phase congruence holds when it misses 2 pi Z by at
+#: most PHASE_TOL beyond its rounding; an unsolvable one missing by less
+#: than RESONANCE_BAND is near-resonant and flags every component
+PHASE_TOL = 1e-8
+RESONANCE_BAND = 5e-2
 
 
 def _face_patterns(vmasks: np.ndarray, n: int) -> np.ndarray:
@@ -412,8 +424,7 @@ def _barycenter(vertices, n: int) -> np.ndarray:
 
 
 def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
-                          model: ProjectiveModel, tol_phase: float = 1e-8,
-                          resonance_band: float = 5e-2) -> list[FixedComponentReport]:
+                          model: ProjectiveModel) -> list[FixedComponentReport]:
     """Enumerate the fixed components of the descended symmetry.
 
     Support patterns S are kept when (a) the zero-locus polytope P meets the
@@ -436,7 +447,7 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
     masks = np.arange(1 << n, dtype=np.int64)
     bits = 1 << np.arange(n, dtype=np.int64)
     feasible = _face_patterns(vmasks, n)
-    # a pattern containing one whose congruence misses by the resonance band
+    # a pattern containing one whose congruence misses by RESONANCE_BAND
     # or more is unsolvable too: patterns are solved level by level in size,
     # skipping those above such a pattern
     far = np.zeros(1 << n, bool)
@@ -451,12 +462,12 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
             S = tuple(j for j in range(n) if mask >> j & 1)
             D = _difference_rows(action.W, S)
             delta = np.array([sym.phi[j] - sym.phi[S[0]] for j in S[1:]])
-            theta, info = solve_phase_congruence(D, delta, tol=tol_phase)
+            theta, info = solve_phase_congruence(D, delta, tol=PHASE_TOL)
             if info["free_rank"] > 0:
                 raise ReductionHypothesisError(
                     "continuous stabilizer on a zero-locus stratum", witness=S)
             if theta is None:
-                far[mask] = info["residual"] >= resonance_band
+                far[mask] = info["residual"] >= RESONANCE_BAND
                 if not far[mask]:
                     near_resonant.append(S)
             else:
@@ -554,7 +565,7 @@ def _descended_differential(rep, support, t_angles, sym, action, step: float):
 
 def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
                          action: TorusAction, model: ProjectiveModel,
-                         fd_step: float = 1e-5, c_tol: float = 1e-8) -> FixedComponentReport:
+                         c_tol: float = 1e-8) -> FixedComponentReport:
     """Fill in c_l, h_l and the normal eigenvalues of a fixed component.
 
     The descended differential is computed by central finite differences of
@@ -563,7 +574,7 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
     """
     rep = report.representative
     D, nt = _descended_differential(rep, report.support, report.t_angles, sym,
-                                    action, fd_step)
+                                    action, FD_STEP)
     DNN = D[nt:, nt:]
     diag_err = 0.0
     if nt:
@@ -606,24 +617,30 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
                    frame_diag_error=diag_err)
 
 
+def f_bar_is_sampled(report: FixedComponentReport, action: TorusAction,
+                     model: ProjectiveModel) -> bool:
+    """Whether f_bar_integral is Monte-Carlo for this component: it is
+    positive-dimensional and, without a group, not all of M (whose
+    moment-free integral is closed form)."""
+    return report.d_l > 0 and not (action.g == 0 and len(report.support) == model.n_coords)
+
+
 def f_bar_integral(report: FixedComponentReport, f: Observable, action: TorusAction,
                    model: ProjectiveModel, n_samples: int = 200_000,
                    seed: int = 0) -> FixedComponentReport:
     """int_{F_l} (G-average of f) vol_{F_l}.
 
     Point components evaluate the averaged observable at the representative
-    (vol(point) = 1); positive-dimensional components restrict to their
-    support stratum, which is again a projective-space model, and reuse the
-    reduced-space Monte-Carlo there.
+    (vol(point) = 1), and a component that is all of M without a group
+    integrates in closed form; other positive-dimensional components
+    restrict to their support stratum, which is again a projective-space
+    model, and reuse the reduced-space Monte-Carlo there.
     """
     favg = f.g_average(action)
-    if report.d_l == 0:
-        val = complex(favg.value(report.representative[None, :])[0])
-        return replace(report, f_bar_integral=val, f_bar_stderr=0.0)
-    if action.g == 0 and len(report.support) == model.n_coords:
-        # the component is all of M: the moment-free integral is closed form
-        return replace(report, f_bar_integral=complex(favg.integral_over_M(model)),
-                       f_bar_stderr=0.0)
+    if not f_bar_is_sampled(report, action, model):
+        val = (favg.value(report.representative[None, :])[0] if report.d_l == 0
+               else favg.integral_over_M(model))
+        return replace(report, f_bar_integral=complex(val), f_bar_stderr=0.0)
     sample = zero_locus_sample(action, model, n_samples, seed, support=report.support)
     est, err = reduced_space_integral(action, sample, h=favg.value)
     return replace(report, f_bar_integral=complex(est), f_bar_stderr=err)

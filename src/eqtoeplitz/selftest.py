@@ -145,7 +145,7 @@ def check_moment_sign_pin(flip=None, d=2,
         action = TorusAction(W)
         for k in levels:
             basis = section_basis(k, model)
-            for w in occurring_weights(k, action, basis):
+            for w in occurring_weights(action, basis):
                 tested += 1
                 target = np.asarray(w, dtype=float) * sign
                 if not moment_polytope_contains(action, target, scale=float(k)):
@@ -165,7 +165,7 @@ def check_projector_partition(levels=(5, 12, 40), seed=23):
         basis = section_basis(k, model)
         total = 0.0 + 0.0j
         dsum = 0
-        for w in occurring_weights(k, action, basis):
+        for w in occurring_weights(action, basis):
             iso = isotype_basis(k, w, action, basis)
             dsum += iso.dim
             total += equivariant_kernel_pairs(x, y, iso)[0]

@@ -237,8 +237,9 @@ def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> Is
                         parent=basis)
 
 
-def occurring_weights(k: int, action: TorusAction, basis: SectionBasis) -> np.ndarray:
-    """Distinct character labels present at level k, lexicographically sorted."""
+def occurring_weights(action: TorusAction, basis: SectionBasis) -> np.ndarray:
+    """Distinct character labels present in a level's basis, lexicographically
+    sorted."""
     w = weight_of(basis.indices, action)
     return np.unique(w, axis=0)
 
@@ -248,16 +249,17 @@ def equivariant_kernel_pairs(xs, ys, iso: IsotypeBasis) -> np.ndarray:
 
 
 def equivariant_kernel_fourier(x, y, k: int, varpi, action: TorusAction,
-                               model: ProjectiveModel, n_nodes: int | None = None) -> complex:
+                               model: ProjectiveModel) -> complex:
     """Character-average cross-check: (1/2pi)^g int chi_varpi(t) Pi_k(t.x, y) dt.
 
-    Trapezoid rule per circle factor; exact once the node count exceeds the
-    trigonometric bandwidth k * max|W| + |varpi|.  Pi_k(t.x, y) is
-    binom(k+d, d)/vol_X * <mu_t x, y>^k, summed over the grid in blocks.
+    Trapezoid rule per circle factor on 2 * band + 5 nodes, which is exact:
+    it exceeds the trigonometric bandwidth band = k * max|W| + |varpi|.
+    Pi_k(t.x, y) is binom(k+d, d)/vol_X * <mu_t x, y>^k, summed over the
+    grid in blocks.
     """
     varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
     band = int(k * np.abs(action.W).max(initial=0) + np.abs(varpi_vec).sum())
-    n = n_nodes or (2 * band + 5)
+    n = 2 * band + 5
     total = 0.0 + 0.0j
     for theta, overlap in torus_grid_overlaps(x, y, action, n):
         total += np.sum(np.exp(1j * (theta @ varpi_vec)) * overlap ** k)

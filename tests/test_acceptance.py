@@ -174,7 +174,7 @@ def test_criterion_6_trace_identity_randomized():
         f = Observable(u_terms={beta: float(rng.uniform(0.2, 2.0))})
         k = int(rng.integers(4, 13))
         basis = section_basis(k, model)
-        ws = occurring_weights(k, action, basis)
+        ws = occurring_weights(action, basis)
         varpi = tuple(int(v) for v in ws[rng.integers(0, len(ws))])
         alg = trace_psi(k, varpi, f, sym, action, model)
         est, err = trace_via_kernel_quadrature(k, varpi, f, sym, action, model,

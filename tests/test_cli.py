@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
 from eqtoeplitz.config import ConfigError, load_config, parse_config
 from eqtoeplitz.iotools import read_csv
@@ -133,6 +135,18 @@ class TestCompare:
                         - complex(float(r[ip]), float(r[jp]))) for r in rows)
         assert worst < 1e-8
 
+    def test_constant_phase_keeps_lift_factor(self, tmp_path, capsys):
+        # phi = (0.5, 0.5) acts trivially on P^1 but rotates the lift by e^{-0.5ik}
+        out = tmp_path / "out"
+        doc = base_config(out, symmetry={"phi": [0.5, 0.5]},
+                          k_range={"min": 2, "max": 60, "step": 1})
+        assert main(["compare", "--config", write_config(tmp_path, doc)]) == 0
+        header, rows = read_csv(out / "comparison.csv")
+        ip = header.index("phase_err")
+        assert len(rows) == 59
+        assert max(abs(float(r[ip])) for r in rows) <= 1e-12
+        assert "(prediction: fixed-component-sum)" in capsys.readouterr().out
+
     def test_deterministic_outputs(self, tmp_path):
         doc = base_config(tmp_path / "x", model={"d": 2},
                           action={"W": [[1, -1, -1]]},
@@ -188,6 +202,21 @@ class TestTraceAndPredict:
         header, rows = read_csv(out / "predictions.csv")
         for r in rows:
             assert float(r[1]) == pytest.approx(int(r[0]) / 2, rel=1e-13)
+
+    @pytest.mark.parametrize("d, beta", [(1, [1, 0]), (3, [0, 2, 0, 1])])
+    def test_identity_prediction_is_toeplitz_leading(self, tmp_path, d, beta):
+        # the fixed-component sum over the one component M is the plain
+        # Toeplitz leading term, bit for bit
+        out = tmp_path / "out"
+        doc = base_config(out, model={"d": d}, symmetry={"phi": [0.0] * (d + 1)},
+                          observable={"u_terms": [{"beta": beta, "coef": 1.5}]},
+                          k_range={"min": 1, "max": 40, "step": 3})
+        assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
+        header, rows = read_csv(out / "predictions.csv")
+        cfg = parse_config(doc)
+        for r in rows:
+            want = predict_toeplitz_leading(int(r[0]), cfg.observable(), cfg.model())
+            assert (float(r[1]), float(r[2]), r[3]) == (want, 0.0, "fixed-component-sum")
 
     def test_seed_override_changes_mc(self, tmp_path):
         doc = base_config(tmp_path / "s", model={"d": 2},
@@ -294,6 +323,35 @@ class TestKernelCommands:
         assert main(["kernel", "--config", cfg]) == 2
         assert "k_values" in capsys.readouterr().err
         assert not (out / "kernel_decay.csv").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "kernel"])
+    @pytest.mark.parametrize("probe, message", [
+        ({"point": [0.6, 0.8]}, "point must be d+1 = 3"),
+        ({"point": [[0.6, 0.0], [0.8, 0.0]]}, "point must be d+1 = 3"),
+        ({"point": [0.0, 0.0, 0.0]}, "point must be nonzero"),
+        ({"point": ["a", 0.5, 0.5]}, "point must be d+1 = 3"),
+        ({"point": [math.nan, 0.5, 0.5]}, "point must be d+1 = 3"),
+        ({"point": None}, "point is required"),
+        ({"second_point": [[0.0, 0.0]] * 3}, "second_point must be nonzero"),
+        ({"displacement_w": [0.1, 0.2]}, "displacement_w must be d+1 = 3"),
+    ], ids=["short", "short-pairs", "zero", "string", "nan", "missing", "zero-pairs",
+            "short-displacement"])
+    def test_malformed_probe_input_exit_2(self, tmp_path, capsys, command, probe, message):
+        # probe inputs are validated with the config, by every subcommand
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, decay_config(out, **probe))
+        assert main([command, "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_points_parsed_once(self, tmp_path):
+        cfg = parse_config(decay_config(tmp_path, point=[[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]],
+                                        displacement_v=[1, 2, 3]))
+        probe = cfg.kernel_probe
+        assert np.allclose(probe["point"], [0.6, 0.8j, 0.0], rtol=0.0, atol=1e-15)
+        assert probe["second_point"] is probe["point"]
+        assert np.array_equal(probe["displacement_v"], np.array([1, 2, 3], complex))
+        assert np.array_equal(probe["displacement_w"], np.zeros(3, complex))
 
     @pytest.mark.parametrize("doc, message", [
         (scaling_config("o", point=[0.8, 0.6]), "zero locus"),

@@ -263,6 +263,25 @@ class TestFixedComponents:
         assert comps[0].support == (0, 1, 2) and comps[0].d_l == 1
 
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_symmetry_fixing_the_locus_is_one_component(self, seed):
+        # phi = theta . W with W in [-30, 30]: every support's congruence holds
+        # exactly, although the Smith transforms' entries make U . delta round
+        # far above the phase tolerance
+        rng = np.random.default_rng(seed)
+        action = TorusAction(rng.integers(-30, 31, size=(2, 9)))
+        sym = DiagonalSymmetry(phi=rng.uniform(0.0, 2 * math.pi, size=2) @ action.W)
+        comps = find_fixed_components(action, sym, ProjectiveModel(8))
+        supp = red._generic_support(action)
+        assert [c.support for c in comps] == ([supp] if supp else [])
+        assert not any(c.suspected_nongeneric for c in comps)
+        # a true miss of 1e-7 at one coordinate is not forgiven: the locus is
+        # no longer fixed, and the near-resonant miss flags every component
+        shifted = replace(sym, phi=sym.phi + 1e-7 * (np.arange(9) == 0))
+        comps = find_fixed_components(action, shifted, ProjectiveModel(8))
+        assert supp not in [c.support for c in comps]
+        assert all(c.suspected_nongeneric for c in comps)
+
     def test_oversize_search_fails_before_enumerating(self, monkeypatch):
         n = red.MAX_SCAN_COORDS + 1
 

@@ -97,7 +97,7 @@ def test_containment_matches_lp(rows, k):
     # occurring labels lie in k Phi(M); their reflections may or may not
     W = np.array(rows)
     action = TorusAction(W)
-    labels = occurring_weights(k, action, section_basis(k, ProjectiveModel(W.shape[1] - 1)))
+    labels = occurring_weights(action, section_basis(k, ProjectiveModel(W.shape[1] - 1)))
     for w in labels:
         assert moment_polytope_contains(action, w, scale=float(k))
         assert lp_contains(W, w, k)

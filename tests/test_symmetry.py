@@ -54,7 +54,7 @@ def _slice_cases(draw):
                       min_size=g, max_size=g))
     k = draw(st.integers(0, 12))
     if draw(st.booleans()):
-        ws = occurring_weights(k, TorusAction(W), section_basis(k, ProjectiveModel(d)))
+        ws = occurring_weights(TorusAction(W), section_basis(k, ProjectiveModel(d)))
         varpi = tuple(int(v) for v in ws[draw(st.integers(0, len(ws) - 1))])
     else:
         varpi = tuple(draw(st.lists(st.integers(-30, 30), min_size=g, max_size=g)))
@@ -115,7 +115,7 @@ class TestMomentMap:
         assert moment_map(x, circle_p2)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_support_principle_p1(self, p1, circle_p1):
-        ws = occurring_weights(10, circle_p1, section_basis(10, p1))
+        ws = occurring_weights(circle_p1, section_basis(10, p1))
         assert set(int(w[0]) for w in ws) == set(range(-10, 11, 2))
         ok, detail = check_moment_sign_pin(d=1, weights=([[1, -1]],), levels=(10,))
         assert ok, detail

@@ -173,7 +173,7 @@ class TestQuadratureIdentity:
         k = 6
         basis = section_basis(k, p1)
         total, err_total = 0.0, 0.0
-        for w in occurring_weights(k, circle_p1, basis):
+        for w in occurring_weights(circle_p1, basis):
             est, err = trace_via_kernel_quadrature(k, tuple(w), one, sym_id(2),
                                                    circle_p1, p1, n_samples=2 ** 14,
                                                    seed=9)
