@@ -1,9 +1,12 @@
 """Exact integer linear algebra for weight-lattice computations.
 
-Smith normal form with unimodular transforms, used to solve phase
-congruences t^(W_j - W_j0) = e^{i delta_j} over the torus and to
-enumerate finite stabilizer subgroups; integer adjugates, used to list
-weight slices and the vertices of polytopes {x >= 0, A x = b}.
+Smith normal form with small unimodular transforms.  Its one caller,
+`solve_phase_congruence`, solves phase congruences t^(W_j - W_j0) =
+e^{i delta_j} over the torus, one Smith form per support pattern: the
+solution is a fixed component's g_m, and the info it returns holds the
+finite stabilizer coset g_m is defined up to (`torsion_angles`; delta = 0
+gives the stabilizer alone).  Integer adjugates list weight slices and the
+vertices of polytopes {x >= 0, A x = b}.
 """
 
 from __future__ import annotations
@@ -108,118 +111,99 @@ def smith_normal_form(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Return (U, S, V) with U @ A @ V = S, U and V unimodular, S diagonal.
 
     S has nonnegative diagonal entries d_1 | d_2 | ... (divisibility chain).
-    Uses exact Python-int arithmetic; intended for small matrices.
+    The pivot is the entry of least modulus; its row and column are reduced
+    against it by nearest-integer quotients, and the least remainder becomes
+    the next pivot.  Reducing every row against one small pivot keeps the
+    entries of U small: hundreds to thousands for 12 x 2 weight differences
+    in [-60, 60], where chaining Euclid steps from row to row grows them past
+    1e30 and the rounding of U @ delta past any phase tolerance.  Exact
+    Python-int arithmetic; intended for small matrices.
     """
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("expected a 2-d integer matrix")
     m, n = A.shape
-    S = [[int(x) for x in row] for row in A]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    # rows of [S | U] share every row operation, rows of V every column one
+    R = [[int(x) for x in row] + [int(i == j) for j in range(m)]
+         for i, row in enumerate(A.tolist())]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
+    all_rows = R + V
 
     def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+        R[i], R[j] = R[j], R[i]
 
     def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
+        for row in all_rows:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        S[dst] = [a + c * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
+        # row[dst] += c * row[src], in place
+        R[dst][:] = [a + c * b for a, b in zip(R[dst], R[src])]
 
     def add_col(src, dst, c):
-        for row in S:
-            row[dst] += c * row[src]
-        for row in V:
+        for row in all_rows:
             row[dst] += c * row[src]
 
     t = 0
     while t < min(m, n):
-        # find a nonzero pivot in the trailing block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0:
-                    if piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
+        block = [(abs(R[i][j]), i, j) for i in range(t, m) for j in range(t, n) if R[i][j]]
+        if not block:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-
-        # clear row and column t by Euclidean steps
-        dirty = True
-        while dirty:
-            dirty = False
+        _, i, j = min(block)
+        while True:
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            p = R[t][t]
             for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    add_row(t, i, -q)
-                    if S[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
+                if R[i][t]:
+                    add_row(t, i, -((2 * R[i][t] + p) // (2 * p)))
             for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    add_col(t, j, -q)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if S[t][t] < 0:
+                if R[t][j]:
+                    add_col(t, j, -((2 * R[t][j] + p) // (2 * p)))
+            rest = ([(abs(R[i][t]), i, t) for i in range(t + 1, m) if R[i][t]]
+                    + [(abs(R[t][j]), t, j) for j in range(t + 1, n) if R[t][j]])
+            if not rest:
+                # d_t must divide the trailing block: add a row holding a
+                # non-multiple to row t, whose remainder is a smaller pivot
+                bad = [i for i in range(t + 1, m) if abs(p) > 1
+                       and any(R[i][j] % p for j in range(t + 1, n))]
+                if not bad:
+                    break
+                add_row(bad[0], t, 1)
+                i, j = t, t
+                continue
+            _, i, j = min(rest)
+        if R[t][t] < 0:
             add_row(t, t, -2)  # negate row t (row += -2*row)
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    r = t
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if a and b % a != 0:
-                # fold entry b into position (i, i) via one mixed step
-                add_col(i + 1, i, 1)
-                dirty = True
-                while dirty:
-                    dirty = False
-                    q = S[i + 1][i] // S[i][i]
-                    add_row(i, i + 1, -q)
-                    if S[i + 1][i] != 0:
-                        swap_rows(i, i + 1)
-                        dirty = True
-                q = S[i][i + 1] // S[i][i]
-                add_col(i, i + 1, -q)
-                if S[i][i] < 0:
-                    add_row(i, i, -2)
-                if S[i + 1][i + 1] < 0:
-                    add_row(i + 1, i + 1, -2)
-                changed = True
-
     to_arr = lambda M: np.array(M, dtype=object)
-    return to_arr(U), to_arr(S), to_arr(V)
+    return to_arr([row[n:] for row in R]), to_arr([row[:n] for row in R]), to_arr(V)
 
 
 def solve_phase_congruence(D: np.ndarray, delta: np.ndarray, tol: float = 1e-9):
     """Solve D @ theta = delta (mod 2*pi) for theta in R^g.
 
-    D is an integer (m, g) matrix, delta a real m-vector.  Returns
-    (theta, info) where theta is one particular solution, or (None, info)
-    when the congruence has no solution.  With U @ D @ V = S the Smith form,
-    obstruction row i (i >= rank) is solvable when (U @ delta)_i lies within
-    tol of 2*pi*Z beyond its own rounding, 8 eps (|U_i| @ (|delta| + 2*pi)),
-    which grows with the entries of U.  info carries the raw residual of the
-    obstruction rows and the homogeneous solution structure:
+    D is an integer (m, g) matrix, delta a real m-vector; delta = 0 is the
+    homogeneous problem whose solutions are the stabilizer.  This is the one
+    place that puts D in Smith form U @ D @ V = S, and info carries
+    everything read off it, so no caller needs a second one:
 
-    - info["rank"]: rank of D
-    - info["free_rank"]: g - rank (continuous solution directions)
+    - info["rank"]: rank r of D
+    - info["free_rank"]: g - r (continuous solution directions)
     - info["torsion"]: invariant factors d_1..d_r
+    - info["V"]: the column transform, as a float (g, g) array
     - info["residual"]: max distance of obstruction rows from 2*pi*Z
+
+    Returns (theta, info) where theta is one particular solution, reduced
+    to [-pi, pi]^g, or (None, info) when the congruence has no solution; a
+    theta that misses a congruence by more than tol is refined once.
+    Obstruction row i (i >= r) is solvable when (U @ delta)_i lies within
+    tol of 2*pi*Z beyond its own rounding, 8 eps (|U_i| @ (|delta| + 2*pi)),
+    which grows with the entries of U.  All solutions are theta plus
+    `torsion_angles(info)` plus the continuous directions.
     """
     D = np.asarray(D, dtype=np.int64)
     delta = np.asarray(delta, dtype=float)
@@ -227,9 +211,10 @@ def solve_phase_congruence(D: np.ndarray, delta: np.ndarray, tol: float = 1e-9):
     U, S, V = smith_normal_form(D)
     diag = [int(S[i][i]) for i in range(min(m, g))]
     rank = sum(1 for d in diag if d != 0)
-    Uf = np.array([[float(x) for x in row] for row in U]).reshape(m, m)
-    Vf = np.array([[float(x) for x in row] for row in V]).reshape(g, g)
-    rhs = (Uf @ delta).reshape(m)
+    Uf = np.array(U, dtype=float).reshape(m, m)
+    Vf = np.array(V, dtype=float).reshape(g, g)
+
+    rhs = Uf @ delta
 
     two_pi = 2.0 * np.pi
     frac = np.abs(rhs[rank:]) % two_pi
@@ -238,40 +223,39 @@ def solve_phase_congruence(D: np.ndarray, delta: np.ndarray, tol: float = 1e-9):
     info = {
         "rank": rank,
         "free_rank": g - rank,
-        "torsion": [d for d in diag[:rank]],
+        "torsion": diag[:rank],
+        "V": Vf,
         "residual": float(np.max(miss, initial=0.0)),
     }
     if np.any(miss > tol + rounding):
         return None, info
     psi = np.zeros(g)
-    for i in range(rank):
-        psi[i] = rhs[i] / diag[i]
-    theta = (Vf @ psi).reshape(g)
+    psi[:rank] = rhs[:rank] / diag[:rank]
+    theta = Vf @ psi
+    theta -= two_pi * np.rint(theta / two_pi)
+    # V S^-1 U delta cancels between large entries of V and U, and U spreads
+    # the rounding of delta over the rows; where that leaves a residual
+    # above tol, one least-squares step on it (mod 2 pi) removes both
+    res = D @ theta - delta
+    res -= two_pi * np.rint(res / two_pi)
+    if np.any(np.abs(res) > tol):
+        theta -= np.linalg.lstsq(D.astype(float), res, rcond=None)[0]
     return theta, info
 
 
-def homogeneous_torsion_angles(D: np.ndarray, max_order: int = 4096) -> np.ndarray:
+def torsion_angles(info: dict, max_order: int = 4096) -> np.ndarray:
     """All theta in [0, 2*pi)^g with D @ theta = 0 (mod 2*pi), modulo the
-    continuous part.
+    continuous part, for the info of a `solve_phase_congruence` on D.
 
     Returns an (order, g) array enumerating the finite subgroup
     {theta : D theta in 2*pi Z^m} / (continuous directions).  Raises if the
     subgroup is larger than max_order.
     """
-    D = np.asarray(D, dtype=np.int64)
-    m, g = D.shape
-    if m == 0 or g == 0:
-        return np.zeros((1, g))
-    _, S, V = smith_normal_form(D)
-    diag = [int(S[i][i]) for i in range(min(m, g))]
-    rank = sum(1 for d in diag if d != 0)
-    Vf = np.array([[float(x) for x in row] for row in V])
-    order = 1
-    for d in diag[:rank]:
-        order *= d
+    torsion, V = info["torsion"], info["V"]
+    order = math.prod(torsion)
     if order > max_order:
         raise ValueError(f"stabilizer order {order} exceeds cap {max_order}")
-    coeffs = np.array(list(product(*(range(d) for d in diag[:rank]))), dtype=np.int64)
-    psi = np.zeros((coeffs.shape[0], g))
-    psi[:, :rank] = 2.0 * np.pi * coeffs / diag[:rank]
-    return psi @ Vf.T
+    coeffs = np.array(list(product(*(range(d) for d in torsion))), dtype=np.int64)
+    psi = np.zeros((coeffs.shape[0], V.shape[0]))
+    psi[:, :len(torsion)] = 2.0 * np.pi * coeffs / torsion
+    return psi @ V.T

@@ -197,10 +197,7 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
     xv, yv = np.asarray(x, dtype=complex)[None, :], np.asarray(y, dtype=complex)[None, :]
     for k in ks:
         iso = isotype_slice(k, varpi, action, model)
-        if iso.dim == 0:
-            v = 0.0
-        else:
-            v = abs(complex(equivariant_kernel_pairs(xv, yv, iso)[0]))
+        v = abs(complex(equivariant_kernel_pairs(xv, yv, iso)[0]))
         if v < 1e-300:
             v = 1e-300
             floored = True
@@ -228,11 +225,6 @@ class TangentFrame:
         for row in self.transverse:
             vt = vt + np.real(np.vdot(row, v)) * row
         return vt, vv, v - vv - vt
-
-    def mixed_error(self, v: np.ndarray) -> float:
-        vt, vv, vh = self.decompose(v)
-        pairs = [abs(np.real(np.vdot(a, b))) for a, b in ((vt, vv), (vt, vh), (vv, vh))]
-        return max(pairs) if pairs else 0.0
 
 
 def tangent_frame(x, action: TorusAction) -> TangentFrame:

@@ -30,7 +30,6 @@ __all__ = [
     "monomial_norm",
     "szego_kernel",
     "sample_sphere",
-    "monomial_matrix",
     "kernel_pair_values",
 ]
 
@@ -282,22 +281,6 @@ def _log_abs(points: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         la = np.log(np.abs(points))
     return np.where(np.isfinite(la), la, _LOG_ZERO)
-
-
-def monomial_matrix(points: np.ndarray, indices: np.ndarray,
-                    log_norms: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate z^alpha at each point: (n_points, n_indices) complex.
-
-    With log_norms given, returns the orthonormalized values
-    z^alpha / sqrt(N(alpha)).  Zero coordinates are exact: 0^0 = 1 and
-    0^positive = 0.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    A = np.asarray(indices, dtype=np.int64)
-    shift = 0.0 if log_norms is None else 0.5 * np.asarray(log_norms)
-    logmag = _log_abs(pts) @ A.T
-    phase = np.angle(pts) @ A.T
-    return np.exp(logmag - shift) * np.exp(1j * phase)
 
 
 def kernel_pair_values(xs: np.ndarray, ys: np.ndarray, indices: np.ndarray,

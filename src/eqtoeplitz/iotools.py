@@ -25,10 +25,3 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows

@@ -91,10 +91,3 @@ class Observable:
         if self.h_term is not None:
             total += float(np.real(np.trace(self.h_term))) / (d + 1)
         return total * model.vol_M
-
-    def sup_bound(self) -> float:
-        """Cheap upper bound for max |f| on the base."""
-        out = sum(abs(c) for c in self.u_terms.values())
-        if self.h_term is not None:
-            out += float(np.linalg.norm(self.h_term, ord=2))
-        return out

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaln
 
-from ._intlinalg import (NumericFailure, homogeneous_torsion_angles, smith_normal_form,
-                         solve_phase_congruence)
+from ._intlinalg import NumericFailure, solve_phase_congruence, torsion_angles
 from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
 from .symmetry import (DiagonalSymmetry, TorusAction, moment_map, slice_vertices,
@@ -85,19 +84,13 @@ def _difference_rows(W: np.ndarray, support) -> np.ndarray:
 
 def stabilizer_info(action: TorusAction, support) -> dict:
     """Structure of {t in T^g : t fixes the points of the open support-S
-    stratum}: finite order, representative angles, continuous rank."""
-    g = action.g
+    stratum}: finite order, representative angles, continuous rank.  It is
+    the homogeneous phase solve on the support's weight differences."""
     D = _difference_rows(action.W, support)
-    if g == 0:
-        return {"order": 1, "angles": np.zeros((1, 0)), "free_rank": 0}
-    if D.shape[0] == 0:
-        return {"order": None, "angles": None, "free_rank": g}
-    _, S, _ = smith_normal_form(D)
-    diag = [int(S[i][i]) for i in range(min(D.shape[0], g))]
-    rank = sum(1 for d in diag if d != 0)
-    if rank < g:
-        return {"order": None, "angles": None, "free_rank": g - rank}
-    angles = homogeneous_torsion_angles(D)
+    _, info = solve_phase_congruence(D, np.zeros(D.shape[0]))
+    if info["free_rank"] > 0:
+        return {"order": None, "angles": None, "free_rank": info["free_rank"]}
+    angles = torsion_angles(info)
     return {"order": angles.shape[0], "angles": angles, "free_rank": 0}
 
 
@@ -471,24 +464,24 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
                 if not far[mask]:
                     near_resonant.append(S)
             else:
-                solvable.append((mask, S, theta))
+                solvable.append((mask, S, theta, info))
 
     # absorb patterns contained in a larger solvable pattern: above[m] says
     # some solvable pattern contains m (superset sums, one coordinate at a time)
     above = np.zeros(1 << n, bool)
-    above[[mask for mask, _, _ in solvable]] = True
+    above[[mask for mask, *_ in solvable]] = True
     for bit in bits:
         low = masks[(masks & bit) == 0]
         above[low] |= above[low | bit]
     keep = []
-    for mask, S, theta in sorted(solvable):
+    for mask, S, theta, info in sorted(solvable):
         if any(above[mask | bit] for bit in bits.tolist() if not mask & bit):
             continue
-        stab = stabilizer_info(action, S)
+        stab_angles = torsion_angles(info)
         u_star = _barycenter([v for v, vm in zip(verts, vmasks) if (vm & ~mask) == 0], n)
         keep.append(dict(
-            support=S, mask=mask, t_angles=theta, stab_order=stab["order"],
-            stab_angles=stab["angles"], u_star=u_star, representative=np.sqrt(u_star) + 0j,
+            support=S, mask=mask, t_angles=theta, stab_order=stab_angles.shape[0],
+            stab_angles=stab_angles, u_star=u_star, representative=np.sqrt(u_star) + 0j,
             d_l=len(S) - 1 - g))
 
     # overlapping maximal patterns: closures may intersect; report, don't merge
@@ -525,20 +518,20 @@ def _affine_chart(zeta: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 def _horizontal_frames(rep: np.ndarray, support, action: TorusAction):
     """Orthonormal frames of the horizontal space at a component lift,
-    split into (tangent-to-component, normal) blocks."""
-    from scipy.linalg import null_space
+    split into (tangent-to-component, normal) blocks.  The tangent block is
+    the null space of the lift and generator rows on the support; singular
+    values above max(shape) eps sigma_max count toward their rank."""
     n = rep.shape[0]
     S = list(support)
     comp = [j for j in range(n) if j not in S]
     normal = np.zeros((n, len(comp)), complex)
     for i, b in enumerate(comp):
         normal[b, i] = 1.0
-    rows = [np.conj(rep[S])]
-    for i in range(action.g):
-        rows.append(np.conj(action.W[i, S] * rep[S]))
-    sub = null_space(np.array(rows)) if S else np.zeros((0, 0))
-    tangent = np.zeros((n, sub.shape[1]), complex)
-    tangent[S, :] = sub
+    rows = np.conj(np.vstack([rep[S], action.W[:, S] * rep[S]]))
+    _, sv, vh = np.linalg.svd(rows)
+    rank = int(np.sum(sv > max(rows.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)))
+    tangent = np.zeros((n, len(S) - rank), complex)
+    tangent[S, :] = np.conj(vh[rank:]).T
     return tangent, normal
 
 

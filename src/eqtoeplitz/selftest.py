@@ -153,11 +153,12 @@ def check_moment_sign_pin(flip=None, d=2,
     return all_ok, f"checked {tested} occurring labels against the moment polytope"
 
 
-def check_projector_partition(levels=(5, 12, 40), seed=23):
-    """The isotype kernels of W = (1, -1, -1) on P^2 sum to the full kernel at
-    a point pair, and the isotype dimensions to dim H^0_k."""
-    model = ProjectiveModel(2)
-    action = TorusAction([[1, -1, -1]])
+def check_projector_partition(levels=(5, 12, 40), seed=23, W=((1, -1, -1),)):
+    """The isotype kernels of W (default (1, -1, -1), on P^2) sum to the full
+    kernel at a point pair, and the isotype dimensions to dim H^0_k; d + 1 is
+    the width of W."""
+    action = TorusAction(W)
+    model = ProjectiveModel(action.n_coords - 1)
     x, y = sample_sphere(2, seed, model)
     err = 0.0
     dims_ok = True

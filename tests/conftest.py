@@ -40,3 +40,28 @@ def plain_sphere(n, d, rng):
     deliberately separate from the package's quasi-random sampler."""
     z = rng.standard_normal((n, d + 1)) + 1j * rng.standard_normal((n, d + 1))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def read_csv(path):
+    """(header, rows) of a CSV written by `iotools.write_csv`, cells as text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def sup_bound(f):
+    """Cheap upper bound for max |f| on the base: the u-term coefficients'
+    moduli plus the spectral norm of the h-term."""
+    out = sum(abs(c) for c in f.u_terms.values())
+    if f.h_term is not None:
+        out += float(np.linalg.norm(f.h_term, ord=2))
+    return out
+
+
+def monomial_matrix(points, indices, log_norms=None):
+    """z^alpha at each point by direct powers, (n_points, n_indices); with
+    log_norms, the orthonormalized values z^alpha / sqrt(N(alpha))."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    A = np.asarray(indices, dtype=np.int64)
+    vals = np.prod(pts[:, None, :] ** A[None, :, :], axis=2)
+    return vals if log_norms is None else vals * np.exp(-0.5 * np.asarray(log_norms))

@@ -208,7 +208,10 @@ class TestScalingProbe:
         rng = np.random.default_rng(7)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v -= np.vdot(x, v) * x
-        assert fr.mixed_error(v) < 1e-10
+        # the transverse, vertical and horizontal parts are mutually orthogonal
+        vt, vv, vh = fr.decompose(v)
+        for a, b in ((vt, vv), (vt, vh), (vv, vh)):
+            assert abs(np.real(np.vdot(a, b))) < 1e-10
 
     def test_off_locus_rejected(self, p1, circle_p1):
         x = np.array([1, 0], complex)

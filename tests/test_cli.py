@@ -11,8 +11,9 @@ import pytest
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
 from eqtoeplitz.config import ConfigError, load_config, parse_config
-from eqtoeplitz.iotools import read_csv
 from eqtoeplitz.reduction import MAX_SCAN_COORDS
+
+from conftest import read_csv
 
 
 def base_config(out, **over):
@@ -218,6 +219,24 @@ class TestTraceAndPredict:
             want = predict_toeplitz_leading(int(r[0]), cfg.observable(), cfg.model())
             assert (float(r[1]), float(r[2]), r[3]) == (want, 0.0, "fixed-component-sum")
 
+    @pytest.mark.parametrize("seed,n_samples", [(1, 2 ** 16), (2, 2 ** 16), (3, 2 ** 16),
+                                                 (8, 2 ** 18), (9, 2 ** 19)])
+    def test_predict_on_random_locus_fixing_symmetry(self, tmp_path, seed, n_samples):
+        # phi = theta . W, W a random 2 x 9 draw in [-30, 30]: one d_l = 6
+        # component, whose invariants once failed (exit 4); n_samples is the
+        # fewest power of two whose moment band keeps zero-locus points
+        rng = np.random.default_rng(seed)
+        W = rng.integers(-30, 31, (2, 9))
+        out = tmp_path / "out"
+        doc = base_config(out, model={"d": 8}, action={"W": W.tolist()},
+                          symmetry={"phi": (rng.uniform(0, 2 * math.pi, 2) @ W).tolist()},
+                          observable={"u_terms": [{"beta": [0] * 9, "coef": 1.0}]},
+                          isotype=[0, 0], k_range={"min": 10, "max": 20, "step": 5},
+                          sampling={"n_samples": n_samples, "seed": 0})
+        assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
+        header, rows = read_csv(out / "predictions.csv")
+        assert len(rows) == 3 and all(np.isfinite(float(r[1])) for r in rows)
+
     def test_seed_override_changes_mc(self, tmp_path):
         doc = base_config(tmp_path / "s", model={"d": 2},
                           action={"W": [[1, -1, -1]]},
@@ -417,10 +436,9 @@ class TestSelfTest:
         assert {"trace.csv", "predictions.csv"} <= set(record["artifacts"])
 
 
-#: scipy modules that only sampling, LPs and null spaces needed
+#: scipy modules no subcommand needs: the sampler, the slice polytope and
+#: the horizontal frames are numpy
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats")
-#: modules no subcommand needs: the sampler and the slice polytope are numpy
-NEVER = ("scipy.optimize", "scipy.stats")
 
 
 class TestImport:
@@ -429,8 +447,7 @@ class TestImport:
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
     def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats is the sampler's dependency only, scipy.optimize and
-        # scipy.linalg serve the LP and null-space paths; import needs none
+        # nothing heavy at import time either
         self.run_isolated(f"""
 import sys, eqtoeplitz.cli
 loaded = [m for m in {HEAVY!r} if m in sys.modules]
@@ -457,11 +474,11 @@ assert not loaded, loaded
         self.run_isolated(f"""
 import sys
 from eqtoeplitz.cli import main
-for cmd in ("analyze", "predict", "compare", "trace", "kernel"):
-    assert main([cmd, "--config", {cfg!r}]) == 0, cmd
-assert main(["selftest", "--out", {str(out)!r}]) == 0
-loaded = [m for m in {NEVER!r} if m in sys.modules]
-assert not loaded, loaded
+for cmd in ("analyze", "predict", "compare", "trace", "kernel", "selftest"):
+    args = ["--out", {str(out)!r}] if cmd == "selftest" else ["--config", {cfg!r}]
+    assert main([cmd, *args]) == 0, cmd
+    loaded = [m for m in {HEAVY!r} if m in sys.modules]
+    assert not loaded, (cmd, loaded)
 """)
         assert (out / "comparison.csv").exists() and (out / "calibration_record.json").exists()
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz.geometry import (ProjectiveModel, _sobol, monomial_matrix, monomial_norm,
-                                 multi_indices, sample_sphere, section_basis, szego_kernel)
+from eqtoeplitz.geometry import (ProjectiveModel, _sobol, monomial_norm, multi_indices,
+                                 sample_sphere, section_basis, szego_kernel)
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
-from conftest import plain_sphere
+from conftest import monomial_matrix, plain_sphere
 
 
 class TestModel:

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqtoeplitz._intlinalg as il
-from eqtoeplitz._intlinalg import (NumericFailure, basic_feasible_solutions,
-                                   homogeneous_torsion_angles, smith_normal_form,
-                                   solve_phase_congruence)
+from eqtoeplitz._intlinalg import (NumericFailure, basic_feasible_solutions, smith_normal_form,
+                                   solve_phase_congruence, torsion_angles)
 
 
 def as_int(M):
     return np.array([[int(x) for x in row] for row in M])
+
+
+def homogeneous_torsion_angles(D, **kw):
+    """The stabilizer angles of D, read off its homogeneous solve."""
+    _, info = solve_phase_congruence(D, np.zeros(len(D)))
+    return torsion_angles(info, **kw)
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
@@ -55,6 +60,39 @@ def test_phase_congruence_obstructed():
     theta, info = solve_phase_congruence(D, np.array([0.3, 1.7]))
     assert theta is None
     assert info["residual"] > 1.0
+
+
+@given(st.integers(1, 7), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_phase_congruence_recovers_consistent_phases(m, g, data):
+    # delta = D theta0 + 2 pi n is solvable; any returned theta must satisfy it
+    D = np.array(data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=g, max_size=g),
+                                    min_size=m, max_size=m)), dtype=np.int64)
+    theta0 = np.array(data.draw(st.lists(st.floats(-7.0, 7.0), min_size=g, max_size=g)))
+    n = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)))
+    delta = D @ theta0 + 2.0 * np.pi * n
+    theta, info = solve_phase_congruence(D, delta)
+    assert theta is not None, info
+    miss = np.angle(np.exp(1j * (D @ theta - delta)))
+    assert np.max(np.abs(miss), initial=0.0) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 8, 9])
+def test_smith_transform_stays_small(seed):
+    # the full-support weight differences of a random 2 x 9 W in [-30, 30]
+    # with phases phi = theta . W: chaining Euclid steps from row to row once
+    # grew U to 2e12-1.5e18 here, which made the obstruction rows' rounding
+    # bound pass any residual and theta wrong by O(1)
+    rng = np.random.default_rng(seed)
+    W = rng.integers(-30, 31, (2, 9))
+    phi = rng.uniform(0, 2 * np.pi, 2) @ W
+    D, delta = (W[:, 1:] - W[:, :1]).T, phi[1:] - phi[0]
+    U, S, V = smith_normal_form(D)
+    assert np.abs(as_int(U)).max() < 1000 and np.abs(as_int(V)).max() < 100
+    rounding = 8 * np.finfo(float).eps * np.abs(as_int(U)[2:]) @ (np.abs(delta) + 2 * np.pi)
+    assert rounding.max() < 1e-9
+    theta, _ = solve_phase_congruence(D, delta)
+    assert np.max(np.abs(np.angle(np.exp(1j * (D @ theta - delta))))) < 1e-9
 
 
 def test_torsion_enumeration_order_two():

@@ -5,7 +5,7 @@ from eqtoeplitz.geometry import ProjectiveModel
 from eqtoeplitz.observables import Observable
 from eqtoeplitz.symmetry import TorusAction
 
-from conftest import plain_sphere
+from conftest import plain_sphere, sup_bound
 
 
 def test_realness_validation():
@@ -74,4 +74,4 @@ def test_sup_bound():
     f = Observable(u_terms={(1, 0): 2.0}, h_term=np.diag([0.5, -0.5]).astype(complex))
     rng = np.random.default_rng(5)
     pts = plain_sphere(1000, 1, rng)
-    assert np.max(np.abs(f.value(pts))) <= f.sup_bound() + 1e-12
+    assert np.max(np.abs(f.value(pts))) <= sup_bound(f) + 1e-12

@@ -266,8 +266,7 @@ class TestFixedComponents:
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry_fixing_the_locus_is_one_component(self, seed):
         # phi = theta . W with W in [-30, 30]: every support's congruence holds
-        # exactly, although the Smith transforms' entries make U . delta round
-        # far above the phase tolerance
+        # exactly, up to the rounding of phi
         rng = np.random.default_rng(seed)
         action = TorusAction(rng.integers(-30, 31, size=(2, 9)))
         sym = DiagonalSymmetry(phi=rng.uniform(0.0, 2 * math.pi, size=2) @ action.W)
@@ -281,6 +280,20 @@ class TestFixedComponents:
         comps = find_fixed_components(action, shifted, ProjectiveModel(8))
         assert supp not in [c.support for c in comps]
         assert all(c.suspected_nongeneric for c in comps)
+
+    @pytest.mark.parametrize("d,seed", [(8, 1), (8, 2), (8, 3), (8, 8), (8, 9), (10, 0), (10, 1)])
+    def test_symmetry_fixing_the_locus_has_finite_invariants(self, d, seed):
+        # draws as above on which exploding Smith transforms once put g_m off
+        # by O(1), so the representative was not fixed (DegenerateSymmetryError)
+        rng = np.random.default_rng(seed)
+        action = TorusAction(rng.integers(-30, 31, size=(2, d + 1)))
+        sym = DiagonalSymmetry(phi=rng.uniform(0.0, 2 * math.pi, size=2) @ action.W)
+        model = ProjectiveModel(d)
+        [comp] = find_fixed_components(action, sym, model)
+        done = component_invariants(comp, sym, action, model)
+        assert done.codim == 0 and done.c_l == 1.0
+        # gamma is a torus element: h_l is 1 up to the stabilizer branch
+        assert abs(done.h_l ** done.stab_order - 1) < 1e-10
 
     def test_oversize_search_fails_before_enumerating(self, monkeypatch):
         n = red.MAX_SCAN_COORDS + 1

@@ -13,6 +13,8 @@ from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kern
 from eqtoeplitz.selftest import (check_dimension_case, check_moment_sign_pin,
                                  check_projector_partition)
 
+from conftest import monomial_matrix
+
 
 class TestWeights:
     def test_balanced(self):
@@ -169,6 +171,15 @@ class TestEquivariantKernel:
         ok, detail = check_projector_partition(levels=(6,), seed=41)
         assert ok, detail
 
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 12), st.integers(0, 999),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_partition_over_random_weights(self, g, d, k, seed, data):
+        W = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1),
+                               min_size=g, max_size=g))
+        ok, detail = check_projector_partition(levels=(k,), seed=seed, W=W)
+        assert ok, detail
+
     def test_character_average_oracle(self, p2, circle_p2):
         k = 5
         basis = section_basis(k, p2)
@@ -244,7 +255,6 @@ class TestTorusAction:
         basis = section_basis(k, p1)
         x = sample_sphere(1, 5, p1)[0]
         theta = np.array([0.37])
-        from eqtoeplitz.geometry import monomial_matrix
         vals_moved = monomial_matrix(circle_p1.act(-theta, x[None, :]), basis.indices)
         vals = monomial_matrix(x[None, :], basis.indices)
         w = weight_of(basis.indices, circle_p1)

@@ -13,7 +13,7 @@ from eqtoeplitz.selftest import check_toeplitz_closed_forms, check_trace_quadrat
 from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, toeplitz_matrix, trace_psi, trace_sweep,
                                  trace_via_kernel_quadrature)
 
-from conftest import plain_sphere
+from conftest import plain_sphere, read_csv, sup_bound
 
 
 def sym_id(n):
@@ -152,7 +152,7 @@ class TestTraces:
         k, w = 12, (0,)
         iso = isotype_basis(k, w, circle_p2, section_basis(k, p2))
         t = trace_psi(k, w, f, sym, circle_p2, p2)
-        assert abs(t) <= iso.dim * f.sup_bound() + 1e-12
+        assert abs(t) <= iso.dim * sup_bound(f) + 1e-12
 
 
 class TestQuadratureIdentity:
@@ -234,7 +234,6 @@ class TestSweep:
             s.append(TraceRecord(k=5, varpi=(), trace=1.0, dim_isotype=0))
 
     def test_csv_roundtrip(self, tmp_path, p1, trivial_g1):
-        from eqtoeplitz.iotools import read_csv
         u0 = Observable.coordinate_modulus(0, 2)
         series = trace_sweep(range(1, 6), (), u0, sym_id(2), trivial_g1, p1)
         path = tmp_path / "trace.csv"
