@@ -121,6 +121,8 @@ def _predictions(cfg: ExperimentConfig, out: str, ks) -> np.ndarray:
 
 
 def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
+    """reduction_report.txt on every hypothesis outcome; components.csv only
+    when the hypotheses hold (else exit 3 after the report)."""
     model, action = cfg.model(), cfg.action()
     diagnostics = check_regular_and_free(action, model, n_samples=cfg.n_samples,
                                          seed=cfg.seed)
@@ -133,6 +135,11 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
         lines.append("empty zero locus: twisted operators vanish identically for k >= k0;")
         k0 = vanishing_level(action, cfg.varpi)
         lines.append(f"k0 (weight-range bound for the configured isotype): {k0}")
+    elif not diagnostics.regular_value:
+        _write_report(out, lines)
+        raise ReductionHypothesisError(
+            "0 is not a regular value: a vertex stratum of the zero locus has a "
+            "continuous stabilizer; see reduction_report.txt")
     else:
         comps = _components(cfg, out)
         rows = []
@@ -151,9 +158,6 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
                   rows)
         artifacts.append("components.csv")
         lines.append(f"fixed components: {len(comps)} (see components.csv)")
-        if not (diagnostics.regular_value and diagnostics.free_action):
-            _write_report(out, lines)
-            raise ReductionHypothesisError("reduction hypotheses violated; see report")
     _write_report(out, lines)
     return artifacts
 

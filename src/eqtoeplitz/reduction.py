@@ -1,8 +1,13 @@
 """Zero level set of the moment map, the reduced space, and every fixed-point
 invariant feeding the leading trace term.
 
-Geometry is Monte-Carlo over the ambient sphere with a coarea correction.
-Each diagnosis draws the zero locus once (`zero_locus_sample`) and then
+The reduction hypotheses are exact lattice facts, decided on the vertex
+strata of the zero-locus polytope P = {u >= 0, sum u = 1, W u = 0}: every
+coordinate support on the zero locus contains the support of a vertex of P
+and lies inside their union (the generic support), and as a support grows
+the rank of its weight differences grows and its stabilizer shrinks.
+Volumes are Monte-Carlo over the ambient sphere with a coarea correction:
+each diagnosis draws the zero locus once (`zero_locus_sample`) and then
 integrates that sample (`reduced_space_integral`).  Fixed loci of the
 descended symmetry are found algebraically on coordinate support patterns
 (phase congruences over the weight lattice); the numeric orbit-distance
@@ -11,11 +16,16 @@ tests/test_reduction.py::TestCompleteness.
 
 Conventions pinned here and validated by the self-test suite:
 
+- 0 is a regular value of Phi exactly when the torus acts locally freely
+  on Phi^{-1}(0) (the orbit Gram is W diag(u) W^T there), i.e. when every
+  vertex stratum has finite stabilizer; "free" means free modulo finite
+  stabilizers, and `stabilizer_constant` says separately whether every
+  stratum has the generic stabilizer;
+- a violated hypothesis raises ReductionHypothesisError (exit 3), while an
+  empty band sample of a stratum that holds a vertex of P is under-sampling
+  and raises NumericFailure (exit 4);
 - the effective volume of an orbit is the Riemannian volume of its image,
   (2pi)^g sqrt(det Gram) divided by the order of the finite stabilizer;
-- "free" means free modulo the constant finite stabilizer along the zero
-  locus (the kernel of the projective action); a non-constant stabilizer is
-  a hypothesis violation;
 - fixed-point data (g_m, h_l, chi) are stored together with the stabilizer
   coset so downstream predictions can average over branches.
 """
@@ -31,8 +41,7 @@ from scipy.special import gammaln
 from ._intlinalg import NumericFailure, solve_phase_congruence, torsion_angles
 from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
-from .symmetry import (DiagonalSymmetry, TorusAction, moment_map, slice_vertices,
-                       torus_grid_overlaps)
+from .symmetry import DiagonalSymmetry, TorusAction, moment_map, slice_vertices
 
 __all__ = [
     "ReductionHypothesisError",
@@ -107,6 +116,13 @@ def _point_stabilizers(points: np.ndarray, action: TorusAction) -> list:
         if info["free_rank"] > 0:
             raise ReductionHypothesisError("continuous stabilizer on zero locus", witness=x)
     return infos
+
+
+def _vertex_strata(action: TorusAction, verts: list) -> dict:
+    """stabilizer_info of each distinct vertex support of P, keyed by the
+    support (verts as `slice_vertices` lists them)."""
+    supports = {tuple(j for j, v in enumerate(num) if v) for num, _ in verts}
+    return {S: stabilizer_info(action, S) for S in sorted(supports)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +241,16 @@ def reduced_space_integral(action: TorusAction, sample: ZeroLocusSample,
                            h=None) -> tuple[float, float]:
     """Monte-Carlo of int_{reduced space of the sampled stratum} h-average,
     i.e. the zero-locus integral of h / V_eff over an already-drawn sample.
-    h maps point rows to floats (default 1)."""
+    h maps point rows to floats (default 1).
+
+    An empty sample is under-sampling (NumericFailure) when the stratum
+    holds a vertex of P, and an empty zero locus otherwise."""
     if sample.points.shape[0] == 0:
+        off = [j for j in range(action.n_coords) if j not in sample.support]
+        if any(not any(num[j] for j in off) for num, _ in slice_vertices(action)):
+            raise NumericFailure(
+                f"none of {sample.n_total} samples fell in the moment band around the "
+                f"zero locus of the stratum {sample.support}; raise sampling.n_samples")
         raise ReductionHypothesisError("empty zero locus in the requested stratum")
     info = stabilizer_info(action, sample.support)
     if info["free_rank"] > 0:
@@ -249,7 +273,9 @@ def reduced_volume(action: TorusAction, model: ProjectiveModel, n_samples: int,
 
 @dataclass(frozen=True)
 class ReductionDiagnostics:
-    """Defaults describe a locus on which nothing could be established."""
+    """Exact hypothesis flags and stabilizer orders, then the Monte-Carlo
+    volume and orbit statistics of a regular locus.  Defaults describe a
+    locus on which nothing could be established."""
 
     empty_locus: bool
     regular_value: bool = False
@@ -258,7 +284,6 @@ class ReductionDiagnostics:
     kernel_order: int | None = None
     stabilizer_order: int | None = None
     stabilizer_constant: bool = True
-    orbit_injectivity_proxy: float = 0.0
     vol_M0: float | None = None
     vol_M0_stderr: float | None = None
     v_eff_min: float | None = None
@@ -271,14 +296,21 @@ def _support_mask(num) -> int:
     return sum(1 << j for j, v in enumerate(num) if v)
 
 
-def _generic_support(action: TorusAction) -> tuple:
-    """Coordinates that can be nonzero somewhere on the zero locus: the union
-    of the vertex supports of P = {u >= 0, sum u = 1, W u = 0}; empty when
-    the zero locus is."""
-    mask = 0
-    for num, _ in slice_vertices(action):
-        mask |= _support_mask(num)
-    return tuple(j for j in range(action.n_coords) if mask >> j & 1)
+def _hypotheses(action: TorusAction) -> tuple[ReductionDiagnostics, tuple]:
+    """The exact part of check_regular_and_free and the generic support (the
+    union of the vertex supports; empty when the zero locus is)."""
+    strata = _vertex_strata(action, slice_vertices(action))
+    if not strata:
+        return ReductionDiagnostics(empty_locus=True), ()
+    supp = tuple(sorted(set().union(*strata)))
+    generic = stabilizer_info(action, supp)
+    regular = all(info["free_rank"] == 0 for info in strata.values())
+    return ReductionDiagnostics(
+        empty_locus=False, regular_value=regular, free_action=regular,
+        kernel_order=stabilizer_info(action, tuple(range(action.n_coords)))["order"],
+        stabilizer_order=generic["order"],
+        stabilizer_constant=regular and all(info["order"] == generic["order"]
+                                            for info in strata.values())), supp
 
 
 def _dphi_singular_values(points: np.ndarray, action: TorusAction) -> np.ndarray:
@@ -293,59 +325,30 @@ def _dphi_singular_values(points: np.ndarray, action: TorusAction) -> np.ndarray
 
 def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
                            n_samples: int = 200_000, seed: int = 0,
-                           band: float = 0.05, n_probe: int = 64) -> ReductionDiagnostics:
-    """Estimate the reduction hypotheses: 0 a regular value, action free
-    modulo a constant finite stabilizer; also report vol(M0) and V_eff stats.
-    A trivial group passes vacuously (no dPhi, point orbits of volume 1)."""
-    supp = _generic_support(action)
-    if not supp:
-        return ReductionDiagnostics(empty_locus=True)
-    if len(supp) < 2:
-        raise ReductionHypothesisError("zero locus degenerate to coordinate points")
-    info = stabilizer_info(action, supp)
-    if info["free_rank"] > 0:
-        raise ReductionHypothesisError(
-            "torus does not act locally freely on the zero locus (continuous stabilizer)")
-    kernel = stabilizer_info(action, tuple(range(model.n_coords)))
+                           band: float = 0.05) -> ReductionDiagnostics:
+    """The reduction hypotheses, decided exactly on the vertex strata of P,
+    then vol(M0), V_eff and the dPhi singular values over one zero-locus
+    sample of a regular locus.
+
+    0 is a regular value exactly when the action is locally free on the zero
+    locus, so regular_value == free_action: every vertex stratum has a finite
+    stabilizer.  stabilizer_constant: every vertex stratum (hence every
+    stratum) has the generic stabilizer order.  A non-regular or empty locus
+    is reported without sampling.  A trivial group passes vacuously (no
+    dPhi, point orbits of volume 1).
+    """
+    diag, supp = _hypotheses(action)
+    if not diag.regular_value:
+        return diag
     sample = zero_locus_sample(action, model, n_samples, seed, band=band, support=supp)
-    if sample.points.shape[0] == 0:
-        # polytope feasible but measure-zero band: boundary case
-        return ReductionDiagnostics(empty_locus=False, stabilizer_order=info["order"],
-                                    n_samples=n_samples)
-
-    pts = sample.points
-    probes = pts[np.linspace(0, pts.shape[0] - 1, min(n_probe, pts.shape[0])).astype(int)]
-    pinfos = _point_stabilizers(probes, action)
-    orders = np.array([pinfo["order"] for pinfo in pinfos])
-    stab_ok = bool(np.all(orders == info["order"]))
-    min_sv = float(np.min(_dphi_singular_values(probes, action), initial=np.inf))
-    veffs = effective_volume(probes, action, stab_order=orders)
-    inj = min(_injectivity_proxy(x, action, pinfo["angles"])
-              for x, pinfo in zip(probes, pinfos))
     vol, err = reduced_space_integral(action, sample)
-    regular = min_sv > 1e-6
-    free = stab_ok and info["free_rank"] == 0
-    return ReductionDiagnostics(
-        empty_locus=False, regular_value=regular, min_singular_dphi=min_sv,
-        free_action=free, kernel_order=kernel["order"], stabilizer_order=info["order"],
-        stabilizer_constant=stab_ok, orbit_injectivity_proxy=inj,
-        vol_M0=vol, vol_M0_stderr=err,
-        v_eff_min=float(np.min(veffs)), v_eff_mean=float(np.mean(veffs)),
-        v_eff_max=float(np.max(veffs)), n_samples=n_samples)
-
-
-def _injectivity_proxy(x: np.ndarray, action: TorusAction, stab_angles: np.ndarray,
-                       n_grid: int = 48) -> float:
-    """min over torus grid points away from the stabilizer of
-    dist_M(mu_t x, x) / dist_T(t, Stab); coarse lower-bound proxy."""
-    best = float("inf")
-    for theta, overlap in torus_grid_overlaps(x, x, action, n_grid):
-        diff = np.angle(np.exp(1j * (theta[:, None, :] - stab_angles[None, :, :])))
-        dt = np.min(np.linalg.norm(diff, axis=2), axis=1)
-        far = dt >= 0.3
-        dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.abs(overlap[far])))
-        best = min(best, float(np.min(dist / dt[far], initial=np.inf)))
-    return best
+    veffs = effective_volume(sample, action, stab_order=diag.stabilizer_order)
+    return replace(
+        diag, min_singular_dphi=float(np.min(_dphi_singular_values(sample.points, action),
+                                             initial=np.inf)),
+        vol_M0=vol, vol_M0_stderr=err, v_eff_min=float(np.min(veffs)),
+        v_eff_mean=float(np.mean(veffs)), v_eff_max=float(np.max(veffs)),
+        n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +431,9 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
     of those vertices (exact vertex enumeration, no LP).  Near-resonant but
     unsolvable patterns and overlapping maximal patterns are flagged rather
     than merged.  Raises NumericFailure before any work when d+1 exceeds
-    MAX_SCAN_COORDS.
+    MAX_SCAN_COORDS, and ReductionHypothesisError, with the support as
+    witness, when a vertex stratum of P has a continuous stabilizer (every
+    pattern contains a vertex support, so that decides all of them).
     """
     n = model.n_coords
     g = action.g
@@ -436,6 +441,10 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
         raise NumericFailure(f"the fixed-component search scans 2^{n} coordinate supports, "
                              f"over the budget of 2^{MAX_SCAN_COORDS}")
     verts = slice_vertices(action)
+    for S, info in _vertex_strata(action, verts).items():
+        if info["free_rank"] > 0:
+            raise ReductionHypothesisError(
+                "continuous stabilizer on the zero-locus stratum of a vertex of P", witness=S)
     vmasks = np.array([_support_mask(num) for num, _ in verts], dtype=np.int64)
     masks = np.arange(1 << n, dtype=np.int64)
     bits = 1 << np.arange(n, dtype=np.int64)
@@ -456,9 +465,6 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
             D = _difference_rows(action.W, S)
             delta = np.array([sym.phi[j] - sym.phi[S[0]] for j in S[1:]])
             theta, info = solve_phase_congruence(D, delta, tol=PHASE_TOL)
-            if info["free_rank"] > 0:
-                raise ReductionHypothesisError(
-                    "continuous stabilizer on a zero-locus stratum", witness=S)
             if theta is None:
                 far[mask] = info["residual"] >= RESONANCE_BAND
                 if not far[mask]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._intlinalg import basic_feasible_solutions
-from .geometry import ProjectiveModel, SectionBasis, kernel_pair_values
+from .geometry import SectionBasis, kernel_pair_values
 
 __all__ = [
     "TorusAction",
@@ -32,7 +32,6 @@ __all__ = [
     "occurring_weights",
     "gamma_phase",
     "equivariant_kernel_pairs",
-    "equivariant_kernel_fourier",
 ]
 
 
@@ -246,21 +245,3 @@ def occurring_weights(action: TorusAction, basis: SectionBasis) -> np.ndarray:
 
 def equivariant_kernel_pairs(xs, ys, iso: IsotypeBasis) -> np.ndarray:
     return kernel_pair_values(xs, ys, iso.indices, iso.log_norms)
-
-
-def equivariant_kernel_fourier(x, y, k: int, varpi, action: TorusAction,
-                               model: ProjectiveModel) -> complex:
-    """Character-average cross-check: (1/2pi)^g int chi_varpi(t) Pi_k(t.x, y) dt.
-
-    Trapezoid rule per circle factor on 2 * band + 5 nodes, which is exact:
-    it exceeds the trigonometric bandwidth band = k * max|W| + |varpi|.
-    Pi_k(t.x, y) is binom(k+d, d)/vol_X * <mu_t x, y>^k, summed over the
-    grid in blocks.
-    """
-    varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
-    band = int(k * np.abs(action.W).max(initial=0) + np.abs(varpi_vec).sum())
-    n = 2 * band + 5
-    total = 0.0 + 0.0j
-    for theta, overlap in torus_grid_overlaps(x, y, action, n):
-        total += np.sum(np.exp(1j * (theta @ varpi_vec)) * overlap ** k)
-    return complex(total * model.dim_sections(k) / model.vol_X / n ** action.g)

@@ -33,6 +33,18 @@ def base_config(out, **over):
     return doc
 
 
+def random_locus_config(out, seed, n_samples):
+    """d = 8 with W a random 2 x 9 draw in [-30, 30] and phi = theta . W, so
+    the symmetry fixes the whole zero locus: one d_l = 6 component."""
+    rng = np.random.default_rng(seed)
+    W = rng.integers(-30, 31, (2, 9))
+    return base_config(out, model={"d": 8}, action={"W": W.tolist()},
+                       symmetry={"phi": (rng.uniform(0, 2 * math.pi, 2) @ W).tolist()},
+                       observable={"u_terms": [{"beta": [0] * 9, "coef": 1.0}]},
+                       isotype=[0, 0], k_range={"min": 10, "max": 20, "step": 5},
+                       sampling={"n_samples": n_samples, "seed": 0})
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -103,6 +115,21 @@ class TestAnalyze:
         report = (out / "reduction_report.txt").read_text()
         assert "empty zero locus" in report
         assert "k0" in report and ": 7" in report
+
+    @pytest.mark.parametrize("W", [[[1, -1, 0]], [[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]]])
+    def test_degenerate_vertex_reported_then_exit_3(self, tmp_path, W):
+        # [0:0:1], and the vertex support {3, 4} of the d = 4 weights, have a
+        # continuous stabilizer although the open stratum is free
+        out = tmp_path / "out"
+        n = len(W[0])
+        doc = base_config(out, model={"d": n - 1}, action={"W": W},
+                          symmetry={"phi": [0.0, 0.7, 1.9, 2.6, 0.3][:n]},
+                          observable={"u_terms": [{"beta": [0] * n, "coef": 1.0}]},
+                          isotype=[0] * len(W))
+        assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 3
+        report = (out / "reduction_report.txt").read_text().splitlines()
+        assert "regular_value: False" in report and "free_action: False" in report
+        assert not (out / "components.csv").exists()
 
     def test_hypothesis_violation_exit_3(self, tmp_path):
         doc = base_config(tmp_path / "o", action={"W": [[1, -1], [2, -2]]},
@@ -225,17 +252,21 @@ class TestTraceAndPredict:
         # phi = theta . W, W a random 2 x 9 draw in [-30, 30]: one d_l = 6
         # component, whose invariants once failed (exit 4); n_samples is the
         # fewest power of two whose moment band keeps zero-locus points
-        rng = np.random.default_rng(seed)
-        W = rng.integers(-30, 31, (2, 9))
         out = tmp_path / "out"
-        doc = base_config(out, model={"d": 8}, action={"W": W.tolist()},
-                          symmetry={"phi": (rng.uniform(0, 2 * math.pi, 2) @ W).tolist()},
-                          observable={"u_terms": [{"beta": [0] * 9, "coef": 1.0}]},
-                          isotype=[0, 0], k_range={"min": 10, "max": 20, "step": 5},
-                          sampling={"n_samples": n_samples, "seed": 0})
+        doc = random_locus_config(out, seed, n_samples)
         assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
         header, rows = read_csv(out / "predictions.csv")
         assert len(rows) == 3 and all(np.isfinite(float(r[1])) for r in rows)
+
+    @pytest.mark.parametrize("command", ["predict", "analyze"])
+    def test_undersampled_stratum_exits_4(self, tmp_path, capsys, command):
+        # the same draw at seed 8 with too few samples: the band around its
+        # 6-dimensional component catches no point, which is not a violation
+        out = tmp_path / "out"
+        doc = random_locus_config(out, 8, 2 ** 16)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 4
+        assert "raise sampling.n_samples" in capsys.readouterr().err
+        assert not (out / "reduction_report.txt").exists()
 
     def test_seed_override_changes_mc(self, tmp_path):
         doc = base_config(tmp_path / "s", model={"d": 2},

@@ -15,12 +15,15 @@ from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, moment_map, slice
 from eqtoeplitz.reduction import (DegenerateSymmetryError, ReductionHypothesisError,
                                   check_regular_and_free, component_invariants,
                                   effective_volume, f_bar_integral, find_fixed_components,
-                                  reduced_volume, stabilizer_info, zero_locus_sample)
+                                  reduced_space_integral, reduced_volume, stabilizer_info,
+                                  zero_locus_sample)
 from eqtoeplitz.selftest import check_reduced_volume_point
 
 
 #: weights of a rank-2 action on P3 with a finite stabilizer of order 3
 D3_WEIGHTS = [[1, 0, -1, 2], [0, 1, -1, -1]]
+#: a rank-2 action on P4 whose vertex stratum {3, 4} has a circle stabilizer
+D4_WEIGHTS = [[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]]
 
 
 def sym_of(*phis, theta_A=0.0):
@@ -95,10 +98,33 @@ class TestDiagnostics:
         diag = check_regular_and_free(TorusAction([[1, 1]]), p1, n_samples=1000, seed=1)
         assert diag.empty_locus
 
-    def test_continuous_stabilizer_raises(self, p1):
-        act = TorusAction([[1, -1], [2, -2]])
-        with pytest.raises(ReductionHypothesisError):
-            check_regular_and_free(act, p1, n_samples=4096, seed=1)
+    def test_continuous_stabilizer_flags(self, p1):
+        # the only stratum has a circle stabilizer: reported, not sampled
+        diag = check_regular_and_free(TorusAction([[1, -1], [2, -2]]), p1, n_samples=4096,
+                                      seed=1)
+        assert not diag.empty_locus
+        assert not (diag.regular_value or diag.free_action or diag.stabilizer_constant)
+        assert diag.vol_M0 is None and diag.n_samples == 0
+
+    @pytest.mark.parametrize("weights", [[[1, -1, 0]], D4_WEIGHTS])
+    def test_degenerate_vertex_stratum_is_not_regular(self, weights, monkeypatch):
+        # the open stratum is free (finite generic stabilizer), but a vertex
+        # of P -- [0:0:1], and the support {3, 4} -- has a continuous one
+        action = TorusAction(weights)
+        assert stabilizer_info(action, red._hypotheses(action)[1])["free_rank"] == 0
+        monkeypatch.setattr(red, "zero_locus_sample", None)     # decided without sampling
+        diag = check_regular_and_free(action, ProjectiveModel(action.n_coords - 1))
+        assert not diag.regular_value and not diag.free_action
+        assert not diag.stabilizer_constant and diag.vol_M0 is None
+
+    @pytest.mark.parametrize("weights,order,constant",
+                             [([[1, -1, -1]], 2, True), (D3_WEIGHTS, 3, False)])
+    def test_stabilizer_constant_is_exact(self, weights, order, constant):
+        # D3_WEIGHTS: the vertex u = (0, 3, 2, 1)/6 has stabilizer order 6
+        action = TorusAction(weights)
+        diag, _ = red._hypotheses(action)
+        assert diag.regular_value and diag.free_action
+        assert diag.stabilizer_order == order and diag.stabilizer_constant == constant
 
     def test_trivial_group(self, p1, trivial_g1):
         diag = check_regular_and_free(trivial_g1, p1, n_samples=2 ** 15, seed=2)
@@ -113,12 +139,11 @@ class TestDiagnostics:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(red, "zero_locus_sample", counting)
-        check_regular_and_free(circle_p2, p2, n_samples=2 ** 12, seed=3, n_probe=4)
+        check_regular_and_free(circle_p2, p2, n_samples=2 ** 12, seed=3)
         assert len(calls) == 1
 
     def test_volume_matches_reduced_volume(self, p2, circle_p2):
-        diag = check_regular_and_free(circle_p2, p2, n_samples=2 ** 14, seed=9,
-                                      band=0.04, n_probe=4)
+        diag = check_regular_and_free(circle_p2, p2, n_samples=2 ** 14, seed=9, band=0.04)
         vol, err = reduced_volume(circle_p2, p2, 2 ** 14, seed=9, band=0.04)
         assert diag.vol_M0 == vol and diag.vol_M0_stderr == err
 
@@ -133,19 +158,16 @@ class TestDiagnostics:
         assert np.max(np.abs(closed - fd)) <= 1e-8
 
     @pytest.mark.parametrize("weights", [[[1, -1, -1]], D3_WEIGHTS])
-    def test_injectivity_proxy_matches_scalar_oracle(self, weights):
+    def test_sampled_orbit_map_injective_off_stabilizer(self, weights):
+        # sampled cross-check of the exact freeness flag: at locus points the
+        # orbit map moves x by a positive multiple of dist_T(t, Stab)
         action = TorusAction(weights)
         model = ProjectiveModel(action.n_coords - 1)
-        n_probe = 6
-        diag = check_regular_and_free(action, model, n_samples=2 ** 12, seed=6,
-                                      n_probe=n_probe)
-        assert red._generic_support(action) == tuple(range(model.n_coords))
+        assert red._hypotheses(action)[1] == tuple(range(model.n_coords))
         pts = zero_locus_sample(action, model, 2 ** 12, seed=6).points
-        probes = pts[np.linspace(0, pts.shape[0] - 1, n_probe).astype(int)]
-        want = min(injectivity_oracle(x, action,
-                                      stabilizer_info(action, red.point_support(x))["angles"])
-                   for x in probes)
-        assert diag.orbit_injectivity_proxy == pytest.approx(want, rel=1e-12)
+        for x in pts[np.linspace(0, pts.shape[0] - 1, 6).astype(int)]:
+            angles = stabilizer_info(action, red.point_support(x))["angles"]
+            assert injectivity_oracle(x, action, angles) > 0.0
 
 
 class TestZeroLocusSample:
@@ -226,6 +248,13 @@ class TestReducedVolume:
         with pytest.raises(ReductionHypothesisError):
             reduced_volume(TorusAction([[1, 1]]), p1, 2 ** 12, seed=1)
 
+    def test_empty_band_sample_is_numeric_failure(self, p2, circle_p2):
+        # the locus is there, the band just caught none of it
+        sample = zero_locus_sample(circle_p2, p2, 2 ** 4, seed=1, band=1e-9)
+        assert sample.points.shape[0] == 0
+        with pytest.raises(NumericFailure, match=r"\(0, 1, 2\).*sampling.n_samples"):
+            reduced_space_integral(circle_p2, sample)
+
 
 class TestFixedComponents:
     def test_p2_generic_two_points(self, p2, circle_p2):
@@ -271,7 +300,7 @@ class TestFixedComponents:
         action = TorusAction(rng.integers(-30, 31, size=(2, 9)))
         sym = DiagonalSymmetry(phi=rng.uniform(0.0, 2 * math.pi, size=2) @ action.W)
         comps = find_fixed_components(action, sym, ProjectiveModel(8))
-        supp = red._generic_support(action)
+        supp = red._hypotheses(action)[1]
         assert [c.support for c in comps] == ([supp] if supp else [])
         assert not any(c.suspected_nongeneric for c in comps)
         # a true miss of 1e-7 at one coordinate is not forgiven: the locus is
@@ -294,6 +323,15 @@ class TestFixedComponents:
         assert done.codim == 0 and done.c_l == 1.0
         # gamma is a torus element: h_l is 1 up to the stabilizer branch
         assert abs(done.h_l ** done.stab_order - 1) < 1e-10
+
+    @pytest.mark.parametrize("weights,vertex", [([[1, -1, 0]], (2,)), (D4_WEIGHTS, (3, 4))])
+    def test_degenerate_vertex_stratum_raises_with_witness(self, weights, vertex):
+        action = TorusAction(weights)
+        n = action.n_coords
+        with pytest.raises(ReductionHypothesisError) as err:
+            find_fixed_components(action, DiagonalSymmetry(phi=np.zeros(n)),
+                                  ProjectiveModel(n - 1))
+        assert err.value.witness == vertex
 
     def test_oversize_search_fails_before_enumerating(self, monkeypatch):
         n = red.MAX_SCAN_COORDS + 1

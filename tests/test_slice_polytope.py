@@ -11,12 +11,19 @@ from scipy.optimize import linprog
 
 import eqtoeplitz.reduction as red
 from eqtoeplitz.geometry import ProjectiveModel, section_basis
+from eqtoeplitz.reduction import stabilizer_info
 from eqtoeplitz.symmetry import (TorusAction, moment_polytope_contains, occurring_weights,
                                  slice_vertices, vanishing_level)
 
-#: g in {1, 2} weight rows of d + 1 entries in [-3, 3], d in 1..5
-weights = st.integers(1, 5).flatmap(lambda d: st.lists(
-    st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1), min_size=1, max_size=2))
+
+def weight_rows(max_d):
+    """g in {1, 2} weight rows of d + 1 entries in [-3, 3], d in 1..max_d."""
+    return st.integers(1, max_d).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1), min_size=1, max_size=2))
+
+
+weights = weight_rows(5)
+small_weights = weight_rows(4)
 
 
 def lp(c, A_eq, b_eq, **kw):
@@ -88,7 +95,30 @@ def test_generic_support_matches_lp(rows):
                  bounds=[(0, None)] * n)
         if res.success and -res.fun > 1e-9:
             want.append(j)
-    assert red._generic_support(TorusAction(W)) == tuple(want)
+    assert red._hypotheses(TorusAction(W))[1] == tuple(want)
+
+
+@given(small_weights)
+@settings(max_examples=25, deadline=None)
+def test_vertex_strata_decide_the_hypotheses(rows):
+    # brute force over every support on the zero locus: 0 is regular iff the
+    # weight differences of each have rank g, and the stabilizer is constant
+    # iff each has the generic finite order
+    W = np.array(rows)
+    g, n = W.shape
+    action = TorusAction(W)
+    diag, supp = red._hypotheses(action)
+    strata = [S for S in (tuple(j for j in range(n) if m >> j & 1) for m in range(1, 1 << n))
+              if lp_pattern_feasible(W, list(S))]
+    assert diag.empty_locus == (not strata)
+    if not strata:
+        return
+    rank_g = [len(S) > g and np.linalg.matrix_rank(W[:, S[1:]] - W[:, S[:1]]) == g
+              for S in strata]
+    generic = stabilizer_info(action, supp)["order"]
+    assert diag.regular_value == diag.free_action == all(rank_g)
+    assert diag.stabilizer_constant == all(
+        ok and stabilizer_info(action, S)["order"] == generic for ok, S in zip(rank_g, strata))
 
 
 @given(weights, st.integers(1, 6))

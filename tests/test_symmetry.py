@@ -6,14 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis
-from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel_fourier,
-                                 equivariant_kernel_pairs, gamma_phase, isotype_basis,
+from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel_pairs,
+                                 gamma_phase, isotype_basis,
                                  moment_map, occurring_weights,
                                  torus_grid_overlaps, vanishing_level, weight_of)
 from eqtoeplitz.selftest import (check_dimension_case, check_moment_sign_pin,
                                  check_projector_partition)
 
 from conftest import monomial_matrix
+
+
+def equivariant_kernel_fourier(x, y, k, varpi, action, model):
+    """Character-average oracle: (1/2pi)^g int chi_varpi(t) Pi_k(t.x, y) dt.
+
+    Trapezoid rule per circle factor on 2 * band + 5 nodes, which is exact:
+    it exceeds the trigonometric bandwidth band = k * max|W| + |varpi|.
+    Pi_k(t.x, y) is binom(k+d, d)/vol_X * <mu_t x, y>^k, summed over the
+    grid in blocks.
+    """
+    varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
+    band = int(k * np.abs(action.W).max(initial=0) + np.abs(varpi_vec).sum())
+    n = 2 * band + 5
+    total = 0.0 + 0.0j
+    for theta, overlap in torus_grid_overlaps(x, y, action, n):
+        total += np.sum(np.exp(1j * (theta @ varpi_vec)) * overlap ** k)
+    return complex(total * model.dim_sections(k) / model.vol_X / n ** action.g)
 
 
 class TestWeights:
