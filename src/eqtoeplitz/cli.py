@@ -24,6 +24,7 @@ from .asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe, TraceP
                           compare_and_fit, decay_probe, scaling_probe)
 from .cache import Cache
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .geometry import check_slice_budget
 from .iotools import write_csv
 from .reduction import (DegenerateSymmetryError, ReductionHypothesisError,
                         check_regular_and_free, component_invariants, f_bar_integral,
@@ -170,7 +171,9 @@ def _write_report(out, lines):
 
 def _complete_sweep(cfg: ExperimentConfig, threads: int):
     """Exact traces over every configured level; any failed level is a
-    numeric failure, so no output is ever written over a gapped series."""
+    numeric failure, so no output is ever written over a gapped series.
+    The top level's slice-candidate budget is checked before any level."""
+    check_slice_budget(cfg.k_min + (cfg.k_max - cfg.k_min) // cfg.k_step * cfg.k_step, cfg.W)
     series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
                          cfg.action(), cfg.model(), threads=threads)
     if series.failures:

@@ -16,16 +16,15 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
-from scipy.special import gammaln, ndtri
 
-from ._intlinalg import int_adjugate, pivot_minor
+from ._intlinalg import NumericFailure, int_adjugate, pivot_minor
 
 __all__ = [
     "ProjectiveModel",
     "multi_indices",
     "SectionBasis",
     "section_basis",
+    "check_slice_budget",
     "log_monomial_norm",
     "monomial_norm",
     "szego_kernel",
@@ -109,6 +108,50 @@ class SectionBasis:
         return self.indices.shape[0]
 
 
+#: cephes `lgam`: its Stirling-series coefficients in 1/x^2 (highest power
+#: first), used for 13 <= x < 1000, and log(sqrt(2 pi))
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(m: int) -> float:
+    """log m! = log Gamma(m + 1) by a scalar port of cephes `lgam`,
+    bit-identical to `scipy.special.gammaln(m + 1)` (`math.lgamma` is not):
+    the log of the exact factorial for m <= 11, the Stirling series above."""
+    x = m + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(m))
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        s = s * p + c
+    return q + s / x
+
+
+#: log m! at index m; grown on demand by `_log_factorials`, never shrunk
+_LOG_FACTORIALS = np.zeros(2)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """A table holding log m! for (at least) m = 0..n.  A grown table is
+    built whole before it replaces the shared one, so concurrent callers
+    each get a complete table."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n >= len(table):
+        grown = [_log_factorial(m) for m in range(len(table), max(n + 1, 2 * len(table)))]
+        table = _LOG_FACTORIALS = np.concatenate([table, grown])
+    return table
+
+
 def log_monomial_norm(alpha: np.ndarray, model: ProjectiveModel) -> np.ndarray:
     """log N_k(alpha) with N_k(alpha) = vol_X * d! * alpha! / (d+k)!.
 
@@ -124,17 +167,33 @@ def log_monomial_norm(alpha: np.ndarray, model: ProjectiveModel) -> np.ndarray:
         raise ValueError("multi-index entries must be nonnegative")
     k = a.sum(axis=1)
     d = model.d
-    out = (
-        math.log(model.vol_X)
-        + gammaln(d + 1)
-        + gammaln(a + 1).sum(axis=1)
-        - gammaln(d + k + 1)
-    )
+    log_fact = _log_factorials(d + int(k.max(initial=0)))
+    out = math.log(model.vol_X) + log_fact[d] + log_fact[a].sum(axis=1) - log_fact[d + k]
     return out[0] if single else out
 
 
 def monomial_norm(alpha, model: ProjectiveModel) -> float:
     return float(np.exp(log_monomial_norm(alpha, model)))
+
+
+#: most candidate rows `_weight_slice` lists for one level: its int64 work
+#: arrays peak at ~25 bytes per candidate and coordinate, so ~0.2 GiB and
+#: ~0.7 s at d = 8, ~0.4 GiB and ~1 s at d = 16 (2-vCPU Xeon)
+MAX_SLICE_CANDIDATES = 1_000_000
+
+
+def check_slice_budget(k: int, W) -> None:
+    """Raise NumericFailure, before anything is enumerated, when level k of
+    the weight system W (g x n) lists more than MAX_SLICE_CANDIDATES
+    candidate rows, C(k+n-r, n-r) with r = rank [1; -W]; the count grows
+    with k, so checking the top level covers a sweep."""
+    W = np.asarray(W, dtype=np.int64)
+    n = W.shape[1]
+    m = n - len(pivot_minor(np.vstack([np.ones((1, n), np.int64), -W]).tolist())[0])
+    count = math.comb(k + m, m)
+    if count > MAX_SLICE_CANDIDATES:
+        raise NumericFailure(f"level {k} needs C({k + m}, {m}) = {count} slice "
+                             f"candidates, over the budget of {MAX_SLICE_CANDIDATES}")
 
 
 def _weight_slice(k: int, n: int, W: np.ndarray, varpi: np.ndarray) -> np.ndarray:
@@ -144,8 +203,10 @@ def _weight_slice(k: int, n: int, W: np.ndarray, varpi: np.ndarray) -> np.ndarra
     r x r minor M (rows R, columns D) makes the other n-r coordinates free:
     they run over every |alpha_F| <= k, and alpha_D = adj(M)(b_R - A_RF alpha_F)
     / det(M) exactly in integers.  Rows that are integral, nonnegative and
-    satisfy all g+1 equations are the slice.
+    satisfy all g+1 equations are the slice.  Raises NumericFailure before
+    listing more than MAX_SLICE_CANDIDATES candidates.
     """
+    check_slice_budget(k, W)
     A = np.vstack([np.ones((1, n), np.int64), -W])
     b = np.concatenate([[k], varpi])
     rows, dep = pivot_minor(A.tolist())
@@ -209,7 +270,10 @@ _SOBOL_BITS = 30
 def _sobol_directions(dim: int) -> np.ndarray:
     """Direction numbers (dim, 30) of Joe & Kuo (2008), each column shifted to
     its bit position.  The table is the one scipy's Sobol engine reads, loaded
-    as a file so that none of scipy's statistics modules is imported."""
+    as a file so that none of scipy's statistics modules is imported; scipy
+    is imported here, so only a sampling run loads it."""
+    import scipy
+
     B = _SOBOL_BITS
     path = os.path.join(os.path.dirname(scipy.__file__), "stats",
                         "_sobol_direction_numbers.npz")
@@ -260,8 +324,12 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel) -> np.ndarray:
 
     The first n of 2^ceil(log2 n) scrambled Sobol points (bit-identical to
     scipy's) mapped through the Gaussian-normalize construction; identical
-    (n, seed, d) always yields the same array.
+    (n, seed, d) always yields the same array.  `ndtri` stays scipy's (a
+    numpy inverse normal built on `np.log` moves last bits) and is imported
+    here, so only a sampling run loads `scipy.special`.
     """
+    from scipy.special import ndtri
+
     if n < 1:
         raise ValueError("need at least one sample")
     u = _sobol(2 * model.n_coords, seed, max(1, math.ceil(math.log2(n))))

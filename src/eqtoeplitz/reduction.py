@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._intlinalg import NumericFailure, solve_phase_congruence, torsion_angles
 from .geometry import ProjectiveModel, sample_sphere
@@ -129,6 +128,10 @@ def _vertex_strata(action: TorusAction, verts: list) -> dict:
 # zero-locus sampling
 
 def _ball_volume(g: int, eps: float) -> float:
+    # gammaln, not math.gamma, keeps the odd-g volumes bit for bit; only the
+    # sampler gets here, so only a sampling run loads scipy.special
+    from scipy.special import gammaln
+
     return math.pi ** (g / 2.0) * eps ** g / math.exp(gammaln(g / 2.0 + 1.0))
 
 

@@ -467,9 +467,11 @@ class TestSelfTest:
         assert {"trace.csv", "predictions.csv"} <= set(record["artifacts"])
 
 
-#: scipy modules no subcommand needs: the sampler, the slice polytope and
-#: the horizontal frames are numpy
+#: scipy modules no subcommand needs: the Sobol scramble, the slice polytope
+#: and the horizontal frames are numpy
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats")
+#: loaded only by a run that draws sphere samples, for the sampler's `ndtri`
+SAMPLER = ("scipy", "scipy.special")
 
 
 class TestImport:
@@ -478,14 +480,16 @@ class TestImport:
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
     def test_cli_import_skips_scipy_stats(self):
-        # nothing heavy at import time either
+        # nothing of scipy at import time
         self.run_isolated(f"""
 import sys, eqtoeplitz.cli
-loaded = [m for m in {HEAVY!r} if m in sys.modules]
+loaded = [m for m in {HEAVY + SAMPLER!r} if m in sys.modules]
 assert not loaded, loaded
 """)
 
     def test_trace_and_kernel_skip_lp_linalg_and_stats(self, tmp_path):
+        # trace and kernel draw no sphere sample, so they load no scipy;
+        # analyze draws the zero-locus sample, which loads scipy.special
         out = tmp_path / "out"
         cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60]))
         self.run_isolated(f"""
@@ -493,8 +497,10 @@ import sys
 from eqtoeplitz.cli import main
 assert main(["trace", "--config", {cfg!r}]) == 0
 assert main(["kernel", "--config", {cfg!r}]) == 0
-loaded = [m for m in {HEAVY!r} if m in sys.modules]
+loaded = [m for m in {HEAVY + SAMPLER!r} if m in sys.modules]
 assert not loaded, loaded
+assert main(["analyze", "--config", {cfg!r}]) == 0
+assert "scipy.special" in sys.modules
 """)
         assert (out / "trace.csv").exists() and (out / "kernel_decay.csv").exists()
 
@@ -515,6 +521,21 @@ for cmd in ("analyze", "predict", "compare", "trace", "kernel", "selftest"):
 
 
 class TestBudgets:
+    @pytest.mark.parametrize("cmd,d,k_max", [("trace", 8, 100), ("compare", 8, 100),
+                                             ("trace", 1, 10 ** 12)])
+    def test_oversize_k_range_exits_4(self, tmp_path, capsys, cmd, d, k_max):
+        # the top level's C(k_max + n - r, n - r) slice candidates are over
+        # the budget (~1.7e9 at d = 8, g = 2); no level is enumerated
+        W = np.random.default_rng(0).integers(-30, 31, (2, 9)).tolist() if d == 8 else []
+        doc = base_config(tmp_path / "o", model={"d": d}, action={"W": W},
+                          symmetry={"phi": [0.0] * (d + 1)},
+                          observable={"u_terms": [{"beta": [0] * (d + 1), "coef": 1.0}]},
+                          isotype=[0] * len(W), k_range={"min": 10, "max": k_max, "step": 1})
+        cfg = write_config(tmp_path, doc)
+        assert main([cmd, "--config", cfg]) == 4
+        assert "budget" in capsys.readouterr().err
+        assert not any((tmp_path / "o" / f).exists() for f in ("trace.csv", "comparison.csv"))
+
     def test_oversize_component_search_exits_4(self, tmp_path, capsys):
         n = MAX_SCAN_COORDS + 1
         doc = base_config(tmp_path / "o", model={"d": n - 1},

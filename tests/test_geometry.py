@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from eqtoeplitz.geometry import (ProjectiveModel, _sobol, monomial_norm, multi_indices,
+from eqtoeplitz import geometry
+from eqtoeplitz._intlinalg import NumericFailure
+from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _sobol, check_slice_budget,
+                                 log_monomial_norm, monomial_norm, multi_indices,
                                  sample_sphere, section_basis, szego_kernel)
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
@@ -35,6 +39,29 @@ class TestMultiIndices:
     def test_basis_dimension(self, p2):
         basis = section_basis(7, p2)
         assert basis.dim == math.comb(9, 2)
+
+    def test_slice_over_budget_fails_before_enumerating(self, monkeypatch):
+        # d = 8, g = 2, k = 100: C(106, 6) ~ 1.7e9 candidate rows
+        calls = []
+        monkeypatch.setattr(geometry, "multi_indices", lambda *a: calls.append(a))
+        W = np.random.default_rng(0).integers(-30, 31, (2, 9))
+        with pytest.raises(NumericFailure, match="budget"):
+            section_basis(100, ProjectiveModel(8), W, (0, 0))
+        with pytest.raises(NumericFailure, match="budget"):
+            check_slice_budget(100, W)
+        assert not calls
+
+    def test_slice_budget_is_the_candidate_count(self, p2, monkeypatch):
+        # W = [[1, -1, -1]] has r = 2, so level 10 lists C(11, 1) = 11 candidates
+        W = [[1, -1, -1]]
+        monkeypatch.setattr(geometry, "MAX_SLICE_CANDIDATES", 11)
+        check_slice_budget(10, W)
+        assert section_basis(10, p2, W, (0,)).dim == 6
+        monkeypatch.setattr(geometry, "MAX_SLICE_CANDIDATES", 10)
+        with pytest.raises(NumericFailure, match="budget"):
+            check_slice_budget(10, W)
+        with pytest.raises(NumericFailure, match="budget"):
+            section_basis(10, p2, W, (0,))
 
 
 class TestMonomialNorms:
@@ -66,6 +93,30 @@ class TestMonomialNorms:
         base = monomial_norm([0, 1, 3, 2], ProjectiveModel(3))
         assert check_norm_table(permutations=((3, (0, 1, 3, 2), tuple(perm)),),
                                 perm_tol=1e-14 * base)[0]
+
+
+class TestLogFactorials:
+    def test_table_matches_gammaln_bit_for_bit(self):
+        # scipy's gammaln is the oracle at x = 1..30,001, through both
+        # Stirling branches (13 <= x < 1000 and x >= 1000)
+        table = _log_factorials(30_000)
+        x = np.arange(30_001)
+        assert np.array_equal(table[x], gammaln(x + 1))
+        assert _log_factorials(100) is table    # never rebuilt for a smaller n
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_log_norms_match_gammaln_expression(self, d):
+        # random multi-indices of degree k <= 1,500, bit for bit against the
+        # gammaln form log vol_X + log d! + sum log alpha_j! - log (d+k)!
+        rng = np.random.default_rng(d)
+        model = ProjectiveModel(d)
+        k = rng.integers(0, 1501, 300)
+        cuts = np.sort(rng.integers(0, k[:, None] + 1, (300, d)), axis=1)
+        alpha = np.diff(np.hstack([np.zeros((300, 1), np.int64), cuts, k[:, None]]), axis=1)
+        old = (math.log(model.vol_X) + gammaln(d + 1) + gammaln(alpha + 1).sum(axis=1)
+               - gammaln(d + k + 1))
+        assert np.array_equal(log_monomial_norm(alpha, model), old)
+        assert log_monomial_norm(alpha[0], model) == old[0]
 
 
 class TestSzegoKernel:
