@@ -86,15 +86,17 @@ def _configured(name: str, cmd):
     return run
 
 
-def _components(cfg: ExperimentConfig, out: str) -> list:
+def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
     """Every fixed component with its invariants and f-bar integral; the
-    Monte-Carlo integrals are cached under <out>/cache."""
+    Monte-Carlo integrals are cached under <out>/cache.  `sample`, the
+    diagnostics' zero-locus sample, is reused by a component of its support."""
     model, action, sym, f = cfg.model(), cfg.action(), cfg.symmetry(), cfg.observable()
     cache = Cache(os.path.join(out, "cache"))
     comps = []
     for rep in find_fixed_components(action, sym, model):
         rep = component_invariants(rep, sym, action, model)
-        fill = lambda: f_bar_integral(rep, f, action, model, cfg.n_samples, cfg.seed)
+        fill = lambda: f_bar_integral(rep, f, action, model, cfg.n_samples, cfg.seed,
+                                      sample=sample)
         if not f_bar_is_sampled(rep, action, model):
             comps.append(fill())
             continue
@@ -125,8 +127,8 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
     """reduction_report.txt on every hypothesis outcome; components.csv only
     when the hypotheses hold (else exit 3 after the report)."""
     model, action = cfg.model(), cfg.action()
-    diagnostics = check_regular_and_free(action, model, n_samples=cfg.n_samples,
-                                         seed=cfg.seed)
+    diagnostics, sample = check_regular_and_free(action, model, n_samples=cfg.n_samples,
+                                                 seed=cfg.seed)
     lines = ["reduction diagnostics", "====================="]
     for name, val in sorted(vars(diagnostics).items()):
         lines.append(f"{name}: {val}")
@@ -142,7 +144,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
             "0 is not a regular value: a vertex stratum of the zero locus has a "
             "continuous stabilizer; see reduction_report.txt")
     else:
-        comps = _components(cfg, out)
+        comps = _components(cfg, out, sample)
         rows = []
         for c in comps:
             chi = c.chi(cfg.varpi)
@@ -240,6 +242,7 @@ def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
         raise ConfigError("kernel subcommand needs a kernel_probe config section")
     model, action = cfg.model(), cfg.action()
     ks = probe["k_values"]
+    check_slice_budget(max(ks), cfg.W)
     if probe["type"] == "decay":
         res = decay_probe(probe["point"], probe["second_point"], cfg.varpi, action, model, ks)
         rows = [[int(k), float(v)] for k, v in zip(res.k_values, res.abs_values)]

@@ -296,13 +296,24 @@ def _sobol_directions(dim: int) -> np.ndarray:
     return v
 
 
-def _sobol(dim: int, seed: int, m: int) -> np.ndarray:
-    """The first 2^m points of scrambled Sobol in [0, 1)^dim, bit-identical to
-    scipy's `qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)`:
-    a random lower-triangular (unit diagonal) linear matrix scramble of the
-    direction numbers and a random digital shift, drawn in that order from
-    `default_rng(seed)`, then the points in Gray-code order."""
+#: rows per block of the streamed Sobol draw: a power of two, so a block is
+#: the first block XORed with one vector, and the bound on the working memory
+#: of the draw, of the zero-locus band filter and of `kernel_pair_values`
+_SOBOL_BLOCK = 1 << 14
+
+
+def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
+    """Points first .. first+n-1 of scrambled Sobol in [0, 1)^dim; the first
+    2^m are bit-identical to scipy's `qmc.Sobol(dim, scramble=True,
+    seed=seed).random_base2(m)`: a random lower-triangular (unit diagonal)
+    linear matrix scramble of the direction numbers and a random digital
+    shift, drawn in that order from `default_rng(seed)`, then the points in
+    Gray-code order.  Point i depends only on i, so any window of the
+    sequence is built in blocks of _SOBOL_BLOCK rows."""
     B = _SOBOL_BITS
+    end = first + n
+    if first < 0 or n < 0 or end > 1 << B:
+        raise ValueError(f"Sobol points {first}..{end - 1} are outside 0..2^{B} - 1")
     rng = np.random.default_rng(seed)
     shift = rng.integers(0, 2, (dim, B), np.uint32) @ (1 << np.arange(B, dtype=np.uint32))
     ltm = np.tril(rng.integers(0, 2, (dim, B, B), np.uint32)).astype(np.int64)
@@ -310,30 +321,41 @@ def _sobol(dim: int, seed: int, m: int) -> np.ndarray:
     pos = B - 1 - np.arange(B)          # bit position of row / column index p
     v_bits = (_sobol_directions(dim)[:, :, None] >> pos) & 1      # (dim, j, k)
     sv = ((np.einsum("dpk,djk->djp", ltm, v_bits) & 1) @ (1 << pos)).astype(np.uint32)
-    # point i is shift ^ (xor of sv[:, c] over the bits c of gray(i) = i ^ (i >> 1));
-    # the reflected Gray code doubles the prefix one direction number at a time
-    pts = np.empty((1 << m, dim), np.uint32)
-    pts[0] = shift
-    for c in range(m):
-        pts[1 << c:2 << c] = pts[(1 << c) - 1::-1] ^ sv[:, c]
+    # point i is shift ^ (xor of sv[:, c] over the bits c of gray(i) = i ^ (i >> 1)),
+    # and gray(j 2^b + r) = gray(j 2^b) ^ gray(r) for r < 2^b: block j is the first
+    # block XORed with the sv columns of gray(j 2^b).  The reflected Gray code
+    # doubles the first block one direction number at a time
+    b = min(_SOBOL_BLOCK.bit_length() - 1, (end - 1).bit_length())
+    head = np.empty((1 << b, dim), np.uint32)
+    head[0] = shift
+    for c in range(b):
+        head[1 << c:2 << c] = head[(1 << c) - 1::-1] ^ sv[:, c]
+    pts = np.empty((n, dim), np.uint32)
+    for j in range(first >> b, (end - 1 >> b) + 1):
+        lo = j << b
+        gray = lo ^ lo >> 1
+        base = np.bitwise_xor.reduce(sv[:, [c for c in range(B) if gray >> c & 1]], axis=1)
+        a, z = max(first, lo), min(end, lo + (1 << b))
+        pts[a - first:z - first] = head[a - lo:z - lo] ^ base
     return pts * 2.0 ** -B
 
 
-def sample_sphere(n: int, seed: int, model: ProjectiveModel) -> np.ndarray:
-    """Deterministic quasi-random unit vectors in C^(d+1), rows of shape (n, d+1).
+def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0) -> np.ndarray:
+    """Deterministic quasi-random unit vectors in C^(d+1): rows first ..
+    first+n-1, shape (n, d+1), of the seed's sequence.
 
-    The first n of 2^ceil(log2 n) scrambled Sobol points (bit-identical to
-    scipy's) mapped through the Gaussian-normalize construction; identical
-    (n, seed, d) always yields the same array.  `ndtri` stays scipy's (a
-    numpy inverse normal built on `np.log` moves last bits) and is imported
-    here, so only a sampling run loads `scipy.special`.
+    Scrambled Sobol points (bit-identical to scipy's) mapped through the
+    Gaussian-normalize construction; a row depends only on its index, the
+    seed and d, so a large draw can be taken in consecutive windows.  At
+    most 2^30 rows exist.  `ndtri` stays scipy's (a numpy inverse normal
+    built on `np.log` moves last bits) and is imported here, so only a
+    sampling run loads `scipy.special`.
     """
     from scipy.special import ndtri
 
     if n < 1:
         raise ValueError("need at least one sample")
-    u = _sobol(2 * model.n_coords, seed, max(1, math.ceil(math.log2(n))))
-    u = np.clip(u[:n], 1e-15, 1.0 - 1e-15)
+    u = np.clip(_sobol(2 * model.n_coords, seed, n, first), 1e-15, 1.0 - 1e-15)
     gau = ndtri(u)
     z = gau[:, ::2] + 1j * gau[:, 1::2]
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -356,17 +378,30 @@ def kernel_pair_values(xs: np.ndarray, ys: np.ndarray, indices: np.ndarray,
     """sum_alpha z^alpha(x_i) conj(z^alpha(y_i)) / N(alpha) for paired rows.
 
     Stable summation: per-row terms are rescaled by their largest log
-    magnitude before exponentiation.
+    magnitude before exponentiation.  Rows go through in blocks of about
+    _SOBOL_BLOCK (row, monomial) terms, which bounds the working memory.  A
+    block holds a power of two rows, at least 16, so each starts on a
+    multiple of 16 rows, and the last one takes the remainder: a row meets
+    the same BLAS kernel whatever the block size, and gets the same bits.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=complex))
     ys = np.atleast_2d(np.asarray(ys, dtype=complex))
     A = np.asarray(indices, dtype=np.int64)
+    out = np.zeros(xs.shape[0], dtype=complex)
     if A.shape[0] == 0:
-        return np.zeros(xs.shape[0], dtype=complex)
-    logmag = (_log_abs(xs) + _log_abs(ys)) @ A.T - np.asarray(log_norms)[None, :]
-    phase = (np.angle(xs) - np.angle(ys)) @ A.T
-
-    peak = np.max(logmag, axis=1, keepdims=True)
-    peak = np.minimum(np.maximum(peak, -700.0), 700.0)
-    vals = np.exp(logmag - peak) * np.exp(1j * phase)
-    return np.exp(peak[:, 0]) * vals.sum(axis=1)
+        return out
+    log_abs = _log_abs(xs) + _log_abs(ys)
+    angle = np.angle(xs) - np.angle(ys)
+    log_norms = np.asarray(log_norms)[None, :]
+    step = max(16, _SOBOL_BLOCK >> (A.shape[0] - 1).bit_length())
+    n = xs.shape[0]
+    # the last block takes the remainder, so no block but a lone row is one row
+    edges = [i * step for i in range(max(1, n // step))] + [n]
+    for lo, hi in zip(edges, edges[1:]):
+        logmag = log_abs[lo:hi] @ A.T - log_norms
+        phase = angle[lo:hi] @ A.T
+        peak = np.max(logmag, axis=1, keepdims=True)
+        peak = np.minimum(np.maximum(peak, -700.0), 700.0)
+        vals = np.exp(logmag - peak) * np.exp(1j * phase)
+        out[lo:hi] = np.exp(peak[:, 0]) * vals.sum(axis=1)
+    return out

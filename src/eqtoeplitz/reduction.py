@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._intlinalg import NumericFailure, solve_phase_congruence, torsion_angles
+from . import geometry
 from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
 from .symmetry import DiagonalSymmetry, TorusAction, moment_map, slice_vertices
@@ -190,6 +191,8 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
 
     The sample count is rounded up to a power of two: Sobol blocks are
     balanced only at those sizes, which matters for the thin-band indicator.
+    The sphere is drawn and band-filtered geometry._SOBOL_BLOCK rows at a
+    time, so the working memory is one block plus the rows in the band.
     """
     if support is None:
         support = tuple(range(model.n_coords))
@@ -200,8 +203,12 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
     n_samples = 2 ** max(1, math.ceil(math.log2(n_samples)))
     sub_model = ProjectiveModel(sub_d, kappa_x=model.kappa_x)
     sub_action = TorusAction(action.W[:, list(support)])
-    pts = sample_sphere(n_samples, seed, sub_model)
-    kept = pts[np.linalg.norm(moment_map(pts, sub_action), axis=1) < band]
+    kept = []
+    for first in range(0, n_samples, geometry._SOBOL_BLOCK):
+        pts = sample_sphere(min(geometry._SOBOL_BLOCK, n_samples - first), seed, sub_model,
+                            first=first)
+        kept.append(pts[np.linalg.norm(moment_map(pts, sub_action), axis=1) < band])
+    kept = np.concatenate(kept)
     refined = _newton_refine(kept, sub_action)
     refined = refined[np.linalg.norm(moment_map(refined, sub_action), axis=1) <= 1e-9]
     detG = np.linalg.det(sub_action.orbit_gram(refined))     # ones for a trivial group
@@ -327,11 +334,12 @@ def _dphi_singular_values(points: np.ndarray, action: TorusAction) -> np.ndarray
 
 
 def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
-                           n_samples: int = 200_000, seed: int = 0,
-                           band: float = 0.05) -> ReductionDiagnostics:
+                           n_samples: int = 200_000, seed: int = 0, band: float = 0.05
+                           ) -> tuple[ReductionDiagnostics, ZeroLocusSample | None]:
     """The reduction hypotheses, decided exactly on the vertex strata of P,
     then vol(M0), V_eff and the dPhi singular values over one zero-locus
-    sample of a regular locus.
+    sample of a regular locus, returned with that sample (None when none
+    was drawn).
 
     0 is a regular value exactly when the action is locally free on the zero
     locus, so regular_value == free_action: every vertex stratum has a finite
@@ -342,7 +350,7 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
     """
     diag, supp = _hypotheses(action)
     if not diag.regular_value:
-        return diag
+        return diag, None
     sample = zero_locus_sample(action, model, n_samples, seed, band=band, support=supp)
     vol, err = reduced_space_integral(action, sample)
     veffs = effective_volume(sample, action, stab_order=diag.stabilizer_order)
@@ -351,7 +359,7 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
                                              initial=np.inf)),
         vol_M0=vol, vol_M0_stderr=err, v_eff_min=float(np.min(veffs)),
         v_eff_mean=float(np.mean(veffs)), v_eff_max=float(np.max(veffs)),
-        n_samples=n_samples)
+        n_samples=n_samples), sample
 
 
 # ---------------------------------------------------------------------------
@@ -629,20 +637,24 @@ def f_bar_is_sampled(report: FixedComponentReport, action: TorusAction,
 
 def f_bar_integral(report: FixedComponentReport, f: Observable, action: TorusAction,
                    model: ProjectiveModel, n_samples: int = 200_000,
-                   seed: int = 0) -> FixedComponentReport:
+                   seed: int = 0, sample: ZeroLocusSample | None = None
+                   ) -> FixedComponentReport:
     """int_{F_l} (G-average of f) vol_{F_l}.
 
     Point components evaluate the averaged observable at the representative
     (vol(point) = 1), and a component that is all of M without a group
     integrates in closed form; other positive-dimensional components
     restrict to their support stratum, which is again a projective-space
-    model, and reuse the reduced-space Monte-Carlo there.
+    model, and reuse the reduced-space Monte-Carlo there.  `sample`, a
+    zero-locus sample drawn with these n_samples and seed and the default
+    band, stands in for that draw when its support is the component's.
     """
     favg = f.g_average(action)
     if not f_bar_is_sampled(report, action, model):
         val = (favg.value(report.representative[None, :])[0] if report.d_l == 0
                else favg.integral_over_M(model))
         return replace(report, f_bar_integral=complex(val), f_bar_stderr=0.0)
-    sample = zero_locus_sample(action, model, n_samples, seed, support=report.support)
+    if sample is None or sample.support != report.support:
+        sample = zero_locus_sample(action, model, n_samples, seed, support=report.support)
     est, err = reduced_space_integral(action, sample, h=favg.value)
     return replace(report, f_bar_integral=complex(est), f_bar_stderr=err)

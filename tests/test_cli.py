@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import eqtoeplitz.asymptotics as asymptotics
+import eqtoeplitz.reduction as red
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
 from eqtoeplitz.config import ConfigError, load_config, parse_config
@@ -84,6 +86,16 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, doc)
         assert main(["analyze", "--config", cfg]) == 2
 
+    def test_n_samples_over_2_pow_30_exit_2(self, tmp_path, monkeypatch):
+        # the Sobol direction numbers have 30 bits: refused before any draw
+        doc = base_config(tmp_path / "o", sampling={"n_samples": 2 ** 30, "seed": 0})
+        assert parse_config(doc).n_samples == 2 ** 30
+        doc["sampling"]["n_samples"] += 1
+        with pytest.raises(ConfigError, match="n_samples"):
+            parse_config(doc)
+        monkeypatch.setattr(red, "zero_locus_sample", None)
+        assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 2
+
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
@@ -106,6 +118,23 @@ class TestAnalyze:
         # cross-check column: finite-difference vs phase-arithmetic c_l
         cc = header.index("c_l_cross_check")
         assert all(float(r[cc]) < 1e-8 for r in rows)
+
+    def test_one_zero_locus_draw(self, tmp_path, monkeypatch):
+        # phi = theta . W fixes the whole zero locus: the d_l = 1 component
+        # integrates f-bar over the diagnostics' sample instead of a second one
+        draws = []
+        draw = red.zero_locus_sample
+        monkeypatch.setattr(red, "zero_locus_sample",
+                            lambda *a, **kw: draws.append(kw["support"]) or draw(*a, **kw))
+        out = tmp_path / "o"
+        doc = base_config(out, model={"d": 3}, action={"W": [[1, 0, -1, 2], [0, 1, -1, -1]]},
+                          symmetry={"phi": [0.3, 0.5, -0.8, 0.1]},
+                          observable={"u_terms": [{"beta": [0, 1, 0, 0], "coef": 1.0}]},
+                          isotype=[0, 0], sampling={"n_samples": 2 ** 14, "seed": 0})
+        assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 0
+        assert draws == [(0, 1, 2, 3)]
+        header, rows = read_csv(out / "components.csv")
+        assert [row[header.index("support")] for row in rows] == ["0;1;2;3"]
 
     def test_empty_locus_exit_zero(self, tmp_path):
         out = tmp_path / "out"
@@ -535,6 +564,17 @@ class TestBudgets:
         assert main([cmd, "--config", cfg]) == 4
         assert "budget" in capsys.readouterr().err
         assert not any((tmp_path / "o" / f).exists() for f in ("trace.csv", "comparison.csv"))
+
+    def test_oversize_kernel_probe_exits_4(self, tmp_path, capsys, monkeypatch):
+        # level 2,000,002 lists C(2000003, 1) candidates: refused before the
+        # levels 20 and 40 below it are probed
+        probed = []
+        monkeypatch.setattr(asymptotics, "isotype_slice", lambda *a: probed.append(a))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 2000000, 2000002]))
+        assert main(["kernel", "--config", cfg]) == 4
+        assert "budget" in capsys.readouterr().err
+        assert not probed and not (out / "kernel_decay.csv").exists()
 
     def test_oversize_component_search_exits_4(self, tmp_path, capsys):
         n = MAX_SCAN_COORDS + 1

@@ -183,13 +183,34 @@ class TestSampler:
     @pytest.mark.parametrize("m", [0, 1, 10, 18])
     def test_sobol_bits_match_scipy(self, m):
         # scipy's scrambled Sobol is the oracle, over every dimension 2(d+1)
-        # sample_sphere draws for d <= 9 and the odd ones between
+        # sample_sphere draws for d <= 9 and the odd ones between; the
+        # sequence is drawn one block at a time, as the sampler streams it
         from scipy.stats import qmc
         seeds = (0, 1, 2 ** 40 + 7) if m < 18 else (3,)
+        n, block = 2 ** m, geometry._SOBOL_BLOCK
         for dim in range(2, 21):
             for seed in seeds:
                 want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)
-                assert np.array_equal(_sobol(dim, seed, m), want), (dim, seed)
+                got = np.vstack([_sobol(dim, seed, min(block, n - first), first)
+                                 for first in range(0, n, block)])
+                assert np.array_equal(got, want), (dim, seed)
+
+    @pytest.mark.parametrize("first,n", [(0, 1), (5, 11), (100, 37), (16, 16), (1000, 24)])
+    def test_sobol_window_is_a_slice(self, monkeypatch, first, n):
+        # unaligned windows across 2^4-row blocks are rows of the whole draw
+        whole = _sobol(6, 9, 1024)
+        monkeypatch.setattr(geometry, "_SOBOL_BLOCK", 2 ** 4)
+        assert np.array_equal(_sobol(6, 9, n, first), whole[first:first + n])
+        assert np.array_equal(sample_sphere(n, 9, ProjectiveModel(2), first=first),
+                              sample_sphere(1024, 9, ProjectiveModel(2))[first:first + n])
+
+    def test_sobol_stops_at_2_pow_30(self, p1):
+        # the direction numbers have 30 bits: no point 2^30 exists
+        assert _sobol(4, 0, 2, 2 ** 30 - 2).shape == (2, 4)
+        with pytest.raises(ValueError, match="outside"):
+            _sobol(4, 0, 2, 2 ** 30 - 1)
+        with pytest.raises(ValueError, match="outside"):
+            sample_sphere(1, 0, p1, first=2 ** 30)
 
 
 class TestReproducingProperty:

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import eqtoeplitz.reduction as red
+from eqtoeplitz import geometry
 from eqtoeplitz._intlinalg import NumericFailure
-from eqtoeplitz.geometry import ProjectiveModel, sample_sphere
+from eqtoeplitz.geometry import ProjectiveModel, kernel_pair_values, sample_sphere, section_basis
 from eqtoeplitz.observables import Observable
 from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, moment_map, slice_vertices
 from eqtoeplitz.reduction import (DegenerateSymmetryError, ReductionHypothesisError,
@@ -80,7 +84,7 @@ def injectivity_oracle(x, action, stab_angles, n_grid=48):
 
 class TestDiagnostics:
     def test_p2_regular_and_free(self, p2, circle_p2):
-        diag = check_regular_and_free(circle_p2, p2, n_samples=2 ** 16, seed=3)
+        diag, _ = check_regular_and_free(circle_p2, p2, n_samples=2 ** 16, seed=3)
         assert not diag.empty_locus
         assert diag.regular_value and diag.min_singular_dphi > 1.0
         assert diag.free_action and diag.stabilizer_constant
@@ -90,17 +94,17 @@ class TestDiagnostics:
         assert diag.v_eff_mean == pytest.approx(math.pi, rel=1e-10)
 
     def test_p1_circle_locus(self, p1, circle_p1):
-        diag = check_regular_and_free(circle_p1, p1, n_samples=2 ** 15, seed=5)
+        diag, _ = check_regular_and_free(circle_p1, p1, n_samples=2 ** 15, seed=5)
         assert diag.regular_value and diag.free_action
         assert diag.vol_M0 == pytest.approx(1.0, abs=5 * diag.vol_M0_stderr + 5e-3)
 
     def test_empty_locus_flag(self, p1):
-        diag = check_regular_and_free(TorusAction([[1, 1]]), p1, n_samples=1000, seed=1)
+        diag, _ = check_regular_and_free(TorusAction([[1, 1]]), p1, n_samples=1000, seed=1)
         assert diag.empty_locus
 
     def test_continuous_stabilizer_flags(self, p1):
         # the only stratum has a circle stabilizer: reported, not sampled
-        diag = check_regular_and_free(TorusAction([[1, -1], [2, -2]]), p1, n_samples=4096,
+        diag, _ = check_regular_and_free(TorusAction([[1, -1], [2, -2]]), p1, n_samples=4096,
                                       seed=1)
         assert not diag.empty_locus
         assert not (diag.regular_value or diag.free_action or diag.stabilizer_constant)
@@ -113,7 +117,7 @@ class TestDiagnostics:
         action = TorusAction(weights)
         assert stabilizer_info(action, red._hypotheses(action)[1])["free_rank"] == 0
         monkeypatch.setattr(red, "zero_locus_sample", None)     # decided without sampling
-        diag = check_regular_and_free(action, ProjectiveModel(action.n_coords - 1))
+        diag, _ = check_regular_and_free(action, ProjectiveModel(action.n_coords - 1))
         assert not diag.regular_value and not diag.free_action
         assert not diag.stabilizer_constant and diag.vol_M0 is None
 
@@ -127,7 +131,7 @@ class TestDiagnostics:
         assert diag.stabilizer_order == order and diag.stabilizer_constant == constant
 
     def test_trivial_group(self, p1, trivial_g1):
-        diag = check_regular_and_free(trivial_g1, p1, n_samples=2 ** 15, seed=2)
+        diag, _ = check_regular_and_free(trivial_g1, p1, n_samples=2 ** 15, seed=2)
         assert diag.vol_M0 == pytest.approx(p1.vol_M, rel=1e-12)
 
     def test_draws_zero_locus_once(self, p2, circle_p2, monkeypatch):
@@ -143,7 +147,7 @@ class TestDiagnostics:
         assert len(calls) == 1
 
     def test_volume_matches_reduced_volume(self, p2, circle_p2):
-        diag = check_regular_and_free(circle_p2, p2, n_samples=2 ** 14, seed=9, band=0.04)
+        diag, _ = check_regular_and_free(circle_p2, p2, n_samples=2 ** 14, seed=9, band=0.04)
         vol, err = reduced_volume(circle_p2, p2, 2 ** 14, seed=9, band=0.04)
         assert diag.vol_M0 == vol and diag.vol_M0_stderr == err
 
@@ -183,6 +187,54 @@ class TestZeroLocusSample:
         assert np.max(np.abs(s.points[:, 2])) == 0.0
         resid = np.linalg.norm(moment_map(s.points, circle_p2), axis=1)
         assert np.max(resid) <= 1e-9
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(W=st.integers(1, 4).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1),
+               min_size=1, max_size=2)),
+           seed=st.integers(0, 2 ** 32), k=st.integers(0, 8))
+    def test_blocks_are_bit_identical(self, W, seed, k):
+        # the streamed zero-locus draw is the same bits in 2^4-row blocks, in
+        # the default ones and in one block, and so are the blocked kernel
+        # sums in 2^4-row and default blocks
+        action = TorusAction(W)
+        model = ProjectiveModel(action.n_coords - 1)
+        pts = sample_sphere(300, seed, model)
+        basis = section_basis(k, model, action.W, [0] * action.g)
+
+        def run(block):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geometry, "_SOBOL_BLOCK", block)
+                try:
+                    s = zero_locus_sample(action, model, 2 ** 10, seed, band=0.2)
+                    locus = [s.points, s.weights, s.gram_det]
+                except ReductionHypothesisError as exc:     # singular Gram in Newton
+                    locus = [str(exc)]
+                return locus, kernel_pair_values(pts[::-1], pts, basis.indices, basis.log_norms)
+
+        def same(a, b):
+            return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        locus, kernel = run(geometry._SOBOL_BLOCK)
+        small_locus, small_kernel = run(2 ** 4)
+        one_locus, _ = run(2 ** 30)
+        assert same(small_kernel, kernel)
+        for got in (small_locus, one_locus):
+            assert len(got) == len(locus) and all(same(a, b) for a, b in zip(got, locus))
+
+    def test_streamed_draw_memory(self):
+        # a 2^20-point draw on P3 holds one block and the band rows at a time
+        action, model = TorusAction(D3_WEIGHTS), ProjectiveModel(3)
+        zero_locus_sample(action, model, 2, seed=0)      # loads the direction table
+        tracemalloc.start()
+        try:
+            sample = zero_locus_sample(action, model, 2 ** 20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n_total == 2 ** 20 and sample.points.shape[0] > 1000
+        assert peak < 16 * 2 ** 20
 
 
 class TestEffectiveVolume:
@@ -444,6 +496,22 @@ class TestFBarIntegral:
         one = Observable.constant(1.0, 3)
         done = f_bar_integral(comp, one, circle_p2, p2, n_samples=2 ** 17, seed=3)
         assert abs(done.f_bar_integral - math.pi / 2) <= 3 * done.f_bar_stderr + 5e-3
+
+    def test_reuses_a_sample_of_its_support(self, p2, circle_p2, monkeypatch):
+        # the diagnostics' sample of the generic support (0, 1, 2) stands in
+        # for the draw of the component spanning the locus, with the same bits
+        sym = sym_of(0.0, 0.0, 0.0)
+        comp = component_invariants(find_fixed_components(circle_p2, sym, p2)[0],
+                                    sym, circle_p2, p2)
+        u1 = Observable.coordinate_modulus(1, 3)
+        _, sample = check_regular_and_free(circle_p2, p2, n_samples=2 ** 12, seed=3)
+        fresh = f_bar_integral(comp, u1, circle_p2, p2, n_samples=2 ** 12, seed=3)
+        monkeypatch.setattr(red, "zero_locus_sample", None)
+        reused = f_bar_integral(comp, u1, circle_p2, p2, n_samples=2 ** 12, seed=3,
+                                sample=sample)
+        assert comp.support == sample.support == (0, 1, 2)
+        assert (reused.f_bar_integral, reused.f_bar_stderr) == (fresh.f_bar_integral,
+                                                                fresh.f_bar_stderr)
 
     def test_u1_on_point_component(self, p2, circle_p2):
         sym = sym_of(0.0, 0.9, 2.1)
