@@ -12,13 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ProjectiveModel
+from .geometry import MAX_SAMPLES, ProjectiveModel
 from .observables import Observable
 from .symmetry import DiagonalSymmetry, TorusAction
 
 SCHEMA_VERSION = 1
-#: most samples of a draw: the Sobol generator's direction numbers have 30 bits
-MAX_SAMPLES = 1 << 30
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -183,7 +181,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(doc["sampling"], {"n_samples", "seed"}, {"n_samples", "seed"}, "sampling")
     n_samples, seed = doc["sampling"]["n_samples"], doc["sampling"]["seed"]
     if not isinstance(n_samples, int) or not 1 <= n_samples <= MAX_SAMPLES:
-        raise ConfigError(f"sampling.n_samples must be an integer in 1..2^30 = {MAX_SAMPLES} "
+        raise ConfigError(f"sampling.n_samples must be an integer in 1..{MAX_SAMPLES} "
                           "(the Sobol sequence has 30-bit direction numbers)")
     if not isinstance(seed, int):
         raise ConfigError("sampling.seed is mandatory and must be an integer")

@@ -264,6 +264,9 @@ def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:
 
 #: bits of the Sobol generator (scipy's default for 32-bit output)
 _SOBOL_BITS = 30
+#: most points `sample_sphere` can draw for one seed: the direction numbers
+#: have _SOBOL_BITS bits
+MAX_SAMPLES = 1 << _SOBOL_BITS
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,7 +315,7 @@ def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
     sequence is built in blocks of _SOBOL_BLOCK rows."""
     B = _SOBOL_BITS
     end = first + n
-    if first < 0 or n < 0 or end > 1 << B:
+    if first < 0 or n < 0 or end > MAX_SAMPLES:
         raise ValueError(f"Sobol points {first}..{end - 1} are outside 0..2^{B} - 1")
     rng = np.random.default_rng(seed)
     shift = rng.integers(0, 2, (dim, B), np.uint32) @ (1 << np.arange(B, dtype=np.uint32))
