@@ -390,15 +390,15 @@ def kernel_pair_values(xs: np.ndarray, ys: np.ndarray, indices: np.ndarray,
     xs = np.atleast_2d(np.asarray(xs, dtype=complex))
     ys = np.atleast_2d(np.asarray(ys, dtype=complex))
     A = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(xs.shape[0], dtype=complex)
+    n = xs.shape[0]
+    out = np.zeros(n, dtype=complex)
     if A.shape[0] == 0:
         return out
     log_abs = _log_abs(xs) + _log_abs(ys)
     angle = np.angle(xs) - np.angle(ys)
     log_norms = np.asarray(log_norms)[None, :]
     step = max(16, _SOBOL_BLOCK >> (A.shape[0] - 1).bit_length())
-    n = xs.shape[0]
-    # the last block takes the remainder, so no block but a lone row is one row
+    # the last block takes the remainder: only a one-row input is a one-row block
     edges = [i * step for i in range(max(1, n // step))] + [n]
     for lo, hi in zip(edges, edges[1:]):
         logmag = log_abs[lo:hi] @ A.T - log_norms
