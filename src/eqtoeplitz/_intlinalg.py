@@ -12,7 +12,7 @@ vertices of polytopes {x >= 0, A x = b}.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -248,14 +248,14 @@ def torsion_angles(info: dict, max_order: int = 4096) -> np.ndarray:
     continuous part, for the info of a `solve_phase_congruence` on D.
 
     Returns an (order, g) array enumerating the finite subgroup
-    {theta : D theta in 2*pi Z^m} / (continuous directions).  Raises if the
-    subgroup is larger than max_order.
+    {theta : D theta in 2*pi Z^m} / (continuous directions); NumericFailure
+    when the subgroup is larger than max_order.
     """
     torsion, V = info["torsion"], info["V"]
     order = math.prod(torsion)
     if order > max_order:
-        raise ValueError(f"stabilizer order {order} exceeds cap {max_order}")
-    coeffs = np.array(list(product(*(range(d) for d in torsion))), dtype=np.int64)
+        raise NumericFailure(f"stabilizer order {order} is over the budget of {max_order}")
+    coeffs = np.indices(torsion, dtype=np.int64).reshape(len(torsion), order).T
     psi = np.zeros((coeffs.shape[0], V.shape[0]))
     psi[:, :len(torsion)] = 2.0 * np.pi * coeffs / torsion
     return psi @ V.T

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache, reduce
+from operator import or_
 
 import numpy as np
 
@@ -87,8 +89,7 @@ class DegenerateSymmetryError(RuntimeError):
 
 def _difference_rows(W: np.ndarray, support) -> np.ndarray:
     S = list(support)
-    j0 = S[0]
-    return np.array([W[:, j] - W[:, j0] for j in S[1:]], dtype=np.int64).reshape(len(S) - 1, W.shape[0])
+    return (W[:, S[1:]] - W[:, S[:1]]).T.astype(np.int64)
 
 
 def stabilizer_info(action: TorusAction, support) -> dict:
@@ -106,16 +107,6 @@ def stabilizer_info(action: TorusAction, support) -> dict:
 def point_support(x) -> tuple:
     c = np.abs(np.asarray(x, dtype=complex))
     return tuple(int(j) for j in np.nonzero(c > SUPPORT_TOL)[0])
-
-
-def _point_stabilizers(points: np.ndarray, action: TorusAction) -> list:
-    """stabilizer_info of each row's coordinate support; a continuous
-    stabilizer is a hypothesis violation."""
-    infos = [stabilizer_info(action, point_support(x)) for x in points]
-    for x, info in zip(points, infos):
-        if info["free_rank"] > 0:
-            raise ReductionHypothesisError("continuous stabilizer on zero locus", witness=x)
-    return infos
 
 
 def _vertex_strata(action: TorusAction, verts: list) -> dict:
@@ -239,7 +230,12 @@ def effective_volume(x, action: TorusAction, stab_order=None):
         pts = np.atleast_2d(np.asarray(x, dtype=complex))
         det = np.linalg.det(action.orbit_gram(pts))
     if stab_order is None:
-        stab_order = np.array([info["order"] for info in _point_stabilizers(pts, action)])
+        # each row's support stabilizer; a continuous one is a violation
+        infos = [stabilizer_info(action, point_support(x)) for x in pts]
+        for x, info in zip(pts, infos):
+            if info["free_rank"] > 0:
+                raise ReductionHypothesisError("continuous stabilizer on zero locus", witness=x)
+        stab_order = np.array([info["order"] for info in infos])
     if np.any(det <= 1e-16):
         raise ReductionHypothesisError("degenerate orbit Gram (non-locally-free point)",
                                        witness=pts[int(np.argmin(det))])
@@ -300,10 +296,6 @@ class ReductionDiagnostics:
     v_eff_mean: float | None = None
     v_eff_max: float | None = None
     n_samples: int = 0
-
-
-def _support_mask(num) -> int:
-    return sum(1 << j for j, v in enumerate(num) if v)
 
 
 def _hypotheses(action: TorusAction) -> tuple[ReductionDiagnostics, tuple]:
@@ -400,27 +392,73 @@ class FixedComponentReport:
     _w_j0: np.ndarray = field(default=None, repr=False)
 
 
-#: largest coordinate count d+1 whose 2^(d+1) support patterns
-#: find_fixed_components scans.  Each pattern costs at most one small Smith
-#: normal form (~0.2 ms): d = 14, g = 2 takes ~0.3 s for a generic symmetry
-#: and ~5 s when every pattern's congruence is solvable
-MAX_SCAN_COORDS = 16
-#: a support pattern's phase congruence holds when it misses 2 pi Z by at
-#: most PHASE_TOL beyond its rounding; an unsolvable one missing by less
-#: than RESONANCE_BAND is near-resonant and flags every component
+#: most phase congruences find_fixed_components solves (one small Smith
+#: form each, ~0.1 ms), checked before each support size; every search over
+#: at most 16 coordinates fits
+MAX_SUPPORT_SOLVES = 1 << 16
+#: a support's phase congruence holds when it misses 2 pi Z by at most
+#: PHASE_TOL beyond its rounding; an unsolvable support with solvable proper
+#: subsets missing by less than RESONANCE_BAND is near-resonant
 PHASE_TOL = 1e-8
 RESONANCE_BAND = 5e-2
 
 
-def _face_patterns(vmasks: np.ndarray, n: int) -> np.ndarray:
-    """For each coordinate pattern m < 2^n (a bitmask), whether the zero
-    locus meets its open stratum: m is the union of the vertex supports
-    (bitmasks vmasks) contained in it."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    cover = np.zeros_like(masks)
-    for vm in vmasks:
-        cover |= np.where((masks & vm) == vm, vm, 0)
-    return (cover == masks) & (masks > 0)
+def _bits(mask: int) -> tuple:
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _is_face(mask: int, vmasks) -> bool:
+    """Whether the zero locus meets the open stratum of the support bitmask
+    `mask`: mask is the union of the vertex supports (bitmasks) inside it."""
+    return mask > 0 and reduce(or_, [vm for vm in vmasks if not vm & ~mask], 0) == mask
+
+
+def _solve_support(action: TorusAction, sym: DiagonalSymmetry, mask: int):
+    """The phase congruence e^{i phi_j} = c t^{W_j}, j in the support."""
+    S = _bits(mask)
+    delta = np.array([sym.phi[j] - sym.phi[S[0]] for j in S[1:]])
+    return solve_phase_congruence(_difference_rows(action.W, S), delta, tol=PHASE_TOL)
+
+
+def _solvable_faces(action: TorusAction, sym: DiagonalSymmetry, vmasks) -> tuple:
+    """(faces, alive) inside the generic support (the union of vmasks): the
+    solutions on the solvable faces by support bitmask, and whether each
+    alive support (solvable, or missing by less than RESONANCE_BAND) is
+    solvable.  The generic support is solved first: when it is solvable, so
+    is every support inside it.  Otherwise supports are solved level by
+    level in size, each only when all its one-smaller subsets are alive
+    (Apriori, Agrawal and Srikant 1994): a solution on a support solves every
+    subset, but whether a miss below RESONANCE_BAND passes PHASE_TOL depends
+    on the Smith form, so only a larger miss rules out the supports above.
+    Raises NumericFailure before a level whose solves pass MAX_SUPPORT_SOLVES.
+    """
+    generic = reduce(or_, vmasks)
+    first = _solve_support(action, sym, generic)
+    if first[0] is not None:
+        return {generic: first}, {generic: True}
+    faces, alive, solves, coords = {}, {}, 1, _bits(generic)
+    level = [1 << j for j in coords]
+    while level:
+        solves += len(level)
+        if solves > MAX_SUPPORT_SOLVES:
+            raise NumericFailure(
+                f"the fixed-component search needs {solves} phase-congruence solves "
+                f"through support size {level[0].bit_count()}, over the budget of "
+                f"{MAX_SUPPORT_SOLVES}")
+        for mask in level:
+            theta, info = first if mask == generic else _solve_support(action, sym, mask)
+            if theta is not None or info["residual"] < RESONANCE_BAND:
+                alive[mask] = theta is not None
+            if theta is not None and _is_face(mask, vmasks):
+                faces[mask] = (theta, info)
+        grown = []
+        for m in level:
+            if m in alive:
+                subs = [m ^ 1 << i for i in _bits(m)]
+                grown += [m | 1 << j for j in coords
+                          if 1 << j > m and all(sub | 1 << j in alive for sub in subs)]
+        level = grown
+    return faces, alive
 
 
 def _barycenter(vertices, n: int) -> np.ndarray:
@@ -434,92 +472,47 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
                           model: ProjectiveModel) -> list[FixedComponentReport]:
     """Enumerate the fixed components of the descended symmetry.
 
-    Support patterns S are kept when (a) the zero-locus polytope P meets the
-    open stratum, i.e. S is the union of the supports of the vertices of P
-    supported in S, and (b) the phase congruence e^{i phi_j} = c t^{W_j}
-    (j in S) is solvable over the torus; patterns contained in a solvable
-    pattern are absorbed into it.  The representative sits at the barycenter
-    of those vertices (exact vertex enumeration, no LP).  Near-resonant but
-    unsolvable patterns and overlapping maximal patterns are flagged rather
-    than merged.  Raises NumericFailure before any work when d+1 exceeds
-    MAX_SCAN_COORDS, and ReductionHypothesisError, with the support as
-    witness, when a vertex stratum of P has a continuous stabilizer (every
-    pattern contains a vertex support, so that decides all of them).
+    A component is a face of the zero-locus polytope P (a union of vertex
+    supports: a support whose open stratum the zero locus meets) whose phase
+    congruence is solvable over the torus (`_solvable_faces`), and which lies
+    in no larger such face: no join with vertex supports outside it, through
+    alive supports, is solvable.  The representative sits at the barycenter
+    of its vertices.  A component is flagged rather than merged when it
+    shares a vertex of P with another, or when an alive unsolvable support
+    lies within one coordinate of it (then so does a near-resonant one).
+    Raises NumericFailure when the search would exceed MAX_SUPPORT_SOLVES,
+    and ReductionHypothesisError, with the support as witness, when a vertex
+    stratum of P has a continuous stabilizer (every face contains a vertex
+    support, so that decides all of them).
     """
-    n = model.n_coords
-    g = action.g
-    if n > MAX_SCAN_COORDS:
-        raise NumericFailure(f"the fixed-component search scans 2^{n} coordinate supports, "
-                             f"over the budget of 2^{MAX_SCAN_COORDS}")
     verts = slice_vertices(action)
     for S, info in _vertex_strata(action, verts).items():
         if info["free_rank"] > 0:
             raise ReductionHypothesisError(
                 "continuous stabilizer on the zero-locus stratum of a vertex of P", witness=S)
-    vmasks = np.array([_support_mask(num) for num, _ in verts], dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = 1 << np.arange(n, dtype=np.int64)
-    feasible = _face_patterns(vmasks, n)
-    # a pattern containing one whose congruence misses by RESONANCE_BAND
-    # or more is unsolvable too: patterns are solved level by level in size,
-    # skipping those above such a pattern
-    far = np.zeros(1 << n, bool)
-    size = ((masks[:, None] & bits) > 0).sum(axis=1)
-    solvable = []
-    near_resonant = []
-    for level in range(1, n + 1):
-        lev = masks[size == level]
-        for bit in bits:
-            far[lev] |= far[lev & ~bit]
-        for mask in lev[feasible[lev] & ~far[lev]].tolist():
-            S = tuple(j for j in range(n) if mask >> j & 1)
-            D = _difference_rows(action.W, S)
-            delta = np.array([sym.phi[j] - sym.phi[S[0]] for j in S[1:]])
-            theta, info = solve_phase_congruence(D, delta, tol=PHASE_TOL)
-            if theta is None:
-                far[mask] = info["residual"] >= RESONANCE_BAND
-                if not far[mask]:
-                    near_resonant.append(S)
-            else:
-                solvable.append((mask, S, theta, info))
-
-    # absorb patterns contained in a larger solvable pattern: above[m] says
-    # some solvable pattern contains m (superset sums, one coordinate at a time)
-    above = np.zeros(1 << n, bool)
-    above[[mask for mask, *_ in solvable]] = True
-    for bit in bits:
-        low = masks[(masks & bit) == 0]
-        above[low] |= above[low | bit]
-    keep = []
-    for mask, S, theta, info in sorted(solvable):
-        if any(above[mask | bit] for bit in bits.tolist() if not mask & bit):
-            continue
-        stab_angles = torsion_angles(info)
-        u_star = _barycenter([v for v, vm in zip(verts, vmasks) if (vm & ~mask) == 0], n)
-        keep.append(dict(
-            support=S, mask=mask, t_angles=theta, stab_order=stab_angles.shape[0],
-            stab_angles=stab_angles, u_star=u_star, representative=np.sqrt(u_star) + 0j,
-            d_l=len(S) - 1 - g))
-
-    # overlapping maximal patterns: closures may intersect; report, don't merge
-    flagged = set()
-    for i in range(len(keep)):
-        for j in range(i + 1, len(keep)):
-            common = keep[i]["mask"] & keep[j]["mask"]
-            if np.any((vmasks & ~common) == 0):     # a vertex of P lies in both closures
-                flagged.update({i, j})
-    if near_resonant:
-        flagged.update(range(len(keep)))
-
+    if not verts:
+        return []
+    vmasks = [sum(1 << j for j, v in enumerate(num) if v) for num, _ in verts]
+    faces, alive = _solvable_faces(action, sym, vmasks)
+    # covered(J): a solvable face contains J, reached by joins through alive supports
+    joins = lambda J: (J | vm for vm in vmasks if vm & ~J and J | vm in alive)
+    covered = cache(lambda J: J in faces or any(covered(K) for K in joins(J)))
+    comps = [F for F in sorted(faces) if not any(covered(K) for K in joins(F))]
+    holders = [[F for F in comps if not vm & ~F] for vm in vmasks]
+    shared = {F for h in holders if len(h) > 1 for F in h}
+    near = [T for T, solvable in alive.items() if not solvable]
     out = []
-    for i, c in enumerate(keep):
+    for F in comps:
+        theta, info = faces[F]
+        S, stab_angles = _bits(F), torsion_angles(info)
+        u_star = _barycenter([v for v, vm in zip(verts, vmasks) if not vm & ~F], model.n_coords)
+        d_l = len(S) - 1 - action.g
         out.append(FixedComponentReport(
-            support=c["support"], d_l=c["d_l"], codim=model.d - g - c["d_l"],
-            t_angles=c["t_angles"], stab_order=c["stab_order"],
-            stab_angles=c["stab_angles"], u_star=c["u_star"],
-            representative=c["representative"],
-            suspected_nongeneric=(i in flagged),
-            _w_j0=action.W[:, c["support"][0]].astype(float)))
+            support=S, d_l=d_l, codim=model.d - action.g - d_l, t_angles=theta,
+            stab_order=stab_angles.shape[0], stab_angles=stab_angles, u_star=u_star,
+            representative=np.sqrt(u_star) + 0j,
+            suspected_nongeneric=F in shared or any((T & ~F).bit_count() <= 1 for T in near),
+            _w_j0=action.W[:, S[0]].astype(float)))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._intlinalg import basic_feasible_solutions
+from ._intlinalg import NumericFailure, basic_feasible_solutions
 from .geometry import SectionBasis, kernel_pair_values
 
 __all__ = [
@@ -98,6 +98,8 @@ def moment_map(x, action: TorusAction) -> np.ndarray:
 
 #: angles per block of the torus-grid sweep; bounds its working memory
 _GRID_BLOCK = 4096
+#: most torus-grid points one sweep visits: 256^g fits for g <= 3 (20-30 s)
+MAX_GRID_POINTS = 1 << 24
 
 
 def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
@@ -105,11 +107,15 @@ def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
     block the angles theta (rows) and <mu_theta x, y> = e^{i theta W} . (x conj(y)).
 
     The grid is visited in row-major order of the per-circle node indices;
-    memory stays bounded by the block size whatever n_grid^g is.
+    memory stays bounded by the block size, and n_grid^g by MAX_GRID_POINTS
+    (NumericFailure before the first block).
     """
+    total = n_grid ** action.g
+    if total > MAX_GRID_POINTS:
+        raise NumericFailure(f"the torus grid has {n_grid}^{action.g} = {total} points, "
+                             f"over the budget of {MAX_GRID_POINTS}")
     xy = np.asarray(x, dtype=complex) * np.conj(np.asarray(y, dtype=complex))
     strides = n_grid ** np.arange(action.g - 1, -1, -1)
-    total = n_grid ** action.g
     for start in range(0, total, _GRID_BLOCK):
         idx = np.arange(start, min(start + _GRID_BLOCK, total))
         theta = (idx[:, None] // strides % n_grid) * (2.0 * math.pi / n_grid)

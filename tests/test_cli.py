@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import eqtoeplitz.reduction as red
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
 from eqtoeplitz.config import ConfigError, load_config, parse_config
-from eqtoeplitz.reduction import MAX_SCAN_COORDS
 
 from conftest import read_csv
 
@@ -576,14 +576,52 @@ class TestBudgets:
         assert "budget" in capsys.readouterr().err
         assert not probed and not (out / "kernel_decay.csv").exists()
 
-    def test_oversize_component_search_exits_4(self, tmp_path, capsys):
-        n = MAX_SCAN_COORDS + 1
-        doc = base_config(tmp_path / "o", model={"d": n - 1},
-                          action={"W": [[1, -1] + [0] * (n - 2)]},
-                          symmetry={"phi": [0.0] * n},
-                          observable={"u_terms": [{"beta": [0] * n, "coef": 1.0}]},
-                          isotype=[0], k_range={"min": 2, "max": 8, "step": 1})
+    def test_oversize_component_search_exits_4(self, tmp_path, capsys, monkeypatch):
+        # distinct phases on P^11 without a group: the generic support and the
+        # 12 singletons fit a budget of 40 solves, the 66 pairs do not
+        solve = red._solve_support
+        solved = []
+        monkeypatch.setattr(red, "MAX_SUPPORT_SOLVES", 40)
+        monkeypatch.setattr(red, "_solve_support",
+                            lambda *a: solved.append(a[2]) or solve(*a))
+        doc = base_config(tmp_path / "o", model={"d": 11},
+                          symmetry={"phi": np.linspace(0.0, 5.5, 12).tolist()},
+                          observable={"u_terms": [{"beta": [0] * 12, "coef": 1.0}]},
+                          k_range={"min": 2, "max": 8, "step": 1})
         cfg = write_config(tmp_path, doc)
         assert main(["predict", "--config", cfg]) == 4
         assert "budget" in capsys.readouterr().err
+        assert len(solved) == 13
         assert not (tmp_path / "o" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("cmd", ["analyze", "predict"])
+    def test_stabilizer_over_cap_exits_4(self, tmp_path, capsys, cmd):
+        # the vertex stratum {0, 1} of W = [[-4099, 1, 1]] has a stabilizer of
+        # order 4,100, above the 4,096 angles torsion_angles lists
+        doc = base_config(tmp_path / "o", model={"d": 2}, action={"W": [[-4099, 1, 1]]},
+                          symmetry={"phi": [0.0, 0.4, 1.1]},
+                          observable={"u_terms": [{"beta": [0, 0, 0], "coef": 1.0}]},
+                          isotype=[0], k_range={"min": 2, "max": 8, "step": 1})
+        cfg = write_config(tmp_path, doc)
+        assert main([cmd, "--config", cfg]) == 4
+        assert "stabilizer order 4100 is over the budget of 4096" in capsys.readouterr().err
+        assert not any((tmp_path / "o" / f).exists()
+                       for f in ("components.csv", "predictions.csv"))
+
+    def test_torus_grid_over_budget_exits_4(self, tmp_path, capsys):
+        # the decay probe's orbit distance walks a 256^g torus grid: at g = 4
+        # its 2^32 points are refused before the first block
+        W = np.hstack([np.eye(4, dtype=int), -np.ones((4, 1), dtype=int)]).tolist()
+        out = tmp_path / "o"
+        doc = base_config(out, model={"d": 4}, action={"W": W},
+                          symmetry={"phi": [0.0] * 5},
+                          observable={"u_terms": [{"beta": [0] * 5, "coef": 1.0}]},
+                          isotype=[0] * 4,
+                          kernel_probe={"type": "decay", "point": [0.8, 0.4, 0.4, 0.2, 0.0],
+                                        "k_values": [5, 10, 15, 20]})
+        cfg = write_config(tmp_path, doc)
+        t0 = time.perf_counter()
+        assert main(["kernel", "--config", cfg]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert "256^4" in capsys.readouterr().err
+        assert not (out / "kernel_decay.csv").exists()

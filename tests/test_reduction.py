@@ -335,8 +335,21 @@ class TestFixedComponents:
         assert all(c.d_l == 0 for c in comps)
 
     def test_near_resonance_flagged(self, p2, trivial_g2):
+        # {0, 1} misses its congruence by 1e-4: it flags the components
+        # within one coordinate of it, (0,) and (1,), but not (2,)
         comps = find_fixed_components(trivial_g2, sym_of(0.0, 1e-4, 2.0), p2)
-        assert all(c.suspected_nongeneric for c in comps)
+        assert {c.support: c.suspected_nongeneric for c in comps} == {
+            (0,): True, (1,): True, (2,): False}
+
+    def test_near_resonance_is_local(self):
+        # generic phases at d = 14: among the supports solved some miss by
+        # less than RESONANCE_BAND, but they lie beside a few components only
+        rng = np.random.default_rng(0)
+        action = TorusAction(rng.integers(-30, 31, size=(2, 15)))
+        sym = DiagonalSymmetry(phi=rng.uniform(0.0, 2 * math.pi, size=15))
+        flags = [c.suspected_nongeneric for c in
+                 find_fixed_components(action, sym, ProjectiveModel(14))]
+        assert any(flags) and not all(flags)
 
     def test_resonant_phase_merges_to_reduced_space(self, p2, circle_p2):
         # phi1 = phi2 makes the descended map the identity: one component
@@ -357,7 +370,8 @@ class TestFixedComponents:
         assert [c.support for c in comps] == ([supp] if supp else [])
         assert not any(c.suspected_nongeneric for c in comps)
         # a true miss of 1e-7 at one coordinate is not forgiven: the locus is
-        # no longer fixed, and the near-resonant miss flags every component
+        # no longer fixed, and every component lies within one coordinate of
+        # a support through that coordinate that misses by about 1e-7
         shifted = replace(sym, phi=sym.phi + 1e-7 * (np.arange(9) == 0))
         comps = find_fixed_components(action, shifted, ProjectiveModel(8))
         assert supp not in [c.support for c in comps]
@@ -387,15 +401,17 @@ class TestFixedComponents:
         assert err.value.witness == vertex
 
     def test_oversize_search_fails_before_enumerating(self, monkeypatch):
-        n = red.MAX_SCAN_COORDS + 1
-
-        def enumerated(action):
-            raise AssertionError("the polytope was enumerated")
-
-        monkeypatch.setattr(red, "slice_vertices", enumerated)
+        # generic phases on P^11 without a group: the generic support and the
+        # 12 singletons fit a budget of 40 solves, the 66 pairs do not
+        solve = red._solve_support
+        solved = []
+        monkeypatch.setattr(red, "MAX_SUPPORT_SOLVES", 40)
+        monkeypatch.setattr(red, "_solve_support",
+                            lambda *a: solved.append(a[2]) or solve(*a))
         with pytest.raises(NumericFailure, match="budget"):
-            find_fixed_components(TorusAction([[1, -1] + [0] * (n - 2)]),
-                                  sym_of(*[0.0] * n), ProjectiveModel(n - 1))
+            find_fixed_components(TorusAction(np.zeros((0, 12), np.int64)),
+                                  sym_of(*np.linspace(0.0, 5.5, 12)), ProjectiveModel(11))
+        assert len(solved) == 13
 
 
 class TestComponentInvariants:
