@@ -23,7 +23,8 @@ from . import __version__
 from .asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe, TracePrediction,
                           compare_and_fit, decay_probe, scaling_probe)
 from .cache import Cache
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .config import (ConfigError, ExperimentConfig, check_level_budget, load_config,
+                     parse_config)
 from .geometry import check_slice_budget
 from .iotools import write_csv
 from .reduction import (DegenerateSymmetryError, ReductionHypothesisError,
@@ -174,7 +175,8 @@ def _write_report(out, lines):
 def _complete_sweep(cfg: ExperimentConfig, threads: int):
     """Exact traces over every configured level; any failed level is a
     numeric failure, so no output is ever written over a gapped series.
-    The top level's slice-candidate budget is checked before any level."""
+    The top level's slice-candidate budget and the level count are checked
+    before any level."""
     check_slice_budget(cfg.k_min + (cfg.k_max - cfg.k_min) // cfg.k_step * cfg.k_step, cfg.W)
     series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
                          cfg.action(), cfg.model(), threads=threads)
@@ -242,6 +244,7 @@ def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
         raise ConfigError("kernel subcommand needs a kernel_probe config section")
     model, action = cfg.model(), cfg.action()
     ks = probe["k_values"]
+    check_level_budget(len(ks))
     check_slice_budget(max(ks), cfg.W)
     if probe["type"] == "decay":
         res = decay_probe(probe["point"], probe["second_point"], cfg.varpi, action, model, ks)

@@ -12,17 +12,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._intlinalg import NumericFailure
 from .geometry import MAX_SAMPLES, ProjectiveModel
 from .observables import Observable
 from .symmetry import DiagonalSymmetry, TorusAction
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "check_level_budget"]
+
+#: most levels one subcommand visits, from k_range or kernel_probe.k_values:
+#: the d = 1 sweep k = 1..10,000 takes ~2 min for `trace` or `compare` and
+#: ~0.5 s for `predict`, where k = 1..100,000 would take ~3 h (a level's
+#: enumeration grows with k; 2-vCPU Xeon)
+MAX_LEVELS = 10_000
 
 
 class ConfigError(ValueError):
     pass
+
+
+def check_level_budget(n_levels: int) -> None:
+    """Raise NumericFailure, before any level is visited, when a sweep or
+    probe has more than MAX_LEVELS levels."""
+    if n_levels > MAX_LEVELS:
+        raise NumericFailure(f"{n_levels} levels, over the budget of {MAX_LEVELS}")
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str):
@@ -69,6 +83,8 @@ class ExperimentConfig:
         return Observable(u_terms=self.u_terms, h_term=self.h_term)
 
     def k_values(self) -> list:
+        """The k_range levels, after `check_level_budget` on their count."""
+        check_level_budget((self.k_max - self.k_min) // self.k_step + 1)
         return list(range(self.k_min, self.k_max + 1, self.k_step))
 
     # ---- hashing --------------------------------------------------------

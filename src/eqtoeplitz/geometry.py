@@ -108,21 +108,57 @@ class SectionBasis:
         return self.indices.shape[0]
 
 
-#: cephes `lgam`: its Stirling-series coefficients in 1/x^2 (highest power
-#: first), used for 13 <= x < 1000, and log(sqrt(2 pi))
-_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-             7.93650340457716943945e-4, -2.77777777730099687205e-3,
-             8.33333333333331927722e-2)
+def _polevl(x, coef):
+    """cephes `polevl`: the polynomial with coefficients coef (highest power
+    first) at x, by Horner's rule; x is a float or a float array, updated in
+    place after the first step."""
+    s = x * coef[0] + coef[1]
+    for c in coef[2:]:
+        s *= x
+        s += c
+    return s
+
+
+def _p1evl(x, coef):
+    """cephes `p1evl`: as `_polevl` with a leading coefficient 1 left out."""
+    s = x + coef[0]
+    for c in coef[1:]:
+        s *= x
+        s += c
+    return s
+
+
+#: cephes `lgam`: the rational approximation B/C of log Gamma on 2 <= x < 3,
+#: the Stirling series A in 1/x^2 for 13 <= x < 1000, and log(sqrt(2 pi))
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 _LOG_SQRT_2PI = 0.91893853320467274178
 
 
-def _log_factorial(m: int) -> float:
-    """log m! = log Gamma(m + 1) by a scalar port of cephes `lgam`,
-    bit-identical to `scipy.special.gammaln(m + 1)` (`math.lgamma` is not):
-    the log of the exact factorial for m <= 11, the Stirling series above."""
-    x = m + 1.0
+def _log_gamma(x: float) -> float:
+    """log Gamma(x) for x > 0 by a scalar port of cephes `lgam`, bit-identical
+    to `scipy.special.gammaln` (`math.lgamma` is not): below 13 the argument
+    is shifted into [2, 3) by the recurrence, whose factors are multiplied
+    exactly for integer x (so log m! is the log of the exact factorial for
+    m <= 11), and B/C is added; above, the Stirling series."""
     if x < 13.0:
-        return math.log(math.factorial(m))
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
     q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
     if x > 1.0e8:
         return q
@@ -130,10 +166,7 @@ def _log_factorial(m: int) -> float:
     if x >= 1000.0:
         return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
                     + 0.0833333333333333333333) / x
-    s = _STIRLING[0]
-    for c in _STIRLING[1:]:
-        s = s * p + c
-    return q + s / x
+    return q + _polevl(p, _LGAM_A) / x
 
 
 #: log m! at index m; grown on demand by `_log_factorials`, never shrunk
@@ -147,7 +180,7 @@ def _log_factorials(n: int) -> np.ndarray:
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if n >= len(table):
-        grown = [_log_factorial(m) for m in range(len(table), max(n + 1, 2 * len(table)))]
+        grown = [_log_gamma(m + 1.0) for m in range(len(table), max(n + 1, 2 * len(table)))]
         table = _LOG_FACTORIALS = np.concatenate([table, grown])
     return table
 
@@ -305,18 +338,14 @@ def _sobol_directions(dim: int) -> np.ndarray:
 _SOBOL_BLOCK = 1 << 14
 
 
-def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
-    """Points first .. first+n-1 of scrambled Sobol in [0, 1)^dim; the first
-    2^m are bit-identical to scipy's `qmc.Sobol(dim, scramble=True,
-    seed=seed).random_base2(m)`: a random lower-triangular (unit diagonal)
-    linear matrix scramble of the direction numbers and a random digital
-    shift, drawn in that order from `default_rng(seed)`, then the points in
-    Gray-code order.  Point i depends only on i, so any window of the
-    sequence is built in blocks of _SOBOL_BLOCK rows."""
+@functools.lru_cache(maxsize=64)
+def _sobol_scramble(dim: int, seed: int) -> tuple:
+    """The seed's random digital shift (dim,) and its scrambled direction
+    numbers (dim, 30): a random lower-triangular (unit diagonal) linear
+    matrix scramble of the direction numbers and the shift, drawn in that
+    order from `default_rng(seed)`, as scipy's engine draws them.  Cached,
+    so a draw taken in windows scrambles once."""
     B = _SOBOL_BITS
-    end = first + n
-    if first < 0 or n < 0 or end > MAX_SAMPLES:
-        raise ValueError(f"Sobol points {first}..{end - 1} are outside 0..2^{B} - 1")
     rng = np.random.default_rng(seed)
     shift = rng.integers(0, 2, (dim, B), np.uint32) @ (1 << np.arange(B, dtype=np.uint32))
     ltm = np.tril(rng.integers(0, 2, (dim, B, B), np.uint32)).astype(np.int64)
@@ -324,6 +353,22 @@ def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
     pos = B - 1 - np.arange(B)          # bit position of row / column index p
     v_bits = (_sobol_directions(dim)[:, :, None] >> pos) & 1      # (dim, j, k)
     sv = ((np.einsum("dpk,djk->djp", ltm, v_bits) & 1) @ (1 << pos)).astype(np.uint32)
+    shift.setflags(write=False)
+    sv.setflags(write=False)
+    return shift, sv
+
+
+def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
+    """Points first .. first+n-1 of scrambled Sobol in [0, 1)^dim; the first
+    2^m are bit-identical to scipy's `qmc.Sobol(dim, scramble=True,
+    seed=seed).random_base2(m)`: the scramble of `_sobol_scramble`, then
+    the points in Gray-code order.  Point i depends only on i, so any window
+    of the sequence is built in blocks of _SOBOL_BLOCK rows."""
+    B = _SOBOL_BITS
+    end = first + n
+    if first < 0 or n < 0 or end > MAX_SAMPLES:
+        raise ValueError(f"Sobol points {first}..{end - 1} are outside 0..2^{B} - 1")
+    shift, sv = _sobol_scramble(dim, seed)
     # point i is shift ^ (xor of sv[:, c] over the bits c of gray(i) = i ^ (i >> 1)),
     # and gray(j 2^b + r) = gray(j 2^b) ^ gray(r) for r < 2^b: block j is the first
     # block XORed with the sv columns of gray(j 2^b).  The reflected Gray code
@@ -343,25 +388,87 @@ def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
     return pts * 2.0 ** -B
 
 
+#: cephes `ndtri`: e^-2, sqrt(2 pi), the central rational approximation
+#: P0/Q0 in (u - 1/2)^2 for e^-2 < u <= 1 - e^-2, and P1/Q1 (P2/Q2) in
+#: 1/t, t = sqrt(-2 log y), y = min(u, 1 - u), for 2 <= t < 8 (t >= 8)
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The standard normal quantile at each entry of u, 0 < u < 1, by a numpy
+    port of cephes `ndtri` in C's order of operations.  The central branch
+    uses no log and equals `scipy.special.ndtri` bit for bit; the tails take
+    their two logs from `np.log`, which differs from libm's `log` in the
+    last bit on some inputs, so a tail value can move by a few ulp."""
+    shape, u = u.shape, u.ravel()
+    y = u - 0.5
+    y2 = y * y
+    x = y2 * _polevl(y2, _NDTRI_P0)
+    x /= _p1evl(y2, _NDTRI_Q0)
+    x *= y
+    x += y
+    x *= _SQRT_2PI
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    ut = u[tail]
+    upper = ut > 1.0 - _EXP_M2
+    t = np.log(np.where(upper, 1.0 - ut, ut))
+    t *= -2.0
+    np.sqrt(t, out=t)
+    z = 1.0 / t
+    xt = np.log(t)
+    xt /= t
+    np.subtract(t, xt, out=xt)                      # t - log(t) / t
+    x1 = z * _polevl(z, _NDTRI_P1)
+    x1 /= _p1evl(z, _NDTRI_Q1)
+    far = np.flatnonzero(t >= 8.0)                  # u < e^-32: only the clip ends
+    if far.size:
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
+    xt -= x1
+    np.negative(xt, out=xt, where=~upper)
+    x[tail] = xt
+    return x.reshape(shape)
+
+
 def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0) -> np.ndarray:
     """Deterministic quasi-random unit vectors in C^(d+1): rows first ..
     first+n-1, shape (n, d+1), of the seed's sequence.
 
     Scrambled Sobol points (bit-identical to scipy's) mapped through the
-    Gaussian-normalize construction; a row depends only on its index, the
-    seed and d, so a large draw can be taken in consecutive windows.  At
-    most 2^30 rows exist.  `ndtri` stays scipy's (a numpy inverse normal
-    built on `np.log` moves last bits) and is imported here, so only a
-    sampling run loads `scipy.special`.
+    Gaussian-normalize construction with the inverse normal `_ndtri`; a row
+    depends only on its index, the seed and d, so a large draw can be taken
+    in consecutive windows.  At most 2^30 rows exist.  The rows are built
+    _SOBOL_BLOCK at a time, so the working memory beyond the output is one
+    block.  Sampling imports no scipy module apart from `scipy` itself, for
+    the path of its Sobol direction-number file.
     """
-    from scipy.special import ndtri
-
     if n < 1:
         raise ValueError("need at least one sample")
-    u = np.clip(_sobol(2 * model.n_coords, seed, n, first), 1e-15, 1.0 - 1e-15)
-    gau = ndtri(u)
-    z = gau[:, ::2] + 1j * gau[:, 1::2]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((n, model.n_coords), complex)
+    for lo in range(0, n, _SOBOL_BLOCK):
+        w = z[lo:lo + _SOBOL_BLOCK]
+        gau = _ndtri(np.clip(_sobol(2 * model.n_coords, seed, w.shape[0], first + lo),
+                             1e-15, 1.0 - 1e-15))
+        w.real, w.imag = gau[:, ::2], gau[:, 1::2]
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
     return z
 
 

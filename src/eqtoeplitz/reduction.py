@@ -120,11 +120,9 @@ def _vertex_strata(action: TorusAction, verts: list) -> dict:
 # zero-locus sampling
 
 def _ball_volume(g: int, eps: float) -> float:
-    # gammaln, not math.gamma, keeps the odd-g volumes bit for bit; only the
-    # sampler gets here, so only a sampling run loads scipy.special
-    from scipy.special import gammaln
-
-    return math.pi ** (g / 2.0) * eps ** g / math.exp(gammaln(g / 2.0 + 1.0))
+    # the cephes lgam port, equal to scipy's gammaln bit for bit, keeps the
+    # odd-g volumes bit for bit; math.lgamma already differs at g/2 + 1 = 1.5
+    return math.pi ** (g / 2.0) * eps ** g / math.exp(geometry._log_gamma(g / 2.0 + 1.0))
 
 
 def _newton_refine(points: np.ndarray, action: TorusAction) -> np.ndarray:

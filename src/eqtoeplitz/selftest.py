@@ -18,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from . import geometry
 from .geometry import (ProjectiveModel, kernel_pair_values, monomial_norm, sample_sphere,
                        section_basis, szego_kernel)
 from .observables import Observable
@@ -191,16 +192,27 @@ def check_norm_table(closed_forms=((1, (0, 0), 1), (1, (1, 1), 6), (2, (1, 0, 0)
 def check_reproducing_property(d=1, k=6, alpha=None, log2_nodes=16, seed=5, n_points=3,
                                point_seed=99, tol=5e-3):
     """Quadrature of the closed-form kernel binom(k+d, d)/vol_X <x, y>^k
-    against z^alpha(y) reproduces z^alpha(x); alpha defaults to (k, 0, ..., 0)."""
+    against z^alpha(y) reproduces z^alpha(x); alpha defaults to (k, 0, ..., 0).
+
+    The nodes are drawn one power-of-two window of geometry._SOBOL_BLOCK at
+    a time, and the window sums are added in pairs, level by level: that is
+    how numpy's pairwise summation splits the whole 2^log2_nodes terms, so
+    each mean has the bits of the unstreamed one."""
     model = ProjectiveModel(d)
     alpha = np.array((k,) + (0,) * d if alpha is None else alpha)
-    ys = sample_sphere(2 ** log2_nodes, seed, model)
-    mono = np.prod(ys ** alpha[None, :], axis=1)
     c = model.dim_sections(k) / model.vol_X
-    worst = 0.0
-    for x in sample_sphere(n_points, point_seed, model):
-        est = model.vol_X * np.mean(c * (ys.conj() @ x) ** k * mono)
-        worst = max(worst, abs(est - np.prod(x ** alpha)))
+    xs = sample_sphere(n_points, point_seed, model)
+    n = 2 ** log2_nodes
+    parts = []
+    block = min(geometry._SOBOL_BLOCK, n)
+    for first in range(0, n, block):
+        ys = sample_sphere(block, seed, model, first=first)
+        mono = np.prod(ys ** alpha[None, :], axis=1)
+        parts.append([np.sum(c * (ys.conj() @ x) ** k * mono) for x in xs])
+    while len(parts) > 1:
+        parts = [np.add(a, b) for a, b in zip(parts[::2], parts[1::2])]
+    est = model.vol_X * (np.array(parts[0]) / n)
+    worst = max(abs(e - np.prod(x ** alpha)) for e, x in zip(est, xs))
     return worst < tol, f"max reproducing error {worst:.2e} at 2^{log2_nodes} nodes"
 
 

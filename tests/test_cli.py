@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import eqtoeplitz.asymptotics as asymptotics
+import eqtoeplitz.config as config
 import eqtoeplitz.reduction as red
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
@@ -496,11 +497,13 @@ class TestSelfTest:
         assert {"trace.csv", "predictions.csv"} <= set(record["artifacts"])
 
 
-#: scipy modules no subcommand needs: the Sobol scramble, the slice polytope
-#: and the horizontal frames are numpy
-HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats")
-#: loaded only by a run that draws sphere samples, for the sampler's `ndtri`
-SAMPLER = ("scipy", "scipy.special")
+#: scipy modules no subcommand needs: the Sobol scramble, the slice polytope,
+#: the horizontal frames and the sampler's inverse normal and log Gamma are
+#: numpy
+HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.special")
+#: loaded only by a run that draws sphere samples, for the path of the Sobol
+#: direction-number file
+SAMPLER = ("scipy",)
 
 
 class TestImport:
@@ -518,7 +521,7 @@ assert not loaded, loaded
 
     def test_trace_and_kernel_skip_lp_linalg_and_stats(self, tmp_path):
         # trace and kernel draw no sphere sample, so they load no scipy;
-        # analyze draws the zero-locus sample, which loads scipy.special
+        # analyze draws the zero-locus sample, which loads scipy itself only
         out = tmp_path / "out"
         cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60]))
         self.run_isolated(f"""
@@ -529,7 +532,9 @@ assert main(["kernel", "--config", {cfg!r}]) == 0
 loaded = [m for m in {HEAVY + SAMPLER!r} if m in sys.modules]
 assert not loaded, loaded
 assert main(["analyze", "--config", {cfg!r}]) == 0
-assert "scipy.special" in sys.modules
+assert "scipy" in sys.modules
+loaded = [m for m in {HEAVY!r} if m in sys.modules]
+assert not loaded, loaded
 """)
         assert (out / "trace.csv").exists() and (out / "kernel_decay.csv").exists()
 
@@ -564,6 +569,28 @@ class TestBudgets:
         assert main([cmd, "--config", cfg]) == 4
         assert "budget" in capsys.readouterr().err
         assert not any((tmp_path / "o" / f).exists() for f in ("trace.csv", "comparison.csv"))
+
+    @pytest.mark.parametrize("cmd", ["trace", "predict", "compare"])
+    def test_too_many_levels_exits_4(self, tmp_path, capsys, cmd):
+        # d = 1, k = 1..999,999: the top level's 10^6 slice candidates fit
+        # their budget, the 999,999 levels do not fit MAX_LEVELS
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, base_config(out, k_range={"min": 1, "max": 999_999}))
+        t0 = time.perf_counter()
+        assert main([cmd, "--config", cfg]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert "999999 levels, over the budget" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_too_many_probe_levels_exits_4(self, tmp_path, capsys, monkeypatch):
+        probed = []
+        monkeypatch.setattr(asymptotics, "isotype_slice", lambda *a: probed.append(a))
+        monkeypatch.setattr(config, "MAX_LEVELS", 3)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60, 80]))
+        assert main(["kernel", "--config", cfg]) == 4
+        assert "4 levels, over the budget of 3" in capsys.readouterr().err
+        assert not probed and not (out / "kernel_decay.csv").exists()
 
     def test_oversize_kernel_probe_exits_4(self, tmp_path, capsys, monkeypatch):
         # level 2,000,002 lists C(2000003, 1) candidates: refused before the
