@@ -7,6 +7,9 @@ solution is a fixed component's g_m, and the info it returns holds the
 finite stabilizer coset g_m is defined up to (`torsion_angles`; delta = 0
 gives the stabilizer alone).  Integer adjugates list weight slices and the
 vertices of polytopes {x >= 0, A x = b}.
+
+The exception types the CLI maps to exit codes 2, 3 and 4 are defined here,
+the one module every subcommand loads.
 """
 
 from __future__ import annotations
@@ -24,6 +27,24 @@ MAX_BASIS_SOLVES = 20_000
 class NumericFailure(RuntimeError):
     """Numerical breakdown with diagnostics (rank-deficient fits, work over
     a stated budget)."""
+
+
+class ProbeDomainError(ValueError):
+    """A kernel probe's points or displacements violate its precondition."""
+
+
+class ReductionHypothesisError(RuntimeError):
+    """Raised when 0 fails to be a regular value or the action is not free
+    modulo a constant finite stabilizer; carries a witness point."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class DegenerateSymmetryError(RuntimeError):
+    """The normal return map has an eigenvalue 1: the determinant factor
+    vanishes and the leading-term formula does not apply."""
 
 
 def int_det(M) -> int:

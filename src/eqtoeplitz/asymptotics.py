@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._intlinalg import NumericFailure
+from ._intlinalg import NumericFailure, ProbeDomainError
 from .geometry import ProjectiveModel
 from .observables import Observable
 from .reduction import effective_volume
@@ -37,10 +37,6 @@ __all__ = [
     "ScalingProbe",
     "scaling_probe",
 ]
-
-
-class ProbeDomainError(ValueError):
-    """A kernel probe's points or displacements violate its precondition."""
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Content-addressed cache for expensive Monte-Carlo integrals.
 
-Entries are keyed by the sha256 of a canonical JSON key (config subhash,
-seed, sample count, purpose); payloads carry their own checksum so corrupted
-files are detected and transparently recomputed.
+Entries are keyed by the sha256 of a canonical JSON key (the config sections
+the value depends on, seed, sample count, purpose); payloads carry their own
+checksum so corrupted files are detected and transparently recomputed.  Only
+a run that looks up a sampled f-bar imports this module, and with it the
+OpenSSL-backed `hashlib`.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ Subcommands: analyze | trace | predict | compare | kernel | selftest.
 Exit codes: 0 success, 2 config error, 3 reduction-hypothesis violation,
 4 numeric failure.  All tabular outputs are CSV with 17-significant-digit
 floats; two runs with the same config and seed are byte-identical.
+
+Each subcommand imports the layers it runs when it runs, so a process loads
+only those: `trace` never loads the reduction, asymptotics, selftest or
+cache modules.
 """
 
 from __future__ import annotations
@@ -20,19 +24,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe, TracePrediction,
-                          compare_and_fit, decay_probe, scaling_probe)
-from .cache import Cache
-from .config import (ConfigError, ExperimentConfig, check_level_budget, load_config,
-                     parse_config)
+from ._intlinalg import (DegenerateSymmetryError, NumericFailure, ProbeDomainError,
+                         ReductionHypothesisError)
+from .config import (FLIPPABLE_PINS, PINNED, ConfigError, ExperimentConfig,
+                     check_level_budget, load_config, parse_config)
 from .geometry import check_slice_budget
 from .iotools import write_csv
-from .reduction import (DegenerateSymmetryError, ReductionHypothesisError,
-                        check_regular_and_free, component_invariants, f_bar_integral,
-                        f_bar_is_sampled, find_fixed_components)
-from .selftest import FLIPPABLE_PINS, PINNED, run_selftest
 from .symmetry import vanishing_level
-from .toeplitz import trace_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,9 +46,9 @@ def _configured(name: str, cmd):
     create the output directory, run cmd(cfg, out, args) and merge the
     artifacts it returns and the wall time into <out>/run_record.json.
 
-    Subcommands run on the same config accumulate in one record, timings
-    keyed by subcommand; a different config (or an unreadable record)
-    starts a new one."""
+    Subcommands run on the same config accumulate in one record, which
+    holds that config and the timings keyed by subcommand; a different
+    config (or an unreadable record) starts a new one."""
     def run(args) -> int:
         t0 = time.perf_counter()
         cfg = load_config(args.config)
@@ -68,10 +66,10 @@ def _configured(name: str, cmd):
                 old = json.load(fh)
         except (OSError, ValueError):
             old = {}
-        if not isinstance(old, dict) or old.get("config_hash") != cfg.config_hash():
+        if not isinstance(old, dict) or old.get("config") != cfg.raw:
             old = {}
         record = {
-            "config_hash": cfg.config_hash(),
+            "config": cfg.raw,
             "calibration": PINNED.to_dict(),
             "artifacts": sorted(set(old.get("artifacts", [])) | set(artifacts)),
             "versions": {
@@ -90,9 +88,12 @@ def _configured(name: str, cmd):
 def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
     """Every fixed component with its invariants and f-bar integral; the
     Monte-Carlo integrals are cached under <out>/cache.  `sample`, the
-    diagnostics' zero-locus sample, is reused by a component of its support."""
+    diagnostics' zero-locus sample, is reused by a component of its support.
+    A cache key holds the config sections the integral depends on."""
+    from .reduction import (component_invariants, f_bar_integral, f_bar_is_sampled,
+                            find_fixed_components)
+
     model, action, sym, f = cfg.model(), cfg.action(), cfg.symmetry(), cfg.observable()
-    cache = Cache(os.path.join(out, "cache"))
     comps = []
     for rep in find_fixed_components(action, sym, model):
         rep = component_invariants(rep, sym, action, model)
@@ -101,9 +102,11 @@ def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
         if not f_bar_is_sampled(rep, action, model):
             comps.append(fill())
             continue
+        from .cache import Cache
+
         key = {
             "purpose": "f_bar_integral",
-            "config": cfg.subhash("model", "action", "symmetry", "observable"),
+            "config": {s: cfg.raw[s] for s in ("model", "action", "symmetry", "observable")},
             "support": list(rep.support),
             "n_samples": cfg.n_samples,
             "seed": cfg.seed,
@@ -113,13 +116,15 @@ def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
             val = fill()
             return {"re": val.f_bar_integral.real, "im": val.f_bar_integral.imag,
                     "stderr": val.f_bar_stderr}
-        val = cache.get_or_compute(key, compute)
+        val = Cache(os.path.join(out, "cache")).get_or_compute(key, compute)
         comps.append(replace(rep, f_bar_integral=complex(val["re"], val["im"]),
                              f_bar_stderr=val["stderr"]))
     return comps
 
 
 def _predictions(cfg: ExperimentConfig, out: str, ks) -> np.ndarray:
+    from .asymptotics import TracePrediction
+
     pred = TracePrediction(tuple(_components(cfg, out)), cfg.varpi)
     return np.array([pred(k) for k in ks], dtype=complex)
 
@@ -127,6 +132,8 @@ def _predictions(cfg: ExperimentConfig, out: str, ks) -> np.ndarray:
 def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
     """reduction_report.txt on every hypothesis outcome; components.csv only
     when the hypotheses hold (else exit 3 after the report)."""
+    from .reduction import check_regular_and_free
+
     model, action = cfg.model(), cfg.action()
     diagnostics, sample = check_regular_and_free(action, model, n_samples=cfg.n_samples,
                                                  seed=cfg.seed)
@@ -177,6 +184,8 @@ def _complete_sweep(cfg: ExperimentConfig, threads: int):
     numeric failure, so no output is ever written over a gapped series.
     The top level's slice-candidate budget and the level count are checked
     before any level."""
+    from .toeplitz import trace_sweep
+
     check_slice_budget(cfg.k_min + (cfg.k_max - cfg.k_min) // cfg.k_step * cfg.k_step, cfg.W)
     series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
                          cfg.action(), cfg.model(), threads=threads)
@@ -208,6 +217,8 @@ def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
+    from .asymptotics import compare_and_fit
+
     series = _complete_sweep(cfg, args.threads)
     ks = [rec.k for rec in series.records]
     preds = _predictions(cfg, out, ks)
@@ -239,6 +250,8 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
 
 
 def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
+    from .asymptotics import ScalingProbe, decay_probe, scaling_probe
+
     probe = cfg.kernel_probe
     if probe is None:
         raise ConfigError("kernel subcommand needs a kernel_probe config section")
@@ -267,6 +280,8 @@ def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     t0 = time.perf_counter()
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

@@ -1,4 +1,5 @@
-"""Experiment configuration: a single versioned JSON document.
+"""Experiment configuration: a single versioned JSON document, and the
+pinned calibration every run record carries.
 
 Unknown keys are rejected at every level; the sampling seed is mandatory so
 no run is ever silently nondeterministic.
@@ -6,9 +7,8 @@ no run is ever silently nondeterministic.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,17 +19,56 @@ from .symmetry import DiagonalSymmetry, TorusAction
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "check_level_budget"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "check_level_budget",
+           "CalibrationRecord", "PINNED", "FLIPPABLE_PINS"]
 
 #: most levels one subcommand visits, from k_range or kernel_probe.k_values:
-#: the d = 1 sweep k = 1..10,000 takes ~2 min for `trace` or `compare` and
-#: ~0.5 s for `predict`, where k = 1..100,000 would take ~3 h (a level's
-#: enumeration grows with k; 2-vCPU Xeon)
+#: the d = 1 sweep k = 1..10,000 takes ~14 s for `trace` or `compare` and
+#: ~0.5 s for `predict`; a level's work grows with k (2-vCPU Xeon)
 MAX_LEVELS = 10_000
 
 
 class ConfigError(ValueError):
     pass
+
+
+#: the conventions `selftest --debug-flip-pin` can force wrong; the selftest
+#: check that pins convention p is named "pin-p"
+FLIPPABLE_PINS = ("gamma-phase", "h-orientation", "moment-sign")
+#: the selftest checks whose outcome the calibration record carries
+CALIBRATION_CHECKS = ("calibrate-kappa-x",) + tuple(f"pin-{p}" for p in FLIPPABLE_PINS)
+
+
+@dataclass(frozen=True)
+class CalibrationRecord:
+    kappa_x: float
+    gamma_phase_sign: int
+    chi_orientation: int
+    moment_sign: int
+    pinned_by: tuple
+
+    def to_dict(self, results=None) -> dict:
+        """The pinned constants.  With a selftest's results, also each
+        calibration check's outcome and whether all passed; without, the
+        constants are marked as not re-verified by this run."""
+        doc = asdict(self)
+        if results is None:
+            doc["verified"] = False
+            return doc
+        doc["pin_checks"] = {r.name: {"passed": r.passed, "detail": r.detail}
+                             for r in results if r.name in CALIBRATION_CHECKS}
+        doc["verified"] = all(c["passed"] for c in doc["pin_checks"].values())
+        return doc
+
+
+PINNED = CalibrationRecord(
+    kappa_x=1.0,
+    gamma_phase_sign=-1,      # lift eigenvalue e^{i k theta_A} e^{-i <phi, alpha>}
+    chi_orientation=+1,       # chi_varpi(t) = e^{+i <varpi, theta>}
+    moment_sign=-1,           # Phi = -(W u)
+    pinned_by=("on-diagonal kernel scaling", "holomorphic fixed-point identity",
+               "weight support principle", "reduced dimension slope"),
+)
 
 
 def check_level_budget(n_levels: int) -> None:
@@ -86,18 +125,6 @@ class ExperimentConfig:
         """The k_range levels, after `check_level_budget` on their count."""
         check_level_budget((self.k_max - self.k_min) // self.k_step + 1)
         return list(range(self.k_min, self.k_max + 1, self.k_step))
-
-    # ---- hashing --------------------------------------------------------
-    def canonical(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
-
-    def subhash(self, *sections: str) -> str:
-        sub = {s: self.raw.get(s) for s in sections}
-        return hashlib.sha256(
-            json.dumps(sub, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _parse_h_term(obj, d):
@@ -199,8 +226,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(n_samples, int) or not 1 <= n_samples <= MAX_SAMPLES:
         raise ConfigError(f"sampling.n_samples must be an integer in 1..{MAX_SAMPLES} "
                           "(the Sobol sequence has 30-bit direction numbers)")
-    if not isinstance(seed, int):
-        raise ConfigError("sampling.seed is mandatory and must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("sampling.seed is mandatory and must be a nonnegative integer")
 
     fit = doc.get("fit", {"order": 4})
     _require_keys(fit, {"order"}, {"order"}, "fit")

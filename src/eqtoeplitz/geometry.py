@@ -4,18 +4,21 @@ The ambient picture is concrete: the circle bundle is the unit sphere of
 C^(d+1), the base is the sphere modulo a global phase, and level-k sections
 are degree-k homogeneous monomials evaluated on unit vectors.  The volume
 normalization is vol(M) = pi^d / d!, and the circle-fiber constant kappa_X
-is calibrated once (pinned in `selftest.PINNED`, checked by
+is calibrated once (pinned in `config.PINNED`, checked by
 `selftest.check_kappa_calibration`).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ._intlinalg import NumericFailure, int_adjugate, pivot_minor
 
@@ -72,24 +75,24 @@ class ProjectiveModel:
 
 
 def multi_indices(k: int, n_vars: int) -> np.ndarray:
-    """All multi-indices of degree k in n_vars variables, lex-descending in
-    the first coordinate.  Shape (binom(k+n-1, n-1), n_vars).
+    """All multi-indices of degree k in n_vars variables, lex-descending.
+    Shape (binom(k+n-1, n-1), n_vars).
 
-    Built level by level over the variable count so the cost is linear in
-    the output size."""
+    Built one variable at a time: a row whose first j coordinates leave
+    degree r is repeated r+1 times with the next coordinate r, r-1, .., 0
+    (a ragged descending arange), so the numpy calls are O(n_vars) whatever
+    k is."""
     if k < 0 or n_vars < 1:
         raise ValueError("need k >= 0 and n_vars >= 1")
-    table = [np.array([[j]], dtype=np.int64) for j in range(k + 1)]
-
-    def extend(tab, j):
-        heads = np.repeat(np.arange(j, -1, -1, dtype=np.int64),
-                          [tab[j - a].shape[0] for a in range(j, -1, -1)])
-        tails = np.vstack([tab[j - a] for a in range(j, -1, -1)])
-        return np.hstack([heads[:, None], tails])
-
-    for _ in range(n_vars - 2):
-        table = [extend(table, j) for j in range(k + 1)]
-    return table[k] if n_vars == 1 else extend(table, k)
+    head = np.zeros((1, 0), np.int64)
+    rest = np.array([k], np.int64)          # degree left to each row
+    for _ in range(n_vars - 1):
+        count = rest + 1
+        start = np.cumsum(count) - count
+        col = np.repeat(rest + start, count) - np.arange(int(count.sum()), dtype=np.int64)
+        head = np.hstack([np.repeat(head, count, axis=0), col[:, None]])
+        rest = np.repeat(rest, count) - col
+    return np.hstack([head, rest[:, None]])
 
 
 @dataclass(frozen=True)
@@ -302,19 +305,39 @@ _SOBOL_BITS = 30
 MAX_SAMPLES = 1 << _SOBOL_BITS
 
 
+def _npy_head(archive: zipfile.ZipFile, member: str, n: int) -> np.ndarray:
+    """The first n entries (rows) of the 1-d or 2-d .npy array `member` of
+    an .npz archive, streamed: a Fortran-order table is read column by
+    column, seeking past the rest of each, so no whole array is built."""
+    with archive.open(member) as fh:
+        version = npy_format.read_magic(fh)
+        read_header = (npy_format.read_array_header_1_0 if version == (1, 0)
+                       else npy_format.read_array_header_2_0)
+        shape, fortran_order, dtype = read_header(fh)
+        n = min(n, shape[0])
+        start, size = fh.tell(), n * dtype.itemsize
+        if len(shape) == 2 and fortran_order:
+            cols = []
+            for c in range(shape[1]):
+                fh.seek(start + c * shape[0] * dtype.itemsize)
+                cols.append(np.frombuffer(fh.read(size), dtype))
+            return np.stack(cols, axis=1)
+        return np.frombuffer(fh.read(size * math.prod(shape[1:])), dtype).reshape(
+            (n,) + shape[1:])
+
+
 @functools.lru_cache(maxsize=None)
 def _sobol_directions(dim: int) -> np.ndarray:
     """Direction numbers (dim, 30) of Joe & Kuo (2008), each column shifted to
-    its bit position.  The table is the one scipy's Sobol engine reads, loaded
-    as a file so that none of scipy's statistics modules is imported; scipy
-    is imported here, so only a sampling run loads it."""
-    import scipy
-
+    its bit position.  The table is the one scipy's Sobol engine reads: its
+    file is found without importing scipy, and only its first dim rows are
+    read."""
     B = _SOBOL_BITS
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+    path = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "stats",
                         "_sobol_direction_numbers.npz")
-    with np.load(path) as table:
-        poly, vinit = table["poly"][:dim].tolist(), table["vinit"][:dim].tolist()
+    with zipfile.ZipFile(path) as table:
+        poly = _npy_head(table, "poly.npy", dim).tolist()
+        vinit = _npy_head(table, "vinit.npy", dim).tolist()
     v = np.ones((dim, B), np.int64)
     for d in range(1, dim):
         p = poly[d]
@@ -338,17 +361,78 @@ def _sobol_directions(dim: int) -> np.ndarray:
 _SOBOL_BLOCK = 1 << 14
 
 
+#: numpy's SeedSequence hash constants (pool of four 32-bit words)
+_SS_INIT_A, _SS_MULT_A, _SS_INIT_B, _SS_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _random_bits(seed: int, n: int) -> np.ndarray:
+    """The n uint32 bits of `np.random.default_rng(seed).integers(0, 2, n,
+    np.uint32)`, by a port of numpy's path.  SeedSequence hashes the seed's
+    32-bit words (least significant first) into a four-word pool and draws
+    PCG64's 128-bit state and increment from it; PCG64 (XSL-RR, O'Neill
+    2014) steps its LCG, then outputs 64 bits, which are served as two
+    32-bit words, the low half first; a bounded draw below 2 is the top bit
+    of one word (Lemire's method never rejects for a range of 2)."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = _SS_INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * _SS_MULT_A & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (_SS_MIX_L * x - _SS_MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h, state = _SS_INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _SS_MULT_B & _M32
+        v = v * h & _M32
+        state.append(v ^ v >> 16)
+    # the eight words are four little-endian uint64: the state, then the increment
+    seed128 = state[1] << 96 | state[0] << 64 | state[3] << 32 | state[2]
+    inc = (state[5] << 96 | state[4] << 64 | state[7] << 32 | state[6]) << 1 & _M128 | 1
+    x = ((inc + seed128) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range((n + 1) // 2):
+        x = (x * _PCG_MULT + inc) & _M128
+        xor, rot = (x >> 64 ^ x) & _M64, x >> 122
+        out.append((xor >> rot | xor << (64 - rot)) & _M64)
+    out = np.array(out, np.uint64)
+    bits = np.stack([out >> np.uint64(31), out >> np.uint64(63)], axis=1) & np.uint64(1)
+    return bits.ravel()[:n].astype(np.uint32)
+
+
 @functools.lru_cache(maxsize=64)
 def _sobol_scramble(dim: int, seed: int) -> tuple:
     """The seed's random digital shift (dim,) and its scrambled direction
     numbers (dim, 30): a random lower-triangular (unit diagonal) linear
     matrix scramble of the direction numbers and the shift, drawn in that
-    order from `default_rng(seed)`, as scipy's engine draws them.  Cached,
-    so a draw taken in windows scrambles once."""
+    order from `default_rng(seed)` (by `_random_bits`), as scipy's engine
+    draws them.  Cached, so a draw taken in windows scrambles once."""
     B = _SOBOL_BITS
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(0, 2, (dim, B), np.uint32) @ (1 << np.arange(B, dtype=np.uint32))
-    ltm = np.tril(rng.integers(0, 2, (dim, B, B), np.uint32)).astype(np.int64)
+    bits = _random_bits(seed, dim * B * (B + 1))
+    shift = bits[:dim * B].reshape(dim, B) @ (1 << np.arange(B, dtype=np.uint32))
+    ltm = np.tril(bits[dim * B:].reshape(dim, B, B)).astype(np.int64)
     ltm[:, np.arange(B), np.arange(B)] = 1
     pos = B - 1 - np.arange(B)          # bit position of row / column index p
     v_bits = (_sobol_directions(dim)[:, :, None] >> pos) & 1      # (dim, j, k)
@@ -457,8 +541,8 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0) -> 
     depends only on its index, the seed and d, so a large draw can be taken
     in consecutive windows.  At most 2^30 rows exist.  The rows are built
     _SOBOL_BLOCK at a time, so the working memory beyond the output is one
-    block.  Sampling imports no scipy module apart from `scipy` itself, for
-    the path of its Sobol direction-number file.
+    block.  Sampling imports neither scipy nor `numpy.random`: it reads
+    only the Sobol direction-number file of scipy's install.
     """
     if n < 1:
         raise ValueError("need at least one sample")

@@ -39,7 +39,8 @@ from operator import or_
 
 import numpy as np
 
-from ._intlinalg import NumericFailure, solve_phase_congruence, torsion_angles
+from ._intlinalg import (DegenerateSymmetryError, NumericFailure, ReductionHypothesisError,
+                         solve_phase_congruence, torsion_angles)
 from . import geometry
 from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
@@ -68,20 +69,6 @@ SUPPORT_TOL = 1e-8
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-12, 60
 #: central finite-difference step of the descended differential
 FD_STEP = 1e-5
-
-
-class ReductionHypothesisError(RuntimeError):
-    """Raised when 0 fails to be a regular value or the action is not free
-    modulo a constant finite stabilizer; carries a witness point."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class DegenerateSymmetryError(RuntimeError):
-    """The normal return map has an eigenvalue 1: the determinant factor
-    vanishes and the leading-term formula does not apply."""
 
 
 # ---------------------------------------------------------------------------

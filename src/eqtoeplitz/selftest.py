@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import geometry
+from .config import FLIPPABLE_PINS, PINNED, CalibrationRecord
 from .geometry import (ProjectiveModel, kernel_pair_values, monomial_norm, sample_sphere,
                        section_basis, szego_kernel)
 from .observables import Observable
@@ -31,38 +32,6 @@ from .asymptotics import ScalingProbe, TracePrediction, scaling_probe, tangent_f
 
 __all__ = ["CalibrationRecord", "SelfTestResult", "run_selftest", "FLIPPABLE_PINS",
            "PIN_CHECKS"]
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    kappa_x: float
-    gamma_phase_sign: int
-    chi_orientation: int
-    moment_sign: int
-    pinned_by: tuple
-
-    def to_dict(self, results=None) -> dict:
-        """The pinned constants.  With a selftest's results, also each
-        calibration check's outcome and whether all passed; without, the
-        constants are marked as not re-verified by this run."""
-        doc = asdict(self)
-        if results is None:
-            doc["verified"] = False
-            return doc
-        doc["pin_checks"] = {r.name: {"passed": r.passed, "detail": r.detail}
-                             for r in results if r.name in CALIBRATION_CHECKS}
-        doc["verified"] = all(c["passed"] for c in doc["pin_checks"].values())
-        return doc
-
-
-PINNED = CalibrationRecord(
-    kappa_x=1.0,
-    gamma_phase_sign=-1,      # lift eigenvalue e^{i k theta_A} e^{-i <phi, alpha>}
-    chi_orientation=+1,       # chi_varpi(t) = e^{+i <varpi, theta>}
-    moment_sign=-1,           # Phi = -(W u)
-    pinned_by=("on-diagonal kernel scaling", "holomorphic fixed-point identity",
-               "weight support principle", "reduced dimension slope"),
-)
 
 
 @dataclass(frozen=True)
@@ -299,16 +268,14 @@ def check_sampler_determinism(seed=7):
     return ok, "same seed is bit-identical; different seed differs"
 
 
-#: each flippable pin: its selftest name, its check and the selftest's parameters
+#: each flippable pin (`config.FLIPPABLE_PINS`): its selftest name, its check
+#: and the selftest's parameters
 PIN_CHECKS = {
     "gamma-phase": ("pin-gamma-phase", check_fixed_point_pin, {}),
     "h-orientation": ("pin-h-orientation", check_fixed_point_pin,
                       {"phi": (0.4, 2.2), "theta_A": 0.15}),
     "moment-sign": ("pin-moment-sign", check_moment_sign_pin, {}),
 }
-FLIPPABLE_PINS = tuple(PIN_CHECKS)
-#: the checks whose outcome the calibration record carries
-CALIBRATION_CHECKS = ("calibrate-kappa-x",) + tuple(name for name, _, _ in PIN_CHECKS.values())
 
 
 def run_selftest(flip_pin: str | None = None) -> tuple[list, CalibrationRecord]:

@@ -9,7 +9,6 @@ of every trace identity is correct to a few ulps even at k in the hundreds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,6 +187,8 @@ def trace_sweep(k_values, varpi, f: Observable, sym: DiagonalSymmetry,
 
     series = TraceSeries()
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, ks))
     else:

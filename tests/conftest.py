@@ -65,3 +65,20 @@ def monomial_matrix(points, indices, log_norms=None):
     A = np.asarray(indices, dtype=np.int64)
     vals = np.prod(pts[:, None, :] ** A[None, :, :], axis=2)
     return vals if log_norms is None else vals * np.exp(-0.5 * np.asarray(log_norms))
+
+
+def multi_indices_by_level(k, n_vars):
+    """Independent oracle for `geometry.multi_indices`: the tables of every
+    degree 0..k are extended one variable at a time, each row of a table of
+    degree j stacked under its leading coordinate j, j-1, .., 0."""
+    table = [np.array([[j]], dtype=np.int64) for j in range(k + 1)]
+
+    def extend(tab, j):
+        heads = np.repeat(np.arange(j, -1, -1, dtype=np.int64),
+                          [tab[j - a].shape[0] for a in range(j, -1, -1)])
+        tails = np.vstack([tab[j - a] for a in range(j, -1, -1)])
+        return np.hstack([heads[:, None], tails])
+
+    for _ in range(n_vars - 2):
+        table = [extend(table, j) for j in range(k + 1)]
+    return table[k] if n_vars == 1 else extend(table, k)

@@ -97,6 +97,24 @@ class TestConfigValidation:
         monkeypatch.setattr(red, "zero_locus_sample", None)
         assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.0])
+    def test_seed_must_be_a_nonnegative_integer(self, tmp_path, seed):
+        doc = base_config(tmp_path / "o", sampling={"n_samples": 100, "seed": seed})
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("cmd", ["analyze", "predict", "compare"])
+    @pytest.mark.parametrize("seed,override", [(-1, None), (True, None), (5, "-5")])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, cmd, seed, override):
+        # from the config or from --seed, refused before any output
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, decay_config(out, k_values=[20]) | {
+            "sampling": {"n_samples": 1000, "seed": seed}})
+        argv = [cmd, "--config", cfg] + ([] if override is None else ["--seed", override])
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
@@ -477,14 +495,24 @@ class TestSelfTest:
 
     def test_run_record_written(self, tmp_path):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, base_config(out, k_range={"min": 1, "max": 6,
-                                                               "step": 1}))
-        assert main(["trace", "--config", cfg]) == 0
+        doc = base_config(out, k_range={"min": 1, "max": 6, "step": 1})
+        assert main(["trace", "--config", write_config(tmp_path, doc)]) == 0
         record = json.loads((out / "run_record.json").read_text())
         assert record["calibration"]["kappa_x"] == 1.0
         assert record["calibration"]["verified"] is False
         assert "trace.csv" in record["artifacts"]
-        assert record["config_hash"]
+        assert record["config"] == doc
+
+    def test_different_config_starts_a_new_record(self, tmp_path):
+        out = tmp_path / "out"
+        doc = base_config(out, k_range={"min": 2, "max": 12, "step": 1})
+        assert main(["trace", "--config", write_config(tmp_path, doc)]) == 0
+        doc["k_range"]["max"] = 10
+        assert main(["predict", "--config", write_config(tmp_path, doc, "cfg2.json")]) == 0
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["config"] == doc
+        assert set(record["timings_seconds"]) == {"predict"}
+        assert record["artifacts"] == ["predictions.csv"]
 
     def test_run_records_merge_across_subcommands(self, tmp_path):
         out = tmp_path / "out"
@@ -501,55 +529,100 @@ class TestSelfTest:
 #: the horizontal frames and the sampler's inverse normal and log Gamma are
 #: numpy
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.special")
-#: loaded only by a run that draws sphere samples, for the path of the Sobol
-#: direction-number file
-SAMPLER = ("scipy",)
+#: loaded by no subcommand: the sampler reads the Sobol direction-number file
+#: of scipy's install without importing scipy, and draws the Sobol scramble
+#: by a port of numpy's PCG64
+SAMPLER = ("scipy", "numpy.random")
+#: the layers `trace` does not run
+NOT_TRACE = ("eqtoeplitz.reduction", "eqtoeplitz.asymptotics", "eqtoeplitz.selftest",
+             "eqtoeplitz.cache")
+#: `loaded(names)`: the loaded modules that are one of names or inside one
+LOADED = """
+import sys
+def loaded(names):
+    return [m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names)]
+"""
 
 
 class TestImport:
     def run_isolated(self, code):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+        subprocess.run([sys.executable, "-c", LOADED + code], check=True, env=env,
+                       timeout=120)
 
-    def test_cli_import_skips_scipy_stats(self):
-        # nothing of scipy at import time
+    def test_cli_import_skips_scipy_stats(self, tmp_path):
+        # start-up and config load: nothing of scipy, numpy.random or OpenSSL,
+        # and no layer a subcommand imports when it runs
+        cfg = write_config(tmp_path, base_config(tmp_path / "out"))
         self.run_isolated(f"""
-import sys, eqtoeplitz.cli
-loaded = [m for m in {HEAVY + SAMPLER!r} if m in sys.modules]
-assert not loaded, loaded
+import eqtoeplitz.cli as cli
+cli.load_config({cfg!r})
+found = loaded({HEAVY + SAMPLER + NOT_TRACE!r} + ("_hashlib", "concurrent.futures"))
+assert not found, found
 """)
 
     def test_trace_and_kernel_skip_lp_linalg_and_stats(self, tmp_path):
-        # trace and kernel draw no sphere sample, so they load no scipy;
-        # analyze draws the zero-locus sample, which loads scipy itself only
+        # trace and kernel draw no sphere sample; analyze draws the zero-locus
+        # sample, which loads neither scipy nor numpy.random
         out = tmp_path / "out"
         cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60]))
         self.run_isolated(f"""
-import sys
 from eqtoeplitz.cli import main
 assert main(["trace", "--config", {cfg!r}]) == 0
 assert main(["kernel", "--config", {cfg!r}]) == 0
-loaded = [m for m in {HEAVY + SAMPLER!r} if m in sys.modules]
-assert not loaded, loaded
+found = loaded({HEAVY + SAMPLER!r} + ("_hashlib",))
+assert not found, found
 assert main(["analyze", "--config", {cfg!r}]) == 0
-assert "scipy" in sys.modules
-loaded = [m for m in {HEAVY!r} if m in sys.modules]
-assert not loaded, loaded
+assert "scipy" not in sys.modules
+found = loaded({HEAVY + SAMPLER!r})
+assert not found, found
 """)
         assert (out / "trace.csv").exists() and (out / "kernel_decay.csv").exists()
 
+    def test_trace_loads_only_its_layers(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60]))
+        self.run_isolated(f"""
+from eqtoeplitz.cli import main
+assert main(["trace", "--config", {cfg!r}]) == 0
+found = loaded({HEAVY + SAMPLER + NOT_TRACE!r} + ("_hashlib",))
+assert not found, found
+""")
+        assert (out / "trace.csv").exists()
+
+    def test_exact_f_bar_loads_no_cache(self, tmp_path):
+        # P2 with generic phases: isolated fixed points, no f-bar is sampled,
+        # so no cache key is hashed
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(
+            out, model={"d": 2}, action={"W": [[1, -1, -1]]},
+            symmetry={"phi": [0.0, 1.1, 3.7]}, isotype=[0],
+            observable={"u_terms": [{"beta": [0, 1, 0], "coef": 1.0}]},
+            k_range={"min": 40, "max": 120, "step": 8}))
+        self.run_isolated(f"""
+from eqtoeplitz.cli import main
+for cmd in ("analyze", "predict", "compare"):
+    assert main([cmd, "--config", {cfg!r}]) == 0, cmd
+found = loaded({HEAVY + SAMPLER!r} + ("eqtoeplitz.cache", "_hashlib"))
+assert not found, found
+""")
+        assert (out / "comparison.csv").exists()
+
     def test_no_subcommand_loads_optimize_or_stats(self, tmp_path):
+        # the decay config's f-bar is sampled, so analyze, predict and compare
+        # look it up in the cache: the one path that loads OpenSSL's hashes
         out = tmp_path / "out"
         cfg = write_config(tmp_path, dict(decay_config(out, k_values=[20, 40, 60]),
                                           k_range={"min": 2, "max": 20, "step": 1}))
         self.run_isolated(f"""
-import sys
 from eqtoeplitz.cli import main
-for cmd in ("analyze", "predict", "compare", "trace", "kernel", "selftest"):
+for cmd in ("trace", "kernel", "selftest", "analyze", "predict", "compare"):
     args = ["--out", {str(out)!r}] if cmd == "selftest" else ["--config", {cfg!r}]
     assert main([cmd, *args]) == 0, cmd
-    loaded = [m for m in {HEAVY!r} if m in sys.modules]
-    assert not loaded, (cmd, loaded)
+    found = loaded({HEAVY + SAMPLER!r})
+    assert not found, (cmd, found)
+    assert "_hashlib" not in sys.modules or "eqtoeplitz.cache" in sys.modules, cmd
+assert "eqtoeplitz.cache" in sys.modules
 """)
         assert (out / "comparison.csv").exists() and (out / "calibration_record.json").exists()
 

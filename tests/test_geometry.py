@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import os
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _log_gamma, _
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
-from conftest import monomial_matrix, plain_sphere
+from conftest import monomial_matrix, multi_indices_by_level, plain_sphere
 
 
 class TestModel:
@@ -36,6 +39,13 @@ class TestMultiIndices:
         assert idx.shape[0] == math.comb(k + d, d)
         assert np.all(idx.sum(axis=1) == k)
         assert len({tuple(r) for r in idx}) == idx.shape[0]
+
+    def test_matches_level_table_oracle(self):
+        for n_vars in range(1, 7):
+            for k in range(41):
+                want = multi_indices_by_level(k, n_vars)
+                got = multi_indices(k, n_vars)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n_vars, k)
 
     def test_basis_dimension(self, p2):
         basis = section_basis(7, p2)
@@ -260,6 +270,33 @@ class TestSampler:
         assert np.array_equal(_sobol(6, 9, n, first), whole[first:first + n])
         assert np.array_equal(sample_sphere(n, 9, ProjectiveModel(2), first=first),
                               sample_sphere(1024, 9, ProjectiveModel(2))[first:first + n])
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3,
+                                      2 ** 63 + 5, 2 ** 64 + 1, 2 ** 160 + 9])
+    def test_scramble_bits_match_numpy_random(self, seed):
+        # numpy's SeedSequence -> PCG64 -> bounded uint32 draw is the oracle,
+        # over counts that split a 64-bit output and the d = 3 scramble's
+        # 930 * 8 bits; 2^160 + 9 has more 32-bit words than the seed pool
+        for n in (1, 2, 3, 31, 930, 7440):
+            want = np.random.default_rng(seed).integers(0, 2, n, np.uint32)
+            got = geometry._random_bits(seed, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, n)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            geometry._random_bits(-1, 4)
+
+    def test_direction_table_rows_match_np_load(self):
+        # the streamed read of the first dim rows equals the whole table's
+        path = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
+                            "stats", "_sobol_direction_numbers.npz")
+        with np.load(path) as table:
+            poly, vinit = table["poly"], table["vinit"]
+        with zipfile.ZipFile(path) as archive:
+            for dim in range(1, 65):
+                for name, whole in (("poly.npy", poly), ("vinit.npy", vinit)):
+                    got = geometry._npy_head(archive, name, dim)
+                    assert got.dtype == whole.dtype and np.array_equal(got, whole[:dim])
 
     def test_sobol_stops_at_2_pow_30(self, p1):
         # the direction numbers have 30 bits: no point 2^30 exists
