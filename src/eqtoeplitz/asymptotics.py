@@ -6,7 +6,7 @@ The leading term sums over fixed components of the descended symmetry:
     (k/pi)^(d_l) * h_l^k / c_l * chi(F_l) * int_{F_l} fbar
 
 with the h^k chi factor averaged over the finite stabilizer coset, which
-makes the prediction well-defined (and exactly zero at levels where the
+makes the prediction well-defined (and zero to rounding at levels where the
 isotype is forced empty by the stabilizer character).
 """
 
@@ -114,13 +114,14 @@ def compare_and_fit(series: TraceSeries, predictions, order: int,
                     cond_cap: float = 1e10) -> FitReport:
     """Least squares of trace/prediction - 1 against {k^{-1/2}, ..., k^{-A/2}}
     plus the empirical convergence order of |ratio - 1| over the top half of
-    the levels."""
+    the levels.  Only levels with a nonempty isotype and a nonzero prediction
+    are fitted: a forced-empty level's prediction is zero only to rounding."""
     ks = series.k_values.astype(float)
     preds = np.asarray(predictions, dtype=complex)
-    mask = (np.abs(preds) > 0) & (ks >= 1)
+    mask = (series.dims > 0) & (np.abs(preds) > 0) & (ks >= 1)
     if np.count_nonzero(mask) < order + 3:
-        raise NumericFailure(f"need at least order+3 = {order + 3} usable levels "
-                             f"with nonzero prediction, have {np.count_nonzero(mask)}")
+        raise NumericFailure(f"need at least order+3 = {order + 3} usable levels, "
+                             f"have {np.count_nonzero(mask)}")
     ks = ks[mask]
     ratio = series.traces[mask] / preds[mask]
     y = ratio - 1.0

@@ -1,26 +1,26 @@
 """Zero level set of the moment map, the reduced space, and every fixed-point
 invariant feeding the leading trace term.
 
-The reduction hypotheses are exact lattice facts, decided on the vertex
-strata of the zero-locus polytope P = {u >= 0, sum u = 1, W u = 0}: every
-coordinate support on the zero locus contains the support of a vertex of P
-and lies inside their union (the generic support), and as a support grows
-the rank of its weight differences grows and its stabilizer shrinks.
-Volumes are Monte-Carlo over the ambient sphere with a coarea correction:
-each diagnosis draws the zero locus once (`zero_locus_sample`) and then
-integrates that sample (`reduced_space_integral`).  Fixed loci of the
-descended symmetry are found algebraically on coordinate support patterns
-(phase congruences over the weight lattice); the numeric orbit-distance
-sweep that checks their completeness lives in
+Every exact fact about the zero locus is read off the vertices of the
+polytope P = {u >= 0, sum u = 1, W u = 0}, enumerated once per weight matrix
+(`zero_locus`).  Every coordinate support on the zero locus contains the
+support of a vertex of P and lies inside their union (the generic support),
+and as a support grows its stabilizer shrinks, so the hypotheses are
+decided on the vertex strata; the orbit Gram there, W diag(u) W^T, is
+linear in u, so the least dPhi singular value and V_eff are vertex values.
+Other volumes are Monte-Carlo over the ambient sphere with a coarea
+correction, over one zero-locus draw (`zero_locus_sample`,
+`reduced_space_integral`).  Fixed loci of the descended symmetry are the
+faces of P whose phase congruence over the weight lattice is solvable; the
+orbit-distance sweep that checks their completeness lives in
 tests/test_reduction.py::TestCompleteness.
 
 Conventions pinned here and validated by the self-test suite:
 
 - 0 is a regular value of Phi exactly when the torus acts locally freely
-  on Phi^{-1}(0) (the orbit Gram is W diag(u) W^T there), i.e. when every
-  vertex stratum has finite stabilizer; "free" means free modulo finite
-  stabilizers, and `stabilizer_constant` says separately whether every
-  stratum has the generic stabilizer;
+  on Phi^{-1}(0), i.e. when every vertex stratum has finite stabilizer;
+  "free" means free modulo finite stabilizers, and `stabilizer_constant`
+  says separately whether every stratum has the generic stabilizer;
 - a violated hypothesis raises ReductionHypothesisError (exit 3), while an
   empty band sample of a stratum that holds a vertex of P is under-sampling
   and raises NumericFailure (exit 4);
@@ -33,8 +33,9 @@ Conventions pinned here and validated by the self-test suite:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import or_
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "ZeroLocusSample",
     "ReductionDiagnostics",
     "FixedComponentReport",
+    "zero_locus",
     "zero_locus_sample",
     "check_regular_and_free",
     "effective_volume",
@@ -79,16 +81,22 @@ def _difference_rows(W: np.ndarray, support) -> np.ndarray:
     return (W[:, S[1:]] - W[:, S[:1]]).T.astype(np.int64)
 
 
-def stabilizer_info(action: TorusAction, support) -> dict:
-    """Structure of {t in T^g : t fixes the points of the open support-S
-    stratum}: finite order, representative angles, continuous rank.  It is
-    the homogeneous phase solve on the support's weight differences."""
+#: {t in T^g : t fixes the points of an open support stratum}: its finite
+#: order and (order, g) read-only angles, both None when it has a continuous
+#: part of rank free_rank > 0
+Stabilizer = namedtuple("Stabilizer", "order angles free_rank")
+
+
+def stabilizer_info(action: TorusAction, support) -> Stabilizer:
+    """The stabilizer of the open support stratum: the homogeneous phase
+    solve on the support's weight differences."""
     D = _difference_rows(action.W, support)
     _, info = solve_phase_congruence(D, np.zeros(D.shape[0]))
     if info["free_rank"] > 0:
-        return {"order": None, "angles": None, "free_rank": info["free_rank"]}
+        return Stabilizer(None, None, info["free_rank"])
     angles = torsion_angles(info)
-    return {"order": angles.shape[0], "angles": angles, "free_rank": 0}
+    angles.setflags(write=False)
+    return Stabilizer(angles.shape[0], angles, 0)
 
 
 def point_support(x) -> tuple:
@@ -96,11 +104,28 @@ def point_support(x) -> tuple:
     return tuple(int(j) for j in np.nonzero(c > SUPPORT_TOL)[0])
 
 
-def _vertex_strata(action: TorusAction, verts: list) -> dict:
-    """stabilizer_info of each distinct vertex support of P, keyed by the
-    support (verts as `slice_vertices` lists them)."""
-    supports = {tuple(j for j, v in enumerate(num) if v) for num, _ in verts}
-    return {S: stabilizer_info(action, S) for S in sorted(supports)}
+def _bits(mask: int) -> tuple:
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+#: P of one weight matrix, exactly: its vertices as `slice_vertices` lists
+#: them, their support bitmasks, (support, Stabilizer) of each distinct vertex
+#: support by support, and the generic support (their union; empty when P is)
+ZeroLocus = namedtuple("ZeroLocus", "vertices vmasks strata generic")
+
+
+def zero_locus(action: TorusAction) -> ZeroLocus:
+    """P of action.W, enumerated once per weight matrix (memoized on W)."""
+    return _zero_locus(action.W.shape, action.W.tobytes())
+
+
+@lru_cache(maxsize=64)
+def _zero_locus(shape: tuple, data: bytes) -> ZeroLocus:
+    action = TorusAction(np.frombuffer(data, np.int64).reshape(shape))
+    vertices = tuple(slice_vertices(action))
+    vmasks = tuple(sum(1 << j for j, v in enumerate(num) if v) for num, _ in vertices)
+    strata = tuple((S, stabilizer_info(action, S)) for S in sorted(set(map(_bits, vmasks))))
+    return ZeroLocus(vertices, vmasks, strata, _bits(reduce(or_, vmasks, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +243,9 @@ def effective_volume(x, action: TorusAction, stab_order=None):
         # each row's support stabilizer; a continuous one is a violation
         infos = [stabilizer_info(action, point_support(x)) for x in pts]
         for x, info in zip(pts, infos):
-            if info["free_rank"] > 0:
+            if info.free_rank > 0:
                 raise ReductionHypothesisError("continuous stabilizer on zero locus", witness=x)
-        stab_order = np.array([info["order"] for info in infos])
+        stab_order = np.array([info.order for info in infos])
     if np.any(det <= 1e-16):
         raise ReductionHypothesisError("degenerate orbit Gram (non-locally-free point)",
                                        witness=pts[int(np.argmin(det))])
@@ -237,17 +262,17 @@ def reduced_space_integral(action: TorusAction, sample: ZeroLocusSample,
     An empty sample is under-sampling (NumericFailure) when the stratum
     holds a vertex of P, and an empty zero locus otherwise."""
     if sample.points.shape[0] == 0:
-        off = [j for j in range(action.n_coords) if j not in sample.support]
-        if any(not any(num[j] for j in off) for num, _ in slice_vertices(action)):
+        mask = sum(1 << j for j in sample.support)
+        if any(not vm & ~mask for vm in zero_locus(action).vmasks):
             raise NumericFailure(
                 f"none of {sample.n_total} samples fell in the moment band around the "
                 f"zero locus of the stratum {sample.support}; raise sampling.n_samples")
         raise ReductionHypothesisError("empty zero locus in the requested stratum")
     info = stabilizer_info(action, sample.support)
-    if info["free_rank"] > 0:
+    if info.free_rank > 0:
         raise ReductionHypothesisError("positive-dimensional stabilizer on stratum",
                                        witness=sample.points[0])
-    veff = effective_volume(sample, action, stab_order=info["order"])
+    veff = effective_volume(sample, action, stab_order=info.order)
     hv = np.ones(sample.points.shape[0]) if h is None else np.asarray(h(sample.points), float)
     return sample.integrate(hv / veff)
 
@@ -264,9 +289,9 @@ def reduced_volume(action: TorusAction, model: ProjectiveModel, n_samples: int,
 
 @dataclass(frozen=True)
 class ReductionDiagnostics:
-    """Exact hypothesis flags and stabilizer orders, then the Monte-Carlo
-    volume and orbit statistics of a regular locus.  Defaults describe a
-    locus on which nothing could be established."""
+    """Exact hypothesis flags and stabilizer orders, the exact least dPhi
+    singular value and V_eff and the Monte-Carlo volume and V_eff statistics
+    of a regular locus.  Defaults describe a locus where nothing was found."""
 
     empty_locus: bool
     regular_value: bool = False
@@ -283,58 +308,46 @@ class ReductionDiagnostics:
     n_samples: int = 0
 
 
-def _hypotheses(action: TorusAction) -> tuple[ReductionDiagnostics, tuple]:
-    """The exact part of check_regular_and_free and the generic support (the
-    union of the vertex supports; empty when the zero locus is)."""
-    strata = _vertex_strata(action, slice_vertices(action))
-    if not strata:
-        return ReductionDiagnostics(empty_locus=True), ()
-    supp = tuple(sorted(set().union(*strata)))
-    generic = stabilizer_info(action, supp)
-    regular = all(info["free_rank"] == 0 for info in strata.values())
-    return ReductionDiagnostics(
-        empty_locus=False, regular_value=regular, free_action=regular,
-        kernel_order=stabilizer_info(action, tuple(range(action.n_coords)))["order"],
-        stabilizer_order=generic["order"],
-        stabilizer_constant=regular and all(info["order"] == generic["order"]
-                                            for info in strata.values())), supp
-
-
-def _dphi_singular_values(points: np.ndarray, action: TorusAction) -> np.ndarray:
-    """Singular values of the moment-map differential on the horizontal space
-    x^perp, ascending, one row per point.
-
-    dPhi_i(v) = -2 Re sum_j W_ij conj(x_j) v_j, so over an orthonormal real
-    frame of x^perp, dPhi dPhi^T = 4 * (orbit Gram) in closed form.
-    """
-    return 2.0 * np.sqrt(np.maximum(np.linalg.eigvalsh(action.orbit_gram(points)), 0.0))
-
-
 def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
                            n_samples: int = 200_000, seed: int = 0, band: float = 0.05
                            ) -> tuple[ReductionDiagnostics, ZeroLocusSample | None]:
-    """The reduction hypotheses, decided exactly on the vertex strata of P,
-    then vol(M0), V_eff and the dPhi singular values over one zero-locus
-    sample of a regular locus, returned with that sample (None when none
-    was drawn).
+    """The reduction hypotheses and the least dPhi singular value and V_eff,
+    exact on the vertices of P, then vol(M0) and the V_eff mean and maximum
+    over one zero-locus sample of a regular locus, returned with that sample
+    (None when none was drawn).
 
     0 is a regular value exactly when the action is locally free on the zero
     locus, so regular_value == free_action: every vertex stratum has a finite
     stabilizer.  stabilizer_constant: every vertex stratum (hence every
     stratum) has the generic stabilizer order.  A non-regular or empty locus
-    is reported without sampling.  A trivial group passes vacuously (no
-    dPhi, point orbits of volume 1).
+    is reported without sampling.  dPhi dPhi^T = 4 Gram over a frame of
+    x^perp, and the Gram W diag(u) W^T is linear in u: its least eigenvalue
+    and det^(1/g) are concave, so least at a vertex of P.  A trivial group
+    passes vacuously (no dPhi, point orbits of volume 1).
     """
-    diag, supp = _hypotheses(action)
-    if not diag.regular_value:
+    zl = zero_locus(action)
+    if not zl.strata:
+        return ReductionDiagnostics(empty_locus=True), None
+    order = stabilizer_info(action, zl.generic).order
+    regular = all(info.free_rank == 0 for _, info in zl.strata)
+    diag = ReductionDiagnostics(
+        empty_locus=False, regular_value=regular, free_action=regular,
+        kernel_order=stabilizer_info(action, tuple(range(action.n_coords))).order,
+        stabilizer_order=order,
+        stabilizer_constant=regular and all(info.order == order for _, info in zl.strata))
+    if not regular:
         return diag, None
-    sample = zero_locus_sample(action, model, n_samples, seed, band=band, support=supp)
+    sample = zero_locus_sample(action, model, n_samples, seed, band=band, support=zl.generic)
     vol, err = reduced_space_integral(action, sample)
-    veffs = effective_volume(sample, action, stab_order=diag.stabilizer_order)
+    veffs = effective_volume(sample, action, stab_order=order)
+    # after the draw, so that the eigh code pages add nothing to its peak memory
+    u = np.array([[v / q for v in num] for num, q in zl.vertices])
+    gram = np.einsum("ij,nj,lj->nil", action.W, u, action.W)
+    lam_min = np.min(np.linalg.eigvalsh(gram), initial=np.inf)
+    det_min = np.min(np.linalg.det(gram))
     return replace(
-        diag, min_singular_dphi=float(np.min(_dphi_singular_values(sample.points, action),
-                                             initial=np.inf)),
-        vol_M0=vol, vol_M0_stderr=err, v_eff_min=float(np.min(veffs)),
+        diag, min_singular_dphi=2.0 * math.sqrt(lam_min), vol_M0=vol, vol_M0_stderr=err,
+        v_eff_min=(2.0 * math.pi) ** action.g * math.sqrt(det_min) / order,
         v_eff_mean=float(np.mean(veffs)), v_eff_max=float(np.max(veffs)),
         n_samples=n_samples), sample
 
@@ -386,10 +399,6 @@ MAX_SUPPORT_SOLVES = 1 << 16
 #: subsets missing by less than RESONANCE_BAND is near-resonant
 PHASE_TOL = 1e-8
 RESONANCE_BAND = 5e-2
-
-
-def _bits(mask: int) -> tuple:
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def _is_face(mask: int, vmasks) -> bool:
@@ -470,14 +479,14 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
     stratum of P has a continuous stabilizer (every face contains a vertex
     support, so that decides all of them).
     """
-    verts = slice_vertices(action)
-    for S, info in _vertex_strata(action, verts).items():
-        if info["free_rank"] > 0:
+    zl = zero_locus(action)
+    for S, info in zl.strata:
+        if info.free_rank > 0:
             raise ReductionHypothesisError(
                 "continuous stabilizer on the zero-locus stratum of a vertex of P", witness=S)
-    if not verts:
+    if not zl.vertices:
         return []
-    vmasks = [sum(1 << j for j, v in enumerate(num) if v) for num, _ in verts]
+    verts, vmasks = zl.vertices, zl.vmasks
     faces, alive = _solvable_faces(action, sym, vmasks)
     # covered(J): a solvable face contains J, reached by joins through alive supports
     joins = lambda J: (J | vm for vm in vmasks if vm & ~J and J | vm in alive)
@@ -519,9 +528,7 @@ def _horizontal_frames(rep: np.ndarray, support, action: TorusAction):
     n = rep.shape[0]
     S = list(support)
     comp = [j for j in range(n) if j not in S]
-    normal = np.zeros((n, len(comp)), complex)
-    for i, b in enumerate(comp):
-        normal[b, i] = 1.0
+    normal = np.eye(n, dtype=complex)[:, comp]
     rows = np.conj(np.vstack([rep[S], action.W[:, S] * rep[S]]))
     _, sv, vh = np.linalg.svd(rows)
     rank = int(np.sum(sv > max(rows.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)))
@@ -539,16 +546,13 @@ def _descended_differential(rep, support, t_angles, sym, action, step: float):
     base = rep / np.linalg.norm(rep)
 
     def push(v):
-        zeta = sym.gamma_M(base + v)
-        zeta = action.act(-t_angles, zeta)
-        return _affine_chart(zeta, base)
+        return _affine_chart(action.act(-t_angles, sym.gamma_M(base + v)), base)
 
     D = np.zeros((ncols, ncols), complex)
     for b in range(ncols):
         col = (push(step * frame[:, b]) - push(-step * frame[:, b])) / (2 * step)
         D[:, b] = np.conj(frame).T @ col
-    nt = tangent.shape[1]
-    return D, nt
+    return D, tangent.shape[1]
 
 
 def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
@@ -564,31 +568,20 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
     D, nt = _descended_differential(rep, report.support, report.t_angles, sym,
                                     action, FD_STEP)
     DNN = D[nt:, nt:]
-    diag_err = 0.0
-    if nt:
-        diag_err = max(float(np.max(np.abs(D[:nt, :nt] - np.eye(nt)))),
-                       float(np.max(np.abs(D[:nt, nt:]))) if D.shape[1] > nt else 0.0,
-                       float(np.max(np.abs(D[nt:, :nt]))) if D.shape[1] > nt else 0.0)
-    eigs = np.linalg.eigvals(DNN) if DNN.shape[0] else np.zeros(0, complex)
-    if DNN.shape[0]:
-        c_l = complex(np.linalg.det(np.eye(DNN.shape[0]) - np.linalg.inv(DNN)))
-    else:
-        c_l = 1.0 + 0.0j
+    diag_err = max(float(np.max(np.abs(D[:nt, :nt] - np.eye(nt)), initial=0.0)),
+                   float(np.max(np.abs(D[:nt, nt:]), initial=0.0)),
+                   float(np.max(np.abs(D[nt:, :nt]), initial=0.0)))
+    c_l = complex(np.linalg.det(np.eye(DNN.shape[0]) - np.linalg.inv(DNN)))
     if abs(c_l) <= c_tol:
         raise DegenerateSymmetryError(
             f"determinant factor {c_l!r} vanishes on component {report.support}")
 
     # exact phase-arithmetic counterpart (diagonal data)
     j0 = report.support[0]
-    S = set(report.support)
-    lam = []
-    for b in range(model.n_coords):
-        if b in S:
-            continue
-        ang = (sym.phi[b] - sym.phi[j0]
-               + float(report.t_angles @ (action.W[:, j0] - action.W[:, b])))
-        lam.append(np.exp(1j * ang))
-    c_exact = complex(np.prod([1.0 - np.conj(l) for l in lam])) if lam else 1.0 + 0.0j
+    lam = [np.exp(1j * (sym.phi[b] - sym.phi[j0]
+                        + float(report.t_angles @ (action.W[:, j0] - action.W[:, b]))))
+           for b in range(model.n_coords) if b not in report.support]
+    c_exact = complex(np.prod([1.0 - np.conj(l) for l in lam]))
 
     # residual circle phase of the lift: gamma_X^{-1}(x) = r_{h} mu_{t^{-1}}(x)
     lift = rep / np.linalg.norm(rep)

@@ -13,7 +13,7 @@ import numpy as np
 from eqtoeplitz._intlinalg import NumericFailure, solve_phase_congruence, torsion_angles
 from eqtoeplitz.reduction import (PHASE_TOL, RESONANCE_BAND, FixedComponentReport,
                                   ReductionHypothesisError, _barycenter, _difference_rows,
-                                  _vertex_strata)
+                                  stabilizer_info)
 from eqtoeplitz.symmetry import slice_vertices
 
 #: largest coordinate count d+1 whose 2^(d+1) support patterns the scan visits
@@ -42,8 +42,8 @@ def scan_fixed_components(action, sym, model) -> list:
         raise NumericFailure(f"the fixed-component search scans 2^{n} coordinate supports, "
                              f"over the budget of 2^{MAX_SCAN_COORDS}")
     verts = slice_vertices(action)
-    for S, info in _vertex_strata(action, verts).items():
-        if info["free_rank"] > 0:
+    for S in sorted({tuple(j for j, v in enumerate(num) if v) for num, _ in verts}):
+        if stabilizer_info(action, S).free_rank > 0:
             raise ReductionHypothesisError(
                 "continuous stabilizer on the zero-locus stratum of a vertex of P", witness=S)
     vmasks = np.array([_support_mask(num) for num, _ in verts], dtype=np.int64)

@@ -1,12 +1,14 @@
 """What the benchmark under perfbench/ uses of the package: the traced
-functions, the thread option it passes and the workload configs.  The
-benchmark files are only read here, so a rename or prune that would break
-the traced run fails in this suite instead."""
+functions, the thread option it passes, the workload configs and the span
+coverage of each workload's sequence.  The benchmark files are only read
+here, so a rename or prune that would break the traced run fails in this
+suite instead."""
 
 import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
@@ -44,3 +46,26 @@ def test_trace_sweep_takes_threads():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_config_parses(name, tmp_path):
     parse_config(workloads.WORKLOADS[name].config_for(0, str(tmp_path)))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_reaches_every_traced_layer(name, tmp_path):
+    # the benchmark's traced run counts a wrapped function that records no
+    # call, and is not idle for the workload, as a failed operation
+    wl = workloads.WORKLOADS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(wl.config_for(0, str(tmp_path))))
+    # every layer is loaded before the wrappers go in, as after the untraced
+    # repetition of the benchmark, so uninstall restores each name it bound
+    for module, *_ in tracer.TARGETS:
+        importlib.import_module(f"{tracer.PACKAGE}.{module}")
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        cli = importlib.import_module(f"{tracer.PACKAGE}.cli")
+        codes = [cli.main(workloads.cli_args(cmd, str(config), str(tmp_path)))
+                 for cmd in wl.sequence]
+    finally:
+        spans.uninstall()
+    assert codes == [0] * len(wl.sequence)
+    assert tracer.uncovered(spans, wl) == []

@@ -15,6 +15,7 @@ import eqtoeplitz.reduction as red
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
 from eqtoeplitz.config import ConfigError, load_config, parse_config
+from eqtoeplitz.symmetry import TorusAction
 
 from conftest import read_csv
 
@@ -155,6 +156,27 @@ class TestAnalyze:
         header, rows = read_csv(out / "components.csv")
         assert [row[header.index("support")] for row in rows] == ["0;1;2;3"]
 
+    def test_one_vertex_enumeration(self, tmp_path, monkeypatch):
+        # the diagnostics, the component search and the f-bar integral all
+        # read P from one enumeration, and each vertex support is solved once
+        calls, solved = [], []
+        enumerate_p, solve = red.slice_vertices, red.stabilizer_info
+        monkeypatch.setattr(red, "slice_vertices",
+                            lambda action: calls.append(1) or enumerate_p(action))
+        monkeypatch.setattr(red, "stabilizer_info",
+                            lambda action, S: solved.append(tuple(S)) or solve(action, S))
+        red._zero_locus.cache_clear()
+        out = tmp_path / "o"
+        doc = base_config(out, model={"d": 3}, action={"W": [[1, 0, -1, 2], [0, 1, -1, -1]]},
+                          symmetry={"phi": [0.3, 0.5, -0.8, 0.1]},
+                          observable={"u_terms": [{"beta": [0, 1, 0, 0], "coef": 1.0}]},
+                          isotype=[0, 0], sampling={"n_samples": 2 ** 14, "seed": 0})
+        assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 0
+        assert len(calls) == 1
+        strata = [S for S, _ in red.zero_locus(TorusAction(doc["action"]["W"])).strata]
+        assert strata == [(0, 1, 2), (1, 2, 3)]
+        assert all(solved.count(S) == 1 for S in strata)
+
     def test_empty_locus_exit_zero(self, tmp_path):
         out = tmp_path / "out"
         doc = base_config(out, action={"W": [[1, 1]]}, isotype=[-6])
@@ -236,6 +258,23 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "r2")]) == 0
         assert file_hash(tmp_path / "r1" / "comparison.csv") == \
             file_hash(tmp_path / "r2" / "comparison.csv")
+
+    def test_forced_empty_levels_leave_the_fit_unchanged(self, tmp_path):
+        # W = (1, -1, -1) empties every odd level, whose prediction is zero only
+        # to rounding: the step-1 run fits the same levels as the step-2 run
+        reports = []
+        for step, k_max in ((1, 81), (2, 80)):
+            out = tmp_path / f"step{step}"
+            doc = base_config(out, model={"d": 2}, action={"W": [[1, -1, -1]]},
+                              symmetry={"phi": [0.0, 1.1, 3.7]},
+                              observable={"u_terms": [{"beta": [0, 1, 0], "coef": 1.0}]},
+                              isotype=[0], k_range={"min": 40, "max": k_max, "step": step},
+                              fit={"order": 3})
+            assert main(["compare", "--config", write_config(tmp_path, doc)]) == 0
+            reports.append((out / "fit_report.txt").read_text().splitlines())
+        assert reports[0][0] == "comparison over 42 levels (prediction: fixed-component-sum)"
+        assert reports[0][1:] == reports[1][1:]
+        assert reports[0][2].startswith("|trace/prediction - 1| at k=80: ")
 
 
 class TestFailedLevels:

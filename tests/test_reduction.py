@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import minimize_scalar
@@ -115,7 +115,7 @@ class TestDiagnostics:
         # the open stratum is free (finite generic stabilizer), but a vertex
         # of P -- [0:0:1], and the support {3, 4} -- has a continuous one
         action = TorusAction(weights)
-        assert stabilizer_info(action, red._hypotheses(action)[1])["free_rank"] == 0
+        assert stabilizer_info(action, red.zero_locus(action).generic).free_rank == 0
         monkeypatch.setattr(red, "zero_locus_sample", None)     # decided without sampling
         diag, _ = check_regular_and_free(action, ProjectiveModel(action.n_coords - 1))
         assert not diag.regular_value and not diag.free_action
@@ -126,7 +126,8 @@ class TestDiagnostics:
     def test_stabilizer_constant_is_exact(self, weights, order, constant):
         # D3_WEIGHTS: the vertex u = (0, 3, 2, 1)/6 has stabilizer order 6
         action = TorusAction(weights)
-        diag, _ = red._hypotheses(action)
+        diag, _ = check_regular_and_free(action, ProjectiveModel(action.n_coords - 1),
+                                         n_samples=2 ** 12)
         assert diag.regular_value and diag.free_action
         assert diag.stabilizer_order == order and diag.stabilizer_constant == constant
 
@@ -151,12 +152,45 @@ class TestDiagnostics:
         vol, err = reduced_volume(circle_p2, p2, 2 ** 14, seed=9, band=0.04)
         assert diag.vol_M0 == vol and diag.vol_M0_stderr == err
 
+    @pytest.mark.parametrize("weights,dphi,veff", [
+        ([[1, -1, -1]], 2.0, math.pi),
+        (D3_WEIGHTS, 2.0 / math.sqrt(3.0), (2.0 * math.pi) ** 2 / (3.0 * math.sqrt(3.0)))])
+    def test_exact_minima(self, weights, dphi, veff):
+        # least over the vertices of P: u = (1, 1, 0)/2 on P2, u = (1, 1, 1, 0)/3 on P3
+        action = TorusAction(weights)
+        diag, _ = check_regular_and_free(action, ProjectiveModel(action.n_coords - 1),
+                                         n_samples=2 ** 12)
+        assert diag.min_singular_dphi == pytest.approx(dphi, rel=1e-12)
+        assert diag.v_eff_min == pytest.approx(veff, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(W=st.integers(1, 4).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+               min_size=1, max_size=2)),
+           seed=st.integers(0, 2 ** 32))
+    def test_minima_bound_every_sample(self, W, seed):
+        # the vertex minima are infima over the zero locus: no sampled point
+        # goes below them by more than its refinement residual (|Phi| <= 1e-9);
+        # a last column of minus the row sums puts u = 1/(d+1) on the locus
+        action = TorusAction([row + [-sum(row)] for row in W])
+        try:
+            diag, sample = check_regular_and_free(
+                action, ProjectiveModel(action.n_coords - 1), n_samples=2 ** 12, seed=seed)
+        except NumericFailure:      # an under-sampled band
+            assume(False)
+        assume(diag.regular_value)
+        dphi = 2.0 * np.sqrt(np.linalg.eigvalsh(action.orbit_gram(sample.points))[:, 0])
+        veff = effective_volume(sample, action, stab_order=diag.stabilizer_order)
+        assert np.all(dphi >= diag.min_singular_dphi * (1.0 - 1e-9))
+        assert np.all(veff >= diag.v_eff_min * (1.0 - 1e-9))
+
     @pytest.mark.parametrize("weights", [[[1, -1, -1]], D3_WEIGHTS])
     def test_closed_form_dphi_matches_fd(self, weights):
+        # over an orthonormal frame of x^perp, dPhi dPhi^T = 4 (orbit Gram)
         action = TorusAction(weights)
         model = ProjectiveModel(action.n_coords - 1)
         pts = zero_locus_sample(action, model, 2 ** 12, seed=4).points[:16]
-        closed = red._dphi_singular_values(pts, action)
+        closed = 2.0 * np.sqrt(np.linalg.eigvalsh(action.orbit_gram(pts)))
         fd = np.array([np.sort(np.linalg.svd(d_phi_fd(x, action), compute_uv=False))
                        for x in pts])
         assert np.max(np.abs(closed - fd)) <= 1e-8
@@ -167,10 +201,10 @@ class TestDiagnostics:
         # orbit map moves x by a positive multiple of dist_T(t, Stab)
         action = TorusAction(weights)
         model = ProjectiveModel(action.n_coords - 1)
-        assert red._hypotheses(action)[1] == tuple(range(model.n_coords))
+        assert red.zero_locus(action).generic == tuple(range(model.n_coords))
         pts = zero_locus_sample(action, model, 2 ** 12, seed=6).points
         for x in pts[np.linspace(0, pts.shape[0] - 1, 6).astype(int)]:
-            angles = stabilizer_info(action, red.point_support(x))["angles"]
+            angles = stabilizer_info(action, red.point_support(x)).angles
             assert injectivity_oracle(x, action, angles) > 0.0
 
 
@@ -366,7 +400,7 @@ class TestFixedComponents:
         action = TorusAction(rng.integers(-30, 31, size=(2, 9)))
         sym = DiagonalSymmetry(phi=rng.uniform(0.0, 2 * math.pi, size=2) @ action.W)
         comps = find_fixed_components(action, sym, ProjectiveModel(8))
-        supp = red._hypotheses(action)[1]
+        supp = red.zero_locus(action).generic
         assert [c.support for c in comps] == ([supp] if supp else [])
         assert not any(c.suspected_nongeneric for c in comps)
         # a true miss of 1e-7 at one coordinate is not forgiven: the locus is
@@ -590,12 +624,12 @@ class TestCompleteness:
 class TestStabilizers:
     def test_kernel_of_projective_action(self, circle_p2):
         info = stabilizer_info(circle_p2, (0, 1, 2))
-        assert info["order"] == 2 and info["free_rank"] == 0
+        assert info.order == 2 and info.free_rank == 0
 
     def test_singleton_support_continuous(self, circle_p1):
         info = stabilizer_info(circle_p1, (0,))
-        assert info["free_rank"] == 1
+        assert info.free_rank == 1
 
     def test_trivial_group(self, trivial_g1):
         info = stabilizer_info(trivial_g1, (0, 1))
-        assert info["order"] == 1 and info["angles"].shape == (1, 0)
+        assert info.order == 1 and info.angles.shape == (1, 0)
