@@ -82,6 +82,8 @@ class FitReport:
     slope_ci95: tuple
     condition: float
     exact: bool                   # ratio - 1 at rounding level everywhere
+    k_last: int                   # the last fitted level and its |ratio - 1|
+    rel_last: float
 
     def summary(self) -> str:
         lines = [f"fit order {self.order}: residual {self.residual:.3e}, "
@@ -111,14 +113,17 @@ def _loglog_slope(ks, values) -> tuple[float, float]:
 
 
 def compare_and_fit(series: TraceSeries, predictions, order: int,
-                    cond_cap: float = 1e10) -> FitReport:
+                    cond_cap: float = 1e10) -> FitReport | None:
     """Least squares of trace/prediction - 1 against {k^{-1/2}, ..., k^{-A/2}}
     plus the empirical convergence order of |ratio - 1| over the top half of
-    the levels.  Only levels with a nonempty isotype and a nonzero prediction
-    are fitted: a forced-empty level's prediction is zero only to rounding."""
+    the levels; None when no level can be fitted.  Only levels k >= 1 with a
+    nonempty isotype and a nonzero prediction are fitted: a forced-empty
+    level's prediction is zero only to rounding."""
     ks = series.k_values.astype(float)
     preds = np.asarray(predictions, dtype=complex)
     mask = (series.dims > 0) & (np.abs(preds) > 0) & (ks >= 1)
+    if not np.any(mask):
+        return None
     if np.count_nonzero(mask) < order + 3:
         raise NumericFailure(f"need at least order+3 = {order + 3} usable levels, "
                              f"have {np.count_nonzero(mask)}")
@@ -143,7 +148,8 @@ def compare_and_fit(series: TraceSeries, predictions, order: int,
         slope, se = _loglog_slope(ks, np.maximum(np.abs(y), 1e-300))
         ci = (slope - 1.96 * se, slope + 1.96 * se)
     return FitReport(order=order, coefficients=coef, residual=resid, slope=slope,
-                     slope_stderr=se, slope_ci95=ci, condition=cond, exact=exact)
+                     slope_stderr=se, slope_ci95=ci, condition=cond, exact=exact,
+                     k_last=int(ks[-1]), rel_last=float(np.abs(y[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -233,16 +233,12 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
               ["k", "trace_re", "trace_im", "pred_re", "pred_im", "abs_ratio",
                "phase_err"], rows)
     artifacts = ["comparison.csv"]
-    # a forced-empty level has trace 0 and a prediction at rounding level
-    usable = (series.dims > 0) & (np.abs(preds) > 0)
     summary = [f"comparison over {len(ks)} levels (prediction: {METHOD})"]
-    if np.any(usable):
+    fit = compare_and_fit(series, preds, cfg.fit_order)
+    if fit is not None:
         diffs = np.abs(series.traces - preds)
         summary.append(f"max |trace - prediction| = {diffs.max():.6e}")
-        rel = np.abs(series.traces[usable] / preds[usable] - 1.0)
-        summary.append(f"|trace/prediction - 1| at k={series.k_values[usable][-1]}: "
-                       f"{rel[-1]:.6e}")
-        fit = compare_and_fit(series, preds, cfg.fit_order)
+        summary.append(f"|trace/prediction - 1| at k={fit.k_last}: {fit.rel_last:.6e}")
         summary.append(fit.summary())
         with open(os.path.join(out, "fit_report.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(summary) + "\n")

@@ -110,8 +110,9 @@ def _bits(mask: int) -> tuple:
 
 #: P of one weight matrix, exactly: its vertices as `slice_vertices` lists
 #: them, their support bitmasks, (support, Stabilizer) of each distinct vertex
-#: support by support, and the generic support (their union; empty when P is)
-ZeroLocus = namedtuple("ZeroLocus", "vertices vmasks strata generic")
+#: support by support, the generic support (their union; empty when P is)
+#: and its Stabilizer (None when P is empty)
+ZeroLocus = namedtuple("ZeroLocus", "vertices vmasks strata generic stabilizer")
 
 
 def zero_locus(action: TorusAction) -> ZeroLocus:
@@ -125,7 +126,10 @@ def _zero_locus(shape: tuple, data: bytes) -> ZeroLocus:
     vertices = tuple(slice_vertices(action))
     vmasks = tuple(sum(1 << j for j, v in enumerate(num) if v) for num, _ in vertices)
     strata = tuple((S, stabilizer_info(action, S)) for S in sorted(set(map(_bits, vmasks))))
-    return ZeroLocus(vertices, vmasks, strata, _bits(reduce(or_, vmasks, 0)))
+    generic, known = _bits(reduce(or_, vmasks, 0)), dict(strata)
+    if strata and generic not in known:
+        known[generic] = stabilizer_info(action, generic)
+    return ZeroLocus(vertices, vmasks, strata, generic, known.get(generic))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +265,16 @@ def reduced_space_integral(action: TorusAction, sample: ZeroLocusSample,
 
     An empty sample is under-sampling (NumericFailure) when the stratum
     holds a vertex of P, and an empty zero locus otherwise."""
+    zl = zero_locus(action)
     if sample.points.shape[0] == 0:
         mask = sum(1 << j for j in sample.support)
-        if any(not vm & ~mask for vm in zero_locus(action).vmasks):
+        if any(not vm & ~mask for vm in zl.vmasks):
             raise NumericFailure(
                 f"none of {sample.n_total} samples fell in the moment band around the "
                 f"zero locus of the stratum {sample.support}; raise sampling.n_samples")
         raise ReductionHypothesisError("empty zero locus in the requested stratum")
-    info = stabilizer_info(action, sample.support)
+    info = (zl.stabilizer if sample.support == zl.generic
+            else stabilizer_info(action, sample.support))
     if info.free_rank > 0:
         raise ReductionHypothesisError("positive-dimensional stabilizer on stratum",
                                        witness=sample.points[0])
@@ -328,12 +334,12 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
     zl = zero_locus(action)
     if not zl.strata:
         return ReductionDiagnostics(empty_locus=True), None
-    order = stabilizer_info(action, zl.generic).order
+    full, order = tuple(range(action.n_coords)), zl.stabilizer.order
+    kernel = zl.stabilizer if zl.generic == full else stabilizer_info(action, full)
     regular = all(info.free_rank == 0 for _, info in zl.strata)
     diag = ReductionDiagnostics(
         empty_locus=False, regular_value=regular, free_action=regular,
-        kernel_order=stabilizer_info(action, tuple(range(action.n_coords))).order,
-        stabilizer_order=order,
+        kernel_order=kernel.order, stabilizer_order=order,
         stabilizer_constant=regular and all(info.order == order for _, info in zl.strata))
     if not regular:
         return diag, None
@@ -528,7 +534,9 @@ def _horizontal_frames(rep: np.ndarray, support, action: TorusAction):
     n = rep.shape[0]
     S = list(support)
     comp = [j for j in range(n) if j not in S]
-    normal = np.eye(n, dtype=complex)[:, comp]
+    normal = np.zeros((n, len(comp)), complex)
+    for i, b in enumerate(comp):
+        normal[b, i] = 1.0
     rows = np.conj(np.vstack([rep[S], action.W[:, S] * rep[S]]))
     _, sv, vh = np.linalg.svd(rows)
     rank = int(np.sum(sv > max(rows.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)))
@@ -546,13 +554,16 @@ def _descended_differential(rep, support, t_angles, sym, action, step: float):
     base = rep / np.linalg.norm(rep)
 
     def push(v):
-        return _affine_chart(action.act(-t_angles, sym.gamma_M(base + v)), base)
+        zeta = sym.gamma_M(base + v)
+        zeta = action.act(-t_angles, zeta)
+        return _affine_chart(zeta, base)
 
     D = np.zeros((ncols, ncols), complex)
     for b in range(ncols):
         col = (push(step * frame[:, b]) - push(-step * frame[:, b])) / (2 * step)
         D[:, b] = np.conj(frame).T @ col
-    return D, tangent.shape[1]
+    nt = tangent.shape[1]
+    return D, nt
 
 
 def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
@@ -568,20 +579,30 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
     D, nt = _descended_differential(rep, report.support, report.t_angles, sym,
                                     action, FD_STEP)
     DNN = D[nt:, nt:]
-    diag_err = max(float(np.max(np.abs(D[:nt, :nt] - np.eye(nt)), initial=0.0)),
-                   float(np.max(np.abs(D[:nt, nt:]), initial=0.0)),
-                   float(np.max(np.abs(D[nt:, :nt]), initial=0.0)))
-    c_l = complex(np.linalg.det(np.eye(DNN.shape[0]) - np.linalg.inv(DNN)))
+    diag_err = 0.0
+    if nt:
+        diag_err = max(float(np.max(np.abs(D[:nt, :nt] - np.eye(nt)))),
+                       float(np.max(np.abs(D[:nt, nt:]))) if D.shape[1] > nt else 0.0,
+                       float(np.max(np.abs(D[nt:, :nt]))) if D.shape[1] > nt else 0.0)
+    if DNN.shape[0]:
+        c_l = complex(np.linalg.det(np.eye(DNN.shape[0]) - np.linalg.inv(DNN)))
+    else:
+        c_l = 1.0 + 0.0j
     if abs(c_l) <= c_tol:
         raise DegenerateSymmetryError(
             f"determinant factor {c_l!r} vanishes on component {report.support}")
 
     # exact phase-arithmetic counterpart (diagonal data)
     j0 = report.support[0]
-    lam = [np.exp(1j * (sym.phi[b] - sym.phi[j0]
-                        + float(report.t_angles @ (action.W[:, j0] - action.W[:, b]))))
-           for b in range(model.n_coords) if b not in report.support]
-    c_exact = complex(np.prod([1.0 - np.conj(l) for l in lam]))
+    S = set(report.support)
+    lam = []
+    for b in range(model.n_coords):
+        if b in S:
+            continue
+        ang = (sym.phi[b] - sym.phi[j0]
+               + float(report.t_angles @ (action.W[:, j0] - action.W[:, b])))
+        lam.append(np.exp(1j * ang))
+    c_exact = complex(np.prod([1.0 - np.conj(l) for l in lam])) if lam else 1.0 + 0.0j
 
     # residual circle phase of the lift: gamma_X^{-1}(x) = r_{h} mu_{t^{-1}}(x)
     lift = rep / np.linalg.norm(rep)

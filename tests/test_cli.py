@@ -158,7 +158,8 @@ class TestAnalyze:
 
     def test_one_vertex_enumeration(self, tmp_path, monkeypatch):
         # the diagnostics, the component search and the f-bar integral all
-        # read P from one enumeration, and each vertex support is solved once
+        # read P from one enumeration, and each vertex support and the
+        # generic support (here every coordinate: the kernel) is solved once
         calls, solved = [], []
         enumerate_p, solve = red.slice_vertices, red.stabilizer_info
         monkeypatch.setattr(red, "slice_vertices",
@@ -173,9 +174,11 @@ class TestAnalyze:
                           isotype=[0, 0], sampling={"n_samples": 2 ** 14, "seed": 0})
         assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 0
         assert len(calls) == 1
-        strata = [S for S, _ in red.zero_locus(TorusAction(doc["action"]["W"])).strata]
-        assert strata == [(0, 1, 2), (1, 2, 3)]
-        assert all(solved.count(S) == 1 for S in strata)
+        zl = red.zero_locus(TorusAction(doc["action"]["W"]))
+        assert [S for S, _ in zl.strata] == [(0, 1, 2), (1, 2, 3)]
+        assert zl.generic == (0, 1, 2, 3)
+        assert all(solved.count(S) == 1 for S, _ in zl.strata)
+        assert solved.count(zl.generic) == 1
 
     def test_empty_locus_exit_zero(self, tmp_path):
         out = tmp_path / "out"
