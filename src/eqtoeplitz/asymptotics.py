@@ -1,18 +1,23 @@
-"""Leading terms of the twisted traces, half-power remainder fits, and the
-kernel-level validators (off-diagonal decay, near-diagonal scaling limits).
+"""Leading terms of the twisted traces, the exact trace identity they are
+checked against, and the kernel-level validators (off-diagonal decay,
+near-diagonal scaling limits).
 
 The leading term sums over fixed components of the descended symmetry:
 
     (k/pi)^(d_l) * h_l^k / c_l * chi(F_l) * int_{F_l} fbar
 
-with the h^k chi factor averaged over the finite stabilizer coset, which
-makes the prediction well-defined (and zero to rounding at levels where the
-isotype is forced empty by the stabilizer character).
+with the h^k chi factor averaged over the finite stabilizer coset, each
+branch with its own normal factor c_l, which makes the prediction
+well-defined (and zero to rounding at levels where the isotype is forced
+empty by the stabilizer character).  The traces themselves are an exact
+exponential quasi-polynomial in k whose roots and degrees the components
+give (`compare_and_fit`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +25,7 @@ import numpy as np
 from ._intlinalg import NumericFailure, ProbeDomainError
 from .geometry import ProjectiveModel
 from .observables import Observable
-from .reduction import effective_volume
+from .reduction import effective_volume, zero_locus
 from .symmetry import TorusAction, equivariant_kernel_pairs, moment_map, torus_grid_overlaps
 from .toeplitz import TraceSeries, isotype_slice
 
@@ -52,7 +57,10 @@ class TracePrediction:
             if rep.c_l is None or rep.f_bar_integral is None:
                 raise ValueError("component invariants incomplete; run "
                                  "component_invariants and f_bar_integral first")
-            branch = complex(np.mean(rep.branch_phases(self.varpi, k)))
+            phases = rep.branch_phases(self.varpi, k)
+            if rep.branch_weights is not None:
+                phases = phases * rep.branch_weights
+            branch = complex(np.mean(phases))
             term = ((k / math.pi) ** rep.d_l
                     * rep.h_l ** k / rep.c_l * rep.chi(self.varpi)
                     * rep.f_bar_integral * branch)
@@ -70,32 +78,17 @@ def predict_toeplitz_leading(k: int, f: Observable, model: ProjectiveModel) -> f
     return (k / math.pi) ** model.d * f.integral_over_M(model)
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Half-power remainder fit of trace/prediction - 1."""
+#: compare_and_fit refuses a design condition above COND_CAP; a level fits the
+#: identity when it misses by at most MISS_TOL max |y|, and a top coefficient
+#: of the prediction is nonzero above MISS_TOL times its unaveraged size
+COND_CAP, MISS_TOL = 1e10, 1e-9
 
-    order: int
-    coefficients: np.ndarray      # complex, coefficient of k^{-a/2}, a = 1..order
-    residual: float
-    slope: float                  # log-log slope of |ratio - 1| on the top half
-    slope_stderr: float
-    slope_ci95: tuple
-    condition: float
-    exact: bool                   # ratio - 1 at rounding level everywhere
-    k_last: int                   # the last fitted level and its |ratio - 1|
-    rel_last: float
-
-    def summary(self) -> str:
-        lines = [f"fit order {self.order}: residual {self.residual:.3e}, "
-                 f"condition {self.condition:.3e}"]
-        for a, c in enumerate(self.coefficients, start=1):
-            lines.append(f"  c[{a}] (k^-{a}/2): {c.real:+.6e} {c.imag:+.6e}j")
-        if self.exact:
-            lines.append("  ratio is 1 to rounding: expansion truncates")
-        else:
-            lines.append(f"  |ratio-1| log-log slope {self.slope:+.3f} "
-                         f"(95% CI {self.slope_ci95[0]:+.3f}..{self.slope_ci95[1]:+.3f})")
-        return "\n".join(lines)
+#: the identity on the top levels: its unknowns and design condition; k_star,
+#: the lowest level from which every level fits (None when a fitted one
+#: misses), and the largest miss / max |y| from there (else over the fitted
+#: levels); the largest top-coefficient gap / the top level's unaveraged
+#: prediction; (support, f_bar, trace-side f_bar) per component alone on a root
+FitReport = namedtuple("FitReport", "unknowns condition k_star miss leading_gap f_bar_trace")
 
 
 def _loglog_slope(ks, values) -> tuple[float, float]:
@@ -112,44 +105,68 @@ def _loglog_slope(ks, values) -> tuple[float, float]:
     return float(sol[0]), math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
 
 
-def compare_and_fit(series: TraceSeries, predictions, order: int,
-                    cond_cap: float = 1e10) -> FitReport | None:
-    """Least squares of trace/prediction - 1 against {k^{-1/2}, ..., k^{-A/2}}
-    plus the empirical convergence order of |ratio - 1| over the top half of
-    the levels; None when no level can be fitted.  Only levels k >= 1 with a
-    nonempty isotype and a nonzero prediction are fitted: a forced-empty
-    level's prediction is zero only to rounding."""
-    ks = series.k_values.astype(float)
-    preds = np.asarray(predictions, dtype=complex)
-    mask = (series.dims > 0) & (np.abs(preds) > 0) & (ks >= 1)
-    if not np.any(mask):
-        return None
-    if np.count_nonzero(mask) < order + 3:
-        raise NumericFailure(f"need at least order+3 = {order + 3} usable levels, "
-                             f"have {np.count_nonzero(mask)}")
-    ks = ks[mask]
-    ratio = series.traces[mask] / preds[mask]
-    y = ratio - 1.0
-    X = np.stack([ks ** (-a / 2.0) for a in range(1, order + 1)], axis=1)
-    cond = float(np.linalg.cond(X))
-    if cond > cond_cap:
-        raise NumericFailure(f"rank-deficient fit design: condition {cond:.3e} "
-                             f"over levels {ks.min():.0f}..{ks.max():.0f}")
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < order:
-        raise NumericFailure(f"fit design rank {rank} < order {order}")
-    resid = float(np.linalg.norm(y - X @ coef))
+def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusAction,
+                    f: Observable) -> FitReport | None:
+    """The exact identity the components imply for the traces, and the
+    predictions' top coefficients against it; None without components.
 
-    exact = bool(np.max(np.abs(y)) < 1e-9)
-    slope = -math.inf if exact else 0.0
-    se = 0.0
-    ci = (-math.inf, -math.inf)
-    if not exact:
-        slope, se = _loglog_slope(ks, np.maximum(np.abs(y), 1e-300))
-        ci = (slope - 1.96 * se, slope + 1.96 * se)
-    return FitReport(order=order, coefficients=coef, residual=resid, slope=slope,
-                     slope_stderr=se, slope_ci95=ci, condition=cond, exact=exact,
-                     k_last=int(ks[-1]), rel_last=float(np.abs(y[-1])))
+    y(k) = D(k) trace(k), D(k) = (k+d+1)...(k+d+B) with B the largest |beta|
+    of f (an h-term counts 1), is sum_rho rho^((k - k_first)/step) Q_rho(k/k_max)
+    from some k* on (Brion 1988).  Component l feeds the roots (h_l e^{i <W_j0,
+    th_s>} z)^step, th_s over its stabilizer coset and z over the q-th roots of
+    unity (q the lcm of P's vertex denominators), with degree d_l + B; equal
+    roots merge.  y and D(k) prediction(k) are fitted on the top unknowns + 3
+    levels (NumericFailure first with fewer levels or a condition above
+    COND_CAP); f_bar a_trace / a_pred of their top coefficients on a root fed
+    by one component alone is that component's trace-side f-bar.
+    """
+    if not reports:
+        return None
+    ks, kf = series.k_values, series.k_values.astype(float)
+    B = max([sum(beta) for beta in f.u_terms] + [int(f.h_term is not None)])
+    D = np.prod(kf[:, None] + action.n_coords + np.arange(B), axis=1)
+    step = math.gcd(*np.diff(ks).tolist()) or 1
+    q = math.lcm(*(den for _, den in zero_locus(action).vertices))
+    merged = []                                  # [root, degree, feeding components]
+    for l, rep in enumerate(reports):
+        coset = rep.h_l * np.exp(1j * (rep.stab_angles @ rep._w_j0))
+        for r in np.outer(coset, np.exp(2j * math.pi * np.arange(q) / q)).ravel() ** step:
+            m = next((m for m in merged if abs(m[0] - r) < 1e-8), None)
+            if m is None:
+                merged.append(m := [r, 0, set()])
+            m[1] = max(m[1], rep.d_l + B)
+            m[2].add(l)
+    n = sum(deg + 1 for _, deg, _ in merged)
+    if len(ks) < n + 3:
+        raise NumericFailure(f"the trace identity has {n} unknowns and needs at least "
+                             f"{n + 3} levels, have {len(ks)}")
+    e, x, top = (ks - ks[0]) // step, kf / kf[-1], slice(len(ks) - n - 3, None)
+    X = np.hstack([rho ** e[:, None] * x[:, None] ** np.arange(deg + 1) for rho, deg, _ in merged])
+    cond = float(np.linalg.cond(X[top]))
+    if cond > COND_CAP:
+        raise NumericFailure(f"ill-conditioned identity design: condition {cond:.3e} "
+                             f"over levels {ks[top][0]}..{ks[-1]}")
+    Y = D[:, None] * np.stack([series.traces, np.asarray(predictions, dtype=complex)], axis=1)
+    coef = np.linalg.lstsq(X[top], Y[top], rcond=None)[0]
+    miss = np.abs(Y[:, 0] - X @ coef[:, 0]) / (np.max(np.abs(Y[:, 0])) or 1.0)
+    first = int(np.max(np.nonzero(miss > MISS_TOL)[0], initial=-1)) + 1
+    holds = first <= top.start
+    a_t, a_p = coef[np.cumsum([deg + 1 for _, deg, _ in merged]) - 1].T
+    # the top level's prediction before its stabilizer averages, which can cancel
+    # every top coefficient to rounding (an isotype empty at every level)
+    size = D[-1] * sum((kf[-1] / math.pi) ** rep.d_l * abs(rep.f_bar_integral / rep.c_l)
+                       * np.max(np.abs(1 if rep.branch_weights is None else rep.branch_weights))
+                       for rep in reports) or 1.0
+    lone = {}                  # component -> its lone root with the largest prediction
+    for i in np.argsort(np.abs(a_p)):
+        if len(merged[i][2]) == 1 and abs(a_p[i]) > MISS_TOL * size:
+            lone[min(merged[i][2])] = i
+    return FitReport(n, cond, int(ks[first]) if holds else None,
+                     float(np.max(miss[first:] if holds else miss[top])),
+                     float(np.max(np.abs(a_t - a_p)) / size),
+                     tuple((reports[l].support, reports[l].f_bar_integral,
+                            reports[l].f_bar_integral * a_t[i] / a_p[i])
+                           for l, i in sorted(lone.items())))
 
 
 # ---------------------------------------------------------------------------

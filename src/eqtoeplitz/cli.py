@@ -30,7 +30,6 @@ from .config import (FLIPPABLE_PINS, PINNED, ConfigError, ExperimentConfig,
                      check_level_budget, load_config, parse_config)
 from .geometry import check_slice_budget
 from .iotools import write_csv
-from .symmetry import vanishing_level
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,17 +121,18 @@ def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
     return comps
 
 
-def _predictions(cfg: ExperimentConfig, out: str, ks) -> np.ndarray:
+def _predictions(cfg: ExperimentConfig, out: str, ks):
+    """The predictions at levels ks and the components they sum over."""
     from .asymptotics import TracePrediction
 
     pred = TracePrediction(tuple(_components(cfg, out)), cfg.varpi)
-    return np.array([pred(k) for k in ks], dtype=complex)
+    return np.array([pred(k) for k in ks], dtype=complex), pred.reports
 
 
 def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
     """reduction_report.txt on every hypothesis outcome; components.csv only
     when the hypotheses hold (else exit 3 after the report)."""
-    from .reduction import check_regular_and_free
+    from .reduction import check_regular_and_free, vanishing_level
 
     model, action = cfg.model(), cfg.action()
     diagnostics, sample = check_regular_and_free(action, model, n_samples=cfg.n_samples,
@@ -208,7 +208,7 @@ def cmd_trace(cfg: ExperimentConfig, out: str, args) -> list:
 
 def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
     ks = cfg.k_values()
-    vals = _predictions(cfg, out, ks)
+    vals, _ = _predictions(cfg, out, ks)
     rows = [[k, v.real, v.imag, METHOD] for k, v in zip(ks, vals)]
     write_csv(os.path.join(out, "predictions.csv"),
               ["k", "pred_re", "pred_im", "method"], rows)
@@ -221,7 +221,7 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
 
     series = _complete_sweep(cfg, args.threads)
     ks = [rec.k for rec in series.records]
-    preds = _predictions(cfg, out, ks)
+    preds, comps = _predictions(cfg, out, ks)
     rows = []
     for rec, p in zip(series.records, preds):
         t = rec.trace
@@ -234,12 +234,18 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
                "phase_err"], rows)
     artifacts = ["comparison.csv"]
     summary = [f"comparison over {len(ks)} levels (prediction: {METHOD})"]
-    fit = compare_and_fit(series, preds, cfg.fit_order)
+    fit = compare_and_fit(series, preds, comps, cfg.action(), cfg.observable())
     if fit is not None:
         diffs = np.abs(series.traces - preds)
-        summary.append(f"max |trace - prediction| = {diffs.max():.6e}")
-        summary.append(f"|trace/prediction - 1| at k={fit.k_last}: {fit.rel_last:.6e}")
-        summary.append(fit.summary())
+        held = "fails" if fit.k_star is None else f"holds from k* = {fit.k_star}"
+        summary += [f"max |trace - prediction| = {diffs.max():.6e}",
+                    f"identity: {fit.unknowns} unknowns, design condition {fit.condition:.3e}",
+                    f"identity {held}: largest miss {fit.miss:.3e} of max |D(k) trace(k)|",
+                    f"leading-coefficient gap {fit.leading_gap:.3e} of the top level's "
+                    "unaveraged prediction"]
+        summary += [f"  trace-side f-bar of component {';'.join(map(str, S))}: "
+                    f"{side.real:.17g} {side.imag:+.3e}j (prediction's {f_bar.real:.17g})"
+                    for S, f_bar, side in fit.f_bar_trace]
         with open(os.path.join(out, "fit_report.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(summary) + "\n")
         artifacts.append("fit_report.txt")

@@ -103,7 +103,6 @@ class ExperimentConfig:
     k_step: int
     n_samples: int
     seed: int
-    fit_order: int
     output_dir: str
     kernel_probe: dict | None = None     # with the points and displacements as arrays
     raw: dict = field(default=None, repr=False)
@@ -229,11 +228,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("sampling.seed is mandatory and must be a nonnegative integer")
 
-    fit = doc.get("fit", {"order": 4})
-    _require_keys(fit, {"order"}, {"order"}, "fit")
-    fit_order = fit["order"]
-    if not isinstance(fit_order, int) or fit_order < 1:
-        raise ConfigError("fit.order must be a positive integer")
+    # accepted and validated for schema-1 configs, but read by nothing: the
+    # identity `compare` checks takes its degrees from the components
+    if "fit" in doc:
+        _require_keys(doc["fit"], {"order"}, {"order"}, "fit")
+        if not isinstance(doc["fit"]["order"], int) or doc["fit"]["order"] < 1:
+            raise ConfigError("fit.order must be a positive integer")
 
     out = doc["output_dir"]
     if not isinstance(out, str) or not out:
@@ -263,7 +263,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(
         d=d, W=W, phi=phi, theta_A=theta_A, u_terms=u_terms, h_term=h_term,
         varpi=tuple(varpi), k_min=k_min, k_max=k_max, k_step=k_step,
-        n_samples=n_samples, seed=seed, fit_order=fit_order, output_dir=out,
+        n_samples=n_samples, seed=seed, output_dir=out,
         kernel_probe=probe, raw=doc)
 
 

@@ -41,7 +41,7 @@ from operator import or_
 import numpy as np
 
 from ._intlinalg import (DegenerateSymmetryError, NumericFailure, ReductionHypothesisError,
-                         solve_phase_congruence, torsion_angles)
+                         basic_feasible_solutions, solve_phase_congruence, torsion_angles)
 from . import geometry
 from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
@@ -54,6 +54,7 @@ __all__ = [
     "ReductionDiagnostics",
     "FixedComponentReport",
     "zero_locus",
+    "vanishing_level",
     "zero_locus_sample",
     "check_regular_and_free",
     "effective_volume",
@@ -130,6 +131,24 @@ def _zero_locus(shape: tuple, data: bytes) -> ZeroLocus:
     if strata and generic not in known:
         known[generic] = stabilizer_info(action, generic)
     return ZeroLocus(vertices, vmasks, strata, generic, known.get(generic))
+
+
+def vanishing_level(action: TorusAction, varpi) -> int | None:
+    """Smallest k0 with varpi outside k*Phi(M) for every k >= k0.
+
+    k is admissible when -W nu = varpi for some nu >= 0 with sum(nu) = k, so
+    the largest admissible k is the maximum of sum(nu) over that polyhedron,
+    attained at a vertex when finite.  Returns None when it is unbounded,
+    i.e. 0 lies in Phi(M) (P nonempty) and the support never empties;
+    returns 0 when varpi is never admissible at all.
+    """
+    varpi = np.asarray(varpi, dtype=np.int64).reshape(action.g)
+    nus = basic_feasible_solutions(-action.W, varpi.tolist())
+    if not nus:
+        return 0
+    if zero_locus(action).vertices:
+        return None
+    return max(sum(num) // den for num, den in nus) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +400,7 @@ class FixedComponentReport:
     f_bar_integral: complex | None = None
     f_bar_stderr: float | None = None
     frame_diag_error: float | None = None
+    branch_weights: np.ndarray | None = None   # c_l / c_l(s) per branch; None when all 1
 
     def chi(self, varpi) -> complex:
         v = np.asarray(varpi, dtype=float).reshape(-1)
@@ -573,7 +593,9 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
 
     The descended differential is computed by central finite differences of
     gamma followed by mu_{g_m^{-1}} and horizontal projection; h_l is the
-    residual circle phase of the lift at the representative.
+    residual circle phase of the lift at the representative.  A stabilizer
+    branch s acting on the normal coordinates has its own factor c_l(s) =
+    prod_b (1 - conj(lambda_b e^{i <th_s, W_j0 - W_b>})) (`branch_weights`).
     """
     rep = report.representative
     D, nt = _descended_differential(rep, report.support, report.t_angles, sym,
@@ -592,17 +614,21 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
         raise DegenerateSymmetryError(
             f"determinant factor {c_l!r} vanishes on component {report.support}")
 
-    # exact phase-arithmetic counterpart (diagonal data)
-    j0 = report.support[0]
-    S = set(report.support)
-    lam = []
-    for b in range(model.n_coords):
-        if b in S:
-            continue
-        ang = (sym.phi[b] - sym.phi[j0]
-               + float(report.t_angles @ (action.W[:, j0] - action.W[:, b])))
-        lam.append(np.exp(1j * ang))
-    c_exact = complex(np.prod([1.0 - np.conj(l) for l in lam])) if lam else 1.0 + 0.0j
+    # exact phase-arithmetic counterpart (diagonal data) on the normal coordinates
+    j0, normal = report.support[0], [b for b in range(model.n_coords) if b not in report.support]
+    lam = np.array([np.exp(1j * (sym.phi[b] - sym.phi[j0]
+                                 + float(report.t_angles @ (action.W[:, j0] - action.W[:, b]))))
+                    for b in normal], dtype=complex)
+    c_exact = complex(np.prod(1.0 - np.conj(lam)))
+
+    # orbifold (Kawasaki) factors: branch s turns lambda_b by the n_b-th power of
+    # e^{2 pi i / order}; a branch with every n_b = 0 keeps c_l exactly
+    order = report.stab_order
+    n_b = np.rint(report.stab_angles @ (action.W[:, [j0]] - action.W[:, normal]) * order
+                  / (2 * math.pi)).astype(np.int64) % order
+    weights = None if not n_b.any() else np.array(
+        [c_l / np.prod(1.0 - np.conj(lam * np.exp(2j * math.pi * n / order))) if n.any() else 1.0
+         for n in n_b])
 
     # residual circle phase of the lift: gamma_X^{-1}(x) = r_{h} mu_{t^{-1}}(x)
     lift = rep / np.linalg.norm(rep)
@@ -615,8 +641,8 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
     h /= abs(h)
 
     return replace(report, c_l=c_l, c_l_exact=c_exact,
-                   normal_eigenvalues=np.array(lam), h_l=h,
-                   frame_diag_error=diag_err)
+                   normal_eigenvalues=lam, h_l=h,
+                   frame_diag_error=diag_err, branch_weights=weights)
 
 
 def f_bar_is_sampled(report: FixedComponentReport, action: TorusAction,

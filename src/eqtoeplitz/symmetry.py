@@ -28,7 +28,6 @@ __all__ = [
     "slice_vertices",
     "moment_polytope_contains",
     "torus_grid_overlaps",
-    "vanishing_level",
     "occurring_weights",
     "gamma_phase",
     "equivariant_kernel_pairs",
@@ -145,24 +144,6 @@ def moment_polytope_contains(action: TorusAction, target: np.ndarray,
     den = math.lcm(*(q for _, q in ratios))
     A = np.vstack([np.ones((1, action.n_coords), np.int64), -action.W])
     return bool(basic_feasible_solutions(A, [p * (den // q) for p, q in ratios]))
-
-
-def vanishing_level(action: TorusAction, varpi) -> int | None:
-    """Smallest k0 with varpi outside k*Phi(M) for every k >= k0.
-
-    k is admissible when -W nu = varpi for some nu >= 0 with sum(nu) = k, so
-    the largest admissible k is the maximum of sum(nu) over that polyhedron,
-    attained at a vertex when finite.  Returns None when it is unbounded,
-    i.e. 0 lies in Phi(M) (P nonempty) and the support never empties;
-    returns 0 when varpi is never admissible at all.
-    """
-    varpi = np.asarray(varpi, dtype=np.int64).reshape(action.g)
-    nus = basic_feasible_solutions(-action.W, varpi.tolist())
-    if not nus:
-        return 0
-    if slice_vertices(action):
-        return None
-    return max(sum(num) // den for num, den in nus) + 1
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,6 @@ class TraceSeries:
     def traces(self) -> np.ndarray:
         return np.array([r.trace for r in self.records], dtype=complex)
 
-    @property
-    def dims(self) -> np.ndarray:
-        return np.array([r.dim_isotype for r in self.records], dtype=np.int64)
-
     def to_csv(self, path):
         from .iotools import write_csv
         rows = [[r.k, ";".join(str(v) for v in r.varpi), r.trace.real, r.trace.imag,

@@ -12,10 +12,9 @@ from eqtoeplitz.cli import main as cli_main
 from eqtoeplitz.geometry import ProjectiveModel, section_basis
 from eqtoeplitz.observables import Observable
 from eqtoeplitz.reduction import (component_invariants, f_bar_integral,
-                                  find_fixed_components, reduced_volume)
+                                  find_fixed_components, reduced_volume, vanishing_level)
 from eqtoeplitz.selftest import run_selftest
-from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, isotype_basis,
-                                 occurring_weights, vanishing_level)
+from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, isotype_basis, occurring_weights
 from eqtoeplitz.toeplitz import trace_psi, trace_sweep, trace_via_kernel_quadrature
 from eqtoeplitz.asymptotics import (ScalingProbe, TracePrediction, decay_probe,
                                     predict_toeplitz_leading, scaling_probe,

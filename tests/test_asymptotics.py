@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from eqtoeplitz.geometry import sample_sphere
+from eqtoeplitz.geometry import ProjectiveModel, sample_sphere
 from eqtoeplitz.observables import Observable
-from eqtoeplitz.reduction import component_invariants, f_bar_integral, find_fixed_components
-from eqtoeplitz.symmetry import DiagonalSymmetry
+from eqtoeplitz.reduction import (DegenerateSymmetryError, component_invariants, f_bar_integral,
+                                  find_fixed_components, zero_locus)
+from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction
 from eqtoeplitz.toeplitz import TraceRecord, TraceSeries, trace_psi, trace_sweep
 from eqtoeplitz.asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe,
                                     TracePrediction, compare_and_fit, decay_probe, orbit_distance,
@@ -94,60 +98,162 @@ class TestPredictToeplitz:
             (6 / math.pi) ** 2 * math.pi ** 2 / 6, rel=1e-13)
 
 
+#: (weights, phases, isotype, levels, observable): the p2-sweep and d3-reduce
+#: benchmark configs, and point components with stabilizer orders 4 and 5
+IDENTITY_CASES = {
+    "p2-sweep": ([[1, -1, -1]], [0.0, 1.1, 3.7], (0,), range(40, 641, 8),
+                 Observable.coordinate_modulus(1, 3)),
+    "d3-reduce": ([[1, 0, -1, 2], [0, 1, -1, -1]], [0.3, 0.5, -0.8, 0.1], (0, 0),
+                  range(30, 121, 6), Observable(u_terms={(0, 1, 0, 0): 1.0, (1, 0, 0, 1): 0.5})),
+    "orbifold": ([[1, 2, -3]], [0.0, 1.1, 3.7], (0,), range(40, 201),
+                 Observable.constant(1.0, 3)),
+}
+
+
+def identity_fit(W, phi, varpi, ks, f, drop=None):
+    """compare_and_fit over the exact sweep, with component `drop` left out."""
+    action = TorusAction(W)
+    model = ProjectiveModel(action.n_coords - 1)
+    sym = DiagonalSymmetry(phi=phi)
+    comps = completed_components(action, sym, model, f, n=2 ** 12)
+    if drop is not None:
+        del comps[drop]
+    pred = TracePrediction(tuple(comps), varpi)
+    series = trace_sweep(ks, varpi, f, sym, action, model)
+    return compare_and_fit(series, [pred(k) for k in ks], comps, action, f)
+
+
 class TestCompareAndFit:
-    def _series(self, ks, values):
-        s = TraceSeries()
-        for k, v in zip(ks, values):
-            s.append(TraceRecord(k=int(k), varpi=(), trace=complex(v), dim_isotype=1))
-        return s
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+    def test_identity_holds_from_the_first_level(self, name):
+        fit = identity_fit(*IDENTITY_CASES[name])
+        assert fit.k_star == IDENTITY_CASES[name][3][0]
+        assert fit.miss <= 1e-10
+        if name != "d3-reduce":      # its prediction carries a Monte-Carlo f-bar
+            assert fit.leading_gap <= 1e-10
 
-    def test_d1_toeplitz_recovers_1_over_k(self, p1, trivial_g1):
-        u0 = Observable.coordinate_modulus(0, 2)
-        ks = list(range(10, 101, 5))
-        series = trace_sweep(ks, (), u0, sym_id(2), trivial_g1, p1)
-        preds = [predict_toeplitz_leading(k, u0, p1) for k in ks]
-        fit = compare_and_fit(series, preds, order=2)
-        assert abs(fit.coefficients[0]) < 1e-10          # no k^{-1/2} term
-        assert fit.coefficients[1].real == pytest.approx(1.0, abs=1e-9)
-        assert fit.residual < 1e-10
+    def test_d3_reduce_trace_side_f_bar(self):
+        # the d_l = 1 component's f-bar read off the traces: 91 pi / 1296 (DH)
+        (support, _, f_trace), = identity_fit(*IDENTITY_CASES["d3-reduce"]).f_bar_trace
+        assert support == (0, 1, 2, 3)
+        assert abs(f_trace - 91 * math.pi / 1296) <= 1e-10 * 91 * math.pi / 1296
 
-    def test_exact_ratio_reported(self):
-        ks = np.arange(10, 40, 2)
-        series = self._series(ks, np.ones(len(ks)))
-        fit = compare_and_fit(series, np.ones(len(ks)), order=2)
-        assert fit.exact
-        assert np.all(np.abs(fit.coefficients) < 1e-10)
+    @pytest.mark.parametrize("name, drop", [("p2-sweep", 0), ("p2-sweep", 1),
+                                            ("orbifold", 0), ("orbifold", 1)])
+    def test_leaving_out_a_component_breaks_the_identity(self, name, drop):
+        fit = identity_fit(*IDENTITY_CASES[name], drop=drop)
+        assert fit.k_star is None
+        assert fit.miss > 1e-3
 
-    def test_perturbation_stability(self):
-        ks = np.arange(10, 90, 4).astype(float)
-        vals = 1.0 + 1.0 / ks
-        rng = np.random.default_rng(3)
-        noise = rng.uniform(-1e-3, 1e-3, size=len(ks))
-        f0 = compare_and_fit(self._series(ks, vals), np.ones(len(ks)), order=2)
-        f1 = compare_and_fit(self._series(ks, vals + noise), np.ones(len(ks)), order=2)
-        shift = np.max(np.abs(f0.coefficients - f1.coefficients))
-        assert shift <= 3 * f0.condition * 1e-3
+    def test_d1_toeplitz_identity(self, trivial_g1):
+        # (k + 2) tr T_{u0} = (k + 1)(k + 2) / 2: one root, degree 2, and the
+        # top coefficient k^2 / 2 is the leading term's, f-bar = pi / 2
+        fit = identity_fit(trivial_g1.W, [0.0, 0.0], (), range(10, 101, 5),
+                           Observable.coordinate_modulus(0, 2))
+        assert (fit.unknowns, fit.k_star) == (3, 10)
+        assert fit.miss <= 1e-13 and fit.leading_gap <= 1e-13
+        (_, f_bar, f_trace), = fit.f_bar_trace
+        assert f_bar == pytest.approx(math.pi / 2, rel=1e-15)
+        assert abs(f_trace - math.pi / 2) <= 1e-12
 
-    def test_too_few_levels(self):
-        ks = [10, 20, 30]
-        with pytest.raises(NumericFailure):
-            compare_and_fit(self._series(ks, [1.0] * 3), np.ones(3), order=2)
+    def test_perturbation_stability(self, p1, trivial_g1):
+        # relative noise eta on the traces moves the trace-side f-bar by at
+        # most condition * eta relative (the top coefficient dominates here)
+        u0, eta = Observable.coordinate_modulus(0, 2), 1e-7
+        ks = range(10, 101, 5)
+        comps = completed_components(trivial_g1, sym_id(2), p1, u0)
+        preds = [TracePrediction(tuple(comps), ())(k) for k in ks]
+        exact = trace_sweep(ks, (), u0, sym_id(2), trivial_g1, p1)
+        noise = np.random.default_rng(3).uniform(-eta, eta, size=len(ks))
+        noisy = TraceSeries()
+        for rec, e in zip(exact.records, noise):
+            noisy.append(TraceRecord(k=rec.k, varpi=(), trace=rec.trace * (1 + e),
+                                     dim_isotype=rec.dim_isotype))
+        f0, f1 = (compare_and_fit(s, preds, comps, trivial_g1, u0) for s in (exact, noisy))
+        shift = abs(f1.f_bar_trace[0][2] - f0.f_bar_trace[0][2]) / (math.pi / 2)
+        assert 0 < shift <= 3 * f0.condition * eta
 
-    def test_rank_deficiency_diagnostics(self):
-        ks = np.array([1000, 1001, 1002, 1003, 1004, 1005, 1006])
-        vals = 1.0 + 1.0 / ks
-        with pytest.raises(NumericFailure):
-            compare_and_fit(self._series(ks, vals), np.ones(len(ks)), order=4,
-                            cond_cap=1e4)
+    def test_too_few_levels(self, monkeypatch):
+        # 4 unknowns need 7 levels; 6 fail before any solve
+        W, phi, varpi, _, f = IDENTITY_CASES["p2-sweep"]
+        monkeypatch.setattr(np.linalg, "lstsq", None)
+        monkeypatch.setattr(np.linalg, "cond", None)
+        with pytest.raises(NumericFailure, match="4 unknowns and needs at least 7 levels, have 6"):
+            identity_fit(W, phi, varpi, range(40, 81, 8), f)
 
-    def test_zero_predictions_excluded(self, p1, circle_p1):
-        # odd levels have empty isotype and zero prediction; fit uses even only
-        one = Observable.constant(1.0, 2)
-        ks = list(range(4, 41))
-        series = trace_sweep(ks, (0,), one, sym_id(2), circle_p1, p1)
-        preds = [1.0 if k % 2 == 0 else 0.0 for k in ks]
-        fit = compare_and_fit(series, preds, order=2)
-        assert fit.exact
+    def test_rank_deficiency_diagnostics(self, trivial_g1):
+        # u0^4 on P^1: one root of degree 5 over levels 400..408 (x in [0.98, 1])
+        with pytest.raises(NumericFailure, match="ill-conditioned"):
+            identity_fit(trivial_g1.W, [0.0, 0.0], (), range(400, 409),
+                         Observable(u_terms={(4, 0): 1.0}))
+
+    def test_forced_empty_levels_are_zeros_of_y(self, circle_p1):
+        # odd levels have an empty isotype: their zero traces fit the identity
+        fit = identity_fit(circle_p1.W, [0.0, 0.0], (0,), range(4, 41),
+                           Observable.constant(1.0, 2))
+        assert (fit.unknowns, fit.k_star) == (2, 4)
+        assert fit.miss <= 1e-13 and fit.leading_gap <= 1e-13
+
+    def test_no_components_no_report(self):
+        series = TraceSeries()
+        series.append(TraceRecord(k=3, varpi=(0,), trace=0j, dim_isotype=0))
+        assert compare_and_fit(series, [0.0], (), TorusAction([[1, 1]]),
+                               Observable.constant(1.0, 2)) is None
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(W=st.integers(1, 4).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1),
+               min_size=1, max_size=2)),
+           phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=5, max_size=5),
+           generic=st.booleans(), varpi=st.lists(st.integers(-1, 1), min_size=2, max_size=2),
+           j=st.integers(0, 5))
+    @example(W=[[1, 2, -3]], phases=[0.0, 1.1, 3.7, 0.0, 0.0], generic=True,
+             varpi=[0, 0], j=5)
+    @example(W=[[1, 0, -1, 2], [0, 1, -1, -1]], phases=[0.1, 0.7, 1.9, 2.3, 0.0],
+             generic=True, varpi=[0, 0], j=5)
+    def test_identity_on_random_regular_weights(self, W, phases, generic, varpi, j):
+        # step-1 sweeps from k = 0 fit the identity; when every component is
+        # a point (f-bar exact) its top coefficients are the prediction's,
+        # also at orbifold points whose stabilizer acts on the normal space
+        # (the two examples: vertex stabilizers of orders 4, 5 and 3, 6).
+        # Without generic phases the symmetry fixes the whole zero locus.
+        action = TorusAction(W)
+        zl = zero_locus(action)
+        assume(zl.strata and all(info.free_rank == 0 for _, info in zl.strata))
+        n = action.n_coords
+        model = ProjectiveModel(n - 1)
+        phi = phases[:n] if generic else (np.array(phases[:action.g]) @ action.W).tolist()
+        # near-equal generic phases put roots within rounding of each other
+        assume(not generic or all(abs(math.remainder(a - b, 2 * math.pi)) >= 0.3
+                                  for i, a in enumerate(phi) for b in phi[i + 1:]))
+        varpi = tuple(varpi[:action.g])
+        f = Observable.constant(1.0, n) if j >= n else Observable.coordinate_modulus(j, n)
+        sym = DiagonalSymmetry(phi=phi)
+        try:
+            comps = [component_invariants(c, sym, action, model)
+                     for c in find_fixed_components(action, sym, model)]
+        except DegenerateSymmetryError:       # c_l vanishes: phases too close
+            assume(False)
+        # the roots h_l e^{i <W_j0, th_s>} z are lcm(order, q)-th roots times h_l
+        q = math.lcm(*(den for _, den in zl.vertices))
+        unknowns = sum(math.lcm(c.stab_order, q) * (c.d_l + (j < n) + 1) for c in comps)
+        assume(unknowns <= 60)
+        # a positive-dimensional f-bar is Monte-Carlo: stand in 1, check no gap
+        comps = [f_bar_integral(c, f, action, model) if c.d_l == 0
+                 else replace(c, f_bar_integral=1.0 + 0j) for c in comps]
+        # the identity holds from k* on (k* <= 11 in 2,000 draws): 20 levels
+        # more keep the fitted ones above it
+        ks = range(unknowns + 23)
+        pred = TracePrediction(tuple(comps), varpi)
+        series = trace_sweep(ks, varpi, f, sym, action, model)
+        fit = compare_and_fit(series, [pred(k) for k in ks], comps, action, f)
+        # close roots raise the condition; its rounding, 256 eps cond, reaches
+        # 1e-7 in the same draws
+        slack = 256 * np.finfo(float).eps * fit.condition
+        assert fit.k_star is not None and fit.miss <= 1e-10 + slack
+        if all(c.d_l == 0 for c in comps):
+            assert fit.leading_gap <= 1e-9 + slack
 
 
 class TestDecayProbe:

@@ -12,6 +12,7 @@ import pytest
 import eqtoeplitz.asymptotics as asymptotics
 import eqtoeplitz.config as config
 import eqtoeplitz.reduction as red
+import eqtoeplitz.symmetry as symmetry
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
 from eqtoeplitz.config import ConfigError, load_config, parse_config
@@ -116,6 +117,22 @@ class TestConfigValidation:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fit", [{"order": 0}, {"order": "3"}, {"order": 3, "x": 1}, {}])
+    def test_malformed_fit_exit_2(self, tmp_path, fit):
+        # `fit` is read by nothing, but a schema-1 config's `fit` is still checked
+        cfg = write_config(tmp_path, base_config(tmp_path / "o", fit=fit))
+        assert main(["compare", "--config", cfg]) == 2
+
+    def test_fit_order_changes_nothing(self, tmp_path):
+        reports = []
+        for name, fit in (("a", {"order": 1}), ("b", {"order": 7}), ("c", None)):
+            doc = base_config(tmp_path / name, fit=fit)
+            if fit is None:
+                del doc["fit"]
+            assert main(["compare", "--config", write_config(tmp_path, doc, f"{name}.json")]) == 0
+            reports.append((tmp_path / name / "fit_report.txt").read_text())
+        assert reports[0] == reports[1] == reports[2]
+
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
@@ -179,6 +196,21 @@ class TestAnalyze:
         assert zl.generic == (0, 1, 2, 3)
         assert all(solved.count(S) == 1 for S, _ in zl.strata)
         assert solved.count(zl.generic) == 1
+
+    def test_empty_locus_enumerates_p_once(self, tmp_path, monkeypatch):
+        # the k0 line reads the vertex set the diagnostics enumerated
+        calls, enumerate_p = [], red.slice_vertices
+        for module in (red, symmetry):
+            monkeypatch.setattr(module, "slice_vertices",
+                                lambda action: calls.append(1) or enumerate_p(action))
+        red._zero_locus.cache_clear()
+        doc = base_config(tmp_path / "o", model={"d": 2}, action={"W": [[1, 1, 2]]},
+                          symmetry={"phi": [0.0, 0.0, 0.0]}, isotype=[-6],
+                          observable={"u_terms": [{"beta": [0, 0, 0], "coef": 1.0}]})
+        assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 0
+        assert "k0 (weight-range bound for the configured isotype): 7" in (
+            tmp_path / "o" / "reduction_report.txt").read_text()
+        assert len(calls) == 1
 
     def test_empty_locus_exit_zero(self, tmp_path):
         out = tmp_path / "out"
@@ -263,21 +295,44 @@ class TestCompare:
             file_hash(tmp_path / "r2" / "comparison.csv")
 
     def test_forced_empty_levels_leave_the_fit_unchanged(self, tmp_path):
-        # W = (1, -1, -1) empties every odd level, whose prediction is zero only
-        # to rounding: the step-1 run fits the same levels as the step-2 run
-        reports = []
+        # W = (1, -1, -1) empties every odd level: the step-1 run fits their
+        # zero traces into the identity and reads the step-2 run's f-bar
+        f_bars = []
         for step, k_max in ((1, 81), (2, 80)):
             out = tmp_path / f"step{step}"
             doc = base_config(out, model={"d": 2}, action={"W": [[1, -1, -1]]},
                               symmetry={"phi": [0.0, 1.1, 3.7]},
                               observable={"u_terms": [{"beta": [0, 1, 0], "coef": 1.0}]},
-                              isotype=[0], k_range={"min": 40, "max": k_max, "step": step},
-                              fit={"order": 3})
+                              isotype=[0], k_range={"min": 40, "max": k_max, "step": step})
             assert main(["compare", "--config", write_config(tmp_path, doc)]) == 0
-            reports.append((out / "fit_report.txt").read_text().splitlines())
-        assert reports[0][0] == "comparison over 42 levels (prediction: fixed-component-sum)"
-        assert reports[0][1:] == reports[1][1:]
-        assert reports[0][2].startswith("|trace/prediction - 1| at k=80: ")
+            lines = (out / "fit_report.txt").read_text().splitlines()
+            assert lines[0] == (f"comparison over {(k_max - 40) // step + 1} levels "
+                                "(prediction: fixed-component-sum)")
+            assert lines[2] == f"identity: {8 // step} unknowns, " + lines[2].split(", ")[1]
+            assert lines[3].startswith("identity holds from k* = 40: largest miss ")
+            assert float(lines[3].split("miss ")[1].split()[0]) <= 1e-10
+            assert float(lines[4].split()[2]) <= 1e-10
+            assert lines[5].startswith("  trace-side f-bar of component 0;1: ")
+            f_bars.append(float(lines[5].split(": ")[1].split()[0]))
+        assert f_bars == pytest.approx([0.5, 0.5], abs=1e-10)
+
+    @pytest.mark.parametrize("W, phi, k_range", [
+        ([[1, 2, -3]], [0.0, 1.1, 3.7], {"min": 40, "max": 200, "step": 1}),
+        ([[1, 0, -1, 2], [0, 1, -1, -1]], [0.1, 0.7, 1.9, 2.3], {"min": 30, "max": 120, "step": 1})])
+    def test_orbifold_points_match_the_traces(self, tmp_path, W, phi, k_range):
+        # point components whose stabilizers (orders 4 and 5; 3 and 6) exceed
+        # the generic one: each stabilizer branch has its own normal factor
+        out = tmp_path / "out"
+        n = len(W[0])
+        doc = base_config(out, model={"d": n - 1}, action={"W": W}, symmetry={"phi": phi},
+                          observable={"u_terms": [{"beta": [0] * n, "coef": 1.0}]},
+                          isotype=[0] * len(W), k_range=k_range)
+        assert main(["compare", "--config", write_config(tmp_path, doc)]) == 0
+        header, rows = read_csv(out / "comparison.csv")
+        col = lambda r, name: float(r[header.index(name)])
+        worst = max(abs(complex(col(r, "trace_re"), col(r, "trace_im"))
+                        - complex(col(r, "pred_re"), col(r, "pred_im"))) for r in rows)
+        assert worst <= 1e-12
 
 
 class TestFailedLevels:

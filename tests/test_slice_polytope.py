@@ -12,9 +12,9 @@ from scipy.optimize import linprog
 
 import eqtoeplitz.reduction as red
 from eqtoeplitz.geometry import ProjectiveModel, section_basis
-from eqtoeplitz.reduction import stabilizer_info
+from eqtoeplitz.reduction import stabilizer_info, vanishing_level
 from eqtoeplitz.symmetry import (TorusAction, moment_polytope_contains, occurring_weights,
-                                 slice_vertices, vanishing_level)
+                                 slice_vertices)
 
 
 def weight_rows(max_d):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis
+from eqtoeplitz.reduction import vanishing_level
 from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel_pairs,
                                  gamma_phase, isotype_basis,
                                  moment_map, occurring_weights,
-                                 torus_grid_overlaps, vanishing_level, weight_of)
+                                 torus_grid_overlaps, weight_of)
 from eqtoeplitz.selftest import (check_dimension_case, check_moment_sign_pin,
                                  check_projector_partition)
 

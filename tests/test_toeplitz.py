@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from eqtoeplitz.geometry import section_basis
 from eqtoeplitz.observables import Observable
-from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, gamma_phase, isotype_basis,
-                                 vanishing_level)
+from eqtoeplitz.reduction import vanishing_level
+from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, gamma_phase, isotype_basis
 from eqtoeplitz.selftest import check_toeplitz_closed_forms, check_trace_quadrature
 from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, toeplitz_matrix, trace_psi, trace_sweep,
                                  trace_via_kernel_quadrature)
