@@ -83,12 +83,13 @@ def predict_toeplitz_leading(k: int, f: Observable, model: ProjectiveModel) -> f
 #: of the prediction is nonzero above MISS_TOL times its unaveraged size
 COND_CAP, MISS_TOL = 1e10, 1e-9
 
-#: the identity on the top levels: its unknowns and design condition; k_star,
-#: the lowest level from which every level fits (None when a fitted one
-#: misses), and the largest miss / max |y| from there (else over the fitted
-#: levels); the largest top-coefficient gap / the top level's unaveraged
-#: prediction; (support, f_bar, trace-side f_bar) per component alone on a root
-FitReport = namedtuple("FitReport", "unknowns condition k_star miss leading_gap f_bar_trace")
+#: the identity on the top levels, window = (first, last): its unknowns and
+#: design condition; k_star, the lowest level from which every level fits
+#: (None when a fitted one misses), and the largest miss / max |y| from there
+#: (else over the window); the largest top-coefficient gap / the top level's
+#: unaveraged prediction; (support, f_bar, trace-side f_bar) per lone-root component
+FitReport = namedtuple("FitReport",
+                       "unknowns condition k_star miss window leading_gap f_bar_trace")
 
 
 def _loglog_slope(ks, values) -> tuple[float, float]:
@@ -163,6 +164,7 @@ def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusActi
             lone[min(merged[i][2])] = i
     return FitReport(n, cond, int(ks[first]) if holds else None,
                      float(np.max(miss[first:] if holds else miss[top])),
+                     (int(ks[top][0]), int(ks[-1])),
                      float(np.max(np.abs(a_t - a_p)) / size),
                      tuple((reports[l].support, reports[l].f_bar_integral,
                             reports[l].f_bar_integral * a_t[i] / a_p[i])

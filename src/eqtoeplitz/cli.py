@@ -240,7 +240,8 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
         held = "fails" if fit.k_star is None else f"holds from k* = {fit.k_star}"
         summary += [f"max |trace - prediction| = {diffs.max():.6e}",
                     f"identity: {fit.unknowns} unknowns, design condition {fit.condition:.3e}",
-                    f"identity {held}: largest miss {fit.miss:.3e} of max |D(k) trace(k)|",
+                    f"identity {held}: largest miss {fit.miss:.3e} of max |D(k) trace(k)|, "
+                    "fitted on levels {}..{}".format(*fit.window),
                     f"leading-coefficient gap {fit.leading_gap:.3e} of the top level's "
                     "unaveraged prediction"]
         summary += [f"  trace-side f-bar of component {';'.join(map(str, S))}: "

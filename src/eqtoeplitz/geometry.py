@@ -11,14 +11,10 @@ is calibrated once (pinned in `config.PINNED`, checked by
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
-import os
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib import format as npy_format
 
 from ._intlinalg import NumericFailure, int_adjugate, pivot_minor
 
@@ -305,44 +301,48 @@ _SOBOL_BITS = 30
 MAX_SAMPLES = 1 << _SOBOL_BITS
 
 
-def _npy_head(archive: zipfile.ZipFile, member: str, n: int) -> np.ndarray:
-    """The first n entries (rows) of the 1-d or 2-d .npy array `member` of
-    an .npz archive, streamed: a Fortran-order table is read column by
-    column, seeking past the rest of each, so no whole array is built."""
-    with archive.open(member) as fh:
-        version = npy_format.read_magic(fh)
-        read_header = (npy_format.read_array_header_1_0 if version == (1, 0)
-                       else npy_format.read_array_header_2_0)
-        shape, fortran_order, dtype = read_header(fh)
-        n = min(n, shape[0])
-        start, size = fh.tell(), n * dtype.itemsize
-        if len(shape) == 2 and fortran_order:
-            cols = []
-            for c in range(shape[1]):
-                fh.seek(start + c * shape[0] * dtype.itemsize)
-                cols.append(np.frombuffer(fh.read(size), dtype))
-            return np.stack(cols, axis=1)
-        return np.frombuffer(fh.read(size * math.prod(shape[1:])), dtype).reshape(
-            (n,) + shape[1:])
+#: Joe & Kuo (2008) direction numbers, rows 1..63 (the head of the table
+#: scipy's Sobol engine reads) as (poly, m_1, .., m_deg): a primitive degree-deg
+#: polynomial's bits and the initial odd m_j < 2^j.  Row 0 is all ones, so a
+#: point has at most MAX_SOBOL_DIM coordinates
+_JOE_KUO = (
+    (3, 1), (7, 1, 3), (11, 1, 3, 1), (13, 1, 1, 1), (19, 1, 1, 3, 3), (25, 1, 3, 5, 13),
+    (37, 1, 1, 5, 5, 17), (41, 1, 1, 5, 5, 5), (47, 1, 1, 7, 11, 19), (55, 1, 1, 5, 1, 1),
+    (59, 1, 1, 1, 3, 11), (61, 1, 3, 5, 5, 31), (67, 1, 3, 3, 9, 7, 49), (91, 1, 1, 1, 15, 21, 21),
+    (97, 1, 3, 1, 13, 27, 49), (103, 1, 1, 1, 15, 7, 5), (109, 1, 3, 1, 15, 13, 25),
+    (115, 1, 1, 5, 5, 19, 61), (131, 1, 3, 7, 11, 23, 15, 103), (137, 1, 3, 7, 13, 13, 15, 69),
+    (143, 1, 1, 3, 13, 7, 35, 63), (145, 1, 3, 5, 9, 1, 25, 53), (157, 1, 3, 1, 13, 9, 35, 107),
+    (167, 1, 3, 1, 5, 27, 61, 31), (171, 1, 1, 5, 11, 19, 41, 61), (185, 1, 3, 5, 3, 3, 13, 69),
+    (191, 1, 1, 7, 13, 1, 19, 1), (193, 1, 3, 7, 5, 13, 19, 59), (203, 1, 1, 3, 9, 25, 29, 41),
+    (211, 1, 3, 5, 13, 23, 1, 55), (213, 1, 3, 7, 3, 13, 59, 17), (229, 1, 3, 1, 3, 5, 53, 69),
+    (239, 1, 1, 5, 5, 23, 33, 13), (241, 1, 1, 7, 7, 1, 61, 123), (247, 1, 1, 7, 9, 13, 61, 49),
+    (253, 1, 3, 3, 5, 3, 55, 33), (285, 1, 3, 1, 15, 31, 13, 49, 245),
+    (299, 1, 3, 5, 15, 31, 59, 63, 97), (301, 1, 3, 1, 11, 11, 11, 77, 249),
+    (333, 1, 3, 1, 11, 27, 43, 71, 9), (351, 1, 1, 7, 15, 21, 11, 81, 45),
+    (355, 1, 3, 7, 3, 25, 31, 65, 79), (357, 1, 3, 1, 1, 19, 11, 3, 205),
+    (361, 1, 1, 5, 9, 19, 21, 29, 157), (369, 1, 3, 7, 11, 1, 33, 89, 185),
+    (391, 1, 3, 3, 3, 15, 9, 79, 71), (397, 1, 3, 7, 11, 15, 39, 119, 27),
+    (425, 1, 1, 3, 1, 11, 31, 97, 225), (451, 1, 1, 1, 3, 23, 43, 57, 177),
+    (463, 1, 3, 7, 7, 17, 17, 37, 71), (487, 1, 3, 1, 5, 27, 63, 123, 213),
+    (501, 1, 1, 3, 5, 11, 43, 53, 133), (529, 1, 3, 5, 5, 29, 17, 47, 173, 479),
+    (539, 1, 3, 3, 11, 3, 1, 109, 9, 69), (545, 1, 1, 1, 5, 17, 39, 23, 5, 343),
+    (557, 1, 3, 1, 5, 25, 15, 31, 103, 499), (563, 1, 1, 1, 11, 11, 17, 63, 105, 183),
+    (601, 1, 1, 5, 11, 9, 29, 97, 231, 363), (607, 1, 1, 5, 15, 19, 45, 41, 7, 383),
+    (617, 1, 3, 7, 7, 31, 19, 83, 137, 221), (623, 1, 1, 1, 3, 23, 15, 111, 223, 83),
+    (631, 1, 1, 5, 13, 31, 15, 55, 25, 161), (637, 1, 1, 3, 13, 25, 47, 39, 87, 257)
+)
+MAX_SOBOL_DIM = len(_JOE_KUO) + 1
 
 
 @functools.lru_cache(maxsize=None)
 def _sobol_directions(dim: int) -> np.ndarray:
-    """Direction numbers (dim, 30) of Joe & Kuo (2008), each column shifted to
-    its bit position.  The table is the one scipy's Sobol engine reads: its
-    file is found without importing scipy, and only its first dim rows are
-    read."""
+    """Direction numbers (dim, 30), dim <= MAX_SOBOL_DIM, each column shifted
+    to its bit position: row d > 0 runs the recurrence of its primitive
+    polynomial from its `_JOE_KUO` initial numbers."""
     B = _SOBOL_BITS
-    path = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "stats",
-                        "_sobol_direction_numbers.npz")
-    with zipfile.ZipFile(path) as table:
-        poly = _npy_head(table, "poly.npy", dim).tolist()
-        vinit = _npy_head(table, "vinit.npy", dim).tolist()
     v = np.ones((dim, B), np.int64)
-    for d in range(1, dim):
-        p = poly[d]
-        m = p.bit_length() - 1
-        row = vinit[d][:m]
+    for d, (p, *row) in enumerate(_JOE_KUO[:dim - 1], 1):
+        m = len(row)
         for j in range(m, B):
             new = row[j - m]
             for k in range(m):
@@ -541,11 +541,14 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0) -> 
     depends only on its index, the seed and d, so a large draw can be taken
     in consecutive windows.  At most 2^30 rows exist.  The rows are built
     _SOBOL_BLOCK at a time, so the working memory beyond the output is one
-    block.  Sampling imports neither scipy nor `numpy.random`: it reads
-    only the Sobol direction-number file of scipy's install.
+    block.  Sampling needs neither scipy nor `numpy.random`.  The committed
+    direction table gives 2(d+1) <= 64 coordinates: d > 31 is a NumericFailure.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if 2 * model.n_coords > MAX_SOBOL_DIM:
+        raise NumericFailure(f"sampling P^{model.d} needs {2 * model.n_coords} Sobol dimensions; "
+                             f"the table has {MAX_SOBOL_DIM} (d <= {MAX_SOBOL_DIM // 2 - 1})")
     z = np.empty((n, model.n_coords), complex)
     for lo in range(0, n, _SOBOL_BLOCK):
         w = z[lo:lo + _SOBOL_BLOCK]
@@ -556,15 +559,9 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0) -> 
     return z
 
 
-#: Stand-in for log(0) that keeps 0 * log == 0 exact in matrix products while
-#: exp(k * _LOG_ZERO + anything bounded) underflows to exactly 0.
+#: Stand-in for log(0) that keeps 0 * log == 0 exact in the exponent sums
+#: while exp(k * _LOG_ZERO + anything bounded) underflows to exactly 0.
 _LOG_ZERO = -1e30
-
-
-def _log_abs(points: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        la = np.log(np.abs(points))
-    return np.where(np.isfinite(la), la, _LOG_ZERO)
 
 
 def kernel_pair_values(xs: np.ndarray, ys: np.ndarray, indices: np.ndarray,
@@ -573,10 +570,9 @@ def kernel_pair_values(xs: np.ndarray, ys: np.ndarray, indices: np.ndarray,
 
     Stable summation: per-row terms are rescaled by their largest log
     magnitude before exponentiation.  Rows go through in blocks of about
-    _SOBOL_BLOCK (row, monomial) terms, which bounds the working memory.  A
-    block holds a power of two rows, at least 16, so each starts on a
-    multiple of 16 rows, and the last one takes the remainder: a row meets
-    the same BLAS kernel whatever the block size, and gets the same bits.
+    _SOBOL_BLOCK (row, monomial) terms, which bounds the working memory.  The
+    exponents are ordered sums over the d+1 coordinates, not matrix products,
+    so a row's value is the same bits alone and in any block.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=complex))
     ys = np.atleast_2d(np.asarray(ys, dtype=complex))
@@ -585,17 +581,19 @@ def kernel_pair_values(xs: np.ndarray, ys: np.ndarray, indices: np.ndarray,
     out = np.zeros(n, dtype=complex)
     if A.shape[0] == 0:
         return out
-    log_abs = _log_abs(xs) + _log_abs(ys)
+    with np.errstate(divide="ignore"):
+        log_abs = (np.maximum(np.log(np.abs(xs)), _LOG_ZERO)
+                   + np.maximum(np.log(np.abs(ys)), _LOG_ZERO))
     angle = np.angle(xs) - np.angle(ys)
     log_norms = np.asarray(log_norms)[None, :]
-    step = max(16, _SOBOL_BLOCK >> (A.shape[0] - 1).bit_length())
-    # the last block takes the remainder: only a one-row input is a one-row block
-    edges = [i * step for i in range(max(1, n // step))] + [n]
-    for lo, hi in zip(edges, edges[1:]):
-        logmag = log_abs[lo:hi] @ A.T - log_norms
-        phase = angle[lo:hi] @ A.T
+    step = max(1, _SOBOL_BLOCK // A.shape[0])
+    cols = range(1, A.shape[1])
+    for lo in range(0, n, step):
+        la, an = log_abs[lo:lo + step, :, None], angle[lo:lo + step, :, None]
+        logmag = sum((la[:, j] * A[:, j] for j in cols), la[:, 0] * A[:, 0]) - log_norms
+        phase = sum((an[:, j] * A[:, j] for j in cols), an[:, 0] * A[:, 0])
         peak = np.max(logmag, axis=1, keepdims=True)
         peak = np.minimum(np.maximum(peak, -700.0), 700.0)
         vals = np.exp(logmag - peak) * np.exp(1j * phase)
-        out[lo:hi] = np.exp(peak[:, 0]) * vals.sum(axis=1)
+        out[lo:lo + step] = np.exp(peak[:, 0]) * vals.sum(axis=1)
     return out

@@ -9,8 +9,6 @@ import os
 def format_cell(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)

@@ -145,6 +145,19 @@ class TestCompareAndFit:
         assert fit.k_star is None
         assert fit.miss > 1e-3
 
+    def test_fitted_window_separates_a_low_sweep_from_a_missing_component(self):
+        # every component is present, but at k = 2 the quasi-polynomial is
+        # nonzero while the isotype is still empty: a sweep over k 0..5 fits
+        # all six levels and fails, one over k 0..25 fits the top six and
+        # holds from k* = 3; the window says which levels were fitted
+        case = ([[-1, 0, 1], [-1, -1, 2]], [0.0, 0.0, 0.0], (1, -1))
+        low = identity_fit(*case, range(6), Observable.constant(1.0, 3))
+        assert (low.unknowns, low.k_star, low.window) == (3, None, (0, 5))
+        assert low.miss > 0.1
+        full = identity_fit(*case, range(26), Observable.constant(1.0, 3))
+        assert (full.k_star, full.window) == (3, (20, 25))
+        assert full.miss <= 1e-10
+
     def test_d1_toeplitz_identity(self, trivial_g1):
         # (k + 2) tr T_{u0} = (k + 1)(k + 2) / 2: one root, degree 2, and the
         # top coefficient k^2 / 2 is the leading term's, f-bar = pi / 2

@@ -11,6 +11,7 @@ import pytest
 
 import eqtoeplitz.asymptotics as asymptotics
 import eqtoeplitz.config as config
+import eqtoeplitz.geometry as geometry
 import eqtoeplitz.reduction as red
 import eqtoeplitz.symmetry as symmetry
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
@@ -626,10 +627,23 @@ class TestSelfTest:
 #: the horizontal frames and the sampler's inverse normal and log Gamma are
 #: numpy
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.special")
-#: loaded by no subcommand: the sampler reads the Sobol direction-number file
-#: of scipy's install without importing scipy, and draws the Sobol scramble
-#: by a port of numpy's PCG64
+#: loaded by no subcommand: the sampler's Sobol direction numbers are a
+#: committed table, and its scramble is drawn by a port of numpy's PCG64
 SAMPLER = ("scipy", "numpy.random")
+#: makes scipy look uninstalled: importing it or any submodule fails
+NO_SCIPY = """
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, NoScipy())
+"""
+#: the d3-reduce weights with phi = theta . W: one sampled d_l = 1 component
+D3_REDUCE = dict(model={"d": 3}, action={"W": [[1, 0, -1, 2], [0, 1, -1, -1]]},
+                 symmetry={"phi": [0.3, 0.5, -0.8, 0.1]},
+                 observable={"u_terms": [{"beta": [0, 1, 0, 0], "coef": 1.0}]},
+                 isotype=[0, 0], sampling={"n_samples": 2 ** 12, "seed": 0})
 #: the layers `trace` does not run
 NOT_TRACE = ("eqtoeplitz.reduction", "eqtoeplitz.asymptotics", "eqtoeplitz.selftest",
              "eqtoeplitz.cache")
@@ -723,8 +737,45 @@ assert "eqtoeplitz.cache" in sys.modules
 """)
         assert (out / "comparison.csv").exists() and (out / "calibration_record.json").exists()
 
+    def test_sampling_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with it unimportable, start-up and
+        # a sampling analyze succeed and write the report they write with it
+        cfg = write_config(tmp_path, base_config(tmp_path / "with", **D3_REDUCE))
+        assert main(["analyze", "--config", cfg]) == 0
+        self.run_isolated(NO_SCIPY + f"""
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("scipy was imported")
+import eqtoeplitz.cli as cli
+assert cli.main(["analyze", "--config", {cfg!r}, "--out", {str(tmp_path / "without")!r}]) == 0
+assert not loaded(("scipy",))
+""")
+        report = "reduction_report.txt"
+        assert ((tmp_path / "without" / report).read_text()
+                == (tmp_path / "with" / report).read_text())
+
 
 class TestBudgets:
+    def test_sampling_above_the_direction_table_exits_4(self, tmp_path, capsys, monkeypatch):
+        # P^32 needs 66 Sobol coordinates, over the committed 64: analyze
+        # stops before any point is drawn; trace draws none and runs
+        drawn = []
+        monkeypatch.setattr(geometry, "_sobol", lambda *a: drawn.append(a))
+        W = [[(-1) ** j for j in range(33)]]
+        doc = base_config(tmp_path / "o", model={"d": 32}, action={"W": W},
+                          symmetry={"phi": [0.0] * 33},
+                          observable={"u_terms": [{"beta": [0] * 33, "coef": 1.0}]},
+                          isotype=[0], k_range={"min": 0, "max": 4, "step": 1},
+                          sampling={"n_samples": 2 ** 10, "seed": 0})
+        cfg = write_config(tmp_path, doc)
+        assert main(["analyze", "--config", cfg]) == 4
+        assert "66 Sobol dimensions" in capsys.readouterr().err and not drawn
+        assert main(["trace", "--config", cfg]) == 0
+        assert (tmp_path / "o" / "trace.csv").exists()
+
     @pytest.mark.parametrize("cmd,d,k_max", [("trace", 8, 100), ("compare", 8, 100),
                                              ("trace", 1, 10 ** 12)])
     def test_oversize_k_range_exits_4(self, tmp_path, capsys, cmd, d, k_max):

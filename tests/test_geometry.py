@@ -1,8 +1,6 @@
-import importlib.util
 import math
 import os
 import tracemalloc
-import zipfile
 
 import numpy as np
 import pytest
@@ -13,8 +11,9 @@ from scipy.special import gammaln, ndtri
 from eqtoeplitz import geometry
 from eqtoeplitz._intlinalg import NumericFailure
 from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _log_gamma, _ndtri, _sobol,
-                                 check_slice_budget, log_monomial_norm, monomial_norm,
-                                 multi_indices, sample_sphere, section_basis, szego_kernel)
+                                 check_slice_budget, kernel_pair_values, log_monomial_norm,
+                                 monomial_norm, multi_indices, sample_sphere, section_basis,
+                                 szego_kernel)
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
@@ -156,11 +155,12 @@ class TestNdtri:
         assert_ndtri_matches_scipy(np.random.default_rng(0).random((500_000, 2)))
 
     def test_sobol_windows(self):
-        # every dimension 2(d+1) the sampler draws for d <= 9 and the odd ones
-        # between, clipped as the sampler clips them
-        for dim in range(2, 21):
+        # every dimension the committed direction table reaches (2^10 points
+        # above 20), clipped as the sampler clips them
+        for dim in range(2, geometry.MAX_SOBOL_DIM + 1):
+            n = geometry._SOBOL_BLOCK if dim <= 20 else 2 ** 10
             for first in (0, 3 * geometry._SOBOL_BLOCK + 5):
-                u = _sobol(dim, dim, geometry._SOBOL_BLOCK, first)
+                u = _sobol(dim, dim, n, first)
                 assert_ndtri_matches_scipy(np.clip(u, 1e-15, 1.0 - 1e-15))
 
     def test_clip_ends_and_far_tail(self):
@@ -249,13 +249,13 @@ class TestSampler:
 
     @pytest.mark.parametrize("m", [0, 1, 10, 18])
     def test_sobol_bits_match_scipy(self, m):
-        # scipy's scrambled Sobol is the oracle, over every dimension 2(d+1)
-        # sample_sphere draws for d <= 9 and the odd ones between; the
+        # scipy's scrambled Sobol is the oracle, over every dimension the
+        # committed table reaches (2^10 points at most above 20); the
         # sequence is drawn one block at a time, as the sampler streams it
         from scipy.stats import qmc
         seeds = (0, 1, 2 ** 40 + 7) if m < 18 else (3,)
         n, block = 2 ** m, geometry._SOBOL_BLOCK
-        for dim in range(2, 21):
+        for dim in range(2, geometry.MAX_SOBOL_DIM + 1 if m <= 10 else 21):
             for seed in seeds:
                 want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)
                 got = np.vstack([_sobol(dim, seed, min(block, n - first), first)
@@ -286,17 +286,20 @@ class TestSampler:
         with pytest.raises(ValueError, match="negative"):
             geometry._random_bits(-1, 4)
 
-    def test_direction_table_rows_match_np_load(self):
-        # the streamed read of the first dim rows equals the whole table's
-        path = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
-                            "stats", "_sobol_direction_numbers.npz")
+    def test_committed_direction_rows_match_scipy(self):
+        # rows 1..63 are the head of the Joe-Kuo table scipy's engine reads;
+        # row 0, all ones, is implicit
+        scipy = pytest.importorskip("scipy")
+        path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                            "_sobol_direction_numbers.npz")
         with np.load(path) as table:
             poly, vinit = table["poly"], table["vinit"]
-        with zipfile.ZipFile(path) as archive:
-            for dim in range(1, 65):
-                for name, whole in (("poly.npy", poly), ("vinit.npy", vinit)):
-                    got = geometry._npy_head(archive, name, dim)
-                    assert got.dtype == whole.dtype and np.array_equal(got, whole[:dim])
+        assert geometry.MAX_SOBOL_DIM == len(geometry._JOE_KUO) + 1 == 64
+        assert poly[0] == 1
+        for d, (p, *m) in enumerate(geometry._JOE_KUO, start=1):
+            deg = p.bit_length() - 1
+            assert (p, m) == (poly[d], vinit[d, :deg].tolist()) and len(m) == deg
+            assert not vinit[d, deg:].any()
 
     def test_sobol_stops_at_2_pow_30(self, p1):
         # the direction numbers have 30 bits: no point 2^30 exists
@@ -305,6 +308,25 @@ class TestSampler:
             _sobol(4, 0, 2, 2 ** 30 - 1)
         with pytest.raises(ValueError, match="outside"):
             sample_sphere(1, 0, p1, first=2 ** 30)
+
+
+class TestKernelPairValues:
+    @pytest.mark.parametrize("d,k", [(2, 23), (2, 30), (3, 11), (4, 8)])
+    def test_row_is_independent_of_its_batch(self, monkeypatch, d, k):
+        # 300-496 monomials: a row's value is the same bits alone, inside a
+        # 200-row batch and in 2^4-term blocks (BLAS products over the rows
+        # moved the last bits of the last monomial columns)
+        model = ProjectiveModel(d)
+        basis = section_basis(k, model)
+        assert basis.dim >= 300
+        pts = sample_sphere(200, d, model)
+        xs, ys = pts[::-1], pts
+        batch = kernel_pair_values(xs, ys, basis.indices, basis.log_norms)
+        alone = [kernel_pair_values(xs[i], ys[i], basis.indices, basis.log_norms)[0]
+                 for i in range(len(pts))]
+        monkeypatch.setattr(geometry, "_SOBOL_BLOCK", 2 ** 4)
+        small = kernel_pair_values(xs, ys, basis.indices, basis.log_norms)
+        assert batch.tobytes() == np.array(alone).tobytes() == small.tobytes()
 
 
 class TestReproducingProperty:

@@ -232,7 +232,7 @@ class TestZeroLocusSample:
     def test_blocks_are_bit_identical(self, W, seed, k):
         # the streamed zero-locus draw is the same bits in 2^4-row blocks, in
         # the default ones and in one block, and so are the blocked kernel
-        # sums in 2^4-row and default blocks (289 = 18 * 16 + 1 rows)
+        # sums over 289 rows in blocks of 2^4 and of the default terms
         action = TorusAction(W)
         model = ProjectiveModel(action.n_coords - 1)
         pts = sample_sphere(289, seed, model)
