@@ -28,7 +28,7 @@ from ._intlinalg import (DegenerateSymmetryError, NumericFailure, ProbeDomainErr
                          ReductionHypothesisError)
 from .config import (FLIPPABLE_PINS, PINNED, ConfigError, ExperimentConfig,
                      check_level_budget, load_config, parse_config)
-from .geometry import check_slice_budget
+from .geometry import SAMPLER, check_slice_budget
 from .iotools import write_csv
 
 EXIT_OK = 0
@@ -88,7 +88,8 @@ def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
     """Every fixed component with its invariants and f-bar integral; the
     Monte-Carlo integrals are cached under <out>/cache.  `sample`, the
     diagnostics' zero-locus sample, is reused by a component of its support.
-    A cache key holds the config sections the integral depends on."""
+    A cache key holds the config sections the integral depends on and the
+    sampler's name."""
     from .reduction import (component_invariants, f_bar_integral, f_bar_is_sampled,
                             find_fixed_components)
 
@@ -109,6 +110,7 @@ def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
             "support": list(rep.support),
             "n_samples": cfg.n_samples,
             "seed": cfg.seed,
+            "sampler": SAMPLER,
         }
 
         def compute():

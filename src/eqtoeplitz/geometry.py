@@ -27,6 +27,7 @@ __all__ = [
     "log_monomial_norm",
     "monomial_norm",
     "szego_kernel",
+    "SAMPLER",
     "sample_sphere",
     "kernel_pair_values",
 ]
@@ -109,8 +110,7 @@ class SectionBasis:
 
 def _polevl(x, coef):
     """cephes `polevl`: the polynomial with coefficients coef (highest power
-    first) at x, by Horner's rule; x is a float or a float array, updated in
-    place after the first step."""
+    first) at x, by Horner's rule."""
     s = x * coef[0] + coef[1]
     for c in coef[2:]:
         s *= x
@@ -443,13 +443,16 @@ def _sobol_scramble(dim: int, seed: int) -> tuple:
 
 
 def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
-    """Points first .. first+n-1 of scrambled Sobol in [0, 1)^dim; the first
+    """Points first .. first+n-1 of scrambled Sobol in [0, 1)^dim, dim <=
+    MAX_SOBOL_DIM (more would repeat the all-ones direction row); the first
     2^m are bit-identical to scipy's `qmc.Sobol(dim, scramble=True,
     seed=seed).random_base2(m)`: the scramble of `_sobol_scramble`, then
     the points in Gray-code order.  Point i depends only on i, so any window
     of the sequence is built in blocks of _SOBOL_BLOCK rows."""
     B = _SOBOL_BITS
     end = first + n
+    if dim > MAX_SOBOL_DIM:
+        raise ValueError(f"{dim} Sobol dimensions; the direction table has {MAX_SOBOL_DIM}")
     if first < 0 or n < 0 or end > MAX_SAMPLES:
         raise ValueError(f"Sobol points {first}..{end - 1} are outside 0..2^{B} - 1")
     shift, sv = _sobol_scramble(dim, seed)
@@ -472,91 +475,54 @@ def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
     return pts * 2.0 ** -B
 
 
-#: cephes `ndtri`: e^-2, sqrt(2 pi), the central rational approximation
-#: P0/Q0 in (u - 1/2)^2 for e^-2 < u <= 1 - e^-2, and P1/Q1 (P2/Q2) in
-#: 1/t, t = sqrt(-2 log y), y = min(u, 1 - u), for 2 <= t < 8 (t >= 8)
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+#: names `sample_sphere`'s construction; the f-bar cache key carries it, so
+#: a value drawn by another construction is never served
+SAMPLER = "sobol-exponential-moduli"
 
 
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """The standard normal quantile at each entry of u, 0 < u < 1, by a numpy
-    port of cephes `ndtri` in C's order of operations.  The central branch
-    uses no log and equals `scipy.special.ndtri` bit for bit; the tails take
-    their two logs from `np.log`, which differs from libm's `log` in the
-    last bit on some inputs, so a tail value can move by a few ulp."""
-    shape, u = u.shape, u.ravel()
-    y = u - 0.5
-    y2 = y * y
-    x = y2 * _polevl(y2, _NDTRI_P0)
-    x /= _p1evl(y2, _NDTRI_Q0)
-    x *= y
-    x += y
-    x *= _SQRT_2PI
-    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
-    ut = u[tail]
-    upper = ut > 1.0 - _EXP_M2
-    t = np.log(np.where(upper, 1.0 - ut, ut))
-    t *= -2.0
-    np.sqrt(t, out=t)
-    z = 1.0 / t
-    xt = np.log(t)
-    xt /= t
-    np.subtract(t, xt, out=xt)                      # t - log(t) / t
-    x1 = z * _polevl(z, _NDTRI_P1)
-    x1 /= _p1evl(z, _NDTRI_Q1)
-    far = np.flatnonzero(t >= 8.0)                  # u < e^-32: only the clip ends
-    if far.size:
-        zf = z[far]
-        x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
-    xt -= x1
-    np.negative(xt, out=xt, where=~upper)
-    x[tail] = xt
-    return x.reshape(shape)
-
-
-def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0) -> np.ndarray:
+def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0,
+                  keep=None) -> np.ndarray:
     """Deterministic quasi-random unit vectors in C^(d+1): rows first ..
-    first+n-1, shape (n, d+1), of the seed's sequence.
+    first+n-1, shape (n, d+1), of the seed's sequence, or the rows of them
+    that `keep` selects.
 
-    Scrambled Sobol points (bit-identical to scipy's) mapped through the
-    Gaussian-normalize construction with the inverse normal `_ndtri`; a row
-    depends only on its index, the seed and d, so a large draw can be taken
-    in consecutive windows.  At most 2^30 rows exist.  The rows are built
-    _SOBOL_BLOCK at a time, so the working memory beyond the output is one
-    block.  Sampling needs neither scipy nor `numpy.random`.  The committed
-    direction table gives 2(d+1) <= 64 coordinates: d > 31 is a NumericFailure.
+    Row i is built from the scrambled Sobol point i in [0, 1)^(2d+2)
+    (bit-identical to scipy's).  The squared moduli of a uniform unit vector
+    are independent Exp(1) variables over their sum, and its phases are
+    uniform and independent of them: coordinate 2j gives E_j = -log(1 - u)
+    (1 - u >= 2^-30 is exact, so no clip is needed), coordinate 2j+1 the
+    phase 2 pi u, and z_j = sqrt(E_j / sum E) e^(i theta_j).  `keep` maps a
+    block's (rows, d+1) squared moduli to a row mask; only the kept rows get
+    phases and are returned, in order, each with the bits it has in the
+    unfiltered draw.  A row depends only on its index, the seed and d, so a
+    large draw can be taken in consecutive windows.  At most 2^30 rows
+    exist.  The rows are built _SOBOL_BLOCK at a time, so the working memory
+    beyond the output is one block.  The committed direction table gives
+    2(d+1) <= 64 coordinates: d > 31 is a NumericFailure.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if 2 * model.n_coords > MAX_SOBOL_DIM:
         raise NumericFailure(f"sampling P^{model.d} needs {2 * model.n_coords} Sobol dimensions; "
                              f"the table has {MAX_SOBOL_DIM} (d <= {MAX_SOBOL_DIM // 2 - 1})")
-    z = np.empty((n, model.n_coords), complex)
+    z = np.empty((n if keep is None else 0, model.n_coords), complex)
+    kept = []
     for lo in range(0, n, _SOBOL_BLOCK):
-        w = z[lo:lo + _SOBOL_BLOCK]
-        gau = _ndtri(np.clip(_sobol(2 * model.n_coords, seed, w.shape[0], first + lo),
-                             1e-15, 1.0 - 1e-15))
-        w.real, w.imag = gau[:, ::2], gau[:, 1::2]
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return z
+        u = _sobol(2 * model.n_coords, seed, min(_SOBOL_BLOCK, n - lo), first + lo)
+        sq = np.log(1.0 - u[:, ::2])                # -E_j
+        sq /= sum((sq[:, j] for j in range(1, model.n_coords)), sq[:, 0])[:, None]
+        if keep is None:
+            w = z[lo:lo + len(u)]
+        else:
+            rows = keep(sq)
+            sq, u = sq[rows], u[rows]
+            w = np.empty(sq.shape, complex)
+            kept.append(w)
+        theta = (2.0 * math.pi) * u[:, 1::2]
+        r = np.sqrt(sq)
+        np.multiply(r, np.cos(theta), out=w.real)
+        np.multiply(r, np.sin(theta), out=w.imag)
+    return z if keep is None else np.concatenate(kept)
 
 
 #: Stand-in for log(0) that keeps 0 * log == 0 exact in the exponent sums

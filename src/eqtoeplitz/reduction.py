@@ -215,8 +215,10 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
 
     The sample count is rounded up to a power of two: Sobol blocks are
     balanced only at those sizes, which matters for the thin-band indicator.
-    The sphere is drawn and band-filtered geometry._SOBOL_BLOCK rows at a
-    time, so the working memory is one block plus the rows in the band.
+    Phi = -W (|z_j|^2) depends on the squared moduli alone, so the draw
+    tests the band on them and builds complex points only for the rows
+    inside it (`sample_sphere`'s `keep`); the working memory is one
+    geometry._SOBOL_BLOCK block plus the rows in the band.
     """
     if support is None:
         support = tuple(range(model.n_coords))
@@ -227,12 +229,9 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
     n_samples = 2 ** max(1, math.ceil(math.log2(n_samples)))
     sub_model = ProjectiveModel(sub_d, kappa_x=model.kappa_x)
     sub_action = TorusAction(action.W[:, list(support)])
-    kept = []
-    for first in range(0, n_samples, geometry._SOBOL_BLOCK):
-        pts = sample_sphere(min(geometry._SOBOL_BLOCK, n_samples - first), seed, sub_model,
-                            first=first)
-        kept.append(pts[np.linalg.norm(moment_map(pts, sub_action), axis=1) < band])
-    kept = np.concatenate(kept)
+    Wt = sub_action.W.T.astype(float)
+    kept = sample_sphere(n_samples, seed, sub_model,
+                         keep=lambda sq: np.linalg.norm(sq @ Wt, axis=1) < band)
     refined = _newton_refine(kept, sub_action)
     refined = refined[np.linalg.norm(moment_map(refined, sub_action), axis=1) <= 1e-9]
     detG = np.linalg.det(sub_action.orbit_gram(refined))     # ones for a trivial group

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln
 
 from eqtoeplitz import geometry
 from eqtoeplitz._intlinalg import NumericFailure
-from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _log_gamma, _ndtri, _sobol,
+from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _log_gamma, _sobol,
                                  check_slice_budget, kernel_pair_values, log_monomial_norm,
                                  monomial_norm, multi_indices, sample_sphere, section_basis,
                                  szego_kernel)
@@ -137,42 +137,6 @@ class TestLogFactorials:
         assert np.array_equal([_log_gamma(float(v)) for v in x], gammaln(x))
 
 
-#: the most a tail normal moved against scipy's was 5 ulp in 4 M uniform
-#: draws and 6 ulp in 13.7 M Sobol ones: a 1-ulp move of np.log grows
-#: through t - log(t)/t - P1/Q1
-NDTRI_TAIL_ULP = 8
-
-
-def assert_ndtri_matches_scipy(u):
-    got, want = _ndtri(u), ndtri(u)
-    central = (u > geometry._EXP_M2) & (u <= 1.0 - geometry._EXP_M2)
-    assert np.array_equal(got[central], want[central])
-    assert np.all(np.abs(got - want) <= NDTRI_TAIL_ULP * np.spacing(np.abs(want)))
-
-
-class TestNdtri:
-    def test_uniform_draws(self):
-        assert_ndtri_matches_scipy(np.random.default_rng(0).random((500_000, 2)))
-
-    def test_sobol_windows(self):
-        # every dimension the committed direction table reaches (2^10 points
-        # above 20), clipped as the sampler clips them
-        for dim in range(2, geometry.MAX_SOBOL_DIM + 1):
-            n = geometry._SOBOL_BLOCK if dim <= 20 else 2 ** 10
-            for first in (0, 3 * geometry._SOBOL_BLOCK + 5):
-                u = _sobol(dim, dim, n, first)
-                assert_ndtri_matches_scipy(np.clip(u, 1e-15, 1.0 - 1e-15))
-
-    def test_clip_ends_and_far_tail(self):
-        # t = sqrt(-2 log u) >= 8 (u < e^-32) takes the P2/Q2 branch
-        u = np.array([1e-15, 1.0 - 1e-15, 1e-14, 1.2e-14, 1.3e-14, 1e-20, 1e-300,
-                      geometry._EXP_M2, np.nextafter(geometry._EXP_M2, 1.0),
-                      1.0 - geometry._EXP_M2, np.nextafter(1.0 - geometry._EXP_M2, 1.0), 0.5])
-        assert_ndtri_matches_scipy(u)
-        far = u[[0, 1, 5, 6]]
-        assert np.all(np.sqrt(-2.0 * np.log(np.minimum(far, 1.0 - far))) >= 8.0)
-
-
 class TestSzegoKernel:
     def test_orthogonal_points(self, p1):
         x = np.array([1, 0], complex)
@@ -231,12 +195,49 @@ class TestSampler:
         pts = sample_sphere(2 ** 20, 12, p2)
         assert np.mean(np.abs(pts[:, 0]) ** 2) == pytest.approx(1 / 3, abs=0.002)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_moments(self, d):
+        # the squared moduli of a uniform unit vector are a flat Dirichlet,
+        # E|z_j|^2 = 1/(d+1) and E|z_j|^4 = 2/((d+1)(d+2)), and its phases are
+        # uniform, E z_j = E z_j^2 = 0.  Over 2^16 scrambled Sobol rows each
+        # mean misses by at most 7.8e-5 (seeds 0..19); the iid Monte-Carlo
+        # standard error of |z_j|^2's mean is ~1e-3 at d = 1
+        z = sample_sphere(2 ** 16, d, ProjectiveModel(d))
+        sq = np.abs(z) ** 2
+        for got, want in ((sq, 1 / (d + 1)), (sq ** 2, 2 / ((d + 1) * (d + 2))),
+                          (z, 0.0), (z ** 2, 0.0)):
+            assert np.max(np.abs(got.mean(axis=0) - want)) < 2e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=st.integers(0, 5000), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    def test_kept_rows_are_rows_of_the_draw(self, first, n, seed):
+        # `keep` gets each block's squared moduli and returns a row mask; the
+        # rows it keeps are the unfiltered draw's rows under that mask, bit
+        # for bit, in any window and in 2^4-row blocks
+        model = ProjectiveModel(3)
+        whole = sample_sphere(n, seed, model, first=first)
+        seen = []
+
+        def keep(sq):
+            seen.append(sq)
+            return sq[:, 0] + sq[:, 2] < 0.4
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_SOBOL_BLOCK", 2 ** 4)
+            kept = sample_sphere(n, seed, model, first=first, keep=keep)
+        sq = np.vstack(seen)
+        assert np.max(np.abs(sq - np.abs(whole) ** 2)) <= 1e-15
+        mask = sq[:, 0] + sq[:, 2] < 0.4
+        assert kept.shape == (mask.sum(), 4)
+        assert kept.tobytes() == whole[mask].tobytes()
+
     def test_deterministic(self):
         assert check_sampler_determinism(seed=21)[0]
 
     def test_draw_memory_is_the_output_plus_one_block(self, p2):
         # 2^20 rows on P^2 are 48 MiB of output; the Sobol points, the
-        # normals and their temporaries live one 2^14-row block at a time
+        # moduli, the phases and their temporaries live one 2^14-row block
+        # at a time
         # (the unblocked draw peaked at ~4 times the output)
         sample_sphere(16, 12, p2)            # the direction numbers, loaded once
         tracemalloc.start()
@@ -300,6 +301,12 @@ class TestSampler:
             deg = p.bit_length() - 1
             assert (p, m) == (poly[d], vinit[d, :deg].tolist()) and len(m) == deg
             assert not vinit[d, deg:].any()
+
+    def test_sobol_refuses_past_the_direction_table(self):
+        # a row past MAX_SOBOL_DIM would repeat the all-ones row 0
+        assert _sobol(geometry.MAX_SOBOL_DIM, 0, 4).shape == (4, 64)
+        with pytest.raises(ValueError, match="66 Sobol dimensions"):
+            _sobol(66, 0, 4)
 
     def test_sobol_stops_at_2_pow_30(self, p1):
         # the direction numbers have 30 bits: no point 2^30 exists

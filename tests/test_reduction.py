@@ -326,6 +326,24 @@ class TestReducedVolume:
         vol, err = reduced_volume(circle_p2, p2, 2 ** 18, seed=17)
         assert abs(dim * math.pi / k - vol) <= 5.0 / k + 3 * err
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_benchmark_draws_hit_the_exact_values(self, seed, p2, circle_p2):
+        # the benchmark's 2^18-point draws: vol(M0) within 5 sigma of pi/2 on
+        # P2 and of pi/6 on P3 under D3_WEIGHTS, and the f-bar of
+        # u_1 + u_0 u_3 / 2 there within 5 sigma of 91 pi / 1296, the value
+        # the exact trace identity reads off the traces
+        diag, _ = check_regular_and_free(circle_p2, p2, n_samples=2 ** 18, seed=seed)
+        assert abs(diag.vol_M0 - math.pi / 2) <= 5 * diag.vol_M0_stderr
+        action, model = TorusAction(D3_WEIGHTS), ProjectiveModel(3)
+        diag, sample = check_regular_and_free(action, model, n_samples=2 ** 18, seed=seed)
+        assert abs(diag.vol_M0 - math.pi / 6) <= 5 * diag.vol_M0_stderr
+        f = Observable(u_terms={(0, 1, 0, 0): 1.0, (1, 0, 0, 1): 0.5})
+        sym = DiagonalSymmetry(phi=[0.3, 0.5, -0.8, 0.1])
+        (comp,) = find_fixed_components(action, sym, model)
+        comp = f_bar_integral(component_invariants(comp, sym, action, model), f, action,
+                              model, 2 ** 18, seed, sample=sample)
+        assert abs(comp.f_bar_integral - 91 * math.pi / 1296) <= 5 * comp.f_bar_stderr
+
     def test_halving_rate(self, p2, circle_p2):
         _, e1 = reduced_volume(circle_p2, p2, 2 ** 16, seed=19)
         _, e2 = reduced_volume(circle_p2, p2, 2 ** 17, seed=19)
