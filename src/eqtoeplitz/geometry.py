@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,66 +109,6 @@ class SectionBasis:
         return self.indices.shape[0]
 
 
-def _polevl(x, coef):
-    """cephes `polevl`: the polynomial with coefficients coef (highest power
-    first) at x, by Horner's rule."""
-    s = x * coef[0] + coef[1]
-    for c in coef[2:]:
-        s *= x
-        s += c
-    return s
-
-
-def _p1evl(x, coef):
-    """cephes `p1evl`: as `_polevl` with a leading coefficient 1 left out."""
-    s = x + coef[0]
-    for c in coef[1:]:
-        s *= x
-        s += c
-    return s
-
-
-#: cephes `lgam`: the rational approximation B/C of log Gamma on 2 <= x < 3,
-#: the Stirling series A in 1/x^2 for 13 <= x < 1000, and log(sqrt(2 pi))
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LOG_SQRT_2PI = 0.91893853320467274178
-
-
-def _log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 by a scalar port of cephes `lgam`, bit-identical
-    to `scipy.special.gammaln` (`math.lgamma` is not): below 13 the argument
-    is shifted into [2, 3) by the recurrence, whose factors are multiplied
-    exactly for integer x (so log m! is the log of the exact factorial for
-    m <= 11), and B/C is added; above, the Stirling series."""
-    if x < 13.0:
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x += p - 2.0
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
-    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
-
-
 #: log m! at index m; grown on demand by `_log_factorials`, never shrunk
 _LOG_FACTORIALS = np.zeros(2)
 
@@ -179,7 +120,7 @@ def _log_factorials(n: int) -> np.ndarray:
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if n >= len(table):
-        grown = [_log_gamma(m + 1.0) for m in range(len(table), max(n + 1, 2 * len(table)))]
+        grown = [math.lgamma(m + 1.0) for m in range(len(table), max(n + 1, 2 * len(table)))]
         table = _LOG_FACTORIALS = np.concatenate([table, grown])
     return table
 
@@ -361,65 +302,17 @@ def _sobol_directions(dim: int) -> np.ndarray:
 _SOBOL_BLOCK = 1 << 14
 
 
-#: numpy's SeedSequence hash constants (pool of four 32-bit words)
-_SS_INIT_A, _SS_MULT_A, _SS_INIT_B, _SS_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-#: PCG64's 128-bit LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
 def _random_bits(seed: int, n: int) -> np.ndarray:
-    """The n uint32 bits of `np.random.default_rng(seed).integers(0, 2, n,
-    np.uint32)`, by a port of numpy's path.  SeedSequence hashes the seed's
-    32-bit words (least significant first) into a four-word pool and draws
-    PCG64's 128-bit state and increment from it; PCG64 (XSL-RR, O'Neill
-    2014) steps its LCG, then outputs 64 bits, which are served as two
-    32-bit words, the low half first; a bounded draw below 2 is the top bit
-    of one word (Lemire's method never rejects for a range of 2)."""
+    """n random bits as 0/1 uint32: the n low bits of the stdlib generator's
+    (MT19937) `random.Random(seed).getrandbits(n)`, least significant first.
+    A negative seed is refused, because `Random` seeds with its absolute
+    value and would draw the bits of -seed."""
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed {seed} is negative")
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    h = _SS_INIT_A
-
-    def hashmix(v):
-        nonlocal h
-        v ^= h
-        h = h * _SS_MULT_A & _M32
-        v = v * h & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (_SS_MIX_L * x - _SS_MIX_R * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    h, state = _SS_INIT_B, []
-    for i in range(8):
-        v = pool[i % 4] ^ h
-        h = h * _SS_MULT_B & _M32
-        v = v * h & _M32
-        state.append(v ^ v >> 16)
-    # the eight words are four little-endian uint64: the state, then the increment
-    seed128 = state[1] << 96 | state[0] << 64 | state[3] << 32 | state[2]
-    inc = (state[5] << 96 | state[4] << 64 | state[7] << 32 | state[6]) << 1 & _M128 | 1
-    x = ((inc + seed128) * _PCG_MULT + inc) & _M128
-    out = []
-    for _ in range((n + 1) // 2):
-        x = (x * _PCG_MULT + inc) & _M128
-        xor, rot = (x >> 64 ^ x) & _M64, x >> 122
-        out.append((xor >> rot | xor << (64 - rot)) & _M64)
-    out = np.array(out, np.uint64)
-    bits = np.stack([out >> np.uint64(31), out >> np.uint64(63)], axis=1) & np.uint64(1)
-    return bits.ravel()[:n].astype(np.uint32)
+    word = random.Random(seed).getrandbits(n).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(word, np.uint8), count=n,
+                         bitorder="little").astype(np.uint32)
 
 
 @functools.lru_cache(maxsize=64)
@@ -427,8 +320,9 @@ def _sobol_scramble(dim: int, seed: int) -> tuple:
     """The seed's random digital shift (dim,) and its scrambled direction
     numbers (dim, 30): a random lower-triangular (unit diagonal) linear
     matrix scramble of the direction numbers and the shift, drawn in that
-    order from `default_rng(seed)` (by `_random_bits`), as scipy's engine
-    draws them.  Cached, so a draw taken in windows scrambles once."""
+    order from `_random_bits(seed, ...)`, the order in which scipy's engine
+    draws them from its generator.  Cached, so a draw taken in windows
+    scrambles once."""
     B = _SOBOL_BITS
     bits = _random_bits(seed, dim * B * (B + 1))
     shift = bits[:dim * B].reshape(dim, B) @ (1 << np.arange(B, dtype=np.uint32))
@@ -442,13 +336,15 @@ def _sobol_scramble(dim: int, seed: int) -> tuple:
     return shift, sv
 
 
-def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
+def _sobol(dim: int, seed: int, n: int, first: int = 0):
     """Points first .. first+n-1 of scrambled Sobol in [0, 1)^dim, dim <=
-    MAX_SOBOL_DIM (more would repeat the all-ones direction row); the first
-    2^m are bit-identical to scipy's `qmc.Sobol(dim, scramble=True,
-    seed=seed).random_base2(m)`: the scramble of `_sobol_scramble`, then
-    the points in Gray-code order.  Point i depends only on i, so any window
-    of the sequence is built in blocks of _SOBOL_BLOCK rows."""
+    MAX_SOBOL_DIM (more would repeat the all-ones direction row), as an
+    iterator over consecutive blocks of at most _SOBOL_BLOCK rows.  The
+    scramble is `_sobol_scramble`'s, the points come in Gray-code order, and
+    given the same scramble bits the first 2^m are scipy's `qmc.Sobol(dim,
+    scramble=True).random_base2(m)`.  Point i depends only on i and the
+    seed, so any window of the sequence can be drawn.  The arguments are
+    checked when `_sobol` is called, before any block is built."""
     B = _SOBOL_BITS
     end = first + n
     if dim > MAX_SOBOL_DIM:
@@ -459,25 +355,26 @@ def _sobol(dim: int, seed: int, n: int, first: int = 0) -> np.ndarray:
     # point i is shift ^ (xor of sv[:, c] over the bits c of gray(i) = i ^ (i >> 1)),
     # and gray(j 2^b + r) = gray(j 2^b) ^ gray(r) for r < 2^b: block j is the first
     # block XORed with the sv columns of gray(j 2^b).  The reflected Gray code
-    # doubles the first block one direction number at a time
+    # doubles the first block one direction number at a time, once per draw
     b = min(_SOBOL_BLOCK.bit_length() - 1, (end - 1).bit_length())
     head = np.empty((1 << b, dim), np.uint32)
     head[0] = shift
     for c in range(b):
         head[1 << c:2 << c] = head[(1 << c) - 1::-1] ^ sv[:, c]
-    pts = np.empty((n, dim), np.uint32)
-    for j in range(first >> b, (end - 1 >> b) + 1):
-        lo = j << b
-        gray = lo ^ lo >> 1
-        base = np.bitwise_xor.reduce(sv[:, [c for c in range(B) if gray >> c & 1]], axis=1)
-        a, z = max(first, lo), min(end, lo + (1 << b))
-        pts[a - first:z - first] = head[a - lo:z - lo] ^ base
-    return pts * 2.0 ** -B
+
+    def blocks():
+        for j in range(first >> b, (end - 1 >> b) + 1):
+            lo = j << b
+            gray = lo ^ lo >> 1
+            base = np.bitwise_xor.reduce(sv[:, [c for c in range(B) if gray >> c & 1]], axis=1)
+            yield (head[max(first, lo) - lo:min(end, lo + (1 << b)) - lo] ^ base) * 2.0 ** -B
+
+    return blocks()
 
 
 #: names `sample_sphere`'s construction; the f-bar cache key carries it, so
 #: a value drawn by another construction is never served
-SAMPLER = "sobol-exponential-moduli"
+SAMPLER = "sobol-mt19937-exponential-moduli"
 
 
 def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0,
@@ -486,10 +383,10 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0,
     first+n-1, shape (n, d+1), of the seed's sequence, or the rows of them
     that `keep` selects.
 
-    Row i is built from the scrambled Sobol point i in [0, 1)^(2d+2)
-    (bit-identical to scipy's).  The squared moduli of a uniform unit vector
-    are independent Exp(1) variables over their sum, and its phases are
-    uniform and independent of them: coordinate 2j gives E_j = -log(1 - u)
+    Row i is built from the scrambled Sobol point i in [0, 1)^(2d+2) of
+    `_sobol`.  The squared moduli of a uniform unit vector are independent
+    Exp(1) variables over their sum, and its phases are uniform and
+    independent of them: coordinate 2j gives E_j = -log(1 - u)
     (1 - u >= 2^-30 is exact, so no clip is needed), coordinate 2j+1 the
     phase 2 pi u, and z_j = sqrt(E_j / sum E) e^(i theta_j).  `keep` maps a
     block's (rows, d+1) squared moduli to a row mask; only the kept rows get
@@ -506,13 +403,13 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0,
         raise NumericFailure(f"sampling P^{model.d} needs {2 * model.n_coords} Sobol dimensions; "
                              f"the table has {MAX_SOBOL_DIM} (d <= {MAX_SOBOL_DIM // 2 - 1})")
     z = np.empty((n if keep is None else 0, model.n_coords), complex)
-    kept = []
-    for lo in range(0, n, _SOBOL_BLOCK):
-        u = _sobol(2 * model.n_coords, seed, min(_SOBOL_BLOCK, n - lo), first + lo)
+    kept, lo = [], 0
+    for u in _sobol(2 * model.n_coords, seed, n, first):
         sq = np.log(1.0 - u[:, ::2])                # -E_j
         sq /= sum((sq[:, j] for j in range(1, model.n_coords)), sq[:, 0])[:, None]
         if keep is None:
             w = z[lo:lo + len(u)]
+            lo += len(u)
         else:
             rows = keep(sq)
             sq, u = sq[rows], u[rows]

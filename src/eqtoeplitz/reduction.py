@@ -42,7 +42,6 @@ import numpy as np
 
 from ._intlinalg import (DegenerateSymmetryError, NumericFailure, ReductionHypothesisError,
                          basic_feasible_solutions, solve_phase_congruence, torsion_angles)
-from . import geometry
 from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
 from .symmetry import DiagonalSymmetry, TorusAction, moment_map, slice_vertices
@@ -155,9 +154,7 @@ def vanishing_level(action: TorusAction, varpi) -> int | None:
 # zero-locus sampling
 
 def _ball_volume(g: int, eps: float) -> float:
-    # the cephes lgam port, equal to scipy's gammaln bit for bit, keeps the
-    # odd-g volumes bit for bit; math.lgamma already differs at g/2 + 1 = 1.5
-    return math.pi ** (g / 2.0) * eps ** g / math.exp(geometry._log_gamma(g / 2.0 + 1.0))
+    return math.pi ** (g / 2.0) * eps ** g / math.gamma(g / 2.0 + 1.0)
 
 
 def _newton_refine(points: np.ndarray, action: TorusAction) -> np.ndarray:
@@ -185,24 +182,25 @@ def _newton_refine(points: np.ndarray, action: TorusAction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroLocusSample:
-    """Refined points on the zero locus with coarea-corrected weights.
+    """Refined points on the zero locus of a stratum and their one weight.
 
-    sum(weights * h(points)) estimates the integral of h over the locus with
-    respect to the induced Riemannian volume of the base.  gram_det holds the
-    orbit Gram determinant at each point (ones for a trivial group).
+    A point's coarea weight, vol_M 2^g sqrt(det Gram) / (n_total ball), over
+    its orbit volume V_eff = (2 pi)^g sqrt(det Gram) / order is order *
+    weight with weight = vol_M / (pi^g n_total ball), the same at every
+    point: sum(weight * order * h(points)) estimates the integral of h over
+    the reduced space of the stratum, whose stabilizer has that finite order.
     """
 
     points: np.ndarray
-    weights: np.ndarray
-    gram_det: np.ndarray
+    weight: float
     n_total: int
     band: float
     support: tuple | None = None
 
     def integrate(self, h_values) -> tuple[float, float]:
         h = np.asarray(h_values, dtype=float)
-        est = float(np.sum(self.weights * h))
-        contrib = self.weights * h * self.n_total
+        est = float(np.sum(self.weight * h))
+        contrib = self.weight * h * self.n_total
         s2 = float(np.sum(contrib ** 2))
         var = max(s2 / self.n_total - est ** 2, 0.0) / self.n_total
         return est, math.sqrt(var)
@@ -234,13 +232,11 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
                          keep=lambda sq: np.linalg.norm(sq @ Wt, axis=1) < band)
     refined = _newton_refine(kept, sub_action)
     refined = refined[np.linalg.norm(moment_map(refined, sub_action), axis=1) <= 1e-9]
-    detG = np.linalg.det(sub_action.orbit_gram(refined))     # ones for a trivial group
-    jac = (2.0 ** action.g) * np.sqrt(np.maximum(detG, 0.0))
-    w = sub_model.vol_M * jac / (n_samples * _ball_volume(action.g, band))
     emb = np.zeros((refined.shape[0], model.n_coords), complex)
     emb[:, list(support)] = refined
-    return ZeroLocusSample(points=emb, weights=w, gram_det=detG, n_total=n_samples,
-                           band=band, support=support)
+    weight = sub_model.vol_M / (math.pi ** action.g * n_samples * _ball_volume(action.g, band))
+    return ZeroLocusSample(points=emb, weight=weight, n_total=n_samples, band=band,
+                           support=support)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +246,14 @@ def effective_volume(x, action: TorusAction, stab_order=None):
     """Riemannian volume of the orbit through x: (2pi)^g sqrt(det Gram)
     divided by the finite stabilizer order.
 
-    x is a unit vector, rows of unit vectors, or a ZeroLocusSample (whose
-    Gram determinants are reused).  stab_order is one order or one per row;
-    by default it is read off each row's coordinate support.  Returns a float
-    for a single vector, else one value per row; 1 for a trivial group.
+    x is a unit vector or rows of unit vectors.  stab_order is one order or
+    one per row; by default it is read off each row's coordinate support.
+    Returns a float for a single vector, else one value per row; 1 for a
+    trivial group.
     """
-    if isinstance(x, ZeroLocusSample):
-        pts, det, single = x.points, x.gram_det, False
-    else:
-        single = np.ndim(x) == 1
-        pts = np.atleast_2d(np.asarray(x, dtype=complex))
-        det = np.linalg.det(action.orbit_gram(pts))
+    single = np.ndim(x) == 1
+    pts = np.atleast_2d(np.asarray(x, dtype=complex))
+    det = np.linalg.det(action.orbit_gram(pts))
     if stab_order is None:
         # each row's support stabilizer; a continuous one is a violation
         infos = [stabilizer_info(action, point_support(x)) for x in pts]
@@ -296,9 +289,8 @@ def reduced_space_integral(action: TorusAction, sample: ZeroLocusSample,
     if info.free_rank > 0:
         raise ReductionHypothesisError("positive-dimensional stabilizer on stratum",
                                        witness=sample.points[0])
-    veff = effective_volume(sample, action, stab_order=info.order)
     hv = np.ones(sample.points.shape[0]) if h is None else np.asarray(h(sample.points), float)
-    return sample.integrate(hv / veff)
+    return sample.integrate(info.order * hv)
 
 
 def reduced_volume(action: TorusAction, model: ProjectiveModel, n_samples: int,
@@ -363,7 +355,7 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
         return diag, None
     sample = zero_locus_sample(action, model, n_samples, seed, band=band, support=zl.generic)
     vol, err = reduced_space_integral(action, sample)
-    veffs = effective_volume(sample, action, stab_order=order)
+    veffs = effective_volume(sample.points, action, stab_order=order)
     # after the draw, so that the eigh code pages add nothing to its peak memory
     u = np.array([[v / q for v in num] for num, q in zl.vertices])
     gram = np.einsum("ij,nj,lj->nil", action.W, u, action.W)

@@ -177,7 +177,11 @@ def check_reproducing_property(d=1, k=6, alpha=None, log2_nodes=16, seed=5, n_po
     for first in range(0, n, block):
         ys = sample_sphere(block, seed, model, first=first)
         mono = np.prod(ys ** alpha[None, :], axis=1)
-        parts.append([np.sum(c * (ys.conj() @ x) ** k * mono) for x in xs])
+        # <x, y> = conj(sum conj(x_j) y_j), summed over the d+1 columns in
+        # order: a BLAS product would pay its thread start-up
+        ips = (sum((ys[:, j] * x[j] for j in range(1, d + 1)), ys[:, 0] * x[0]).conj()
+               for x in xs.conj())
+        parts.append([np.sum(c * ip ** k * mono) for ip in ips])
     while len(parts) > 1:
         parts = [np.add(a, b) for a, b in zip(parts[::2], parts[1::2])]
     est = model.vol_X * (np.array(parts[0]) / n)

@@ -10,7 +10,7 @@ from scipy.special import gammaln
 
 from eqtoeplitz import geometry
 from eqtoeplitz._intlinalg import NumericFailure
-from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _log_gamma, _sobol,
+from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _sobol,
                                  check_slice_budget, kernel_pair_values, log_monomial_norm,
                                  monomial_norm, multi_indices, sample_sphere, section_basis,
                                  szego_kernel)
@@ -18,6 +18,11 @@ from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
 from conftest import monomial_matrix, multi_indices_by_level, plain_sphere
+
+
+def sobol_points(*args):
+    """`_sobol`'s blocks stacked into one (n, dim) array."""
+    return np.concatenate(list(_sobol(*args)))
 
 
 class TestModel:
@@ -106,35 +111,31 @@ class TestMonomialNorms:
 
 
 class TestLogFactorials:
-    def test_table_matches_gammaln_bit_for_bit(self):
-        # scipy's gammaln is the oracle at x = 1..30,001, through both
-        # Stirling branches (13 <= x < 1000 and x >= 1000)
+    def test_table_is_accurate(self):
+        # math.lgamma against scipy's gammaln at x = 1..30,001: at most 6.6e-16
+        # relative (log 0! = log 1! = 0 exactly)
         table = _log_factorials(30_000)
-        x = np.arange(30_001)
-        assert np.array_equal(table[x], gammaln(x + 1))
+        want = gammaln(np.arange(30_001) + 1.0)
+        assert table[0] == table[1] == 0.0
+        assert np.max(np.abs(table[2:30_001] - want[2:]) / want[2:]) <= 1e-15
         assert _log_factorials(100) is table    # never rebuilt for a smaller n
 
     @pytest.mark.parametrize("d", range(1, 7))
-    def test_log_norms_match_gammaln_expression(self, d):
-        # random multi-indices of degree k <= 1,500, bit for bit against the
-        # gammaln form log vol_X + log d! + sum log alpha_j! - log (d+k)!
+    def test_log_norms_are_accurate(self, d):
+        # random multi-indices of degree k <= 1,500 against the gammaln form
+        # log vol_X + log d! + sum log alpha_j! - log (d+k)!; the terms cancel,
+        # so the error is measured against the sum of their sizes (at most
+        # 3.1e-16 of it)
         rng = np.random.default_rng(d)
         model = ProjectiveModel(d)
         k = rng.integers(0, 1501, 300)
         cuts = np.sort(rng.integers(0, k[:, None] + 1, (300, d)), axis=1)
         alpha = np.diff(np.hstack([np.zeros((300, 1), np.int64), cuts, k[:, None]]), axis=1)
-        old = (math.log(model.vol_X) + gammaln(d + 1) + gammaln(alpha + 1).sum(axis=1)
-               - gammaln(d + k + 1))
-        assert np.array_equal(log_monomial_norm(alpha, model), old)
-        assert log_monomial_norm(alpha[0], model) == old[0]
-
-    def test_log_gamma_matches_gammaln_bit_for_bit(self):
-        # the band-ball volumes' g/2 + 1, then random x through the shift to
-        # [2, 3) with B/C (x < 13) and both Stirling branches
-        rng = np.random.default_rng(13)
-        x = np.concatenate([np.arange(1, 61) / 2 + 1, rng.uniform(0.01, 13, 20_000),
-                            rng.uniform(13, 2000, 2_000), np.exp(rng.uniform(7, 25, 2_000))])
-        assert np.array_equal([_log_gamma(float(v)) for v in x], gammaln(x))
+        terms = (math.log(model.vol_X), gammaln(d + 1), gammaln(alpha + 1).sum(axis=1),
+                 -gammaln(d + k + 1))
+        got = log_monomial_norm(alpha, model)
+        assert np.all(np.abs(got - sum(terms)) <= 1e-15 * sum(np.abs(t) for t in terms))
+        assert log_monomial_norm(alpha[0], model) == got[0]
 
 
 class TestSzegoKernel:
@@ -249,39 +250,51 @@ class TestSampler:
         assert peak < pts.nbytes + 8 * 2 ** 20
 
     @pytest.mark.parametrize("m", [0, 1, 10, 18])
-    def test_sobol_bits_match_scipy(self, m):
-        # scipy's scrambled Sobol is the oracle, over every dimension the
-        # committed table reaches (2^10 points at most above 20); the
-        # sequence is drawn one block at a time, as the sampler streams it
+    def test_sobol_bits_match_scipy(self, monkeypatch, m):
+        # scipy's scrambled Sobol is the oracle of the direction numbers, the
+        # scramble matrix, the shift and the Gray-code order, over every
+        # dimension the committed table reaches (2^10 points at most above
+        # 20), when the scramble bits are drawn from numpy's generator as
+        # scipy draws them; the sequence comes in blocks, as the sampler
+        # streams it
         from scipy.stats import qmc
-        seeds = (0, 1, 2 ** 40 + 7) if m < 18 else (3,)
-        n, block = 2 ** m, geometry._SOBOL_BLOCK
-        for dim in range(2, geometry.MAX_SOBOL_DIM + 1 if m <= 10 else 21):
-            for seed in seeds:
-                want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)
-                got = np.vstack([_sobol(dim, seed, min(block, n - first), first)
-                                 for first in range(0, n, block)])
-                assert np.array_equal(got, want), (dim, seed)
+        monkeypatch.setattr(geometry, "_random_bits", lambda seed, n: np.random.default_rng(
+            seed).integers(0, 2, n, np.uint32))
+        geometry._sobol_scramble.cache_clear()
+        try:
+            for dim in range(2, geometry.MAX_SOBOL_DIM + 1 if m <= 10 else 21):
+                for seed in (0, 1, 2 ** 40 + 7) if m < 18 else (3,):
+                    want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)
+                    assert np.array_equal(sobol_points(dim, seed, 2 ** m), want), (dim, seed)
+        finally:
+            geometry._sobol_scramble.cache_clear()
 
     @pytest.mark.parametrize("first,n", [(0, 1), (5, 11), (100, 37), (16, 16), (1000, 24)])
     def test_sobol_window_is_a_slice(self, monkeypatch, first, n):
         # unaligned windows across 2^4-row blocks are rows of the whole draw
-        whole = _sobol(6, 9, 1024)
+        whole = sobol_points(6, 9, 1024)
         monkeypatch.setattr(geometry, "_SOBOL_BLOCK", 2 ** 4)
-        assert np.array_equal(_sobol(6, 9, n, first), whole[first:first + n])
+        assert np.array_equal(sobol_points(6, 9, n, first), whole[first:first + n])
         assert np.array_equal(sample_sphere(n, 9, ProjectiveModel(2), first=first),
                               sample_sphere(1024, 9, ProjectiveModel(2))[first:first + n])
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3,
-                                      2 ** 63 + 5, 2 ** 64 + 1, 2 ** 160 + 9])
-    def test_scramble_bits_match_numpy_random(self, seed):
-        # numpy's SeedSequence -> PCG64 -> bounded uint32 draw is the oracle,
-        # over counts that split a 64-bit output and the d = 3 scramble's
-        # 930 * 8 bits; 2^160 + 9 has more 32-bit words than the seed pool
-        for n in (1, 2, 3, 31, 930, 7440):
-            want = np.random.default_rng(seed).integers(0, 2, n, np.uint32)
-            got = geometry._random_bits(seed, n)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, n)
+    def test_draw_builds_the_gray_code_head_once(self, monkeypatch):
+        # one `_sobol` call per draw, so its first block, doubled one direction
+        # number at a time, is built once and XORed into each later block
+        calls, sobol = [], geometry._sobol
+        monkeypatch.setattr(geometry, "_sobol", lambda *a: calls.append(a) or sobol(*a))
+        z = sample_sphere(2 ** 16 + 5, 3, ProjectiveModel(2), first=7)
+        assert z.shape == (2 ** 16 + 5, 3) and calls == [(6, 3, 2 ** 16 + 5, 7)]
+
+    @pytest.mark.parametrize("seed,golden", [(0, "cd072cd8be6f9f62ac4c09c20e"),
+                                             (2 ** 64 + 1, "95dc0c1a85cf67dbfd288db906")],
+                             ids=["0", "2^64+1"])
+    def test_scramble_bits_are_pinned(self, seed, golden):
+        # the scramble bits are the stdlib Mersenne Twister's getrandbits,
+        # least significant first; a change of that generator moves every draw
+        bits = geometry._random_bits(seed, 100)
+        assert bits.dtype == np.uint32 and set(bits.tolist()) <= {0, 1}
+        assert np.packbits(bits, bitorder="little").tobytes().hex() == golden
 
     def test_negative_seed_is_refused(self):
         with pytest.raises(ValueError, match="negative"):
@@ -304,13 +317,13 @@ class TestSampler:
 
     def test_sobol_refuses_past_the_direction_table(self):
         # a row past MAX_SOBOL_DIM would repeat the all-ones row 0
-        assert _sobol(geometry.MAX_SOBOL_DIM, 0, 4).shape == (4, 64)
+        assert sobol_points(geometry.MAX_SOBOL_DIM, 0, 4).shape == (4, 64)
         with pytest.raises(ValueError, match="66 Sobol dimensions"):
             _sobol(66, 0, 4)
 
     def test_sobol_stops_at_2_pow_30(self, p1):
         # the direction numbers have 30 bits: no point 2^30 exists
-        assert _sobol(4, 0, 2, 2 ** 30 - 2).shape == (2, 4)
+        assert sobol_points(4, 0, 2, 2 ** 30 - 2).shape == (2, 4)
         with pytest.raises(ValueError, match="outside"):
             _sobol(4, 0, 2, 2 ** 30 - 1)
         with pytest.raises(ValueError, match="outside"):

@@ -180,7 +180,7 @@ class TestDiagnostics:
             assume(False)
         assume(diag.regular_value)
         dphi = 2.0 * np.sqrt(np.linalg.eigvalsh(action.orbit_gram(sample.points))[:, 0])
-        veff = effective_volume(sample, action, stab_order=diag.stabilizer_order)
+        veff = effective_volume(sample.points, action, stab_order=diag.stabilizer_order)
         assert np.all(dphi >= diag.min_singular_dphi * (1.0 - 1e-9))
         assert np.all(veff >= diag.v_eff_min * (1.0 - 1e-9))
 
@@ -214,7 +214,7 @@ class TestZeroLocusSample:
         assert s.points.shape[0] > 100
         resid = np.linalg.norm(moment_map(s.points, circle_p2), axis=1)
         assert np.max(resid) <= 1e-9
-        assert np.all(s.weights > 0)
+        assert s.weight > 0
 
     def test_support_restriction(self, p2, circle_p2):
         s = zero_locus_sample(circle_p2, p2, 2 ** 13, seed=7, support=(0, 1))
@@ -243,7 +243,7 @@ class TestZeroLocusSample:
                 mp.setattr(geometry, "_SOBOL_BLOCK", block)
                 try:
                     s = zero_locus_sample(action, model, 2 ** 10, seed, band=0.2)
-                    locus = [s.points, s.weights, s.gram_det]
+                    locus = [s.points, s.weight]
                 except ReductionHypothesisError as exc:     # singular Gram in Newton
                     locus = [str(exc)]
                 return locus, kernel_pair_values(pts[::-1], pts, basis.indices, basis.log_norms)
@@ -343,6 +343,19 @@ class TestReducedVolume:
         comp = f_bar_integral(component_invariants(comp, sym, action, model), f, action,
                               model, 2 ** 18, seed, sample=sample)
         assert abs(comp.f_bar_integral - 91 * math.pi / 1296) <= 5 * comp.f_bar_stderr
+
+    def test_one_weight_is_each_coarea_weight_over_v_eff(self, p2, circle_p2):
+        # a point's coarea weight vol_M 2^g sqrt(det Gram) / (n ball) over its
+        # orbit volume, the stabilizer order read off its support, is the
+        # same for every point, so one weight serves the whole sample
+        for action, model in ((circle_p2, p2), (TorusAction(D3_WEIGHTS), ProjectiveModel(3))):
+            sample = zero_locus_sample(action, model, 2 ** 14, seed=2)
+            det = np.linalg.det(action.orbit_gram(sample.points))
+            coarea = (model.vol_M * 2.0 ** action.g * np.sqrt(det)
+                      / (sample.n_total * red._ball_volume(action.g, sample.band)))
+            vol, _ = reduced_space_integral(action, sample)
+            assert vol == pytest.approx(np.sum(coarea / effective_volume(sample.points, action)),
+                                        rel=1e-14)
 
     def test_halving_rate(self, p2, circle_p2):
         _, e1 = reduced_volume(circle_p2, p2, 2 ** 16, seed=19)
