@@ -92,18 +92,13 @@ FitReport = namedtuple("FitReport",
                        "unknowns condition k_star miss window leading_gap f_bar_trace")
 
 
-def _loglog_slope(ks, values) -> tuple[float, float]:
+def _loglog_slope(ks, values) -> float:
     """Least-squares slope of log values against log k over the upper half
-    of the levels (from index len // 2 on), with its standard error."""
+    of the levels (from index len // 2 on)."""
     half = len(ks) // 2
     kk = np.log(np.asarray(ks[half:], dtype=float))
-    vv = np.log(values[half:])
     A = np.stack([kk, np.ones_like(kk)], axis=1)
-    sol, _, _, _ = np.linalg.lstsq(A, vv, rcond=None)
-    dof = max(len(kk) - 2, 1)
-    s2 = float(np.sum((vv - A @ sol) ** 2)) / dof
-    sxx = float(np.sum((kk - kk.mean()) ** 2))
-    return float(sol[0]), math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
+    return float(np.linalg.lstsq(A, np.log(values[half:]), rcond=None)[0][0])
 
 
 def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusAction,
@@ -124,7 +119,7 @@ def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusActi
     if not reports:
         return None
     ks, kf = series.k_values, series.k_values.astype(float)
-    B = max([sum(beta) for beta in f.u_terms] + [int(f.h_term is not None)])
+    B = f.degree
     D = np.prod(kf[:, None] + action.n_coords + np.arange(B), axis=1)
     step = math.gcd(*np.diff(ks).tolist()) or 1
     q = math.lcm(*(den for _, den in zero_locus(action).vertices))
@@ -225,7 +220,7 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
             floored = True
         vals.append(v)
     vals = np.array(vals)
-    slope, _ = _loglog_slope(ks, vals)
+    slope = _loglog_slope(ks, vals)
     return DecayProbeResult(k_values=ks, abs_values=vals, slope=slope, floored=floored)
 
 

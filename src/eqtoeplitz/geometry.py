@@ -28,6 +28,7 @@ __all__ = [
     "log_monomial_norm",
     "monomial_norm",
     "szego_kernel",
+    "sphere_cubature",
     "SAMPLER",
     "sample_sphere",
     "kernel_pair_values",
@@ -235,6 +236,34 @@ def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:
     return c * mag * complex(math.cos(k * np.angle(ip)), math.sin(k * np.angle(ip)))
 
 
+#: most nodes `sphere_cubature` builds (16 (d+1) MiB of nodes at the budget)
+MAX_CUBATURE_NODES = 1 << 20
+
+
+@functools.lru_cache(maxsize=8)
+def sphere_cubature(d: int, K: int) -> tuple:
+    """Read-only nodes (N, d+1) on the unit sphere of C^(d+1) and weights (N,)
+    summing to 1, exact for phase-invariant polynomials of bidegree <= (K, K)
+    in (z, conj z): Grundmann-Moller of degree 2 floor(K/2) + 1 in the squared
+    moduli (SIAM J. Numer. Anal. 15, 1978), theta_0 = 0 and K+1 equal steps
+    in each other phase, phase-major (a sum over the nodes then rounds like
+    one over phases).  Over MAX_CUBATURE_NODES nodes is a NumericFailure."""
+    s, m = K // 2, d + 2 * (K // 2) + 1
+    n = math.comb(s + d + 1, d + 1) * (K + 1) ** d
+    if n > MAX_CUBATURE_NODES:
+        raise NumericFailure(f"{n} cubature nodes, over the budget of {MAX_CUBATURE_NODES}")
+    u = np.vstack([(2 * multi_indices(s - i, d + 1) + 1) / (m - 2 * i) for i in range(s + 1)])
+    c = [(-1) ** i * math.factorial(d) * (m - 2 * i) ** (2 * s + 1)
+         / (4 ** s * math.factorial(i) * math.factorial(m - i)) for i in range(s + 1)]
+    w = np.repeat(c, [math.comb(s - i + d, d) for i in range(s + 1)])
+    phases = np.exp(2j * math.pi / (K + 1) * np.indices((1,) + (K + 1,) * d).reshape(d + 1, -1).T)
+    nodes = (phases[:, None, :] * np.sqrt(u)[None, :, :]).reshape(n, d + 1)
+    weights = np.tile(w / len(phases), len(phases))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 #: bits of the Sobol generator (scipy's default for 32-bit output)
 _SOBOL_BITS = 30
 #: most points `sample_sphere` can draw for one seed: the direction numbers
@@ -321,8 +350,8 @@ def _sobol_scramble(dim: int, seed: int) -> tuple:
     numbers (dim, 30): a random lower-triangular (unit diagonal) linear
     matrix scramble of the direction numbers and the shift, drawn in that
     order from `_random_bits(seed, ...)`, the order in which scipy's engine
-    draws them from its generator.  Cached, so a draw taken in windows
-    scrambles once."""
+    draws them from its generator.  Cached: each draw of the seed reuses
+    it."""
     B = _SOBOL_BITS
     bits = _random_bits(seed, dim * B * (B + 1))
     shift = bits[:dim * B].reshape(dim, B) @ (1 << np.arange(B, dtype=np.uint32))
@@ -336,38 +365,35 @@ def _sobol_scramble(dim: int, seed: int) -> tuple:
     return shift, sv
 
 
-def _sobol(dim: int, seed: int, n: int, first: int = 0):
-    """Points first .. first+n-1 of scrambled Sobol in [0, 1)^dim, dim <=
+def _sobol(dim: int, seed: int, n: int):
+    """The first n points of scrambled Sobol in [0, 1)^dim, dim <=
     MAX_SOBOL_DIM (more would repeat the all-ones direction row), as an
     iterator over consecutive blocks of at most _SOBOL_BLOCK rows.  The
     scramble is `_sobol_scramble`'s, the points come in Gray-code order, and
     given the same scramble bits the first 2^m are scipy's `qmc.Sobol(dim,
-    scramble=True).random_base2(m)`.  Point i depends only on i and the
-    seed, so any window of the sequence can be drawn.  The arguments are
-    checked when `_sobol` is called, before any block is built."""
+    scramble=True).random_base2(m)`.  The arguments are checked when
+    `_sobol` is called, before any block is built."""
     B = _SOBOL_BITS
-    end = first + n
     if dim > MAX_SOBOL_DIM:
         raise ValueError(f"{dim} Sobol dimensions; the direction table has {MAX_SOBOL_DIM}")
-    if first < 0 or n < 0 or end > MAX_SAMPLES:
-        raise ValueError(f"Sobol points {first}..{end - 1} are outside 0..2^{B} - 1")
+    if not 0 <= n <= MAX_SAMPLES:
+        raise ValueError(f"Sobol points 0..{n - 1} are outside 0..2^{B} - 1")
     shift, sv = _sobol_scramble(dim, seed)
     # point i is shift ^ (xor of sv[:, c] over the bits c of gray(i) = i ^ (i >> 1)),
     # and gray(j 2^b + r) = gray(j 2^b) ^ gray(r) for r < 2^b: block j is the first
     # block XORed with the sv columns of gray(j 2^b).  The reflected Gray code
     # doubles the first block one direction number at a time, once per draw
-    b = min(_SOBOL_BLOCK.bit_length() - 1, (end - 1).bit_length())
+    b = min(_SOBOL_BLOCK.bit_length() - 1, (n - 1).bit_length())
     head = np.empty((1 << b, dim), np.uint32)
     head[0] = shift
     for c in range(b):
         head[1 << c:2 << c] = head[(1 << c) - 1::-1] ^ sv[:, c]
 
     def blocks():
-        for j in range(first >> b, (end - 1 >> b) + 1):
-            lo = j << b
+        for lo in range(0, n, 1 << b):
             gray = lo ^ lo >> 1
             base = np.bitwise_xor.reduce(sv[:, [c for c in range(B) if gray >> c & 1]], axis=1)
-            yield (head[max(first, lo) - lo:min(end, lo + (1 << b)) - lo] ^ base) * 2.0 ** -B
+            yield (head[:n - lo] ^ base) * 2.0 ** -B
 
     return blocks()
 
@@ -377,11 +403,10 @@ def _sobol(dim: int, seed: int, n: int, first: int = 0):
 SAMPLER = "sobol-mt19937-exponential-moduli"
 
 
-def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0,
-                  keep=None) -> np.ndarray:
-    """Deterministic quasi-random unit vectors in C^(d+1): rows first ..
-    first+n-1, shape (n, d+1), of the seed's sequence, or the rows of them
-    that `keep` selects.
+def sample_sphere(n: int, seed: int, model: ProjectiveModel, keep=None) -> np.ndarray:
+    """Deterministic quasi-random unit vectors in C^(d+1): the first n rows,
+    shape (n, d+1), of the seed's sequence, or the rows of them that `keep`
+    selects.
 
     Row i is built from the scrambled Sobol point i in [0, 1)^(2d+2) of
     `_sobol`.  The squared moduli of a uniform unit vector are independent
@@ -391,11 +416,10 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0,
     phase 2 pi u, and z_j = sqrt(E_j / sum E) e^(i theta_j).  `keep` maps a
     block's (rows, d+1) squared moduli to a row mask; only the kept rows get
     phases and are returned, in order, each with the bits it has in the
-    unfiltered draw.  A row depends only on its index, the seed and d, so a
-    large draw can be taken in consecutive windows.  At most 2^30 rows
-    exist.  The rows are built _SOBOL_BLOCK at a time, so the working memory
-    beyond the output is one block.  The committed direction table gives
-    2(d+1) <= 64 coordinates: d > 31 is a NumericFailure.
+    unfiltered draw.  A row depends only on its index, the seed and d.  At
+    most 2^30 rows exist.  The rows are built _SOBOL_BLOCK at a time, so the
+    working memory beyond the output is one block.  The committed direction
+    table gives 2(d+1) <= 64 coordinates: d > 31 is a NumericFailure.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -404,7 +428,7 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, first: int = 0,
                              f"the table has {MAX_SOBOL_DIM} (d <= {MAX_SOBOL_DIM // 2 - 1})")
     z = np.empty((n if keep is None else 0, model.n_coords), complex)
     kept, lo = [], 0
-    for u in _sobol(2 * model.n_coords, seed, n, first):
+    for u in _sobol(2 * model.n_coords, seed, n):
         sq = np.log(1.0 - u[:, ::2])                # -E_j
         sq /= sum((sq[:, j] for j in range(1, model.n_coords)), sq[:, 0])[:, None]
         if keep is None:

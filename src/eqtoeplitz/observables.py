@@ -53,6 +53,11 @@ class Observable:
         beta[j] = 1
         return Observable(u_terms={tuple(beta): 1.0})
 
+    @property
+    def degree(self) -> int:
+        """The largest |beta| of the u-terms; an h-term counts 1."""
+        return max([sum(beta) for beta in self.u_terms] + [int(self.h_term is not None)])
+
     def value(self, points) -> np.ndarray:
         """Evaluate on unit vectors; rows are points."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))

@@ -365,7 +365,7 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
         diag, min_singular_dphi=2.0 * math.sqrt(lam_min), vol_M0=vol, vol_M0_stderr=err,
         v_eff_min=(2.0 * math.pi) ** action.g * math.sqrt(det_min) / order,
         v_eff_mean=float(np.mean(veffs)), v_eff_max=float(np.max(veffs)),
-        n_samples=n_samples), sample
+        n_samples=sample.n_total), sample
 
 
 # ---------------------------------------------------------------------------

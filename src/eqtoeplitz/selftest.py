@@ -6,7 +6,8 @@ identities, then exercises each module's invariants at small sizes.  Every
 run emits a calibration record; a debug flip flag forces a wrong convention
 to demonstrate that the corresponding pin actually bites.  Each check_*
 function is the one written form of its identity: the test suite calls the
-same checks with its own levels, seeds, sample counts and tolerances.
+same checks with its own levels and tolerances.  The sphere integrals run
+on the exact cubature `geometry.sphere_cubature` and hold to rounding.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from . import geometry
 from .config import FLIPPABLE_PINS, PINNED, CalibrationRecord
 from .geometry import (ProjectiveModel, kernel_pair_values, monomial_norm, sample_sphere,
-                       section_basis, szego_kernel)
+                       section_basis, sphere_cubature, szego_kernel)
 from .observables import Observable
 from .reduction import (component_invariants, f_bar_integral, find_fixed_components,
                         reduced_volume)
@@ -55,18 +55,18 @@ def _check(name, fn) -> SelfTestResult:
 # ---------------------------------------------------------------------------
 # individual checks; keyword defaults are the selftest's parameters
 
-def check_kappa_calibration(log2_nodes=13, seed=11):
+def check_kappa_calibration():
     """vol_X = kappa * vol_M: the projector-trace quadrature
     int_X Pi_k(x, x) = dim H^0_k holds for any kappa, but the on-diagonal
     scaling (pi/k)^d Pi_k(x,x) -> 1 holds only for kappa = 1."""
     details = []
     winner = None
+    pts, weights = sphere_cubature(2, 8)
     for kappa in (1.0, 2.0 * math.pi):
         model = ProjectiveModel(2, kappa_x=kappa)
-        pts = sample_sphere(2 ** log2_nodes, seed, model)
         basis = section_basis(8, model)
         diag = np.real(kernel_pair_values(pts, pts, basis.indices, basis.log_norms))
-        quad_ok = abs(model.vol_X * float(np.mean(diag)) - model.dim_sections(8)) < 1e-9
+        quad_ok = abs(model.vol_X * float(weights @ diag) - model.dim_sections(8)) < 1e-9
         ratio = abs(szego_kernel(pts[0], pts[0], 4096, model)) * (math.pi / 4096) ** 2
         scale_ok = abs(ratio - 1.0) < 5e-3
         details.append(f"kappa={kappa:.4f}: projector-trace ok={quad_ok}, "
@@ -158,35 +158,21 @@ def check_norm_table(closed_forms=((1, (0, 0), 1), (1, (1, 1), 6), (2, (1, 0, 0)
     return ok, "norm closed forms and permutation symmetry"
 
 
-def check_reproducing_property(d=1, k=6, alpha=None, log2_nodes=16, seed=5, n_points=3,
-                               point_seed=99, tol=5e-3):
+def check_reproducing_property(d=1, k=6, alpha=None, tol=1e-12):
     """Quadrature of the closed-form kernel binom(k+d, d)/vol_X <x, y>^k
-    against z^alpha(y) reproduces z^alpha(x); alpha defaults to (k, 0, ..., 0).
-
-    The nodes are drawn one power-of-two window of geometry._SOBOL_BLOCK at
-    a time, and the window sums are added in pairs, level by level: that is
-    how numpy's pairwise summation splits the whole 2^log2_nodes terms, so
-    each mean has the bits of the unstreamed one."""
-    model = ProjectiveModel(d)
+    against z^alpha(y), |alpha| = k, reproduces z^alpha(x) at every node x
+    of `sphere_cubature(d, 2)`; alpha defaults to (k, 0, ..., 0).  The
+    integrand has bidegree (k, k) in y and is phase-invariant, so
+    `sphere_cubature(d, k)` integrates it exactly."""
     alpha = np.array((k,) + (0,) * d if alpha is None else alpha)
-    c = model.dim_sections(k) / model.vol_X
-    xs = sample_sphere(n_points, point_seed, model)
-    n = 2 ** log2_nodes
-    parts = []
-    block = min(geometry._SOBOL_BLOCK, n)
-    for first in range(0, n, block):
-        ys = sample_sphere(block, seed, model, first=first)
-        mono = np.prod(ys ** alpha[None, :], axis=1)
-        # <x, y> = conj(sum conj(x_j) y_j), summed over the d+1 columns in
-        # order: a BLAS product would pay its thread start-up
-        ips = (sum((ys[:, j] * x[j] for j in range(1, d + 1)), ys[:, 0] * x[0]).conj()
-               for x in xs.conj())
-        parts.append([np.sum(c * ip ** k * mono) for ip in ips])
-    while len(parts) > 1:
-        parts = [np.add(a, b) for a, b in zip(parts[::2], parts[1::2])]
-    est = model.vol_X * (np.array(parts[0]) / n)
-    worst = max(abs(e - np.prod(x ** alpha)) for e, x in zip(est, xs))
-    return worst < tol, f"max reproducing error {worst:.2e} at 2^{log2_nodes} nodes"
+    if alpha.sum() != k:
+        raise ValueError(f"|alpha| = {alpha.sum()} is not the level k = {k}")
+    ys, weights = sphere_cubature(d, k)
+    # vol_X times the kernel's constant is binom(k+d, d), whatever vol_X is
+    wy = ProjectiveModel(d).dim_sections(k) * weights * np.prod(ys ** alpha, axis=1)
+    worst = max(abs(wy @ (ys.conj() @ x) ** k - np.prod(x ** alpha))
+                for x in sphere_cubature(d, 2)[0])
+    return worst < tol, f"max reproducing error {worst:.2e} on {len(ys)} cubature nodes"
 
 
 def check_toeplitz_closed_forms(levels=range(1, 41), f=None, herm_level=8):
@@ -207,21 +193,18 @@ def check_toeplitz_closed_forms(levels=range(1, 41), f=None, herm_level=8):
         f"(k+1)/2 error {worst:.2e}; Hermiticity defect {herm:.2e}"
 
 
-def check_trace_quadrature(phi=(0.0, 0.0), W=None, varpi=(), f=None, k=10, seed=31,
-                           slack=1e-12):
+def check_trace_quadrature(phi=(0.0, 0.0), W=None, varpi=(), f=None, k=10, tol=1e-12):
     """The exact trace on P^d, d = len(phi) - 1, against the independent
-    circle-bundle quadrature: within three standard errors plus slack.
-    W defaults to the trivial group, f to u_0."""
+    circle-bundle quadrature, to tol relative.  W defaults to the trivial
+    group, f to u_0."""
     n = len(phi)
     model = ProjectiveModel(n - 1)
     action = TorusAction(np.zeros((0, n), dtype=np.int64) if W is None else W)
     sym = DiagonalSymmetry(phi=phi)
     f = Observable.coordinate_modulus(0, n) if f is None else f
     alg = trace_psi(k, varpi, f, sym, action, model)
-    est, err = trace_via_kernel_quadrature(k, varpi, f, sym, action, model,
-                                           n_samples=2 ** 15, seed=seed)
-    ok = abs(est - alg) <= 3 * err + slack
-    return ok, f"|quad - alg| = {abs(est - alg):.3e} vs 3 sigma = {3 * err:.3e}"
+    miss = abs(trace_via_kernel_quadrature(k, varpi, f, sym, action, model) - alg)
+    return miss <= tol * abs(alg), f"|quad - alg| = {miss:.3e}, |alg| = {abs(alg):.3e}"
 
 
 def check_dimension_case(levels=range(41)):

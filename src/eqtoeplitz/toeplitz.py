@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ProjectiveModel, sample_sphere, section_basis
+from .geometry import ProjectiveModel, section_basis, sphere_cubature
 from .observables import Observable
 from .symmetry import (DiagonalSymmetry, IsotypeBasis, TorusAction, equivariant_kernel_pairs,
                        gamma_phase, isotype_basis)
@@ -110,21 +110,14 @@ def trace_psi(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
 
 
 def trace_via_kernel_quadrature(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
-                                action: TorusAction, model: ProjectiveModel,
-                                n_samples: int, seed: int) -> tuple[complex, float]:
-    """Independent circle-bundle quadrature of the trace: Monte-Carlo of
-    Pi_{varpi,k}(gamma_X^{-1}(y), y) f(y) against the calibrated volume.
-
-    Returns (estimate, standard error)."""
+                                action: TorusAction, model: ProjectiveModel) -> complex:
+    """Independent circle-bundle quadrature of the trace: Pi_{varpi,k}(gamma_X^{-1}(y), y)
+    f(y) is phase-invariant of bidegree (k + f.degree, k + f.degree), so
+    `sphere_cubature` integrates it exactly against the calibrated volume."""
+    ys, weights = sphere_cubature(model.d, k + f.degree)
     iso = isotype_slice(k, varpi, action, model)
-    ys = sample_sphere(n_samples, seed, model)
-    if iso.dim == 0:
-        return 0.0 + 0.0j, 0.0
-    xs = sym.gamma_X_inv(ys)
-    vals = equivariant_kernel_pairs(xs, ys, iso) * f.value(ys)
-    est = model.vol_X * complex(np.mean(vals))
-    var = (np.var(np.real(vals)) + np.var(np.imag(vals))) / n_samples
-    return est, model.vol_X * math.sqrt(var)
+    vals = equivariant_kernel_pairs(sym.gamma_X_inv(ys), ys, iso) * f.value(ys)
+    return model.vol_X * complex(weights @ vals)
 
 
 @dataclass(frozen=True)

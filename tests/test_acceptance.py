@@ -157,7 +157,7 @@ def test_criterion_5_vanishing(p1):
 def test_criterion_6_trace_identity_randomized():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    hits, total = 0, 40
+    hits, total, worst = 0, 40, 0.0
     for trial in range(total):
         d = int(rng.integers(1, 3))
         model = ProjectiveModel(d)
@@ -176,14 +176,12 @@ def test_criterion_6_trace_identity_randomized():
         ws = occurring_weights(action, basis)
         varpi = tuple(int(v) for v in ws[rng.integers(0, len(ws))])
         alg = trace_psi(k, varpi, f, sym, action, model)
-        est, err = trace_via_kernel_quadrature(k, varpi, f, sym, action, model,
-                                               n_samples=2 ** 14,
-                                               seed=int(rng.integers(0, 10 ** 6)))
-        if abs(est - alg) <= 3 * err + 1e-13:
-            hits += 1
-    ok = hits >= 0.95 * total
-    report(6, ok, "trace identity (algebraic vs circle-bundle quadrature)",
-           f"{hits}/{total} within 3 standard errors (need >= 38)",
+        miss = abs(trace_via_kernel_quadrature(k, varpi, f, sym, action, model) - alg)
+        worst = max(worst, miss / abs(alg))
+        hits += miss <= 1e-10 * abs(alg)
+    ok = hits == total
+    report(6, ok, "trace identity (algebraic vs exact circle-bundle cubature)",
+           f"{hits}/{total} within 1e-10 relative (largest miss {worst:.1e})",
            time.perf_counter() - t0, 180.0)
 
 

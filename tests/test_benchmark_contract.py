@@ -1,13 +1,15 @@
 """What the benchmark under perfbench/ uses of the package: the traced
-functions, the thread option it passes, the workload configs and the span
-coverage of each workload's sequence.  The benchmark files are only read
-here, so a rename or prune that would break the traced run fails in this
-suite instead."""
+functions, the thread option it passes, the workload configs, the span
+coverage of each workload's sequence and the output checks of each
+operation.  The benchmark files are only read here, so a rename, prune or
+output change that would break the benchmark fails in this suite instead."""
 
+import contextlib
 import functools
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import sys
@@ -69,3 +71,20 @@ def test_workload_reaches_every_traced_layer(name, tmp_path):
         spans.uninstall()
     assert codes == [0] * len(wl.sequence)
     assert tracer.uncovered(spans, wl) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_outputs_pass_the_benchmark_checks(name, tmp_path):
+    # the benchmark fails an operation whose exit code, files or stdout miss
+    # perfbench/reference.json; seed 0 is the benchmark's first pair
+    wl = workloads.WORKLOADS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(wl.config_for(0, str(tmp_path))))
+    cli = importlib.import_module(f"{tracer.PACKAGE}.cli")
+    reference = workloads.load_reference()
+    for cmd in wl.sequence:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(workloads.cli_args(cmd, str(config), str(tmp_path)))
+        assert workloads.check_output(wl, reference, cmd, code, str(tmp_path),
+                                      stdout.getvalue()) == [], cmd

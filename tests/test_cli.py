@@ -153,6 +153,8 @@ class TestAnalyze:
         assert len(rows) == 2
         supports = sorted(r[0] for r in rows)
         assert supports == ["0;1", "0;2"]
+        # the report gives the drawn count: 50000 rounded up to a power of two
+        assert "n_samples: 65536" in (out / "reduction_report.txt").read_text().splitlines()
         # cross-check column: finite-difference vs phase-arithmetic c_l
         cc = header.index("c_l_cross_check")
         assert all(float(r[cc]) < 1e-8 for r in rows)

@@ -10,10 +10,10 @@ from scipy.special import gammaln
 
 from eqtoeplitz import geometry
 from eqtoeplitz._intlinalg import NumericFailure
-from eqtoeplitz.geometry import (ProjectiveModel, _log_factorials, _sobol,
+from eqtoeplitz.geometry import (MAX_CUBATURE_NODES, ProjectiveModel, _log_factorials, _sobol,
                                  check_slice_budget, kernel_pair_values, log_monomial_norm,
                                  monomial_norm, multi_indices, sample_sphere, section_basis,
-                                 szego_kernel)
+                                 sphere_cubature, szego_kernel)
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
@@ -210,13 +210,13 @@ class TestSampler:
             assert np.max(np.abs(got.mean(axis=0) - want)) < 2e-4
 
     @settings(max_examples=40, deadline=None)
-    @given(first=st.integers(0, 5000), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
-    def test_kept_rows_are_rows_of_the_draw(self, first, n, seed):
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    def test_kept_rows_are_rows_of_the_draw(self, n, seed):
         # `keep` gets each block's squared moduli and returns a row mask; the
         # rows it keeps are the unfiltered draw's rows under that mask, bit
-        # for bit, in any window and in 2^4-row blocks
+        # for bit, in 2^4-row blocks
         model = ProjectiveModel(3)
-        whole = sample_sphere(n, seed, model, first=first)
+        whole = sample_sphere(n, seed, model)
         seen = []
 
         def keep(sq):
@@ -225,7 +225,7 @@ class TestSampler:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_SOBOL_BLOCK", 2 ** 4)
-            kept = sample_sphere(n, seed, model, first=first, keep=keep)
+            kept = sample_sphere(n, seed, model, keep=keep)
         sq = np.vstack(seen)
         assert np.max(np.abs(sq - np.abs(whole) ** 2)) <= 1e-15
         mask = sq[:, 0] + sq[:, 2] < 0.4
@@ -271,20 +271,24 @@ class TestSampler:
 
     @pytest.mark.parametrize("first,n", [(0, 1), (5, 11), (100, 37), (16, 16), (1000, 24)])
     def test_sobol_window_is_a_slice(self, monkeypatch, first, n):
-        # unaligned windows across 2^4-row blocks are rows of the whole draw
+        # rows first .. first+n-1 of a shorter draw in 2^4-row blocks, which
+        # ends inside a block unless first + n is a multiple of 16, are the
+        # same rows of the whole draw
         whole = sobol_points(6, 9, 1024)
+        sphere = sample_sphere(1024, 9, ProjectiveModel(2))
         monkeypatch.setattr(geometry, "_SOBOL_BLOCK", 2 ** 4)
-        assert np.array_equal(sobol_points(6, 9, n, first), whole[first:first + n])
-        assert np.array_equal(sample_sphere(n, 9, ProjectiveModel(2), first=first),
-                              sample_sphere(1024, 9, ProjectiveModel(2))[first:first + n])
+        end = first + n
+        assert np.array_equal(sobol_points(6, 9, end)[first:], whole[first:end])
+        assert np.array_equal(sample_sphere(end, 9, ProjectiveModel(2))[first:],
+                              sphere[first:end])
 
     def test_draw_builds_the_gray_code_head_once(self, monkeypatch):
         # one `_sobol` call per draw, so its first block, doubled one direction
         # number at a time, is built once and XORed into each later block
         calls, sobol = [], geometry._sobol
         monkeypatch.setattr(geometry, "_sobol", lambda *a: calls.append(a) or sobol(*a))
-        z = sample_sphere(2 ** 16 + 5, 3, ProjectiveModel(2), first=7)
-        assert z.shape == (2 ** 16 + 5, 3) and calls == [(6, 3, 2 ** 16 + 5, 7)]
+        z = sample_sphere(2 ** 16 + 5, 3, ProjectiveModel(2))
+        assert z.shape == (2 ** 16 + 5, 3) and calls == [(6, 3, 2 ** 16 + 5)]
 
     @pytest.mark.parametrize("seed,golden", [(0, "cd072cd8be6f9f62ac4c09c20e"),
                                              (2 ** 64 + 1, "95dc0c1a85cf67dbfd288db906")],
@@ -323,11 +327,11 @@ class TestSampler:
 
     def test_sobol_stops_at_2_pow_30(self, p1):
         # the direction numbers have 30 bits: no point 2^30 exists
-        assert sobol_points(4, 0, 2, 2 ** 30 - 2).shape == (2, 4)
+        assert next(_sobol(4, 0, 2 ** 30)).shape == (geometry._SOBOL_BLOCK, 4)
         with pytest.raises(ValueError, match="outside"):
-            _sobol(4, 0, 2, 2 ** 30 - 1)
+            _sobol(4, 0, 2 ** 30 + 1)
         with pytest.raises(ValueError, match="outside"):
-            sample_sphere(1, 0, p1, first=2 ** 30)
+            sample_sphere(2 ** 30 + 1, 0, p1, keep=lambda sq: sq[:, 0] < 0)
 
 
 class TestKernelPairValues:
@@ -349,32 +353,64 @@ class TestKernelPairValues:
         assert batch.tobytes() == np.array(alone).tobytes() == small.tobytes()
 
 
+class TestSphereCubature:
+    @settings(max_examples=25, deadline=None)
+    @given(rule=st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, 12 if d < 3 else 8))), data=st.data())
+    def test_exact_on_phase_invariant_monomials(self, rule, data):
+        # |z^a|^2 integrates to d! a! / (|a| + d)! for every |a| <= K, and an
+        # unbalanced z^a conj(z)^b, |a| = |b| <= K, to 0
+        d, K = rule
+        z, w = sphere_cubature(d, K)
+        assert len(w) == math.comb(K // 2 + d + 1, d + 1) * (K + 1) ** d
+        assert abs(w.sum() - 1) <= 1e-14
+        sq = np.abs(z) ** 2
+        for a in multi_indices_by_level(K, d + 2)[:, 1:]:
+            want = math.factorial(d) * math.prod(map(math.factorial, a)) / math.factorial(
+                sum(a) + d)
+            assert abs(w @ np.prod(sq ** a, axis=1) / want - 1) <= 1e-12, a
+        if K:
+            deg = data.draw(st.integers(1, K))
+            cuts = st.lists(st.integers(0, deg), min_size=d, max_size=d).map(sorted)
+            a, b = (np.diff([0, *data.draw(cuts), deg]) for _ in range(2))
+            if not np.array_equal(a, b):
+                assert abs(w @ (np.prod(z ** a, axis=1) * np.prod(z.conj() ** b, axis=1))) <= 1e-14
+
+    def test_node_counts_and_read_only(self):
+        for (d, K), n in {(1, 6): 70, (2, 8): 2835, (2, 18): 79_420}.items():
+            z, w = sphere_cubature(d, K)
+            assert z.shape == (n, d + 1) and w.shape == (n,)
+            assert not (z.flags.writeable or w.flags.writeable)
+
+    @pytest.mark.parametrize("d,K", [(3, 14), (2, 36)])
+    def test_over_budget_raises_before_it_allocates(self, d, K):
+        # 1.1 M and 2.1 M nodes, 71 and 101 MiB if they were built
+        assert math.comb(K // 2 + d + 1, d + 1) * (K + 1) ** d > MAX_CUBATURE_NODES
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericFailure, match="over the budget"):
+                sphere_cubature(d, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+
 class TestReproducingProperty:
     @pytest.mark.parametrize("d,k,alpha", [(1, 12, (12, 0)), (1, 12, (7, 5)),
                                            (2, 9, (3, 3, 3)), (2, 12, (12, 0, 0))])
     def test_reproduces_monomials(self, d, k, alpha):
         # Pi_k(x, .) integrated against z^alpha returns z^alpha(x); the
         # closed-form kernel equals the basis sum (projector-partition check)
-        ok, detail = check_reproducing_property(d=d, k=k, alpha=alpha, log2_nodes=19, seed=177,
-                                                n_points=5, point_seed=77, tol=2e-3)
+        ok, detail = check_reproducing_property(d=d, k=k, alpha=alpha)
         assert ok, detail
 
-    def test_selftest_quadrature_is_streamed(self, monkeypatch):
-        # the selftest's 2^16 nodes go through in windows: their memory is one
-        # window (the whole-array quadrature peaked at ~9 MiB), and the mean
-        # is the same in 2^10-row windows
-        check_reproducing_property(log2_nodes=4)   # the direction numbers, loaded once
-        tracemalloc.start()
-        try:
-            ok, detail = check_reproducing_property()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ok and peak < 8 * 2 ** 20, (detail, peak)
-        monkeypatch.setattr(geometry, "_SOBOL_BLOCK", 2 ** 10)
-        assert check_reproducing_property() == (ok, detail)
+    def test_off_level_alpha_is_refused(self):
+        # with |alpha| != k the integrand is not phase-invariant
+        with pytest.raises(ValueError, match="level"):
+            check_reproducing_property(d=1, k=6, alpha=(3, 2))
 
     def test_projector_trace(self):
         # int Pi_k(x, x) dens = dim H^0; the integrand is constant on X
-        ok, detail = check_kappa_calibration(log2_nodes=14, seed=3)
+        ok, detail = check_kappa_calibration()
         assert ok, detail

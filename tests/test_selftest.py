@@ -2,12 +2,15 @@
 fixed-point identity holds for random non-degenerate phases."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz.selftest import FLIPPABLE_PINS, PIN_CHECKS, check_fixed_point_pin
+from eqtoeplitz.selftest import (FLIPPABLE_PINS, PIN_CHECKS, check_fixed_point_pin,
+                                 check_kappa_calibration, check_reproducing_property,
+                                 check_trace_quadrature)
 
 
 @pytest.mark.parametrize("pin", FLIPPABLE_PINS)
@@ -39,3 +42,18 @@ def test_fixed_point_identity_exact(case):
     phi, theta_A = case
     ok, detail = check_fixed_point_pin(phi=phi, theta_A=theta_A, levels=range(41), tol=1e-9)
     assert ok, detail
+
+
+def test_quadrature_checks_peak_under_2_mib():
+    # the three sphere integrals run on exact cubature rules of 70 to 2,835
+    # nodes; drawn as 2^13 to 2^16 Sobol points they peaked at 2.3 to 4.8 MiB
+    peaks = {}
+    for check in (check_kappa_calibration, check_reproducing_property, check_trace_quadrature):
+        tracemalloc.start()
+        try:
+            ok, detail = check()
+            peaks[check.__name__] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert ok, detail
+    assert max(peaks.values()) < 2.0, peaks
