@@ -1,23 +1,23 @@
 """Content-addressed cache for expensive Monte-Carlo integrals.
 
-Entries are keyed by the sha256 of a canonical JSON key (the config sections
-the value depends on, seed, sample count, purpose); payloads carry their own
-checksum so corrupted files are detected and transparently recomputed.  Only
-a run that looks up a sampled f-bar imports this module, and with it the
-OpenSSL-backed `hashlib`.
+Files are named by the crc32 of a canonical JSON key (the config sections
+the value depends on, seed, sample count, purpose) and hold the full key,
+which a read compares, so keys sharing a name miss rather than swap values.
+Payloads carry a crc32 checksum, so corrupted files are recomputed.  `zlib`
+is loaded by numpy anyway; OpenSSL's `hashlib` is not loaded.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import zlib
 
 __all__ = ["Cache"]
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _crc(obj) -> str:
+    return f"{zlib.crc32(json.dumps(obj, sort_keys=True, separators=(',', ':')).encode()):08x}"
 
 
 class Cache:
@@ -25,19 +25,17 @@ class Cache:
         self.root = os.fspath(root)
 
     def _path(self, key: dict) -> str:
-        h = hashlib.sha256(_canon(key).encode()).hexdigest()
-        return os.path.join(self.root, f"{h}.json")
+        return os.path.join(self.root, f"{_crc(key)}.json")
 
     def get(self, key: dict):
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            payload = doc.get("value")
+        except (OSError, json.JSONDecodeError, AttributeError):     # AttributeError: not an object
             return None
-        payload = doc.get("value")
-        check = hashlib.sha256(_canon(payload).encode()).hexdigest()
-        if doc.get("checksum") != check or doc.get("key") != key:
+        if doc.get("checksum") != _crc(payload) or doc.get("key") != key:
             try:
                 os.remove(path)
             except OSError:
@@ -47,11 +45,7 @@ class Cache:
 
     def put(self, key: dict, value) -> None:
         os.makedirs(self.root, exist_ok=True)
-        doc = {
-            "key": key,
-            "value": value,
-            "checksum": hashlib.sha256(_canon(value).encode()).hexdigest(),
-        }
+        doc = {"key": key, "value": value, "checksum": _crc(value)}
         with open(self._path(key), "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
 

@@ -328,7 +328,7 @@ def _sobol_directions(dim: int) -> np.ndarray:
 #: rows per block of the streamed Sobol draw: a power of two, so a block is
 #: the first block XORed with one vector, and the bound on the working memory
 #: of the draw, of the zero-locus band filter and of `kernel_pair_values`
-_SOBOL_BLOCK = 1 << 14
+_SOBOL_BLOCK = 1 << 12
 
 
 def _random_bits(seed: int, n: int) -> np.ndarray:
@@ -403,10 +403,10 @@ def _sobol(dim: int, seed: int, n: int):
 SAMPLER = "sobol-mt19937-exponential-moduli"
 
 
-def sample_sphere(n: int, seed: int, model: ProjectiveModel, keep=None) -> np.ndarray:
+def sample_sphere(n: int, seed: int, model: ProjectiveModel, keep=None, refine=None) -> np.ndarray:
     """Deterministic quasi-random unit vectors in C^(d+1): the first n rows,
     shape (n, d+1), of the seed's sequence, or the rows of them that `keep`
-    selects.
+    selects, mapped by `refine` when it is given.
 
     Row i is built from the scrambled Sobol point i in [0, 1)^(2d+2) of
     `_sobol`.  The squared moduli of a uniform unit vector are independent
@@ -416,33 +416,39 @@ def sample_sphere(n: int, seed: int, model: ProjectiveModel, keep=None) -> np.nd
     phase 2 pi u, and z_j = sqrt(E_j / sum E) e^(i theta_j).  `keep` maps a
     block's (rows, d+1) squared moduli to a row mask; only the kept rows get
     phases and are returned, in order, each with the bits it has in the
-    unfiltered draw.  A row depends only on its index, the seed and d.  At
-    most 2^30 rows exist.  The rows are built _SOBOL_BLOCK at a time, so the
-    working memory beyond the output is one block.  The committed direction
-    table gives 2(d+1) <= 64 coordinates: d > 31 is a NumericFailure.
+    unfiltered draw; `refine` maps them as they stream, in batches of at
+    least _SOBOL_BLOCK rows (the last may be short), to the rows returned.
+    A row depends only on its index, the seed and d.  At most 2^30 rows
+    exist; a larger n is refused before anything is allocated.  The rows are
+    built _SOBOL_BLOCK at a time, so the working memory beyond the output
+    is one block.  The direction table gives d <= 31 (NumericFailure).
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if 2 * model.n_coords > MAX_SOBOL_DIM:
         raise NumericFailure(f"sampling P^{model.d} needs {2 * model.n_coords} Sobol dimensions; "
                              f"the table has {MAX_SOBOL_DIM} (d <= {MAX_SOBOL_DIM // 2 - 1})")
+    blocks = _sobol(2 * model.n_coords, seed, n)
     z = np.empty((n if keep is None else 0, model.n_coords), complex)
-    kept, lo = [], 0
-    for u in _sobol(2 * model.n_coords, seed, n):
+    kept, band, lo = [], [], 0
+    for u in blocks:
+        lo += len(u)
         sq = np.log(1.0 - u[:, ::2])                # -E_j
         sq /= sum((sq[:, j] for j in range(1, model.n_coords)), sq[:, 0])[:, None]
         if keep is None:
-            w = z[lo:lo + len(u)]
-            lo += len(u)
+            w = z[lo - len(u):lo]
         else:
             rows = keep(sq)
             sq, u = sq[rows], u[rows]
             w = np.empty(sq.shape, complex)
-            kept.append(w)
+            band.append(w)
         theta = (2.0 * math.pi) * u[:, 1::2]
         r = np.sqrt(sq)
         np.multiply(r, np.cos(theta), out=w.real)
         np.multiply(r, np.sin(theta), out=w.imag)
+        if band and (lo == n or sum(map(len, band)) >= _SOBOL_BLOCK):
+            rows, band = np.concatenate(band), []
+            kept.append(rows if refine is None else refine(rows))
     return z if keep is None else np.concatenate(kept)
 
 

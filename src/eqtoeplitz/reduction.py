@@ -157,10 +157,9 @@ def _ball_volume(g: int, eps: float) -> float:
     return math.pi ** (g / 2.0) * eps ** g / math.gamma(g / 2.0 + 1.0)
 
 
-def _newton_refine(points: np.ndarray, action: TorusAction) -> np.ndarray:
-    """Project sphere points onto the moment-map zero set by damped Newton
-    steps along the gradient directions, renormalizing each step."""
-    pts = points.copy()
+def _newton_refine(pts: np.ndarray, action: TorusAction) -> np.ndarray:
+    """Project sphere points onto the moment-map zero set, in place, by damped
+    Newton steps along the gradient directions, renormalizing each step."""
     W = action.W.astype(float)
     for _ in range(NEWTON_MAX_ITER):
         bad = np.linalg.norm(moment_map(pts, action), axis=1) > NEWTON_TOL
@@ -215,25 +214,24 @@ def zero_locus_sample(action: TorusAction, model: ProjectiveModel, n_samples: in
     balanced only at those sizes, which matters for the thin-band indicator.
     Phi = -W (|z_j|^2) depends on the squared moduli alone, so the draw
     tests the band on them and builds complex points only for the rows
-    inside it (`sample_sphere`'s `keep`); the working memory is one
-    geometry._SOBOL_BLOCK block plus the rows in the band.
+    inside it (`keep`).  Newton, the 1e-9 residual filter and the embedding
+    run row by row on batches of ~geometry._SOBOL_BLOCK band rows as the
+    draw streams (`refine`): the working memory is a block plus the output.
     """
-    if support is None:
-        support = tuple(range(model.n_coords))
-    support = tuple(sorted(support))
-    sub_d = len(support) - 1
-    if sub_d < 1:
+    support = tuple(sorted(range(model.n_coords) if support is None else support))
+    if len(support) < 2:
         raise ValueError("support must contain at least two coordinates to sample")
     n_samples = 2 ** max(1, math.ceil(math.log2(n_samples)))
-    sub_model = ProjectiveModel(sub_d, kappa_x=model.kappa_x)
+    sub_model = ProjectiveModel(len(support) - 1, kappa_x=model.kappa_x)
     sub_action = TorusAction(action.W[:, list(support)])
-    Wt = sub_action.W.T.astype(float)
-    kept = sample_sphere(n_samples, seed, sub_model,
-                         keep=lambda sq: np.linalg.norm(sq @ Wt, axis=1) < band)
-    refined = _newton_refine(kept, sub_action)
-    refined = refined[np.linalg.norm(moment_map(refined, sub_action), axis=1) <= 1e-9]
-    emb = np.zeros((refined.shape[0], model.n_coords), complex)
-    emb[:, list(support)] = refined
+
+    def refine(band_rows):
+        pts = _newton_refine(band_rows, sub_action)
+        emb = np.zeros((len(pts), model.n_coords), complex)
+        emb[:, list(support)] = pts
+        return emb[np.linalg.norm(moment_map(pts, sub_action), axis=1) <= 1e-9]
+    emb = sample_sphere(n_samples, seed, sub_model, refine=refine,
+                        keep=lambda sq: np.linalg.norm(sub_action.pair_weights(sq), axis=1) < band)
     weight = sub_model.vol_M / (math.pi ** action.g * n_samples * _ball_volume(action.g, band))
     return ZeroLocusSample(points=emb, weight=weight, n_total=n_samples, band=band,
                            support=support)

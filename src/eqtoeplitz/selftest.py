@@ -123,13 +123,15 @@ def check_moment_sign_pin(flip=None, d=2,
     return all_ok, f"checked {tested} occurring labels against the moment polytope"
 
 
-def check_projector_partition(levels=(5, 12, 40), seed=23, W=((1, -1, -1),)):
-    """The isotype kernels of W (default (1, -1, -1), on P^2) sum to the full
-    kernel at a point pair, and the isotype dimensions to dim H^0_k; d + 1 is
-    the width of W."""
+def check_projector_partition(levels=(5, 12, 40), W=((1, -1, -1),)):
+    """The isotype kernels of W (default (1, -1, -1), on P^2; d + 1 is its
+    width) sum to the full kernel at two fixed generic points (no zero
+    coordinate, distinct moduli and phases), the dimensions to dim H^0_k."""
     action = TorusAction(W)
     model = ProjectiveModel(action.n_coords - 1)
-    x, y = sample_sphere(2, seed, model)
+    j = np.arange(1.0, action.n_coords + 1)
+    x, y = np.sqrt(j) * np.exp(1j * j), np.sqrt(j + 0.5) * np.exp(1j * (j - j * j / 5))
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
     err = 0.0
     dims_ok = True
     for k in levels:

@@ -73,9 +73,17 @@ class TorusAction:
         G = np.einsum("ij,nj,lj->nil", self.W.astype(float), u, self.W.astype(float))
         # remove the vertical (circle-fiber) component: subtract outer product
         # of the projections <xi_i, i x> = -Phi_i
-        phi = -(u @ self.W.T.astype(float))
+        phi = -self.pair_weights(u)
         G -= phi[:, :, None] * phi[:, None, :]
         return G
+
+    def pair_weights(self, u: np.ndarray) -> np.ndarray:
+        """u W^T for rows u (n, d+1), summed in coordinate order, not by a BLAS
+        product, whose sum order depends on the row count and on the row's
+        place: a row is the same bits alone and in any batch."""
+        W = self.W.astype(float)
+        terms = (np.multiply.outer(W[:, j], u[:, j]) for j in range(self.n_coords))
+        return sum(terms, next(terms)).T.copy()
 
 
 def weight_of(alpha: np.ndarray, action: TorusAction) -> np.ndarray:
@@ -90,8 +98,7 @@ def moment_map(x, action: TorusAction) -> np.ndarray:
     """Phi_i = -sum_j W_ij |x_j|^2 on unit vectors; batched over rows."""
     pts = np.asarray(x, dtype=complex)
     single = pts.ndim == 1
-    u = np.abs(np.atleast_2d(pts)) ** 2
-    out = -(u @ action.W.T.astype(float))
+    out = -action.pair_weights(np.abs(np.atleast_2d(pts)) ** 2)
     return out[0] if single else out
 
 
@@ -225,9 +232,10 @@ def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> Is
 
 def occurring_weights(action: TorusAction, basis: SectionBasis) -> np.ndarray:
     """Distinct character labels present in a level's basis, lexicographically
-    sorted."""
+    sorted: `np.unique(w, axis=0)`, without the `numpy.ma` that loads."""
     w = weight_of(basis.indices, action)
-    return np.unique(w, axis=0)
+    w = w[np.lexsort(w.T[::-1])] if action.g else w
+    return w[np.r_[True, np.any(w[1:] != w[:-1], axis=1)][:len(w)]]
 
 
 def equivariant_kernel_pairs(xs, ys, iso: IsotypeBasis) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -493,6 +494,45 @@ class TestCache:
         c.put(key, {"v": 1.25})
         assert c.get(key) == {"v": 1.25}
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"text"', "3.5"])
+    def test_entry_that_is_not_a_json_object_is_a_miss(self, tmp_path, text):
+        # a file that parses as JSON but not as an object is corrupted too
+        from eqtoeplitz.cache import Cache
+        c, key = Cache(tmp_path), {"purpose": "t", "seed": 1}
+        c.put(key, {"v": 99.0})
+        with open(c._path(key), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert c.get(key) is None
+        assert c.get_or_compute(key, lambda: {"v": 1.25}) == {"v": 1.25} == c.get(key)
+
+    def test_files_are_named_by_crc32_and_a_shared_name_is_a_miss(self, tmp_path):
+        # a file is named by the crc32 of the canonical key and holds the full
+        # key: a key whose name holds another key's entry reads a miss
+        from eqtoeplitz.cache import Cache
+        c = Cache(tmp_path)
+        key, other = {"purpose": "t", "seed": 1}, {"purpose": "t", "seed": 2}
+        c.put(key, {"v": 1.25})
+        name = f"{zlib.crc32(json.dumps(key, sort_keys=True, separators=(',', ':')).encode()):08x}"
+        assert os.listdir(tmp_path) == [f"{name}.json"]
+        os.replace(tmp_path / f"{name}.json", c._path(other))
+        assert c.get(other) is None and c.get(key) is None
+
+    def test_entry_named_by_sha256_is_a_miss(self, tmp_path):
+        # an entry written as earlier versions wrote it, named and checksummed
+        # by sha256, is never read
+        from eqtoeplitz.cache import Cache
+        key, value = {"purpose": "t", "seed": 1}, {"v": 99.0}
+
+        def sha(obj):
+            return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                                  .encode()).hexdigest()
+
+        (tmp_path / f"{sha(key)}.json").write_text(
+            json.dumps({"key": key, "value": value, "checksum": sha(value)}))
+        c = Cache(tmp_path)
+        assert c.get(key) is None
+        assert c.get_or_compute(key, lambda: {"v": 1.25}) == {"v": 1.25}
+
 
 def decay_config(out, **probe):
     # P2 under the circle W=[[1,-1,-1]], probed off the zero locus
@@ -677,6 +717,9 @@ D3_REDUCE = dict(model={"d": 3}, action={"W": [[1, 0, -1, 2], [0, 1, -1, -1]]},
 #: the layers `trace` does not run
 NOT_TRACE = ("eqtoeplitz.reduction", "eqtoeplitz.asymptotics", "eqtoeplitz.selftest",
              "eqtoeplitz.cache")
+#: loaded by no subcommand: OpenSSL's hashes (the cache names its files by
+#: zlib's crc32) and numpy's masked arrays (which `np.unique(axis=0)` loads)
+UNUSED = ("_hashlib", "numpy.ma")
 #: `loaded(names)`: the loaded modules that are one of names or inside one
 LOADED = """
 import sys
@@ -692,13 +735,13 @@ class TestImport:
                        timeout=120)
 
     def test_cli_import_skips_scipy_stats(self, tmp_path):
-        # start-up and config load: nothing of scipy, numpy.random or OpenSSL,
-        # and no layer a subcommand imports when it runs
+        # start-up and config load: nothing of scipy, numpy.random, OpenSSL or
+        # numpy.ma, and no layer a subcommand imports when it runs
         cfg = write_config(tmp_path, base_config(tmp_path / "out"))
         self.run_isolated(f"""
 import eqtoeplitz.cli as cli
 cli.load_config({cfg!r})
-found = loaded({HEAVY + SAMPLER + NOT_TRACE!r} + ("_hashlib", "concurrent.futures"))
+found = loaded({HEAVY + SAMPLER + UNUSED + NOT_TRACE!r} + ("concurrent.futures",))
 assert not found, found
 """)
 
@@ -711,7 +754,7 @@ assert not found, found
 from eqtoeplitz.cli import main
 assert main(["trace", "--config", {cfg!r}]) == 0
 assert main(["kernel", "--config", {cfg!r}]) == 0
-found = loaded({HEAVY + SAMPLER!r} + ("_hashlib",))
+found = loaded({HEAVY + SAMPLER + UNUSED!r})
 assert not found, found
 assert main(["analyze", "--config", {cfg!r}]) == 0
 assert "scipy" not in sys.modules
@@ -726,7 +769,7 @@ assert not found, found
         self.run_isolated(f"""
 from eqtoeplitz.cli import main
 assert main(["trace", "--config", {cfg!r}]) == 0
-found = loaded({HEAVY + SAMPLER + NOT_TRACE!r} + ("_hashlib",))
+found = loaded({HEAVY + SAMPLER + UNUSED + NOT_TRACE!r})
 assert not found, found
 """)
         assert (out / "trace.csv").exists()
@@ -744,14 +787,15 @@ assert not found, found
 from eqtoeplitz.cli import main
 for cmd in ("analyze", "predict", "compare"):
     assert main([cmd, "--config", {cfg!r}]) == 0, cmd
-found = loaded({HEAVY + SAMPLER!r} + ("eqtoeplitz.cache", "_hashlib"))
+found = loaded({HEAVY + SAMPLER + UNUSED!r} + ("eqtoeplitz.cache",))
 assert not found, found
 """)
         assert (out / "comparison.csv").exists()
 
     def test_no_subcommand_loads_optimize_or_stats(self, tmp_path):
         # the decay config's f-bar is sampled, so analyze, predict and compare
-        # look it up in the cache: the one path that loads OpenSSL's hashes
+        # look it up in the cache, which hashes its keys with zlib's crc32:
+        # no subcommand loads OpenSSL's hashes or numpy.ma
         out = tmp_path / "out"
         cfg = write_config(tmp_path, dict(decay_config(out, k_values=[20, 40, 60]),
                                           k_range={"min": 2, "max": 20, "step": 1}))
@@ -760,9 +804,8 @@ from eqtoeplitz.cli import main
 for cmd in ("trace", "kernel", "selftest", "analyze", "predict", "compare"):
     args = ["--out", {str(out)!r}] if cmd == "selftest" else ["--config", {cfg!r}]
     assert main([cmd, *args]) == 0, cmd
-    found = loaded({HEAVY + SAMPLER!r})
+    found = loaded({HEAVY + SAMPLER + UNUSED!r})
     assert not found, (cmd, found)
-    assert "_hashlib" not in sys.modules or "eqtoeplitz.cache" in sys.modules, cmd
 assert "eqtoeplitz.cache" in sys.modules
 """)
         assert (out / "comparison.csv").exists() and (out / "calibration_record.json").exists()

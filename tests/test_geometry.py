@@ -237,8 +237,8 @@ class TestSampler:
 
     def test_draw_memory_is_the_output_plus_one_block(self, p2):
         # 2^20 rows on P^2 are 48 MiB of output; the Sobol points, the
-        # moduli, the phases and their temporaries live one 2^14-row block
-        # at a time
+        # moduli, the phases and their temporaries live one _SOBOL_BLOCK-row
+        # block at a time
         # (the unblocked draw peaked at ~4 times the output)
         sample_sphere(16, 12, p2)            # the direction numbers, loaded once
         tracemalloc.start()
@@ -332,6 +332,18 @@ class TestSampler:
             _sobol(4, 0, 2 ** 30 + 1)
         with pytest.raises(ValueError, match="outside"):
             sample_sphere(2 ** 30 + 1, 0, p1, keep=lambda sq: sq[:, 0] < 0)
+
+    def test_oversized_draw_is_refused_before_it_allocates(self, p1):
+        # without `keep` the output would be (2^30 + 1, 2) complex, 32 GiB:
+        # the count is refused before it is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="outside"):
+                sample_sphere(2 ** 30 + 1, 0, p1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 class TestKernelPairValues:

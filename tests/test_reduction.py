@@ -229,10 +229,13 @@ class TestZeroLocusSample:
                min_size=1, max_size=2)),
            seed=st.integers(0, 2 ** 32), k=st.integers(0, 8))
     @example(W=[[1, -1, -1]], seed=0, k=6)      # a one-row last block moved its bits
+    @example(W=[[0, 1, 1, 1]], seed=0, k=0)     # BLAS moment maps moved Newton's bits
+    @example(W=D3_WEIGHTS, seed=1, k=3)
     def test_blocks_are_bit_identical(self, W, seed, k):
-        # the streamed zero-locus draw is the same bits in 2^4-row blocks, in
-        # the default ones and in one block, and so are the blocked kernel
-        # sums over 289 rows in blocks of 2^4 and of the default terms
+        # the streamed zero-locus draw, Newton refinement included, is the
+        # same bits in 2^4-row blocks, in the default ones and in one block,
+        # and so are the blocked kernel sums over 289 rows in blocks of 2^4
+        # and of the default terms
         action = TorusAction(W)
         model = ProjectiveModel(action.n_coords - 1)
         pts = sample_sphere(289, seed, model)
@@ -257,6 +260,24 @@ class TestZeroLocusSample:
         assert same(small_kernel, kernel)
         for got in (small_locus, one_locus):
             assert len(got) == len(locus) and all(same(a, b) for a, b in zip(got, locus))
+
+    @pytest.mark.parametrize("W,limit", [([[1, -1, -1]], 2.5), (D3_WEIGHTS, 1.0)],
+                             ids=["p2", "d3"])
+    def test_draw_peak_is_a_block_and_the_output(self, W, limit):
+        # 2^18 draws keep 13,104 (p2, 0.6 MiB of points) and 676 rows (d3):
+        # the band filter, Newton, the residual filter and the embedding run
+        # as the draw streams, so the heap holds one block of draw, one batch
+        # of Newton and the output (measured 1.8 and 0.8 MiB)
+        action = TorusAction(W)
+        model = ProjectiveModel(action.n_coords - 1)
+        zero_locus_sample(action, model, 2, seed=0)      # loads the direction table
+        tracemalloc.start()
+        try:
+            zero_locus_sample(action, model, 2 ** 18, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2 ** 20
 
     def test_streamed_draw_memory(self):
         # a 2^20-point draw on P3 holds one block and the band rows at a time
