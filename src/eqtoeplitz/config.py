@@ -8,6 +8,7 @@ no run is ever silently nondeterministic.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -89,6 +90,23 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _floats(obj, shape: tuple, where: str):
+    """obj, nested JSON lists of finite numbers, as a float array of that
+    shape (a float for shape ()); a boolean, a string or null is no number."""
+    if shape and isinstance(obj, list) and len(obj) == shape[0]:
+        return np.array([_floats(x, shape[1:], where) for x in obj])
+    if not shape and isinstance(obj, (int, float)) and not isinstance(obj, bool) \
+            and abs(obj) <= sys.float_info.max:
+        return float(obj)
+    raise ConfigError(f"{where} must hold finite JSON numbers"
+                      + (f" in shape {shape}" if shape else ""))
+
+
+def _is_int(x, low: int = -2 ** 63) -> bool:
+    """Whether x is a JSON integer (not a boolean) in low..2^63 - 1."""
+    return isinstance(x, int) and not isinstance(x, bool) and low <= x < 2 ** 63
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     d: int
@@ -130,11 +148,8 @@ def _parse_h_term(obj, d):
     if obj is None:
         return None
     _require_keys(obj, {"re", "im"}, {"re"}, "observable.h_term")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    h = re + 1j * im
-    if h.shape != (d + 1, d + 1):
-        raise ConfigError(f"observable.h_term: expected shape {(d + 1, d + 1)}, got {h.shape}")
+    re = _floats(obj["re"], (d + 1, d + 1), "observable.h_term.re")
+    h = re + 1j * (_floats(obj["im"], re.shape, "observable.h_term.im") if "im" in obj else 0.0)
     if np.max(np.abs(h - h.conj().T)) > 1e-12:
         raise ConfigError("observable.h_term: matrix must be Hermitian")
     return h
@@ -186,31 +201,32 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for row in W_rows:
         if not isinstance(row, list) or len(row) != d + 1:
             raise ConfigError(f"action.W rows must have length d+1 = {d + 1}")
-        if not all(isinstance(x, int) for x in row):
-            raise ConfigError("action.W entries must be integers")
+        if not all(_is_int(x) for x in row):
+            raise ConfigError("action.W entries must be 64-bit integers")
     W = np.array(W_rows, dtype=np.int64).reshape(len(W_rows), d + 1)
 
     _require_keys(doc["symmetry"], {"phi", "theta_A"}, {"phi"}, "symmetry")
-    phi = np.asarray(doc["symmetry"]["phi"], dtype=float)
-    if phi.shape != (d + 1,):
-        raise ConfigError(f"symmetry.phi must have length d+1 = {d + 1}")
-    theta_A = float(doc["symmetry"].get("theta_A", 0.0))
+    phi = _floats(doc["symmetry"]["phi"], (d + 1,), "symmetry.phi")
+    theta_A = _floats(doc["symmetry"].get("theta_A", 0.0), (), "symmetry.theta_A")
 
     _require_keys(doc["observable"], {"u_terms", "h_term"}, set(), "observable")
-    u_terms = {}
-    for i, term in enumerate(doc["observable"].get("u_terms", [])):
+    u_terms, terms = {}, doc["observable"].get("u_terms", [])
+    if not isinstance(terms, list):
+        raise ConfigError("observable.u_terms must be a list")
+    for i, term in enumerate(terms):
         _require_keys(term, {"beta", "coef"}, {"beta", "coef"}, f"observable.u_terms[{i}]")
         beta = term["beta"]
-        if len(beta) != d + 1 or not all(isinstance(b, int) and b >= 0 for b in beta):
+        if not (isinstance(beta, list) and len(beta) == d + 1
+                and all(_is_int(b, 0) for b in beta)):
             raise ConfigError(f"observable.u_terms[{i}].beta must be {d + 1} nonnegative ints")
-        u_terms[tuple(beta)] = float(term["coef"])
+        u_terms[tuple(beta)] = _floats(term["coef"], (), f"observable.u_terms[{i}].coef")
     h_term = _parse_h_term(doc["observable"].get("h_term"), d)
     if not u_terms and h_term is None:
         raise ConfigError("observable must have at least one term")
 
     varpi = doc["isotype"]
     if not isinstance(varpi, list) or len(varpi) != len(W_rows) \
-            or not all(isinstance(v, int) for v in varpi):
+            or not all(_is_int(v) for v in varpi):
         raise ConfigError(f"isotype must be a list of {len(W_rows)} integers")
 
     _require_keys(doc["k_range"], {"min", "max", "step"}, {"min", "max"}, "k_range")

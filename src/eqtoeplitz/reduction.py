@@ -69,7 +69,7 @@ __all__ = [
 SUPPORT_TOL = 1e-8
 #: Newton refinement stops once every |Phi| <= NEWTON_TOL, or after NEWTON_MAX_ITER steps
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-12, 60
-#: central finite-difference step of the descended differential
+#: central finite-difference step of the descended differential, per normal coordinate
 FD_STEP = 1e-5
 
 
@@ -388,7 +388,6 @@ class FixedComponentReport:
     normal_eigenvalues: np.ndarray | None = None
     f_bar_integral: complex | None = None
     f_bar_stderr: float | None = None
-    frame_diag_error: float | None = None
     branch_weights: np.ndarray | None = None   # c_l / c_l(s) per branch; None when all 1
 
     def chi(self, varpi) -> complex:
@@ -535,44 +534,19 @@ def _affine_chart(zeta: np.ndarray, base: np.ndarray) -> np.ndarray:
     return zeta / ip - base
 
 
-def _horizontal_frames(rep: np.ndarray, support, action: TorusAction):
-    """Orthonormal frames of the horizontal space at a component lift,
-    split into (tangent-to-component, normal) blocks.  The tangent block is
-    the null space of the lift and generator rows on the support; singular
-    values above max(shape) eps sigma_max count toward their rank."""
-    n = rep.shape[0]
-    S = list(support)
-    comp = [j for j in range(n) if j not in S]
-    normal = np.zeros((n, len(comp)), complex)
-    for i, b in enumerate(comp):
-        normal[b, i] = 1.0
-    rows = np.conj(np.vstack([rep[S], action.W[:, S] * rep[S]]))
-    _, sv, vh = np.linalg.svd(rows)
-    rank = int(np.sum(sv > max(rows.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)))
-    tangent = np.zeros((n, len(S) - rank), complex)
-    tangent[S, :] = np.conj(vh[rank:]).T
-    return tangent, normal
-
-
-def _descended_differential(rep, support, t_angles, sym, action, step: float):
-    """Finite-difference matrix of the descended symmetry differential in the
-    (tangent, normal) horizontal frame at the representative."""
-    tangent, normal = _horizontal_frames(rep, support, action)
-    frame = np.hstack([tangent, normal])
-    ncols = frame.shape[1]
+def _normal_differential(rep, normal, t_angles, sym, action) -> np.ndarray:
+    """Central finite differences of gamma followed by mu_{g_m^{-1}}, in the
+    affine chart at the representative, on the normal coordinates: column i
+    pushes +-FD_STEP along coordinate normal[i]."""
     base = rep / np.linalg.norm(rep)
 
     def push(v):
-        zeta = sym.gamma_M(base + v)
-        zeta = action.act(-t_angles, zeta)
-        return _affine_chart(zeta, base)
+        return _affine_chart(action.act(-t_angles, sym.gamma_M(base + v)), base)[normal]
 
-    D = np.zeros((ncols, ncols), complex)
-    for b in range(ncols):
-        col = (push(step * frame[:, b]) - push(-step * frame[:, b])) / (2 * step)
-        D[:, b] = np.conj(frame).T @ col
-    nt = tangent.shape[1]
-    return D, nt
+    D = np.zeros((len(normal), len(normal)), complex)
+    for i, e in enumerate(FD_STEP * np.eye(rep.shape[0], dtype=complex)[normal]):
+        D[:, i] = (push(e) - push(-e)) / (2 * FD_STEP)
+    return D
 
 
 def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
@@ -580,31 +554,23 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
                          c_tol: float = 1e-8) -> FixedComponentReport:
     """Fill in c_l, h_l and the normal eigenvalues of a fixed component.
 
-    The descended differential is computed by central finite differences of
-    gamma followed by mu_{g_m^{-1}} and horizontal projection; h_l is the
-    residual circle phase of the lift at the representative.  A stabilizer
-    branch s acting on the normal coordinates has its own factor c_l(s) =
+    c_l = det(I - DNN^{-1}) needs the descended differential DNN on the
+    normal coordinates only (`_normal_differential`); h_l is the residual
+    circle phase of the lift at the representative.  A stabilizer branch s
+    acting on the normal coordinates has its own factor c_l(s) =
     prod_b (1 - conj(lambda_b e^{i <th_s, W_j0 - W_b>})) (`branch_weights`).
     """
     rep = report.representative
-    D, nt = _descended_differential(rep, report.support, report.t_angles, sym,
-                                    action, FD_STEP)
-    DNN = D[nt:, nt:]
-    diag_err = 0.0
-    if nt:
-        diag_err = max(float(np.max(np.abs(D[:nt, :nt] - np.eye(nt)))),
-                       float(np.max(np.abs(D[:nt, nt:]))) if D.shape[1] > nt else 0.0,
-                       float(np.max(np.abs(D[nt:, :nt]))) if D.shape[1] > nt else 0.0)
-    if DNN.shape[0]:
-        c_l = complex(np.linalg.det(np.eye(DNN.shape[0]) - np.linalg.inv(DNN)))
-    else:
-        c_l = 1.0 + 0.0j
+    j0, normal = report.support[0], [b for b in range(model.n_coords) if b not in report.support]
+    DNN = _normal_differential(rep, normal, report.t_angles, sym, action)
+    # DNN is diagonal, but prod(1 - 1/DNN_bb) rounds c_l differently from
+    # det/inv in the last bits, which would move every output that holds c_l
+    c_l = complex(np.linalg.det(np.eye(len(normal)) - np.linalg.inv(DNN))) if normal else 1 + 0j
     if abs(c_l) <= c_tol:
         raise DegenerateSymmetryError(
             f"determinant factor {c_l!r} vanishes on component {report.support}")
 
     # exact phase-arithmetic counterpart (diagonal data) on the normal coordinates
-    j0, normal = report.support[0], [b for b in range(model.n_coords) if b not in report.support]
     lam = np.array([np.exp(1j * (sym.phi[b] - sym.phi[j0]
                                  + float(report.t_angles @ (action.W[:, j0] - action.W[:, b]))))
                     for b in normal], dtype=complex)
@@ -630,8 +596,7 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
     h /= abs(h)
 
     return replace(report, c_l=c_l, c_l_exact=c_exact,
-                   normal_eigenvalues=lam, h_l=h,
-                   frame_diag_error=diag_err, branch_weights=weights)
+                   normal_eigenvalues=lam, h_l=h, branch_weights=weights)
 
 
 def f_bar_is_sampled(report: FixedComponentReport, action: TorusAction,

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -38,6 +39,18 @@ def base_config(out, **over):
     }
     doc.update(over)
     return doc
+
+
+#: the d3-reduce weights with phi = theta . W: one sampled d_l = 1 component
+D3_REDUCE = dict(model={"d": 3}, action={"W": [[1, 0, -1, 2], [0, 1, -1, -1]]},
+                 symmetry={"phi": [0.3, 0.5, -0.8, 0.1]},
+                 observable={"u_terms": [{"beta": [0, 1, 0, 0], "coef": 1.0}]},
+                 isotype=[0, 0], sampling={"n_samples": 2 ** 12, "seed": 0})
+#: the p2-sweep config: P2 under a circle, generic phases, two fixed points
+P2_SWEEP = dict(model={"d": 2}, action={"W": [[1, -1, -1]]},
+                symmetry={"phi": [0.0, 1.1, 3.7]}, isotype=[0],
+                observable={"u_terms": [{"beta": [0, 1, 0], "coef": 1.0}]},
+                k_range={"min": 40, "max": 120, "step": 8})
 
 
 def random_locus_config(out, seed, n_samples):
@@ -134,6 +147,51 @@ class TestConfigValidation:
             assert main(["compare", "--config", write_config(tmp_path, doc, f"{name}.json")]) == 0
             reports.append((tmp_path / name / "fit_report.txt").read_text())
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("symmetry", "theta_A"), "abc", id="theta_A-string"),
+        pytest.param(("symmetry", "theta_A"), None, id="theta_A-null"),
+        pytest.param(("symmetry", "theta_A"), math.nan, id="theta_A-nan"),
+        pytest.param(("symmetry", "theta_A"), math.inf, id="theta_A-inf"),
+        pytest.param(("symmetry", "theta_A"), True, id="theta_A-boolean"),
+        pytest.param(("symmetry", "phi", 1), "a", id="phi-string"),
+        pytest.param(("symmetry", "phi", 1), "1.1", id="phi-numeric-string"),
+        pytest.param(("symmetry", "phi", 1), math.nan, id="phi-nan"),
+        pytest.param(("symmetry", "phi", 2), -math.inf, id="phi-inf"),
+        pytest.param(("observable", "u_terms", 0, "coef"), "x", id="coef-string"),
+        pytest.param(("observable", "u_terms", 0, "coef"), None, id="coef-null"),
+        pytest.param(("observable", "u_terms", 0, "coef"), math.nan, id="coef-nan"),
+        pytest.param(("observable", "u_terms", 0, "coef"), math.inf, id="coef-inf"),
+        pytest.param(("observable", "u_terms", 0, "coef"), 10 ** 400, id="coef-over-float"),
+        pytest.param(("observable", "h_term"), {"re": [[1, 0, 0], [0, "a", 0], [0, 0, 1]]},
+                     id="h_term-string"),
+        pytest.param(("observable", "h_term"), {"re": [[1, 0, 0], [0, math.nan, 0], [0, 0, 1]]},
+                     id="h_term-nan"),
+        pytest.param(("observable", "h_term"), {"re": [[1, 0, 0], [0, math.inf, 0], [0, 0, 1]]},
+                     id="h_term-inf"),
+        pytest.param(("observable", "h_term"), {"re": np.eye(3).tolist(),
+                                                "im": [[0, 0, 0], [0, math.nan, 0], [0, 0, 0]]},
+                     id="h_term-im-nan"),
+        pytest.param(("observable", "u_terms"), 5, id="u_terms-number"),
+        pytest.param(("action", "W", 0, 1), 10 ** 30, id="W-over-int64"),
+        pytest.param(("action", "W", 0, 1), -2 ** 63 - 1, id="W-under-int64"),
+        pytest.param(("action", "W", 0, 1), True, id="W-boolean"),
+        pytest.param(("observable", "u_terms", 0, "beta", 1), True, id="beta-boolean"),
+        pytest.param(("observable", "u_terms", 0, "beta"), 5, id="beta-number"),
+        pytest.param(("isotype", 0), True, id="isotype-boolean"),
+    ])
+    def test_malformed_number_exit_2(self, tmp_path, capsys, path, value):
+        # a number of the wrong type or range, or one that is not finite,
+        # exits 2 as the config loads, before any output
+        out = tmp_path / "out"
+        doc = copy.deepcopy(base_config(out, **P2_SWEEP))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert main(["trace", "--config", write_config(tmp_path, doc)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
@@ -239,6 +297,17 @@ class TestAnalyze:
         report = (out / "reduction_report.txt").read_text().splitlines()
         assert "regular_value: False" in report and "free_action: False" in report
         assert not (out / "components.csv").exists()
+
+    @pytest.mark.parametrize("over", [P2_SWEEP, D3_REDUCE], ids=["p2-sweep", "d3-reduce"])
+    def test_no_singular_value_decomposition(self, tmp_path, monkeypatch, over):
+        # c_l needs the differential on the normal coordinates only, which
+        # are coordinate axes: no frame of the component is computed
+        def svd(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd was called")
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        cfg = write_config(tmp_path, base_config(tmp_path / "out", **over))
+        assert main(["analyze", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "components.csv").exists()
 
     def test_hypothesis_violation_exit_3(self, tmp_path):
         doc = base_config(tmp_path / "o", action={"W": [[1, -1], [2, -2]]},
@@ -694,8 +763,8 @@ class TestSelfTest:
         assert {"trace.csv", "predictions.csv"} <= set(record["artifacts"])
 
 
-#: scipy modules no subcommand needs: the Sobol scramble, the slice polytope
-#: and the horizontal frames are numpy, and log Gamma is `math.lgamma`
+#: scipy modules no subcommand needs: the Sobol scramble and the slice
+#: polytope are numpy, and log Gamma is `math.lgamma`
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.special")
 #: loaded by no subcommand: the sampler's Sobol direction numbers are a
 #: committed table, and its scramble bits come from the stdlib generator
@@ -709,11 +778,6 @@ class NoScipy:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
 sys.meta_path.insert(0, NoScipy())
 """
-#: the d3-reduce weights with phi = theta . W: one sampled d_l = 1 component
-D3_REDUCE = dict(model={"d": 3}, action={"W": [[1, 0, -1, 2], [0, 1, -1, -1]]},
-                 symmetry={"phi": [0.3, 0.5, -0.8, 0.1]},
-                 observable={"u_terms": [{"beta": [0, 1, 0, 0], "coef": 1.0}]},
-                 isotype=[0, 0], sampling={"n_samples": 2 ** 12, "seed": 0})
 #: the layers `trace` does not run
 NOT_TRACE = ("eqtoeplitz.reduction", "eqtoeplitz.asymptotics", "eqtoeplitz.selftest",
              "eqtoeplitz.cache")

@@ -67,6 +67,55 @@ def d_phi_fd(x, action, step=1e-6):
     return np.array(cols).T.reshape(action.g, -1)
 
 
+def horizontal_frames(rep, support, action):
+    """Orthonormal frames of the horizontal space at a component lift,
+    split into (tangent-to-component, normal) blocks.  The tangent block is
+    the null space of the lift and generator rows on the support; singular
+    values above max(shape) eps sigma_max count toward their rank."""
+    n = rep.shape[0]
+    S = list(support)
+    comp = [j for j in range(n) if j not in S]
+    normal = np.zeros((n, len(comp)), complex)
+    for i, b in enumerate(comp):
+        normal[b, i] = 1.0
+    rows = np.conj(np.vstack([rep[S], action.W[:, S] * rep[S]]))
+    _, sv, vh = np.linalg.svd(rows)
+    rank = int(np.sum(sv > max(rows.shape) * np.finfo(float).eps * np.max(sv, initial=0.0)))
+    tangent = np.zeros((n, len(S) - rank), complex)
+    tangent[S, :] = np.conj(vh[rank:]).T
+    return tangent, normal
+
+
+def descended_differential(rep, support, t_angles, sym, action):
+    """Oracle for `reduction._normal_differential`: the finite-difference
+    matrix of the descended symmetry differential in the whole (tangent,
+    normal) horizontal frame at the representative, with the tangent size."""
+    tangent, normal = horizontal_frames(rep, support, action)
+    frame = np.hstack([tangent, normal])
+    ncols, step = frame.shape[1], red.FD_STEP
+    base = rep / np.linalg.norm(rep)
+
+    def push(v):
+        zeta = sym.gamma_M(base + v)
+        zeta = action.act(-t_angles, zeta)
+        return red._affine_chart(zeta, base)
+
+    D = np.zeros((ncols, ncols), complex)
+    for b in range(ncols):
+        col = (push(step * frame[:, b]) - push(-step * frame[:, b])) / (2 * step)
+        D[:, b] = np.conj(frame).T @ col
+    return D, tangent.shape[1]
+
+
+def frame_error(D, nt):
+    """How far the oracle's differential is from fixing the component: its
+    tangent block from I, and its tangent-normal blocks from 0."""
+    E = D.copy()
+    E[:nt, :nt] -= np.eye(nt)
+    E[nt:, nt:] = 0.0
+    return float(np.max(np.abs(E), initial=0.0))
+
+
 def injectivity_oracle(x, action, stab_angles, n_grid=48):
     """Scalar per-angle sweep of dist_M(mu_t x, x) / dist_T(t, Stab)."""
     grid = np.linspace(0, 2 * math.pi, n_grid, endpoint=False)
@@ -500,6 +549,24 @@ class TestFixedComponents:
         assert len(solved) == 13
 
 
+@st.composite
+def fixed_component_inputs(draw):
+    """Random small weights (g <= 2, d <= 5) with generic phases, phi =
+    theta . W (every support solvable: positive-dimensional components) or
+    theta . W on a random half of the coordinates (resonant)."""
+    g, n = draw(st.integers(0, 2)), draw(st.integers(2, 6))
+    W = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=g, max_size=g)), dtype=np.int64).reshape(g, n)
+    family = draw(st.sampled_from(("generic", "theta-W", "resonant")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    phi = rng.uniform(0.0, 2 * math.pi, g) @ W
+    if family == "generic":
+        phi = rng.uniform(0.0, 2 * math.pi, n)
+    elif family == "resonant":
+        phi = np.where(rng.random(n) < 0.5, phi, rng.uniform(0.0, 2 * math.pi, n))
+    return TorusAction(W), DiagonalSymmetry(phi=phi, theta_A=rng.uniform(-3.0, 3.0))
+
+
 class TestComponentInvariants:
     def test_p2_fd_matches_phase_arithmetic(self, p2, circle_p2):
         sym = sym_of(0.0, 0.9, 2.1)
@@ -540,7 +607,8 @@ class TestComponentInvariants:
             done = component_invariants(replace(comp, representative=rep),
                                         sym, circle_p2, p2)
             assert done.c_l == pytest.approx(1.0, abs=1e-9)
-            assert done.frame_diag_error < 1e-9
+            D, nt = descended_differential(rep, comp.support, comp.t_angles, sym, circle_p2)
+            assert nt == comp.d_l == 1 and frame_error(D, nt) < 1e-9
 
     def test_degenerate_symmetry_error(self, p2, trivial_g2):
         # phi_1 within 1e-4 of phi_0: |c_l| ~ 1e-4 on the coordinate component
@@ -581,6 +649,28 @@ class TestComponentInvariants:
         c1 = component_invariants(find_fixed_components(circle_p2, shifted, p2)[0],
                                   shifted, circle_p2, p2)
         assert c1.h_l / c0.h_l == pytest.approx(np.exp(1j * delta), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fixed_component_inputs())
+    @example((TorusAction(D3_WEIGHTS), sym_of(0.3, 0.5, -0.8, 0.1)))
+    @example((TorusAction([[1, -1, -1]]), sym_of(0.0, 0.0, 0.0)))
+    def test_normal_block_is_the_full_frame_block(self, inputs):
+        # the normal-coordinate differential is the normal block of the
+        # differential in the whole horizontal frame, bit for bit, and that
+        # frame's tangent block is I: the component is fixed
+        action, sym = inputs
+        model = ProjectiveModel(action.n_coords - 1)
+        try:
+            comps = find_fixed_components(action, sym, model)
+        except ReductionHypothesisError:
+            assume(False)
+        for c in comps:
+            normal = [b for b in range(model.n_coords) if b not in c.support]
+            DNN = red._normal_differential(c.representative, normal, c.t_angles, sym, action)
+            D, nt = descended_differential(c.representative, c.support, c.t_angles, sym,
+                                           action)
+            assert DNN.tobytes() == np.ascontiguousarray(D[nt:, nt:]).tobytes()
+            assert nt == c.d_l and frame_error(D, nt) < 1e-9
 
 
 class TestFBarIntegral:
