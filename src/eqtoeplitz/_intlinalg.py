@@ -1,12 +1,13 @@
 """Exact integer linear algebra for weight-lattice computations.
 
-Smith normal form with small unimodular transforms.  Its one caller,
-`solve_phase_congruence`, solves phase congruences t^(W_j - W_j0) =
-e^{i delta_j} over the torus, one Smith form per support pattern: the
-solution is a fixed component's g_m, and the info it returns holds the
-finite stabilizer coset g_m is defined up to (`torsion_angles`; delta = 0
-gives the stabilizer alone).  Integer adjugates list weight slices and the
-vertices of polytopes {x >= 0, A x = b}.
+Smith normal form with small unimodular transforms.  It gives the lattice
+of a weight slice (`geometry._slice_plan`), and `solve_phase_congruence`
+solves phase congruences t^(W_j - W_j0) = e^{i delta_j} over the torus
+with it, one Smith form per support pattern: the solution is a fixed
+component's g_m, and the info it returns holds the finite stabilizer
+coset g_m is defined up to (`torsion_angles`; delta = 0 gives the
+stabilizer alone).  Integer determinants give the vertices of polytopes
+{x >= 0, A x = b}.
 
 The exception types the CLI maps to exit codes 2, 3 and 4 are defined here,
 the one module every subcommand loads.
@@ -63,18 +64,6 @@ def int_det(M) -> int:
                 row[j] = (row[j] * M[k][k] - row[k] * M[k][j]) // prev
         prev = M[k][k]
     return sign * M[-1][-1] if r else 1
-
-
-def int_adjugate(M) -> tuple[list, int]:
-    """(adj, det) of a square integer matrix, adj @ M = det * I exactly,
-    both negated if needed so that det >= 0."""
-    r = len(M)
-    adj = [[(-1) ** (i + j) * int_det([row[:i] + row[i + 1:] for t, row in enumerate(M)
-                                       if t != j]) for j in range(r)] for i in range(r)]
-    det = sum(M[0][j] * adj[j][0] for j in range(r)) if r else 1
-    if det < 0:
-        adj, det = [[-a for a in row] for row in adj], -det
-    return adj, det
 
 
 def pivot_minor(A) -> tuple:

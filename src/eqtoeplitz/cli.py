@@ -42,12 +42,12 @@ METHOD = "fixed-component-sum"
 
 def _configured(name: str, cmd):
     """The subcommand `name`: load the config (with the --seed override),
-    create the output directory, run cmd(cfg, out, args) and merge the
-    artifacts it returns and the wall time into <out>/run_record.json.
+    create the output directory, run cmd(cfg, out, args) and merge its
+    artifacts, its work counters and the wall time into <out>/run_record.json.
 
     Subcommands run on the same config accumulate in one record, which
-    holds that config and the timings keyed by subcommand; a different
-    config (or an unreadable record) starts a new one."""
+    holds that config and the timings and counters keyed by subcommand; a
+    different config (or an unreadable record) starts a new one."""
     def run(args) -> int:
         t0 = time.perf_counter()
         cfg = load_config(args.config)
@@ -57,7 +57,7 @@ def _configured(name: str, cmd):
             cfg = parse_config(doc)
         out = args.out or cfg.output_dir
         os.makedirs(out, exist_ok=True)
-        artifacts = cmd(cfg, out, args)
+        artifacts, counters = cmd(cfg, out, args)
         seconds = time.perf_counter() - t0
         path = os.path.join(out, "run_record.json")
         try:
@@ -77,6 +77,7 @@ def _configured(name: str, cmd):
                 "numpy": np.__version__,
             },
             "timings_seconds": {**old.get("timings_seconds", {}), name: seconds},
+            "counters": {**old.get("counters", {}), **({name: counters} if counters else {})},
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
@@ -172,7 +173,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
         artifacts.append("components.csv")
         lines.append(f"fixed components: {len(comps)} (see components.csv)")
     _write_report(out, lines)
-    return artifacts
+    return artifacts, {}
 
 
 def _write_report(out, lines):
@@ -184,11 +185,12 @@ def _write_report(out, lines):
 def _complete_sweep(cfg: ExperimentConfig, threads: int):
     """Exact traces over every configured level; any failed level is a
     numeric failure, so no output is ever written over a gapped series.
-    The top level's slice-candidate budget and the level count are checked
+    The top level's slice-row budget and the level count are checked
     before any level."""
     from .toeplitz import trace_sweep
 
-    check_slice_budget(cfg.k_min + (cfg.k_max - cfg.k_min) // cfg.k_step * cfg.k_step, cfg.W)
+    check_slice_budget(cfg.k_min + (cfg.k_max - cfg.k_min) // cfg.k_step * cfg.k_step, cfg.W,
+                       cfg.varpi)
     series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
                          cfg.action(), cfg.model(), threads=threads)
     if series.failures:
@@ -199,13 +201,19 @@ def _complete_sweep(cfg: ExperimentConfig, threads: int):
     return series
 
 
+def _slice_counters(series) -> dict:
+    """The sweep's weight-slice rows and the lattice points walked for them."""
+    return {"slice_rows": sum(r.dim_isotype for r in series.records),
+            "slice_points_walked": sum(r.points_walked for r in series.records)}
+
+
 def cmd_trace(cfg: ExperimentConfig, out: str, args) -> list:
     series = _complete_sweep(cfg, args.threads)
     series.to_csv(os.path.join(out, "trace.csv"))
     nonzero = [r for r in series.records if r.dim_isotype > 0]
     print(f"trace sweep: {len(series.records)} levels, {len(nonzero)} with "
           f"nonempty isotype -> trace.csv")
-    return ["trace.csv"]
+    return ["trace.csv"], _slice_counters(series)
 
 
 def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
@@ -215,7 +223,7 @@ def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
     write_csv(os.path.join(out, "predictions.csv"),
               ["k", "pred_re", "pred_im", "method"], rows)
     print(f"predictions: {len(ks)} levels via {METHOD} -> predictions.csv")
-    return ["predictions.csv"]
+    return ["predictions.csv"], {}
 
 
 def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
@@ -253,7 +261,7 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
             fh.write("\n".join(summary) + "\n")
         artifacts.append("fit_report.txt")
     print("\n".join(summary))
-    return artifacts
+    return artifacts, _slice_counters(series)
 
 
 def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
@@ -265,14 +273,14 @@ def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
     model, action = cfg.model(), cfg.action()
     ks = probe["k_values"]
     check_level_budget(len(ks))
-    check_slice_budget(max(ks), cfg.W)
+    check_slice_budget(max(ks), cfg.W, cfg.varpi)
     if probe["type"] == "decay":
         res = decay_probe(probe["point"], probe["second_point"], cfg.varpi, action, model, ks)
         rows = [[int(k), float(v)] for k, v in zip(res.k_values, res.abs_values)]
         write_csv(os.path.join(out, "kernel_decay.csv"), ["k", "abs_kernel"], rows)
         print(f"decay probe: fitted log-log slope {res.slope:.3f}"
               + (" (values floored at 1e-300)" if res.floored else ""))
-        return ["kernel_decay.csv"]
+        return ["kernel_decay.csv"], {}
     rows_out = scaling_probe(ScalingProbe(x=probe["point"], w=probe["displacement_w"],
                                           v=probe["displacement_v"], k_values=tuple(ks)),
                              cfg.varpi, action, model)
@@ -283,7 +291,7 @@ def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
                "phase_err"], rows)
     print("scaling probe: " + ", ".join(
         f"k={r.k} ratio={r.abs_ratio:.4f}" for r in rows_out))
-    return ["kernel_scaling.csv"]
+    return ["kernel_scaling.csv"], {}
 
 
 def cmd_selftest(args) -> int:

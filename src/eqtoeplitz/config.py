@@ -191,7 +191,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     _require_keys(doc["model"], {"d"}, {"d"}, "model")
     d = doc["model"]["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d, 1):
         raise ConfigError("model.d must be a positive integer")
 
     _require_keys(doc["action"], {"W"}, {"W"}, "action")
@@ -232,13 +232,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(doc["k_range"], {"min", "max", "step"}, {"min", "max"}, "k_range")
     k_min, k_max = doc["k_range"]["min"], doc["k_range"]["max"]
     k_step = doc["k_range"].get("step", 1)
-    if not all(isinstance(x, int) for x in (k_min, k_max, k_step)) \
+    if not all(_is_int(x) for x in (k_min, k_max, k_step)) \
             or k_min < 0 or k_step < 1 or k_max < k_min:
         raise ConfigError("k_range must satisfy 0 <= min <= max, step >= 1")
 
     _require_keys(doc["sampling"], {"n_samples", "seed"}, {"n_samples", "seed"}, "sampling")
     n_samples, seed = doc["sampling"]["n_samples"], doc["sampling"]["seed"]
-    if not isinstance(n_samples, int) or not 1 <= n_samples <= MAX_SAMPLES:
+    if not _is_int(n_samples, 1) or n_samples > MAX_SAMPLES:
         raise ConfigError(f"sampling.n_samples must be an integer in 1..{MAX_SAMPLES} "
                           "(the Sobol sequence has 30-bit direction numbers)")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -248,7 +248,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     # identity `compare` checks takes its degrees from the components
     if "fit" in doc:
         _require_keys(doc["fit"], {"order"}, {"order"}, "fit")
-        if not isinstance(doc["fit"]["order"], int) or doc["fit"]["order"] < 1:
+        if not _is_int(doc["fit"]["order"], 1):
             raise ConfigError("fit.order must be a positive integer")
 
     out = doc["output_dir"]
@@ -265,7 +265,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         # k = 0 has no decay exponent (log 0) and no 1/sqrt(k) scaling
         ks = probe["k_values"]
         if not isinstance(ks, list) or not ks \
-                or not all(isinstance(k, int) and k >= 1 for k in ks):
+                or not all(_is_int(k, 1) for k in ks):
             raise ConfigError("kernel_probe.k_values must be a nonempty list of "
                               "positive integers")
         n = d + 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._intlinalg import NumericFailure, int_adjugate, pivot_minor
+from ._intlinalg import NumericFailure, pivot_minor, smith_normal_form
 
 __all__ = [
     "ProjectiveModel",
@@ -104,6 +104,7 @@ class SectionBasis:
     log_norms: np.ndarray   # (N,)
     model: ProjectiveModel = field(repr=False)
     isotype: tuple | None = field(default=None, repr=False)
+    points_walked: int = field(default=0, repr=False)   # by the slice's walk
 
     @property
     def dim(self) -> int:
@@ -150,76 +151,167 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
     return float(np.exp(log_monomial_norm(alpha, model)))
 
 
-#: most candidate rows `_weight_slice` lists for one level: its int64 work
-#: arrays peak at ~25 bytes per candidate and coordinate, so ~0.2 GiB and
-#: ~0.7 s at d = 8, ~0.4 GiB and ~1 s at d = 16 (2-vCPU Xeon)
-MAX_SLICE_CANDIDATES = 1_000_000
+#: most lattice points one stage of `_weight_slice`'s walk holds, its last
+#: stage's being the slice's rows: the walk's int64 arrays peak at ~20 bytes
+#: per row and coordinate, so ~0.2 GiB and ~1 s at d = 8 (2-vCPU Xeon)
+MAX_SLICE_ROWS = 1_000_000
 
 
-def check_slice_budget(k: int, W) -> None:
-    """Raise NumericFailure, before anything is enumerated, when level k of
-    the weight system W (g x n) lists more than MAX_SLICE_CANDIDATES
-    candidate rows, C(k+n-r, n-r) with r = rank [1; -W]; the count grows
-    with k, so checking the top level covers a sweep."""
-    W = np.asarray(W, dtype=np.int64)
+@dataclass(frozen=True)
+class _SlicePlan:
+    """What `_weight_slice` needs of weights W (g x n) at any level k and
+    label varpi, in exact integers: A alpha = [k; varpi], A = [1; -W], has the
+    integer solutions alpha = p + L t; stage j bounds t_j given t_<j."""
+
+    A: list
+    rows: tuple       # the rows of A a nonzero maximal minor sits in
+    U: list           # the Smith form U A_rows V = diag(s); V: its first r columns
+    s: list
+    V: list
+    L: list           # m x n, a basis of the lattice ker A: on `free`, the m
+    free: tuple       # coordinates outside the minor, lower triangular, diagonal > 0
+    stages: tuple     # stage j: (a (rows, j) int64 array, c, lam): a . t_<j + c t_j <= lam . p
+    feasible: list    # the lam of the bounds left without t: 0 <= lam . p
+    scale: float      # bounds |a . t| and |L t| over the walk by scale (k + max |p|)
+
+
+@functools.lru_cache(maxsize=8)
+def _slice_plan(n: int, W: tuple) -> _SlicePlan:
+    """The plan of the weight rows W (a tuple of n-tuples), built once.
+
+    A nonzero maximal minor of A (rows R, columns D, rank r) leaves the
+    coordinates F outside D free.  The Smith form of A_R gives a particular
+    solution and a basis of the lattice ker A, which column operations bring
+    to Hermite form on F: stage j of the walk fixes alpha_{F_j}.
+    Fourier-Motzkin elimination of t_{m-1}, .., t_0 from the n rows
+    -L t <= p of alpha >= 0 (Schrijver 1986, sec. 12.2) gives each stage's
+    bounds.  A bound keeps its right-hand side as the nonnegative integer
+    combination lam of those rows, so k and varpi enter only when a level is
+    walked, and one combining more than s+1 rows after s eliminations is
+    redundant (Chernikov's rule) and dropped."""
+    A = [[1] * n] + [[-w for w in row] for row in W]
+    rows, dep = pivot_minor(A)
+    r, free = len(rows), tuple(j for j in range(n) if j not in dep)
+    U, S, V = smith_normal_form(np.array([A[i] for i in rows], dtype=object))
+    L, beta = [[int(V[i][j]) for i in range(n)] for j in range(r, n)], []
+    for i, f in enumerate(free):
+        for j in range(i + 1, n - r):
+            while L[j][f]:
+                q = L[i][f] // L[j][f]
+                L[i], L[j] = L[j], [a - q * b for a, b in zip(L[i], L[j])]
+        if L[i][f] < 0:
+            L[i] = [-a for a in L[i]]
+        for j in range(i):
+            q = L[j][f] // L[i][f]
+            L[j] = [a - q * b for a, b in zip(L[j], L[i])]
+        # alpha_F in [0, k] bounds a walked |t_i| by beta_i (k + max |p|)
+        beta.append((1 + sum(L[j][f] * beta[j] for j in range(i))) / L[i][f])
+    # (coefficients on t, lam) -> bitmask of the rows lam combines
+    bounds = {(tuple(-c[i] for c in L), tuple(int(i == q) for q in range(n))): 1 << i
+              for i in range(n)}
+    stages = []
+    for j in reversed(range(n - r)):
+        stages.append([(c[:j], c[j], lam) for c, lam in bounds if c[j]])
+        pos = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] > 0]
+        neg = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] < 0]
+        bounds = {key: h for key, h in bounds.items() if not key[0][j]}
+        for cp, lp, hp in pos:
+            for cn, ln, hn in neg:
+                if (hp | hn).bit_count() <= n - r - j + 1:
+                    c = [-cn[j] * x + cp[j] * y for x, y in zip(cp, cn)]
+                    lam = [-cn[j] * x + cp[j] * y for x, y in zip(lp, ln)]
+                    g = math.gcd(*c, *lam)
+                    bounds[tuple(x // g for x in c), tuple(x // g for x in lam)] = hp | hn
+    scale = max([abs(x) for row in L + [a for st in stages for a, _, _ in st] for x in row] + [0])
+    if scale >= 2 ** 62:
+        raise NumericFailure(f"the slice plan of these weights has an entry {scale} >= 2^62")
+    stages = tuple((np.array([a for a, _, _ in st], np.int64).reshape(len(st), j),
+                    [c for _, c, _ in st], [lam for _, _, lam in st])
+                   for j, st in enumerate(reversed(stages)))
+    return _SlicePlan(A=A, rows=rows, U=U.tolist(), s=[int(S[i][i]) for i in range(r)],
+                      V=[row[:r] for row in V.tolist()], L=L, free=free, stages=stages,
+                      feasible=[lam for _, lam in bounds], scale=scale * n * max(beta + [0]))
+
+
+def _weight_slice(k: int, W: np.ndarray, varpi, last: bool = True) -> tuple:
+    """(alpha, walked): all alpha >= 0 with |alpha| = k and -W alpha = varpi,
+    lex-descending, and the lattice points walked for them over all stages.
+
+    Stage j repeats each prefix (t_0..t_{j-1}) once per integer t_j within
+    its floor/ceil bounds, as `multi_indices` does, after checking the
+    stage's point count against MAX_SLICE_ROWS (NumericFailure when over);
+    every point of the last stage is in the slice.  With last=False the
+    last stage is counted, not built, and alpha is None."""
     n = W.shape[1]
-    m = n - len(pivot_minor(np.vstack([np.ones((1, n), np.int64), -W]).tolist())[0])
-    count = math.comb(k + m, m)
-    if count > MAX_SLICE_CANDIDATES:
-        raise NumericFailure(f"level {k} needs C({k + m}, {m}) = {count} slice "
-                             f"candidates, over the budget of {MAX_SLICE_CANDIDATES}")
+    plan = _slice_plan(n, tuple(map(tuple, W.tolist())))
+    b = [int(k)] + [int(v) for v in varpi]
+    y = [sum(u * b[i] for u, i in zip(row, plan.rows)) for row in plan.U]
+    empty = np.zeros((0, n), np.int64), 0
+    if any(v % s for v, s in zip(y, plan.s)):
+        return empty
+    p = [sum(v * w // s for v, w, s in zip(row, y, plan.s)) for row in plan.V]
+    if any(sum(a * v for a, v in zip(row, p)) != bi for row, bi in zip(plan.A, b)):
+        return empty
+    for i, f in enumerate(plan.free):       # p_F into [0, L_FF), stage by stage
+        p = [v - p[f] // plan.L[i][f] * c for v, c in zip(p, plan.L[i])]
+    dot = lambda lams: [sum(x * v for x, v in zip(lam, p)) for lam in lams]
+    if min(dot(plan.feasible), default=0) < 0:
+        return empty
+    hs, m = [dot(lam) for _, _, lam in plan.stages], len(plan.stages)
+    if max(map(abs, sum(hs, [0]))) + plan.scale * (k + max(map(abs, p))) >= 2 ** 62:
+        raise NumericFailure(f"level {k}'s slice bounds overflow int64 arithmetic")
+    head, walked = np.zeros((1, 0), np.int64), 0 if m else 1
+    for j, ((a, c, _), h) in enumerate(zip(plan.stages, hs)):
+        lo, hi = np.full(len(head), -2 ** 62), np.full(len(head), 2 ** 62)
+        for aj, cj, hj in zip(a, c, h):         # a . t + c t_j <= h: floor or ceil
+            v = hj - head @ aj
+            np.minimum(hi, v // cj, out=hi) if cj > 0 else np.maximum(lo, -(v // -cj), out=lo)
+        count = np.maximum(hi - lo + 1, 0)
+        total = int(np.minimum(count, MAX_SLICE_ROWS + 1).sum())
+        if total > MAX_SLICE_ROWS:
+            raise NumericFailure(f"level {k} walks at least {total} points in stage {j + 1} of "
+                                 f"{m}, over the budget of {MAX_SLICE_ROWS} rows")
+        walked += total
+        if not last and j == m - 1:
+            return None, walked
+        col = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(count) - count - lo, count)
+        head = np.hstack([np.repeat(head, count, axis=0), col[:, None]])
+    alpha = head @ np.array(plan.L, dtype=np.int64).reshape(-1, n)
+    del head                                # freed before the sorted copy is made
+    alpha += np.array(p, dtype=np.int64)
+    return alpha[np.lexsort(alpha.T[::-1])[::-1]], walked
 
 
-def _weight_slice(k: int, n: int, W: np.ndarray, varpi: np.ndarray) -> np.ndarray:
-    """All alpha >= 0 with |alpha| = k and -W alpha = varpi, lex-descending.
-
-    The g+1 equations [1; -W] alpha = [k; varpi] have rank r.  A nonzero
-    r x r minor M (rows R, columns D) makes the other n-r coordinates free:
-    they run over every |alpha_F| <= k, and alpha_D = adj(M)(b_R - A_RF alpha_F)
-    / det(M) exactly in integers.  Rows that are integral, nonnegative and
-    satisfy all g+1 equations are the slice.  Raises NumericFailure before
-    listing more than MAX_SLICE_CANDIDATES candidates.
-    """
-    check_slice_budget(k, W)
-    A = np.vstack([np.ones((1, n), np.int64), -W])
-    b = np.concatenate([[k], varpi])
-    rows, dep = pivot_minor(A.tolist())
-    r = len(dep)
-    free = [j for j in range(n) if j not in dep]
-    adj, det = int_adjugate([[int(A[i, j]) for j in dep] for i in rows])
-    adj = np.array(adj, dtype=np.int64)
-    a_free = multi_indices(k, n - r + 1)[:, :n - r]
-    num = (b[list(rows)][None, :] - a_free @ A[np.ix_(rows, free)].T) @ adj.T
-    alpha = np.empty((a_free.shape[0], n), np.int64)
-    alpha[:, free] = a_free
-    alpha[:, dep] = num // det
-    keep = (np.all(num % det == 0, axis=1) & np.all(alpha >= 0, axis=1)
-            & np.all(alpha @ A.T == b[None, :], axis=1))
-    alpha = alpha[keep]
-    return alpha[np.lexsort(-alpha.T[::-1])]
+def check_slice_budget(k: int, W, varpi) -> None:
+    """Raise NumericFailure, before the slice is built, when a stage of the
+    walk of level k's slice (weights W, label varpi) holds more than
+    MAX_SLICE_ROWS points: the stages before the last are walked, the last
+    only counted.  A sweep checks its top level before the first."""
+    _weight_slice(k, np.asarray(W, dtype=np.int64), varpi, last=False)
 
 
 def section_basis(k: int, model: ProjectiveModel, W=None, varpi=None) -> SectionBasis:
     """The level-k monomial basis; with a torus weight matrix W (g x (d+1))
     and a label varpi, only its rows with -W alpha = varpi.
 
-    The weight slice is enumerated directly, over C(k+d+1-r, d+1-r) candidate
-    rows (r = rank [1; -W]) instead of the C(k+d, d) rows of the full basis;
-    rows and their order are those of the filtered full basis.
+    The weight slice's lattice points are walked directly (`_weight_slice`,
+    on a plan cached per weight system) instead of the C(k+d, d) rows of the full
+    basis; rows and their order are those of the filtered full basis, and
+    `points_walked` counts the walk's points over all its stages.
     """
     if k < 0:
         raise ValueError("level k must be nonnegative")
     if W is None:
-        idx, tag = multi_indices(k, model.n_coords), None
+        idx, tag, walked = multi_indices(k, model.n_coords), None, 0
     else:
         W = np.asarray(W, dtype=np.int64)
         if W.ndim != 2 or W.shape[1] != model.n_coords:
             raise ValueError("W must be a g x (d+1) integer matrix")
         varpi = np.asarray(varpi, dtype=np.int64).reshape(W.shape[0])
-        idx = _weight_slice(k, model.n_coords, W, varpi)
+        idx, walked = _weight_slice(k, W, varpi)
         tag = (tuple(map(tuple, W.tolist())), tuple(varpi.tolist()))
     return SectionBasis(k=k, indices=idx, log_norms=log_monomial_norm(idx, model),
-                        model=model, isotype=tag)
+                        model=model, isotype=tag, points_walked=walked)
 
 
 def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:

@@ -88,8 +88,8 @@ def toeplitz_matrix(f: Observable, iso: IsotypeBasis, model: ProjectiveModel) ->
 
 
 def isotype_slice(k: int, varpi, action: TorusAction, model: ProjectiveModel) -> IsotypeBasis:
-    """The varpi isotype at level k, enumerated directly as a weight slice
-    (memory scales with the isotype, not with the C(k+d, d) level basis)."""
+    """The varpi isotype at level k, its weight slice's lattice points walked
+    directly (time and memory scale with the isotype, not the C(k+d, d) basis)."""
     return isotype_basis(k, varpi, action, section_basis(k, model, action.W, varpi))
 
 
@@ -126,6 +126,7 @@ class TraceRecord:
     varpi: tuple
     trace: complex
     dim_isotype: int
+    points_walked: int = 0     # lattice points the isotype's slice walk visited
 
 
 @dataclass
@@ -170,7 +171,8 @@ def trace_sweep(k_values, varpi, f: Observable, sym: DiagonalSymmetry,
         try:
             iso = isotype_slice(k, varpi_t, action, model)
             tr = trace_psi(k, varpi_t, f, sym, action, model, iso=iso)
-            return TraceRecord(k=k, varpi=varpi_t, trace=tr, dim_isotype=iso.dim)
+            return TraceRecord(k=k, varpi=varpi_t, trace=tr, dim_isotype=iso.dim,
+                               points_walked=iso.parent.points_walked)
         except Exception as exc:
             return (k, repr(exc))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqtoeplitz._intlinalg import int_det
 from eqtoeplitz.geometry import ProjectiveModel
 from eqtoeplitz.symmetry import TorusAction
 
@@ -82,3 +83,16 @@ def multi_indices_by_level(k, n_vars):
     for _ in range(n_vars - 2):
         table = [extend(table, j) for j in range(k + 1)]
     return table[k] if n_vars == 1 else extend(table, k)
+
+
+def int_adjugate(M):
+    """(adj, det) of a square integer matrix, adj @ M = det * I exactly,
+    both negated if needed so that det >= 0 (the candidate-slice oracle's
+    exact solve)."""
+    r = len(M)
+    adj = [[(-1) ** (i + j) * int_det([row[:i] + row[i + 1:] for t, row in enumerate(M)
+                                       if t != j]) for j in range(r)] for i in range(r)]
+    det = sum(M[0][j] * adj[j][0] for j in range(r)) if r else 1
+    if det < 0:
+        adj, det = [[-a for a in row] for row in adj], -det
+    return adj, det

@@ -193,6 +193,32 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, path, value", [
+        pytest.param("trace", ("model", "d"), True, id="d-true"),
+        pytest.param("trace", ("k_range", "min"), True, id="k_min-true"),
+        pytest.param("trace", ("k_range", "min"), False, id="k_min-false"),
+        pytest.param("trace", ("k_range", "max"), True, id="k_max-true"),
+        pytest.param("trace", ("k_range", "max"), False, id="k_max-false"),
+        pytest.param("trace", ("k_range", "step"), True, id="k_step-true"),
+        pytest.param("trace", ("sampling", "n_samples"), True, id="n_samples-true"),
+        pytest.param("trace", ("fit", "order"), True, id="fit_order-true"),
+        pytest.param("kernel", ("kernel_probe", "k_values", 0), True, id="k_values-true"),
+    ])
+    def test_boolean_integer_exit_2(self, tmp_path, capsys, cmd, path, value):
+        # JSON true and false are no integers, though Python reads them as
+        # 1 and 0; each value here would be a valid integer as 1 or 0 (a
+        # false where 0 is out of range is refused either way)
+        out = tmp_path / "out"
+        doc = (decay_config(out) if cmd == "kernel"
+               else base_config(out, k_range={"min": 0, "max": 3, "step": 1}))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert main([cmd, "--config", write_config(tmp_path, doc)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
@@ -741,6 +767,21 @@ class TestSelfTest:
         assert "trace.csv" in record["artifacts"]
         assert record["config"] == doc
 
+    def test_run_record_counts_slice_rows(self, tmp_path):
+        # trace and compare each record their sweep's slice rows (trace.csv's
+        # dims summed) and the lattice points walked for them: W = [[1, -1,
+        # -1]] leaves one lattice coordinate, so the walk visits only rows
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, **P2_SWEEP))
+        assert main(["trace", "--config", cfg]) == 0
+        assert main(["compare", "--config", cfg]) == 0
+        header, rows = read_csv(out / "trace.csv")
+        dims = sum(int(row[header.index("dim")]) for row in rows)
+        counters = json.loads((out / "run_record.json").read_text())["counters"]
+        assert dims > 0 and set(counters) == {"trace", "compare"}
+        assert counters["trace"] == counters["compare"] == {"slice_rows": dims,
+                                                            "slice_points_walked": dims}
+
     def test_different_config_starts_a_new_record(self, tmp_path):
         out = tmp_path / "out"
         doc = base_config(out, k_range={"min": 2, "max": 12, "step": 1})
@@ -916,9 +957,10 @@ class TestBudgets:
     @pytest.mark.parametrize("cmd,d,k_max", [("trace", 8, 100), ("compare", 8, 100),
                                              ("trace", 1, 10 ** 12)])
     def test_oversize_k_range_exits_4(self, tmp_path, capsys, cmd, d, k_max):
-        # the top level's C(k_max + n - r, n - r) slice candidates are over
-        # the budget (~1.7e9 at d = 8, g = 2); no level is enumerated
-        W = np.random.default_rng(0).integers(-30, 31, (2, 9)).tolist() if d == 8 else []
+        # the top level's slice walk is over the row budget (~10^7 points
+        # in its fifth stage at d = 8, g = 2; 10^12 + 1 rows at d = 1): no
+        # level is enumerated
+        W = [[1, 0, -1, 2, -2, 1, -1, 0, 1], [0, 1, -1, -1, 1, 1, -1, 2, -1]] if d == 8 else []
         doc = base_config(tmp_path / "o", model={"d": d}, action={"W": W},
                           symmetry={"phi": [0.0] * (d + 1)},
                           observable={"u_terms": [{"beta": [0] * (d + 1), "coef": 1.0}]},
@@ -928,10 +970,22 @@ class TestBudgets:
         assert "budget" in capsys.readouterr().err
         assert not any((tmp_path / "o" / f).exists() for f in ("trace.csv", "comparison.csv"))
 
+    @pytest.mark.parametrize("cmd", ["trace", "compare"])
+    def test_lower_level_over_budget_exits_4(self, tmp_path, capsys, cmd):
+        # P2 under W = [[1, -1, -1]]: the odd top level 2,000,001 has no row
+        # and passes the check, level 2,000,000 has 1,000,001 rows and fails
+        # the sweep before its last stage is built; no CSV is written
+        out = tmp_path / "o"
+        doc = base_config(out, **{**P2_SWEEP, "k_range": {"min": 2_000_000, "max": 2_000_001}})
+        assert main([cmd, "--config", write_config(tmp_path, doc)]) == 4
+        err = capsys.readouterr().err
+        assert "level 2000000 failed" in err and "over the budget" in err
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("cmd", ["trace", "predict", "compare"])
     def test_too_many_levels_exits_4(self, tmp_path, capsys, cmd):
-        # d = 1, k = 1..999,999: the top level's 10^6 slice candidates fit
-        # their budget, the 999,999 levels do not fit MAX_LEVELS
+        # d = 1, k = 1..999,999: the top level's 10^6 slice rows fit their
+        # budget, the 999,999 levels do not fit MAX_LEVELS
         out = tmp_path / "o"
         cfg = write_config(tmp_path, base_config(out, k_range={"min": 1, "max": 999_999}))
         t0 = time.perf_counter()
@@ -951,7 +1005,7 @@ class TestBudgets:
         assert not probed and not (out / "kernel_decay.csv").exists()
 
     def test_oversize_kernel_probe_exits_4(self, tmp_path, capsys, monkeypatch):
-        # level 2,000,002 lists C(2000003, 1) candidates: refused before the
+        # level 2,000,002 has 1,000,002 slice rows: refused before the
         # levels 20 and 40 below it are probed
         probed = []
         monkeypatch.setattr(asymptotics, "isotype_slice", lambda *a: probed.append(a))

@@ -4,20 +4,115 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from eqtoeplitz import geometry
-from eqtoeplitz._intlinalg import NumericFailure
-from eqtoeplitz.geometry import (MAX_CUBATURE_NODES, ProjectiveModel, _log_factorials, _sobol,
-                                 check_slice_budget, kernel_pair_values, log_monomial_norm,
+from eqtoeplitz._intlinalg import NumericFailure, pivot_minor
+from eqtoeplitz.geometry import (MAX_CUBATURE_NODES, MAX_SLICE_ROWS, ProjectiveModel,
+                                 _log_factorials, _sobol, _weight_slice, check_slice_budget, kernel_pair_values, log_monomial_norm,
                                  monomial_norm, multi_indices, sample_sphere, section_basis,
                                  sphere_cubature, szego_kernel)
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
-from conftest import monomial_matrix, multi_indices_by_level, plain_sphere
+from conftest import int_adjugate, monomial_matrix, multi_indices_by_level, plain_sphere
+
+
+#: the d4-isotype benchmark's weights, and two wider systems of the same kind
+W_D4 = [[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]]
+W_6 = [[1, 0, -1, 2, -2, 1, -1], [0, 1, -1, -1, 1, 1, -1]]
+W_8 = [[1, 0, -1, 2, -2, 1, -1, 0, 1], [0, 1, -1, -1, 1, 1, -1, 2, -1]]
+
+
+def candidate_slice(k, W, varpi):
+    """Oracle for `_weight_slice`: every candidate, then a filter.  A nonzero
+    r x r minor M (rows R, columns D) of A = [1; -W] makes the other n-r
+    coordinates free: they run over every |alpha_F| <= k, and
+    alpha_D = adj(M)(b_R - A_RF alpha_F) / det(M) exactly in integers.  Rows
+    that are integral, nonnegative and satisfy all g+1 equations are the
+    slice, lex-descending."""
+    W = np.asarray(W, dtype=np.int64)
+    n = W.shape[1]
+    A = np.vstack([np.ones((1, n), np.int64), -W])
+    b = np.concatenate([[k], np.asarray(varpi, dtype=np.int64)])
+    rows, dep = pivot_minor(A.tolist())
+    r = len(dep)
+    free = [j for j in range(n) if j not in dep]
+    adj, det = int_adjugate([[int(A[i, j]) for j in dep] for i in rows])
+    adj = np.array(adj, dtype=np.int64)
+    a_free = multi_indices(k, n - r + 1)[:, :n - r]
+    num = (b[list(rows)][None, :] - a_free @ A[np.ix_(rows, free)].T) @ adj.T
+    alpha = np.empty((a_free.shape[0], n), np.int64)
+    alpha[:, free] = a_free
+    alpha[:, dep] = num // det
+    keep = (np.all(num % det == 0, axis=1) & np.all(alpha >= 0, axis=1)
+            & np.all(alpha @ A.T == b[None, :], axis=1))
+    alpha = alpha[keep]
+    return alpha[np.lexsort(-alpha.T[::-1])]
+
+
+@st.composite
+def slice_systems(draw):
+    """(k, W, varpi): W an integer array of g in 0..3 weight rows of d+1 <= 7 entries in [-3, 3],
+    k <= 20, and a label that occurs at level k or an arbitrary one."""
+    n, g, k = draw(st.integers(2, 7)), draw(st.integers(0, 3)), draw(st.integers(0, 20))
+    W = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=g, max_size=g)), dtype=np.int64).reshape(g, n)
+    if g and draw(st.booleans()):
+        alpha = draw(st.lists(st.integers(0, k), min_size=n - 1, max_size=n - 1))
+        alpha = np.diff(np.sort([0, k] + alpha))
+        varpi = -W @ alpha
+    else:
+        varpi = draw(st.lists(st.integers(-40, 40), min_size=g, max_size=g))
+    return k, W, [int(v) for v in varpi]
+
+
+class TestWeightSlice:
+    """The walk of the slice's lattice points against the candidate filter."""
+
+    @given(slice_systems())
+    @settings(max_examples=150, deadline=None)
+    @example((20, np.array(W_D4), [0, 0]))
+    @example((20, np.array([[1, -1, -1]]), [0]))
+    @example((20, np.array(W_8), [1, 0]))                    # lattice index 3: det > 1
+    @example((6, np.array([[1, -1, 0], [0, 1, -1]]), [0, 0]))    # m = 0: one point
+    @example((7, np.array([[1, -1, 0], [0, 1, -1]]), [0, 0]))    # m = 0: no point
+    @example((20, np.random.default_rng(0).integers(-30, 31, (2, 9)), [0, 0]))   # empty
+    def test_rows_and_order_match_the_candidate_filter(self, case):
+        k, W, varpi = case
+        got, walked = _weight_slice(k, W, np.array(varpi, dtype=np.int64))
+        want = candidate_slice(k, W, varpi)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert walked >= len(got)
+
+    def test_lattice_index_above_one(self):
+        # W_8's rows project to a sublattice of index 3 of the free
+        # coordinates, of which listing candidates keeps one class in three
+        plan = geometry._slice_plan(9, tuple(map(tuple, W_8)))
+        assert np.prod([plan.L[i][f] for i, f in enumerate(plan.free)]) == 3
+
+    def test_w8_level_30(self):
+        # 44,058 rows, where listing the C(36, 6) = 1,947,792 candidates of the
+        # free coordinates would exceed the budget; the walk's stages visit at
+        # most twice as many points as the last one keeps
+        alpha, walked = _weight_slice(30, np.array(W_8), np.zeros(2, np.int64))
+        assert len(alpha) == 44_058 and math.comb(36, 6) > MAX_SLICE_ROWS
+        assert walked <= 2 * len(alpha)
+        assert np.all(alpha.sum(axis=1) == 30) and not np.any(alpha @ np.array(W_8).T)
+
+    def test_w6_top_level_heap(self):
+        # the d = 6 sweep's top level, whose candidate listing peaks at 68.9 MiB
+        W = np.array(W_6)
+        _weight_slice(20, W, np.zeros(2, np.int64))          # the plan, outside the trace
+        tracemalloc.start()
+        try:
+            alpha, _ = _weight_slice(56, W, np.zeros(2, np.int64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(alpha) == 18_145 and peak < 16 * 2 ** 20
 
 
 def sobol_points(*args):
@@ -55,26 +150,32 @@ class TestMultiIndices:
         basis = section_basis(7, p2)
         assert basis.dim == math.comb(9, 2)
 
-    def test_slice_over_budget_fails_before_enumerating(self, monkeypatch):
-        # d = 8, g = 2, k = 100: C(106, 6) ~ 1.7e9 candidate rows
-        calls = []
-        monkeypatch.setattr(geometry, "multi_indices", lambda *a: calls.append(a))
-        W = np.random.default_rng(0).integers(-30, 31, (2, 9))
-        with pytest.raises(NumericFailure, match="budget"):
-            section_basis(100, ProjectiveModel(8), W, (0, 0))
-        with pytest.raises(NumericFailure, match="budget"):
-            check_slice_budget(100, W)
-        assert not calls
+    def test_slice_over_budget_fails_before_enumerating(self):
+        # the d4 weights at k = 10,000: ~10^4 points in the first stage, and
+        # ~3 10^7 rows in the second, refused before that stage is built
+        W = np.array(W_D4)
+        check_slice_budget(100, W, (0, 0))                   # the plan, outside the trace
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericFailure, match="budget"):
+                section_basis(10_000, ProjectiveModel(4), W, (0, 0))
+            with pytest.raises(NumericFailure, match="budget"):
+                check_slice_budget(10_000, W, (0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
-    def test_slice_budget_is_the_candidate_count(self, p2, monkeypatch):
-        # W = [[1, -1, -1]] has r = 2, so level 10 lists C(11, 1) = 11 candidates
+    def test_slice_budget_is_the_row_count(self, p2, monkeypatch):
+        # W = [[1, -1, -1]] has one lattice coordinate: level 10's one stage
+        # walks exactly the slice's 6 rows
         W = [[1, -1, -1]]
-        monkeypatch.setattr(geometry, "MAX_SLICE_CANDIDATES", 11)
-        check_slice_budget(10, W)
+        monkeypatch.setattr(geometry, "MAX_SLICE_ROWS", 6)
+        check_slice_budget(10, W, (0,))
         assert section_basis(10, p2, W, (0,)).dim == 6
-        monkeypatch.setattr(geometry, "MAX_SLICE_CANDIDATES", 10)
+        monkeypatch.setattr(geometry, "MAX_SLICE_ROWS", 5)
         with pytest.raises(NumericFailure, match="budget"):
-            check_slice_budget(10, W)
+            check_slice_budget(10, W, (0,))
         with pytest.raises(NumericFailure, match="budget"):
             section_basis(10, p2, W, (0,))
 
