@@ -143,7 +143,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
     lines = ["reduction diagnostics", "====================="]
     for name, val in sorted(vars(diagnostics).items()):
         lines.append(f"{name}: {val}")
-    artifacts = ["reduction_report.txt"]
+    artifacts, eigenvalues = ["reduction_report.txt"], {}
     if diagnostics.empty_locus:
         lines.append("")
         lines.append("empty zero locus: twisted operators vanish identically for k >= k0;")
@@ -158,8 +158,9 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
         comps = _components(cfg, out, sample)
         rows = []
         for c in comps:
-            chi = c.chi(cfg.varpi)
-            rows.append([";".join(str(j) for j in c.support), c.d_l, c.codim,
+            chi, support = c.chi(cfg.varpi), ";".join(str(j) for j in c.support)
+            eigenvalues[support] = [[z.real, z.imag] for z in c.normal_eigenvalues.tolist()]
+            rows.append([support, c.d_l, c.codim,
                          c.stab_order,
                          c.c_l.real, c.c_l.imag, abs(c.c_l - c.c_l_exact),
                          c.h_l.real, c.h_l.imag, chi.real, chi.imag,
@@ -173,7 +174,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
         artifacts.append("components.csv")
         lines.append(f"fixed components: {len(comps)} (see components.csv)")
     _write_report(out, lines)
-    return artifacts, {}
+    return artifacts, {"normal_eigenvalues": eigenvalues}
 
 
 def _write_report(out, lines):

@@ -152,8 +152,8 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
 
 
 #: most lattice points one stage of `_weight_slice`'s walk holds, its last
-#: stage's being the slice's rows: the walk's int64 arrays peak at ~20 bytes
-#: per row and coordinate, so ~0.2 GiB and ~1 s at d = 8 (2-vCPU Xeon)
+#: stage's being the slice's rows: the walk's int64 arrays peak at ~16 bytes
+#: per row and coordinate, so ~0.13 GiB and ~0.25 s at d = 8 (2-vCPU Xeon)
 MAX_SLICE_ROWS = 1_000_000
 
 
@@ -161,15 +161,15 @@ MAX_SLICE_ROWS = 1_000_000
 class _SlicePlan:
     """What `_weight_slice` needs of weights W (g x n) at any level k and
     label varpi, in exact integers: A alpha = [k; varpi], A = [1; -W], has the
-    integer solutions alpha = p + L t; stage j bounds t_j given t_<j."""
+    integer solutions alpha = p + t L; stage j bounds t_j given t_<j."""
 
     A: list
     rows: tuple       # the rows of A a nonzero maximal minor sits in
     U: list           # the Smith form U A_rows V = diag(s); V: its first r columns
     s: list
     V: list
-    L: list           # m x n, a basis of the lattice ker A: on `free`, the m
-    free: tuple       # coordinates outside the minor, lower triangular, diagonal > 0
+    L: list           # m x n, a basis of the lattice ker A in row echelon form: row i is 0
+    pivots: tuple     # left of pivots[i] and > 0 there, and the rows above it in [0, that)
     stages: tuple     # stage j: (a (rows, j) int64 array, c, lam): a . t_<j + c t_j <= lam . p
     feasible: list    # the lam of the bounds left without t: 0 <= lam . p
     scale: float      # bounds |a . t| and |L t| over the walk by scale (k + max |p|)
@@ -179,10 +179,12 @@ class _SlicePlan:
 def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     """The plan of the weight rows W (a tuple of n-tuples), built once.
 
-    A nonzero maximal minor of A (rows R, columns D, rank r) leaves the
-    coordinates F outside D free.  The Smith form of A_R gives a particular
-    solution and a basis of the lattice ker A, which column operations bring
-    to Hermite form on F: stage j of the walk fixes alpha_{F_j}.
+    The Smith form of the rows A_R of A a nonzero maximal minor sits in gives
+    a particular solution and a basis of the lattice ker A, which row
+    operations bring to row echelon form over the coordinates 0..n-1
+    (Hermite normal form; Schrijver 1986, sec. 4.1).  alpha up to the next
+    pivot then depends on t_0..t_i alone, rising with t_i at pivot i, so
+    the walk's order on t is the lex order on alpha.
     Fourier-Motzkin elimination of t_{m-1}, .., t_0 from the n rows
     -L t <= p of alpha >= 0 (Schrijver 1986, sec. 12.2) gives each stage's
     bounds.  A bound keeps its right-hand side as the nonnegative integer
@@ -190,22 +192,26 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     walked, and one combining more than s+1 rows after s eliminations is
     redundant (Chernikov's rule) and dropped."""
     A = [[1] * n] + [[-w for w in row] for row in W]
-    rows, dep = pivot_minor(A)
-    r, free = len(rows), tuple(j for j in range(n) if j not in dep)
+    rows, _ = pivot_minor(A)
+    r = len(rows)
     U, S, V = smith_normal_form(np.array([A[i] for i in rows], dtype=object))
-    L, beta = [[int(V[i][j]) for i in range(n)] for j in range(r, n)], []
-    for i, f in enumerate(free):
+    L, pivots, beta = [[int(V[i][j]) for i in range(n)] for j in range(r, n)], [], []
+    for f in range(n):
+        i = len(pivots)
         for j in range(i + 1, n - r):
             while L[j][f]:
                 q = L[i][f] // L[j][f]
                 L[i], L[j] = L[j], [a - q * b for a, b in zip(L[i], L[j])]
+        if i == n - r or not L[i][f]:
+            continue
         if L[i][f] < 0:
             L[i] = [-a for a in L[i]]
         for j in range(i):
             q = L[j][f] // L[i][f]
             L[j] = [a - q * b for a, b in zip(L[j], L[i])]
-        # alpha_F in [0, k] bounds a walked |t_i| by beta_i (k + max |p|)
+        # alpha_f in [0, k] bounds a walked |t_i| by beta_i (k + max |p|)
         beta.append((1 + sum(L[j][f] * beta[j] for j in range(i))) / L[i][f])
+        pivots.append(f)
     # (coefficients on t, lam) -> bitmask of the rows lam combines
     bounds = {(tuple(-c[i] for c in L), tuple(int(i == q) for q in range(n))): 1 << i
               for i in range(n)}
@@ -229,7 +235,7 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
                     [c for _, c, _ in st], [lam for _, _, lam in st])
                    for j, st in enumerate(reversed(stages)))
     return _SlicePlan(A=A, rows=rows, U=U.tolist(), s=[int(S[i][i]) for i in range(r)],
-                      V=[row[:r] for row in V.tolist()], L=L, free=free, stages=stages,
+                      V=[row[:r] for row in V.tolist()], L=L, pivots=tuple(pivots), stages=stages,
                       feasible=[lam for _, lam in bounds], scale=scale * n * max(beta + [0]))
 
 
@@ -238,10 +244,12 @@ def _weight_slice(k: int, W: np.ndarray, varpi, last: bool = True) -> tuple:
     lex-descending, and the lattice points walked for them over all stages.
 
     Stage j repeats each prefix (t_0..t_{j-1}) once per integer t_j within
-    its floor/ceil bounds, as `multi_indices` does, after checking the
-    stage's point count against MAX_SLICE_ROWS (NumericFailure when over);
-    every point of the last stage is in the slice.  With last=False the
-    last stage is counted, not built, and alpha is None."""
+    its floor/ceil bounds, ascending, as `multi_indices` does, after checking
+    the stage's point count against MAX_SLICE_ROWS (NumericFailure when
+    over); every point of the last stage is in the slice.  The plan's
+    echelon basis makes that order lex-ascending in alpha, so the rows are
+    the walk's, reversed, and no sort is needed.  With last=False the last
+    stage is counted, not built, and alpha is None."""
     n = W.shape[1]
     plan = _slice_plan(n, tuple(map(tuple, W.tolist())))
     b = [int(k)] + [int(v) for v in varpi]
@@ -252,7 +260,7 @@ def _weight_slice(k: int, W: np.ndarray, varpi, last: bool = True) -> tuple:
     p = [sum(v * w // s for v, w, s in zip(row, y, plan.s)) for row in plan.V]
     if any(sum(a * v for a, v in zip(row, p)) != bi for row, bi in zip(plan.A, b)):
         return empty
-    for i, f in enumerate(plan.free):       # p_F into [0, L_FF), stage by stage
+    for i, f in enumerate(plan.pivots):     # p_f into [0, L[i][f]), stage by stage
         p = [v - p[f] // plan.L[i][f] * c for v, c in zip(p, plan.L[i])]
     dot = lambda lams: [sum(x * v for x, v in zip(lam, p)) for lam in lams]
     if min(dot(plan.feasible), default=0) < 0:
@@ -276,10 +284,9 @@ def _weight_slice(k: int, W: np.ndarray, varpi, last: bool = True) -> tuple:
             return None, walked
         col = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(count) - count - lo, count)
         head = np.hstack([np.repeat(head, count, axis=0), col[:, None]])
-    alpha = head @ np.array(plan.L, dtype=np.int64).reshape(-1, n)
-    del head                                # freed before the sorted copy is made
+    alpha = head[::-1] @ np.array(plan.L, dtype=np.int64).reshape(-1, n)
     alpha += np.array(p, dtype=np.int64)
-    return alpha[np.lexsort(alpha.T[::-1])[::-1]], walked
+    return alpha, walked
 
 
 def check_slice_budget(k: int, W, varpi) -> None:
@@ -296,8 +303,10 @@ def section_basis(k: int, model: ProjectiveModel, W=None, varpi=None) -> Section
 
     The weight slice's lattice points are walked directly (`_weight_slice`,
     on a plan cached per weight system) instead of the C(k+d, d) rows of the full
-    basis; rows and their order are those of the filtered full basis, and
-    `points_walked` counts the walk's points over all its stages.
+    basis; rows and their order are those of the filtered full basis, by the
+    walk's own order and no sort, and `points_walked` counts the walk's points
+    over all its stages.  The slice is tagged with (W, varpi), and
+    `symmetry.isotype_basis` takes a tagged slice as the isotype as it is.
     """
     if k < 0:
         raise ValueError("level k must be nonnegative")

@@ -211,23 +211,26 @@ class IsotypeBasis:
 
 
 def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> IsotypeBasis:
-    """Filter the level-k monomials with weight_of(alpha) == varpi.
+    """The level-k monomials with weight_of(alpha) == varpi.
 
-    `basis` is the full level-k basis or its slice of this same (W, varpi),
-    as `section_basis(k, model, action.W, varpi)` enumerates it directly.
+    `basis` is the full level-k basis, which is filtered (selftest's
+    independent route), or its slice of this same (W, varpi), as
+    `section_basis(k, model, action.W, varpi)` walks it: that slice is
+    already the isotype and is returned as it is, its arrays shared.
     Empty results are valid (that is the content of the vanishing statement).
     """
     if basis.k != k:
         raise ValueError("basis level mismatch")
     varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
-    if basis.isotype is not None and basis.isotype != (
-            tuple(map(tuple, action.W.tolist())), tuple(varpi_vec.tolist())):
+    if basis.isotype not in (None, (tuple(map(tuple, action.W.tolist())),
+                                    tuple(varpi_vec.tolist()))):
         raise ValueError("basis is the slice of another torus weight")
-    w = weight_of(basis.indices, action)
-    mask = np.all(w == varpi_vec[None, :], axis=1) if action.g else np.ones(basis.dim, bool)
+    indices, log_norms = basis.indices, basis.log_norms
+    if basis.isotype is None:
+        keep = np.all(weight_of(indices, action) == varpi_vec[None, :], axis=1)
+        indices, log_norms = indices[keep], log_norms[keep]
     return IsotypeBasis(k=k, varpi=tuple(int(v) for v in varpi_vec),
-                        indices=basis.indices[mask], log_norms=basis.log_norms[mask],
-                        parent=basis)
+                        indices=indices, log_norms=log_norms, parent=basis)
 
 
 def occurring_weights(action: TorusAction, basis: SectionBasis) -> np.ndarray:

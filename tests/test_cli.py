@@ -51,6 +51,11 @@ P2_SWEEP = dict(model={"d": 2}, action={"W": [[1, -1, -1]]},
                 symmetry={"phi": [0.0, 1.1, 3.7]}, isotype=[0],
                 observable={"u_terms": [{"beta": [0, 1, 0], "coef": 1.0}]},
                 k_range={"min": 40, "max": 120, "step": 8})
+#: the d4-isotype config: three levels whose weight slices keep 237-320 rows
+D4_ISOTYPE = dict(model={"d": 4}, action={"W": [[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]]},
+                  symmetry={"phi": [0.0, 0.7, 1.9, 2.6, 0.3]}, isotype=[0, 0],
+                  observable={"u_terms": [{"beta": [0, 1, 0, 0, 0], "coef": 1.0}]},
+                  k_range={"min": 84, "max": 100, "step": 8})
 
 
 def random_locus_config(out, seed, n_samples):
@@ -335,6 +340,25 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg]) == 0
         assert (tmp_path / "out" / "components.csv").exists()
 
+    @pytest.mark.parametrize("over, normal", [(P2_SWEEP, 1), (D3_REDUCE, 0)],
+                             ids=["p2-sweep", "d3-reduce"])
+    def test_run_record_holds_normal_eigenvalues(self, tmp_path, over, normal):
+        # one unit eigenvalue per normal coordinate of each component, as
+        # [re, im] pairs keyed by support, whose c_l is prod(1 - conj(lambda));
+        # d3-reduce's one component is all of M0: no normal coordinate
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, **over))
+        assert main(["analyze", "--config", cfg]) == 0
+        header, rows = read_csv(out / "components.csv")
+        record = json.loads((out / "run_record.json").read_text())
+        eigenvalues = record["counters"]["analyze"]["normal_eigenvalues"]
+        assert sorted(eigenvalues) == sorted(row[0] for row in rows)
+        for row in rows:
+            lam = np.array([complex(*pair) for pair in eigenvalues[row[0]]])
+            assert len(lam) == normal and np.allclose(np.abs(lam), 1, rtol=0, atol=1e-12)
+            c_l = complex(float(row[header.index("c_l_re")]), float(row[header.index("c_l_im")]))
+            assert abs(np.prod(1 - np.conj(lam)) - c_l) < 1e-8
+
     def test_hypothesis_violation_exit_3(self, tmp_path):
         doc = base_config(tmp_path / "o", action={"W": [[1, -1], [2, -2]]},
                           isotype=[0, 0])
@@ -465,6 +489,20 @@ class TestTraceAndPredict:
         header, rows = read_csv(out / "trace.csv")
         assert header == ["k", "varpi", "trace_re", "trace_im", "dim", "method"]
         assert [int(r[0]) for r in rows] == list(range(1, 21))
+
+    @pytest.mark.parametrize("over", [P2_SWEEP, D4_ISOTYPE], ids=["p2-sweep", "d4-isotype"])
+    def test_no_sort(self, tmp_path, monkeypatch, over):
+        # the walk emits each weight slice in basis order, and the walked
+        # slice is the isotype: nothing on the trace path sorts
+        cfg = write_config(tmp_path, base_config(tmp_path / "out", **over))
+        assert main(["trace", "--config", cfg, "--out", str(tmp_path / "sorted")]) == 0
+
+        def lexsort(*args, **kwargs):
+            raise AssertionError("numpy.lexsort was called")
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        assert main(["trace", "--config", cfg]) == 0
+        assert (file_hash(tmp_path / "out" / "trace.csv")
+                == file_hash(tmp_path / "sorted" / "trace.csv"))
 
     def test_predict_csv(self, tmp_path):
         out = tmp_path / "out"

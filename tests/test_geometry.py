@@ -88,10 +88,33 @@ class TestWeightSlice:
         assert walked >= len(got)
 
     def test_lattice_index_above_one(self):
-        # W_8's rows project to a sublattice of index 3 of the free
-        # coordinates, of which listing candidates keeps one class in three
+        # W_8's lattice projects to a sublattice of index 3 of the minor's
+        # free coordinates, of which listing candidates keeps one class in
+        # three: |det| of the basis on those coordinates, whatever the basis
         plan = geometry._slice_plan(9, tuple(map(tuple, W_8)))
-        assert np.prod([plan.L[i][f] for i, f in enumerate(plan.free)]) == 3
+        A = [[1] * 9] + [[-w for w in row] for row in W_8]
+        free = [j for j in range(9) if j not in pivot_minor(A)[1]]
+        assert int_adjugate([[row[f] for f in free] for row in plan.L])[1] == 3
+
+    @given(slice_systems())
+    @settings(max_examples=150, deadline=None)
+    @example((20, np.array(W_8), [0, 0]))
+    @example((6, np.array([[1, -1, 0], [0, 1, -1]]), [0, 0]))    # m = 0: no basis row
+    def test_plan_basis_is_echelon(self, case):
+        # the walk's order is the rows' lex order only if the basis is in row
+        # echelon form over coordinates 0..n-1: each pivot right of the one
+        # above, positive, zeros left of it, and the rows above it in [0, pivot)
+        _, W, _ = case
+        n = W.shape[1]
+        plan = geometry._slice_plan(n, tuple(map(tuple, W.tolist())))
+        A = np.vstack([np.ones((1, n), np.int64), -W])
+        L = np.array(plan.L, dtype=np.int64).reshape(-1, n)
+        assert len(L) == len(plan.pivots) == n - len(pivot_minor(A.tolist())[0])
+        assert not np.any(L @ A.T)
+        assert list(plan.pivots) == sorted(set(plan.pivots))
+        for i, f in enumerate(plan.pivots):
+            assert L[i, f] > 0 and not np.any(L[i, :f])
+            assert np.all((L[:i, f] >= 0) & (L[:i, f] < L[i, f]))
 
     def test_w8_level_30(self):
         # 44,058 rows, where listing the C(36, 6) = 1,947,792 candidates of the

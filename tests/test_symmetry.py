@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz import selftest
+from eqtoeplitz import selftest, symmetry
 from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis
 from eqtoeplitz.reduction import vanishing_level
 from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel_pairs,
@@ -142,6 +142,20 @@ class TestIsotypeSlice:
         action = TorusAction([[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]])
         basis = section_basis(100, ProjectiveModel(4), action.W, (0, 0))
         assert basis.dim == isotype_basis(100, (0, 0), action, basis).dim < 1000
+
+    def test_walked_slice_is_returned_as_it_is(self, monkeypatch):
+        # a slice tagged with the same (W, varpi) is the isotype: no weight is
+        # recomputed, no row masked and no array copied
+        action = TorusAction([[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]])
+        basis = section_basis(100, ProjectiveModel(4), action.W, (0, 0))
+
+        def weight_of(*args, **kwargs):
+            raise AssertionError("weight_of was called")
+        monkeypatch.setattr(symmetry, "weight_of", weight_of)
+        iso = isotype_basis(100, (0, 0), action, basis)
+        assert iso.parent is basis and iso.dim == basis.dim > 0
+        assert np.shares_memory(iso.indices, basis.indices)
+        assert np.shares_memory(iso.log_norms, basis.log_norms)
 
     def test_slice_of_another_weight_refused(self, p2, circle_p2):
         basis = section_basis(6, p2, circle_p2.W, (0,))
