@@ -66,16 +66,33 @@ def int_det(M) -> int:
     return sign * M[-1][-1] if r else 1
 
 
+def _pivot_columns(M) -> list:
+    """The pivot columns of the row echelon form of the integer matrix M (a
+    list of rows): the lex-first set of independent columns.  Fraction-free
+    elimination, each row reduced by its gcd, keeps every step exact."""
+    M, pivots = [[int(x) for x in row] for row in M], []
+    for j in range(len(M[0]) if M else 0):
+        t = len(pivots)
+        i = next((i for i in range(t, len(M)) if M[i][j]), None)
+        if i is None:
+            continue
+        M[t], M[i] = M[i], M[t]
+        for row in M[t + 1:]:
+            if row[j]:
+                row[:] = [a * M[t][j] - row[j] * b for a, b in zip(row, M[t])]
+                g = math.gcd(*row) or 1
+                row[:] = [a // g for a in row]
+        pivots.append(j)
+    return pivots
+
+
 def pivot_minor(A) -> tuple:
-    """(rows, cols) of a nonzero maximal minor of the integer matrix A; its
-    size is the rank of A (0 for a zero or empty matrix)."""
-    m, n = len(A), len(A[0]) if A else 0
-    for r in range(min(m, n), 0, -1):
-        for rows in combinations(range(m), r):
-            for cols in combinations(range(n), r):
-                if int_det([[A[i][j] for j in cols] for i in rows]):
-                    return rows, cols
-    return (), ()
+    """(rows, cols) of the lex-first nonzero maximal minor of the integer
+    matrix A: rows taken greedily, each kept when independent of those kept
+    before it, then columns greedily within those rows.  Its size is the
+    rank of A (0 for a zero or empty matrix), found in O(m n r) exact steps."""
+    rows = tuple(_pivot_columns(list(zip(*A))))
+    return rows, tuple(_pivot_columns([A[i] for i in rows]))
 
 
 def basic_feasible_solutions(A, b) -> list:

@@ -203,9 +203,11 @@ def _complete_sweep(cfg: ExperimentConfig, threads: int):
 
 
 def _slice_counters(series) -> dict:
-    """The sweep's weight-slice rows and the lattice points walked for them."""
+    """The sweep's weight-slice rows, the lattice points walked for them and
+    the blocks their traces were summed in."""
     return {"slice_rows": sum(r.dim_isotype for r in series.records),
-            "slice_points_walked": sum(r.points_walked for r in series.records)}
+            "slice_points_walked": sum(r.points_walked for r in series.records),
+            "slice_blocks": sum(r.blocks for r in series.records)}
 
 
 def cmd_trace(cfg: ExperimentConfig, out: str, args) -> list:

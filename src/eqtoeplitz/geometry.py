@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,19 +98,34 @@ def multi_indices(k: int, n_vars: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """The monomial basis of level-k sections with L2(X) log-norms, or its
-    slice of one torus weight when `isotype` = (W rows, varpi) is set."""
+    """The monomial basis of level-k sections, or its slice of one torus
+    weight when `isotype` = (W rows, varpi) is set: `dim` rows, lex-descending,
+    which `blocks()` yields in order (the full basis in one block, a walked
+    slice _SLICE_BLOCK rows at a time).  The (dim, d+1) `indices` and their
+    L2(X) `log_norms` are built on first read."""
 
     k: int
-    indices: np.ndarray     # (N, d+1) int64
-    log_norms: np.ndarray   # (N,)
+    dim: int
+    blocks: Callable = field(repr=False)     # () -> iterator over (rows, d+1) int64 blocks
     model: ProjectiveModel = field(repr=False)
     isotype: tuple | None = field(default=None, repr=False)
     points_walked: int = field(default=0, repr=False)   # by the slice's walk
 
     @property
-    def dim(self) -> int:
-        return self.indices.shape[0]
+    def n_blocks(self) -> int:
+        return 1 if self.isotype is None else -(-self.dim // _SLICE_BLOCK)
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        out, lo = np.empty((self.dim, self.model.n_coords), np.int64), 0
+        for rows in self.blocks():
+            out[lo:lo + len(rows)] = rows
+            lo += len(rows)
+        return out
+
+    @functools.cached_property
+    def log_norms(self) -> np.ndarray:
+        return log_monomial_norm(self.indices, self.model)
 
 
 #: log m! at index m; grown on demand by `_log_factorials`, never shrunk
@@ -152,8 +169,8 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
 
 
 #: most lattice points one stage of `_weight_slice`'s walk holds, its last
-#: stage's being the slice's rows: the walk's int64 arrays peak at ~16 bytes
-#: per row and coordinate, so ~0.13 GiB and ~0.25 s at d = 8 (2-vCPU Xeon)
+#: stage's, only counted, being the slice's rows: `indices` holds them whole
+#: with the walk's prefixes, ~0.1 GiB and ~0.35 s at d = 8 (2-vCPU Xeon)
 MAX_SLICE_ROWS = 1_000_000
 
 
@@ -239,22 +256,30 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
                       feasible=[lam for _, lam in bounds], scale=scale * n * max(beta + [0]))
 
 
-def _weight_slice(k: int, W: np.ndarray, varpi, last: bool = True) -> tuple:
-    """(alpha, walked): all alpha >= 0 with |alpha| = k and -W alpha = varpi,
-    lex-descending, and the lattice points walked for them over all stages.
+#: rows per block in which a walked slice's last stage is expanded, so a
+#: trace, or the filling of `indices`, holds one block beyond the walk
+_SLICE_BLOCK = 1 << 15
+
+
+def _weight_slice(k: int, W: np.ndarray, varpi) -> tuple:
+    """(dim, walked, blocks): the number of alpha >= 0 with |alpha| = k and
+    -W alpha = varpi, the lattice points walked for them over all stages,
+    and a function yielding them lex-descending, _SLICE_BLOCK rows at a time.
 
     Stage j repeats each prefix (t_0..t_{j-1}) once per integer t_j within
     its floor/ceil bounds, ascending, as `multi_indices` does, after checking
     the stage's point count against MAX_SLICE_ROWS (NumericFailure when
     over); every point of the last stage is in the slice.  The plan's
     echelon basis makes that order lex-ascending in alpha, so the rows are
-    the walk's, reversed, and no sort is needed.  With last=False the last
-    stage is counted, not built, and alpha is None."""
+    the walk's, reversed, and no sort is needed.  The last stage is counted
+    here and expanded only by `blocks`: a block takes its rows' prefixes last
+    to first and repeats each prefix's alpha once per t_{m-1}, descending,
+    plus t_{m-1} times the last basis row."""
     n = W.shape[1]
     plan = _slice_plan(n, tuple(map(tuple, W.tolist())))
     b = [int(k)] + [int(v) for v in varpi]
     y = [sum(u * b[i] for u, i in zip(row, plan.rows)) for row in plan.U]
-    empty = np.zeros((0, n), np.int64), 0
+    empty = 0, 0, lambda: iter(())
     if any(v % s for v, s in zip(y, plan.s)):
         return empty
     p = [sum(v * w // s for v, w, s in zip(row, y, plan.s)) for row in plan.V]
@@ -268,7 +293,10 @@ def _weight_slice(k: int, W: np.ndarray, varpi, last: bool = True) -> tuple:
     hs, m = [dot(lam) for _, _, lam in plan.stages], len(plan.stages)
     if max(map(abs, sum(hs, [0]))) + plan.scale * (k + max(map(abs, p))) >= 2 ** 62:
         raise NumericFailure(f"level {k}'s slice bounds overflow int64 arithmetic")
-    head, walked = np.zeros((1, 0), np.int64), 0 if m else 1
+    L, p = np.array(plan.L, dtype=np.int64).reshape(-1, n), np.array(p, dtype=np.int64)
+    if not m:
+        return 1, 1, lambda: iter([p[None]])
+    head, walked = np.zeros((1, 0), np.int64), 0
     for j, ((a, c, _), h) in enumerate(zip(plan.stages, hs)):
         lo, hi = np.full(len(head), -2 ** 62), np.full(len(head), 2 ** 62)
         for aj, cj, hj in zip(a, c, h):         # a . t + c t_j <= h: floor or ceil
@@ -280,13 +308,25 @@ def _weight_slice(k: int, W: np.ndarray, varpi, last: bool = True) -> tuple:
             raise NumericFailure(f"level {k} walks at least {total} points in stage {j + 1} of "
                                  f"{m}, over the budget of {MAX_SLICE_ROWS} rows")
         walked += total
-        if not last and j == m - 1:
-            return None, walked
+        if j == m - 1:
+            break
         col = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(count) - count - lo, count)
         head = np.hstack([np.repeat(head, count, axis=0), col[:, None]])
-    alpha = head[::-1] @ np.array(plan.L, dtype=np.int64).reshape(-1, n)
-    alpha += np.array(p, dtype=np.int64)
-    return alpha, walked
+    ends = np.cumsum(count)
+    starts = ends - count
+    shift = starts - lo             # point q of the last stage has t_{m-1} = q - shift[its prefix]
+
+    def blocks():
+        for q1 in range(total, 0, -_SLICE_BLOCK):      # points [q0, q1), of prefixes i0..i1-1
+            q0 = max(q1 - _SLICE_BLOCK, 0)
+            i0, i1 = bisect_right(ends, q0), bisect_left(ends, q1) + 1
+            c = np.minimum(ends[i0:i1], q1) - np.maximum(starts[i0:i1], q0)
+            col = np.arange(q0, q1, dtype=np.int64) - np.repeat(shift[i0:i1], c)
+            alpha = np.repeat((head[i0:i1] @ L[:-1] + p)[::-1], c[::-1], axis=0)
+            alpha += col[::-1, None] * L[-1]
+            yield alpha
+
+    return total, walked, blocks
 
 
 def check_slice_budget(k: int, W, varpi) -> None:
@@ -294,7 +334,7 @@ def check_slice_budget(k: int, W, varpi) -> None:
     walk of level k's slice (weights W, label varpi) holds more than
     MAX_SLICE_ROWS points: the stages before the last are walked, the last
     only counted.  A sweep checks its top level before the first."""
-    _weight_slice(k, np.asarray(W, dtype=np.int64), varpi, last=False)
+    _weight_slice(k, np.asarray(W, dtype=np.int64), varpi)
 
 
 def section_basis(k: int, model: ProjectiveModel, W=None, varpi=None) -> SectionBasis:
@@ -311,16 +351,15 @@ def section_basis(k: int, model: ProjectiveModel, W=None, varpi=None) -> Section
     if k < 0:
         raise ValueError("level k must be nonnegative")
     if W is None:
-        idx, tag, walked = multi_indices(k, model.n_coords), None, 0
-    else:
-        W = np.asarray(W, dtype=np.int64)
-        if W.ndim != 2 or W.shape[1] != model.n_coords:
-            raise ValueError("W must be a g x (d+1) integer matrix")
-        varpi = np.asarray(varpi, dtype=np.int64).reshape(W.shape[0])
-        idx, walked = _weight_slice(k, W, varpi)
-        tag = (tuple(map(tuple, W.tolist())), tuple(varpi.tolist()))
-    return SectionBasis(k=k, indices=idx, log_norms=log_monomial_norm(idx, model),
-                        model=model, isotype=tag, points_walked=walked)
+        idx = multi_indices(k, model.n_coords)
+        return SectionBasis(k=k, dim=len(idx), blocks=lambda: iter([idx]), model=model)
+    W = np.asarray(W, dtype=np.int64)
+    if W.ndim != 2 or W.shape[1] != model.n_coords:
+        raise ValueError("W must be a g x (d+1) integer matrix")
+    varpi = np.asarray(varpi, dtype=np.int64).reshape(W.shape[0])
+    dim, walked, blocks = _weight_slice(k, W, varpi)
+    return SectionBasis(k=k, dim=dim, blocks=blocks, model=model, points_walked=walked,
+                        isotype=(tuple(map(tuple, W.tolist())), tuple(varpi.tolist())))
 
 
 def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:

@@ -10,6 +10,7 @@ each of these against independent identities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -197,17 +198,29 @@ def gamma_phase(alpha: np.ndarray, sym: DiagonalSymmetry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsotypeBasis:
-    """Sub-basis of a fixed character label inside a level-k basis."""
+    """Sub-basis of a fixed character label inside a level-k basis: the rows
+    of `parent` that `keep` selects, or, with keep None, the parent itself (a
+    walked slice of this label), whose arrays and blocks it shares."""
 
     k: int
     varpi: tuple
-    indices: np.ndarray
-    log_norms: np.ndarray
     parent: SectionBasis = field(repr=False)
+    keep: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.indices.shape[0]
+        return self.parent.dim if self.keep is None else len(self.indices)
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        return self.parent.indices if self.keep is None else self.parent.indices[self.keep]
+
+    @functools.cached_property
+    def log_norms(self) -> np.ndarray:
+        return self.parent.log_norms if self.keep is None else self.parent.log_norms[self.keep]
+
+    def blocks(self):
+        return self.parent.blocks() if self.keep is None else iter([self.indices])
 
 
 def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> IsotypeBasis:
@@ -216,8 +229,9 @@ def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> Is
     `basis` is the full level-k basis, which is filtered (selftest's
     independent route), or its slice of this same (W, varpi), as
     `section_basis(k, model, action.W, varpi)` walks it: that slice is
-    already the isotype and is returned as it is, its arrays shared.
-    Empty results are valid (that is the content of the vanishing statement).
+    already the isotype and is returned as it is, its arrays and its walk
+    shared.  Empty results are valid (that is the content of the vanishing
+    statement).
     """
     if basis.k != k:
         raise ValueError("basis level mismatch")
@@ -225,12 +239,10 @@ def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> Is
     if basis.isotype not in (None, (tuple(map(tuple, action.W.tolist())),
                                     tuple(varpi_vec.tolist()))):
         raise ValueError("basis is the slice of another torus weight")
-    indices, log_norms = basis.indices, basis.log_norms
+    keep = None
     if basis.isotype is None:
-        keep = np.all(weight_of(indices, action) == varpi_vec[None, :], axis=1)
-        indices, log_norms = indices[keep], log_norms[keep]
-    return IsotypeBasis(k=k, varpi=tuple(int(v) for v in varpi_vec),
-                        indices=indices, log_norms=log_norms, parent=basis)
+        keep = np.all(weight_of(basis.indices, action) == varpi_vec[None, :], axis=1)
+    return IsotypeBasis(k=k, varpi=tuple(int(v) for v in varpi_vec), parent=basis, keep=keep)
 
 
 def occurring_weights(action: TorusAction, basis: SectionBasis) -> np.ndarray:

@@ -100,13 +100,14 @@ def trace_psi(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
     the varpi isotype (`iso`, enumerated here when not given).
 
     The lift is diagonal in the monomial basis for a diagonal symmetry, so
-    the trace needs only diagonal Toeplitz entries.
+    the trace needs only diagonal Toeplitz entries.  They are summed over
+    the isotype's blocks as its walk yields them, in order, so a walked
+    slice is never held whole, and a one-block isotype is one array sum.
     """
     iso = iso if iso is not None else isotype_slice(k, varpi, action, model)
-    if iso.dim == 0:
-        return 0.0 + 0.0j
-    phases = gamma_phase(iso.indices, sym)
-    return complex(np.sum(phases * toeplitz_diagonal(f, iso.indices, k, model)))
+    sums = (np.sum(gamma_phase(rows, sym) * toeplitz_diagonal(f, rows, k, model))
+            for rows in iso.blocks())
+    return complex(sum(sums, next(sums, 0j)))
 
 
 def trace_via_kernel_quadrature(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
@@ -127,6 +128,7 @@ class TraceRecord:
     trace: complex
     dim_isotype: int
     points_walked: int = 0     # lattice points the isotype's slice walk visited
+    blocks: int = 0            # blocks of the walk the trace summed
 
 
 @dataclass
@@ -172,7 +174,8 @@ def trace_sweep(k_values, varpi, f: Observable, sym: DiagonalSymmetry,
             iso = isotype_slice(k, varpi_t, action, model)
             tr = trace_psi(k, varpi_t, f, sym, action, model, iso=iso)
             return TraceRecord(k=k, varpi=varpi_t, trace=tr, dim_isotype=iso.dim,
-                               points_walked=iso.parent.points_walked)
+                               points_walked=iso.parent.points_walked,
+                               blocks=iso.parent.n_blocks)
         except Exception as exc:
             return (k, repr(exc))
 

@@ -807,8 +807,10 @@ class TestSelfTest:
 
     def test_run_record_counts_slice_rows(self, tmp_path):
         # trace and compare each record their sweep's slice rows (trace.csv's
-        # dims summed) and the lattice points walked for them: W = [[1, -1,
-        # -1]] leaves one lattice coordinate, so the walk visits only rows
+        # dims summed), the lattice points walked for them and the blocks
+        # their traces were summed in: W = [[1, -1, -1]] leaves one lattice
+        # coordinate, so the walk visits only rows, and no level's slice
+        # reaches a second block
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_config(out, **P2_SWEEP))
         assert main(["trace", "--config", cfg]) == 0
@@ -817,8 +819,9 @@ class TestSelfTest:
         dims = sum(int(row[header.index("dim")]) for row in rows)
         counters = json.loads((out / "run_record.json").read_text())["counters"]
         assert dims > 0 and set(counters) == {"trace", "compare"}
-        assert counters["trace"] == counters["compare"] == {"slice_rows": dims,
-                                                            "slice_points_walked": dims}
+        nonempty = sum(int(row[header.index("dim")]) > 0 for row in rows)
+        assert counters["trace"] == counters["compare"] == {
+            "slice_rows": dims, "slice_points_walked": dims, "slice_blocks": nonempty}
 
     def test_different_config_starts_a_new_record(self, tmp_path):
         out = tmp_path / "out"

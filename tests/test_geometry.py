@@ -53,6 +53,16 @@ def candidate_slice(k, W, varpi):
     return alpha[np.lexsort(-alpha.T[::-1])]
 
 
+def walked_slice(k, W, varpi):
+    """(alpha, walked): `_weight_slice`'s blocks stacked into one array, which
+    holds its `dim` rows, and the lattice points the walk visited."""
+    W = np.asarray(W, dtype=np.int64)
+    dim, walked, blocks = _weight_slice(k, W, np.asarray(varpi, dtype=np.int64))
+    alpha = np.concatenate([np.zeros((0, W.shape[1]), np.int64), *blocks()])
+    assert len(alpha) == dim
+    return alpha, walked
+
+
 @st.composite
 def slice_systems(draw):
     """(k, W, varpi): W an integer array of g in 0..3 weight rows of d+1 <= 7 entries in [-3, 3],
@@ -82,7 +92,7 @@ class TestWeightSlice:
     @example((20, np.random.default_rng(0).integers(-30, 31, (2, 9)), [0, 0]))   # empty
     def test_rows_and_order_match_the_candidate_filter(self, case):
         k, W, varpi = case
-        got, walked = _weight_slice(k, W, np.array(varpi, dtype=np.int64))
+        got, walked = walked_slice(k, W, varpi)
         want = candidate_slice(k, W, varpi)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert walked >= len(got)
@@ -120,7 +130,7 @@ class TestWeightSlice:
         # 44,058 rows, where listing the C(36, 6) = 1,947,792 candidates of the
         # free coordinates would exceed the budget; the walk's stages visit at
         # most twice as many points as the last one keeps
-        alpha, walked = _weight_slice(30, np.array(W_8), np.zeros(2, np.int64))
+        alpha, walked = walked_slice(30, W_8, [0, 0])
         assert len(alpha) == 44_058 and math.comb(36, 6) > MAX_SLICE_ROWS
         assert walked <= 2 * len(alpha)
         assert np.all(alpha.sum(axis=1) == 30) and not np.any(alpha @ np.array(W_8).T)
@@ -128,10 +138,10 @@ class TestWeightSlice:
     def test_w6_top_level_heap(self):
         # the d = 6 sweep's top level, whose candidate listing peaks at 68.9 MiB
         W = np.array(W_6)
-        _weight_slice(20, W, np.zeros(2, np.int64))          # the plan, outside the trace
+        walked_slice(20, W, [0, 0])                  # the plan, outside the trace
         tracemalloc.start()
         try:
-            alpha, _ = _weight_slice(56, W, np.zeros(2, np.int64))
+            alpha, _ = walked_slice(56, W, [0, 0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqtoeplitz._intlinalg as il
+from eqtoeplitz import geometry
 from eqtoeplitz._intlinalg import (NumericFailure, basic_feasible_solutions, smith_normal_form,
                                    solve_phase_congruence, torsion_angles)
+from eqtoeplitz.symmetry import TorusAction, slice_vertices
 
 from conftest import int_adjugate
 
@@ -156,3 +159,53 @@ def test_torsion_angles_match_loop_reference(rows):
         want.append(Vf @ psi)
     got = homogeneous_torsion_angles(D, max_order=10 ** 6)
     assert np.allclose(got, np.array(want), rtol=0, atol=1e-12 * max(1.0, np.abs(Vf).sum()) * 8)
+
+
+def pivot_minor_search(A) -> tuple:
+    """Oracle for `pivot_minor`: every (rows, cols) minor from the largest
+    size down, rows and then columns in `combinations` order; the first
+    nonzero one."""
+    m, n = len(A), len(A[0]) if A else 0
+    for r in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), r):
+            for cols in itertools.combinations(range(n), r):
+                if il.int_det([[A[i][j] for j in cols] for i in rows]):
+                    return rows, cols
+    return (), ()
+
+
+@st.composite
+def minor_matrices(draw):
+    """Integer matrices of up to 5 x 7 entries in [-3, 3], with up to two
+    rows combined from others inserted anywhere and some columns zeroed."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 7))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2)) if A else 0):
+        i, j = draw(st.integers(0, len(A) - 1)), draw(st.integers(0, len(A) - 1))
+        c = draw(st.integers(-2, 2))
+        A.insert(draw(st.integers(0, len(A))), [a + c * b for a, b in zip(A[i], A[j])])
+    zero = draw(st.sets(st.integers(0, 6)))
+    return [[0 if j in zero else x for j, x in enumerate(row)] for row in A]
+
+
+@given(minor_matrices())
+@settings(max_examples=300, deadline=None)
+def test_pivot_minor_is_the_search_s_first_minor(A):
+    assert il.pivot_minor(A) == pivot_minor_search(A)
+
+
+def test_dependent_rows_build_fast():
+    # W = B stacked on -B: [1; W] has rank 4 of 7 rows, and the search tried
+    # every larger minor first (2 s at n = 16).  CPU time, the best of up to
+    # three builds, so a collector pause or a busy machine does not decide it
+    B = np.random.default_rng(0).integers(-2, 3, (3, 16))
+    W = np.vstack([B, -B])
+
+    def build():
+        start = time.process_time()
+        plan = geometry._slice_plan.__wrapped__(16, tuple(map(tuple, W.tolist())))
+        vertices = slice_vertices(TorusAction(W))
+        assert len(plan.rows) == 4 and len(vertices) == 186
+        return time.process_time() - start
+    assert any(build() < 0.1 for _ in range(3))

@@ -76,7 +76,7 @@ class TestWeights:
         action = TorusAction(W)
         basis = section_basis(k, ProjectiveModel(W.shape[1] - 1))
         if empty:
-            basis = replace(basis, indices=basis.indices[:0], log_norms=basis.log_norms[:0])
+            basis = replace(basis, dim=0, blocks=lambda: iter(()))
         got = occurring_weights(action, basis)
         want = np.unique(weight_of(basis.indices, action), axis=0)
         assert got.dtype == want.dtype and got.shape == want.shape

@@ -1,19 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz.geometry import section_basis
+from eqtoeplitz import geometry
+from eqtoeplitz.geometry import ProjectiveModel, section_basis
 from eqtoeplitz.observables import Observable
 from eqtoeplitz.reduction import vanishing_level
 from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, gamma_phase, isotype_basis
 from eqtoeplitz.selftest import check_toeplitz_closed_forms, check_trace_quadrature
-from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, toeplitz_matrix, trace_psi, trace_sweep,
+from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, isotype_slice, toeplitz_diagonal,
+                                 toeplitz_matrix, trace_psi, trace_sweep,
                                  trace_via_kernel_quadrature)
 
 from conftest import plain_sphere, read_csv, sup_bound
+from test_geometry import W_8, candidate_slice, slice_systems
 
 
 def sym_id(n):
@@ -236,3 +240,68 @@ class TestSweep:
         assert len(rows) == 5
         # 17 significant digits survive the round trip exactly
         assert float(rows[0][2]) == series.records[0].trace.real
+
+
+def row_trace_terms(k, rows, f, sym, model):
+    """Oracle for `trace_psi`: its terms over the slice's rows built whole."""
+    return gamma_phase(rows, sym) * toeplitz_diagonal(f, rows, k, model)
+
+
+class TestBlockedTrace:
+    """The trace summed over the walk's blocks against the row-built sum."""
+
+    @given(slice_systems(), st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_block_sums_match_the_row_sum(self, case, block, seed):
+        k, W, varpi = case
+        n = W.shape[1]
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        f = Observable({(0,) * n: 0.5, tuple(rng.integers(0, 3, n)): 1.0}, h_term=h + h.conj().T)
+        sym = DiagonalSymmetry(rng.uniform(-math.pi, math.pi, n), rng.uniform(-math.pi, math.pi))
+        model, action = ProjectiveModel(n - 1), TorusAction(W)
+        rows = candidate_slice(k, W, varpi)
+        block = max(block, len(rows) // 50)         # a few rows, or at most ~50 blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_SLICE_BLOCK", block)
+            iso = isotype_slice(k, varpi, action, model)
+            blocks, n_blocks = list(iso.blocks()), iso.parent.n_blocks
+            got = trace_psi(k, varpi, f, sym, action, model, iso=iso)
+        assert len(blocks) == n_blocks == -(-len(rows) // block)
+        assert all(0 < len(b) <= block for b in blocks)
+        assert np.array_equal(np.concatenate([rows[:0], *blocks]), rows)
+        terms = row_trace_terms(k, rows, f, sym, model)
+        want = complex(np.sum(terms))
+        if len(blocks) <= 1:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-11 * np.sum(np.abs(terms))
+
+    def test_w8_top_level_heap(self):
+        # W_8's k = 52 level: 838,980 rows, whose row-built trace peaks at
+        # 140.8 MiB of heap; summed over the walk's blocks, the walk's last
+        # prefixes dominate
+        act, model = TorusAction(W_8), ProjectiveModel(8)
+        f = Observable.coordinate_modulus(1, 9)
+        sym = DiagonalSymmetry(np.linspace(0.1, 2.9, 9), 0.4)
+        trace_sweep([20], (0, 0), f, sym, act, model)        # the plan, outside the trace
+        tracemalloc.start()
+        try:
+            series = trace_sweep([52], (0, 0), f, sym, act, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not series.failures and series.records[0].dim_isotype == 838_980
+        assert peak < 48 * 2 ** 20
+
+    def test_trace_reads_no_log_norm(self, monkeypatch):
+        # the trace needs the diagonal Toeplitz entries, not the monomial
+        # norms: only the kernel paths read `log_norms`
+        def refuse(*args, **kwargs):
+            raise AssertionError("log_monomial_norm was called")
+        monkeypatch.setattr(geometry, "log_monomial_norm", refuse)
+        act, model = TorusAction([[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]]), ProjectiveModel(4)
+        series = trace_sweep(range(84, 101, 8), (0, 0), Observable.coordinate_modulus(1, 5),
+                             DiagonalSymmetry([0.0, 0.7, 1.9, 2.6, 0.3]), act, model)
+        assert not series.failures and [r.k for r in series.records] == [84, 92, 100]
+        assert all(r.dim_isotype > 0 for r in series.records)
