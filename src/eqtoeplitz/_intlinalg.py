@@ -6,8 +6,8 @@ solves phase congruences t^(W_j - W_j0) = e^{i delta_j} over the torus
 with it, one Smith form per support pattern: the solution is a fixed
 component's g_m, and the info it returns holds the finite stabilizer
 coset g_m is defined up to (`torsion_angles`; delta = 0 gives the
-stabilizer alone).  Integer determinants give the vertices of polytopes
-{x >= 0, A x = b}.
+stabilizer alone).  Fraction-free elimination gives the rank of an integer
+matrix and the vertices of polytopes {x >= 0, A x = b}.
 
 The exception types the CLI maps to exit codes 2, 3 and 4 are defined here,
 the one module every subcommand loads.
@@ -48,28 +48,12 @@ class DegenerateSymmetryError(RuntimeError):
     vanishes and the leading-term formula does not apply."""
 
 
-def int_det(M) -> int:
-    """Exact determinant of a small integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact."""
-    M = [list(row) for row in M]
-    r, sign, prev = len(M), 1, 1
-    for k in range(r - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, r) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap], sign = M[swap], M[k], -sign
-        for row in M[k + 1:]:
-            for j in range(k + 1, r):
-                row[j] = (row[j] * M[k][k] - row[k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[-1][-1] if r else 1
-
-
-def _pivot_columns(M) -> list:
-    """The pivot columns of the row echelon form of the integer matrix M (a
-    list of rows): the lex-first set of independent columns.  Fraction-free
-    elimination, each row reduced by its gcd, keeps every step exact."""
+def _row_reduce(M) -> tuple:
+    """(pivots, R): the pivot columns of the row echelon form of the integer
+    matrix M (a list of rows), the lex-first set of independent columns, and
+    its reduced rows R, where row i < len(pivots) is zero in every pivot
+    column but pivots[i].  Fraction-free Gauss-Jordan elimination, each row
+    reduced by its gcd, keeps every step exact."""
     M, pivots = [[int(x) for x in row] for row in M], []
     for j in range(len(M[0]) if M else 0):
         t = len(pivots)
@@ -77,13 +61,13 @@ def _pivot_columns(M) -> list:
         if i is None:
             continue
         M[t], M[i] = M[i], M[t]
-        for row in M[t + 1:]:
+        for row in M[:t] + M[t + 1:]:
             if row[j]:
                 row[:] = [a * M[t][j] - row[j] * b for a, b in zip(row, M[t])]
                 g = math.gcd(*row) or 1
                 row[:] = [a // g for a in row]
         pivots.append(j)
-    return pivots
+    return pivots, M
 
 
 def pivot_minor(A) -> tuple:
@@ -91,8 +75,8 @@ def pivot_minor(A) -> tuple:
     matrix A: rows taken greedily, each kept when independent of those kept
     before it, then columns greedily within those rows.  Its size is the
     rank of A (0 for a zero or empty matrix), found in O(m n r) exact steps."""
-    rows = tuple(_pivot_columns(list(zip(*A))))
-    return rows, tuple(_pivot_columns([A[i] for i in rows]))
+    rows = tuple(_row_reduce(list(zip(*A)))[0])
+    return rows, tuple(_row_reduce([A[i] for i in rows])[0])
 
 
 def basic_feasible_solutions(A, b) -> list:
@@ -101,8 +85,9 @@ def basic_feasible_solutions(A, b) -> list:
     terms, x = numerators / denominator.
 
     With rows R spanning the row space of A (rank r), each vertex solves
-    A_RB x_B = b_R for a column subset B with det A_RB != 0; one adjugate
-    solve det * x_B = adj(A_RB) b_R per subset (by Cramer's rule), kept when
+    A_RB x_B = b_R for a column subset B with det A_RB != 0; one
+    fraction-free Gauss-Jordan elimination of [A_RB | b_R] per subset
+    (`_row_reduce`) leaves row i as c_i x_{B_i} = e_i, and x is kept when
     nonnegative and consistent with every row.  An empty list means the
     polytope is empty.  Raises NumericFailure before any solve when C(n, r)
     exceeds MAX_BASIS_SOLVES.
@@ -116,21 +101,19 @@ def basic_feasible_solutions(A, b) -> list:
         raise NumericFailure(f"vertex enumeration needs C({n}, {r}) = {math.comb(n, r)} "
                              f"basis solves, over the budget of {MAX_BASIS_SOLVES}")
     out = set()
-    bR = [b[i] for i in rows]
     for B in combinations(range(n), r):
-        M = [[A[i][j] for j in B] for i in rows]
-        det = int_det(M)
-        if not det:
+        pivots, R = _row_reduce([[A[i][j] for j in B] + [b[i]] for i in rows])
+        if pivots[:r] != list(range(r)):
             continue
-        sign, det = (1 if det > 0 else -1), abs(det)
+        den = math.lcm(*(abs(R[i][i]) for i in range(r)))
         x = [0] * n
-        for t, j in enumerate(B):
-            x[j] = sign * int_det([row[:t] + [v] + row[t + 1:] for row, v in zip(M, bR)])
+        for i, j in enumerate(B):
+            x[j] = R[i][r] * (den // R[i][i])
         if min(x, default=0) < 0 or any(
-                sum(a * v for a, v in zip(Ai, x)) != bi * det for Ai, bi in zip(A, b)):
+                sum(a * v for a, v in zip(Ai, x)) != bi * den for Ai, bi in zip(A, b)):
             continue
-        g = math.gcd(det, *x)
-        out.add((tuple(v // g for v in x), det // g))
+        g = math.gcd(den, *x)
+        out.add((tuple(v // g for v in x), den // g))
     return sorted(out)
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "TracePrediction",
     "predict_toeplitz_leading",
     "FitReport",
+    "identity_roots",
     "compare_and_fit",
     "decay_probe",
     "TangentFrame",
@@ -101,6 +102,35 @@ def _loglog_slope(ks, values) -> float:
     return float(np.linalg.lstsq(A, np.log(values[half:]), rcond=None)[0][0])
 
 
+def identity_roots(reports, action: TorusAction, f: Observable, ks) -> list:
+    """The roots of the identity the components imply for the traces at
+    levels ks, [root, degree, feeding components]: component l feeds the
+    roots (h_l e^{i <W_j0, th_s>} z)^step, th_s over its stabilizer coset, z
+    over the q-th roots of unity (q the lcm of P's vertex denominators), with
+    degree d_l + f.degree; equal roots merge.  NumericFailure, before any
+    trace, with fewer than unknowns (the degrees + 1) + 3 levels, and before
+    the roots are listed when one coset phase feeds too many: q / gcd(q, step)."""
+    step = math.gcd(*np.diff(ks).tolist()) or 1
+    q = math.lcm(*(den for _, den in zero_locus(action).vertices))
+    if len(ks) < q // math.gcd(q, step) + 3:
+        raise NumericFailure(f"the trace identity has {q // math.gcd(q, step)} distinct roots and "
+                             f"needs at least {q // math.gcd(q, step) + 3} levels, have {len(ks)}")
+    merged = []
+    for l, rep in enumerate(reports):
+        coset = rep.h_l * np.exp(1j * (rep.stab_angles @ rep._w_j0))
+        for r in np.outer(coset, np.exp(2j * math.pi * np.arange(q) / q)).ravel() ** step:
+            m = next((m for m in merged if abs(m[0] - r) < 1e-8), None)
+            if m is None:
+                merged.append(m := [r, 0, set()])
+            m[1] = max(m[1], rep.d_l + f.degree)
+            m[2].add(l)
+    n = sum(deg + 1 for _, deg, _ in merged)
+    if len(ks) < n + 3:
+        raise NumericFailure(f"the trace identity has {n} unknowns and needs at least "
+                             f"{n + 3} levels, have {len(ks)}")
+    return merged
+
+
 def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusAction,
                     f: Observable) -> FitReport | None:
     """The exact identity the components imply for the traces, and the
@@ -108,34 +138,19 @@ def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusActi
 
     y(k) = D(k) trace(k), D(k) = (k+d+1)...(k+d+B) with B the largest |beta|
     of f (an h-term counts 1), is sum_rho rho^((k - k_first)/step) Q_rho(k/k_max)
-    from some k* on (Brion 1988).  Component l feeds the roots (h_l e^{i <W_j0,
-    th_s>} z)^step, th_s over its stabilizer coset and z over the q-th roots of
-    unity (q the lcm of P's vertex denominators), with degree d_l + B; equal
-    roots merge.  y and D(k) prediction(k) are fitted on the top unknowns + 3
-    levels (NumericFailure first with fewer levels or a condition above
-    COND_CAP); f_bar a_trace / a_pred of their top coefficients on a root fed
-    by one component alone is that component's trace-side f-bar.
+    from some k* on (Brion 1988), over the roots of `identity_roots`.  y and
+    D(k) prediction(k) are fitted on the top unknowns + 3 levels
+    (NumericFailure first with fewer levels or a condition above COND_CAP);
+    f_bar a_trace / a_pred of their top coefficients on a root fed by one
+    component alone is that component's trace-side f-bar.
     """
     if not reports:
         return None
     ks, kf = series.k_values, series.k_values.astype(float)
-    B = f.degree
-    D = np.prod(kf[:, None] + action.n_coords + np.arange(B), axis=1)
+    D = np.prod(kf[:, None] + action.n_coords + np.arange(f.degree), axis=1)
     step = math.gcd(*np.diff(ks).tolist()) or 1
-    q = math.lcm(*(den for _, den in zero_locus(action).vertices))
-    merged = []                                  # [root, degree, feeding components]
-    for l, rep in enumerate(reports):
-        coset = rep.h_l * np.exp(1j * (rep.stab_angles @ rep._w_j0))
-        for r in np.outer(coset, np.exp(2j * math.pi * np.arange(q) / q)).ravel() ** step:
-            m = next((m for m in merged if abs(m[0] - r) < 1e-8), None)
-            if m is None:
-                merged.append(m := [r, 0, set()])
-            m[1] = max(m[1], rep.d_l + B)
-            m[2].add(l)
+    merged = identity_roots(reports, action, f, ks)
     n = sum(deg + 1 for _, deg, _ in merged)
-    if len(ks) < n + 3:
-        raise NumericFailure(f"the trace identity has {n} unknowns and needs at least "
-                             f"{n + 3} levels, have {len(ks)}")
     e, x, top = (ks - ks[0]) // step, kf / kf[-1], slice(len(ks) - n - 3, None)
     X = np.hstack([rho ** e[:, None] * x[:, None] ** np.arange(deg + 1) for rho, deg, _ in merged])
     cond = float(np.linalg.cond(X[top]))

@@ -183,15 +183,18 @@ def _write_report(out, lines):
     print("\n".join(lines))
 
 
-def _complete_sweep(cfg: ExperimentConfig, threads: int):
-    """Exact traces over every configured level; any failed level is a
-    numeric failure, so no output is ever written over a gapped series.
-    The top level's slice-row budget and the level count are checked
-    before any level."""
-    from .toeplitz import trace_sweep
-
+def _check_top_level(cfg: ExperimentConfig):
+    """The top level's slice-row budget, checked before any level."""
     check_slice_budget(cfg.k_min + (cfg.k_max - cfg.k_min) // cfg.k_step * cfg.k_step, cfg.W,
                        cfg.varpi)
+
+
+def _complete_sweep(cfg: ExperimentConfig, threads: int):
+    """Exact traces over every configured level, after `_check_top_level`;
+    any failed level is a numeric failure, so no output is ever written over
+    a gapped series."""
+    from .toeplitz import trace_sweep
+
     series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
                          cfg.action(), cfg.model(), threads=threads)
     if series.failures:
@@ -211,6 +214,7 @@ def _slice_counters(series) -> dict:
 
 
 def cmd_trace(cfg: ExperimentConfig, out: str, args) -> list:
+    _check_top_level(cfg)
     series = _complete_sweep(cfg, args.threads)
     series.to_csv(os.path.join(out, "trace.csv"))
     nonzero = [r for r in series.records if r.dim_isotype > 0]
@@ -230,11 +234,14 @@ def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
-    from .asymptotics import compare_and_fit
+    from .asymptotics import compare_and_fit, identity_roots
 
-    series = _complete_sweep(cfg, args.threads)
-    ks = [rec.k for rec in series.records]
+    _check_top_level(cfg)
+    ks = cfg.k_values()
     preds, comps = _predictions(cfg, out, ks)
+    if comps:          # an identity with too many unknowns is refused before the sweep
+        identity_roots(comps, cfg.action(), cfg.observable(), ks)
+    series = _complete_sweep(cfg, args.threads)
     rows = []
     for rec, p in zip(series.records, preds):
         t = rec.trace

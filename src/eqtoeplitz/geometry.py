@@ -23,7 +23,6 @@ from ._intlinalg import NumericFailure, pivot_minor, smith_normal_form
 
 __all__ = [
     "ProjectiveModel",
-    "multi_indices",
     "SectionBasis",
     "section_basis",
     "check_slice_budget",
@@ -75,45 +74,24 @@ class ProjectiveModel:
         return math.comb(k + self.d, self.d)
 
 
-def multi_indices(k: int, n_vars: int) -> np.ndarray:
-    """All multi-indices of degree k in n_vars variables, lex-descending.
-    Shape (binom(k+n-1, n-1), n_vars).
-
-    Built one variable at a time: a row whose first j coordinates leave
-    degree r is repeated r+1 times with the next coordinate r, r-1, .., 0
-    (a ragged descending arange), so the numpy calls are O(n_vars) whatever
-    k is."""
-    if k < 0 or n_vars < 1:
-        raise ValueError("need k >= 0 and n_vars >= 1")
-    head = np.zeros((1, 0), np.int64)
-    rest = np.array([k], np.int64)          # degree left to each row
-    for _ in range(n_vars - 1):
-        count = rest + 1
-        start = np.cumsum(count) - count
-        col = np.repeat(rest + start, count) - np.arange(int(count.sum()), dtype=np.int64)
-        head = np.hstack([np.repeat(head, count, axis=0), col[:, None]])
-        rest = np.repeat(rest, count) - col
-    return np.hstack([head, rest[:, None]])
-
-
 @dataclass(frozen=True)
 class SectionBasis:
-    """The monomial basis of level-k sections, or its slice of one torus
-    weight when `isotype` = (W rows, varpi) is set: `dim` rows, lex-descending,
-    which `blocks()` yields in order (the full basis in one block, a walked
-    slice _SLICE_BLOCK rows at a time).  The (dim, d+1) `indices` and their
-    L2(X) `log_norms` are built on first read."""
+    """The slice of the level-k monomial basis of one torus weight,
+    `isotype` = (W rows, varpi); the trivial group's, ((), ()), is the full
+    basis.  `dim` rows, lex-descending, which `blocks()` yields in order,
+    _SLICE_BLOCK rows at a time.  The (dim, d+1) `indices` and their L2(X)
+    `log_norms` are built on first read."""
 
     k: int
     dim: int
     blocks: Callable = field(repr=False)     # () -> iterator over (rows, d+1) int64 blocks
     model: ProjectiveModel = field(repr=False)
-    isotype: tuple | None = field(default=None, repr=False)
+    isotype: tuple = field(repr=False)
     points_walked: int = field(default=0, repr=False)   # by the slice's walk
 
     @property
     def n_blocks(self) -> int:
-        return 1 if self.isotype is None else -(-self.dim // _SLICE_BLOCK)
+        return -(-self.dim // _SLICE_BLOCK)
 
     @functools.cached_property
     def indices(self) -> np.ndarray:
@@ -173,6 +151,10 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
 #: with the walk's prefixes, ~0.1 GiB and ~0.35 s at d = 8 (2-vCPU Xeon)
 MAX_SLICE_ROWS = 1_000_000
 
+#: most candidate bounds (pairs of a positive and a negative bound) the
+#: Fourier-Motzkin eliminations of `_slice_plan` form over all stages
+MAX_PLAN_BOUNDS = 500_000
+
 
 @dataclass(frozen=True)
 class _SlicePlan:
@@ -207,7 +189,9 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     bounds.  A bound keeps its right-hand side as the nonnegative integer
     combination lam of those rows, so k and varpi enter only when a level is
     walked, and one combining more than s+1 rows after s eliminations is
-    redundant (Chernikov's rule) and dropped."""
+    redundant (Chernikov's rule) and dropped.  Each elimination's pairs are
+    counted before they are formed: over MAX_PLAN_BOUNDS in all is a
+    NumericFailure."""
     A = [[1] * n] + [[-w for w in row] for row in W]
     rows, _ = pivot_minor(A)
     r = len(rows)
@@ -232,12 +216,16 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     # (coefficients on t, lam) -> bitmask of the rows lam combines
     bounds = {(tuple(-c[i] for c in L), tuple(int(i == q) for q in range(n))): 1 << i
               for i in range(n)}
-    stages = []
+    stages, pairs = [], 0
     for j in reversed(range(n - r)):
         stages.append([(c[:j], c[j], lam) for c, lam in bounds if c[j]])
         pos = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] > 0]
         neg = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] < 0]
         bounds = {key: h for key, h in bounds.items() if not key[0][j]}
+        pairs += len(pos) * len(neg)
+        if pairs > MAX_PLAN_BOUNDS:
+            raise NumericFailure(f"the slice plan of these weights forms at least {pairs} "
+                                 f"candidate bounds, over the budget of {MAX_PLAN_BOUNDS}")
         for cp, lp, hp in pos:
             for cn, ln, hn in neg:
                 if (hp | hn).bit_count() <= n - r - j + 1:
@@ -267,9 +255,9 @@ def _weight_slice(k: int, W: np.ndarray, varpi) -> tuple:
     and a function yielding them lex-descending, _SLICE_BLOCK rows at a time.
 
     Stage j repeats each prefix (t_0..t_{j-1}) once per integer t_j within
-    its floor/ceil bounds, ascending, as `multi_indices` does, after checking
-    the stage's point count against MAX_SLICE_ROWS (NumericFailure when
-    over); every point of the last stage is in the slice.  The plan's
+    its floor/ceil bounds, ascending, after checking the stage's point count
+    against MAX_SLICE_ROWS (NumericFailure when over); every point of the
+    last stage is in the slice.  The plan's
     echelon basis makes that order lex-ascending in alpha, so the rows are
     the walk's, reversed, and no sort is needed.  The last stage is counted
     here and expanded only by `blocks`: a block takes its rows' prefixes last
@@ -310,8 +298,12 @@ def _weight_slice(k: int, W: np.ndarray, varpi) -> tuple:
         walked += total
         if j == m - 1:
             break
-        col = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(count) - count - lo, count)
-        head = np.hstack([np.repeat(head, count, axis=0), col[:, None]])
+        grown = np.empty((total, j + 1), np.int64)   # filled in place: no repeated copy beside it
+        for i in range(j):
+            grown[:, i] = np.repeat(head[:, i], count)
+        np.subtract(np.arange(total, dtype=np.int64), np.repeat(np.cumsum(count) - count - lo, count),
+                    out=grown[:, j])
+        head = grown
     ends = np.cumsum(count)
     starts = ends - count
     shift = starts - lo             # point q of the last stage has t_{m-1} = q - shift[its prefix]
@@ -337,23 +329,18 @@ def check_slice_budget(k: int, W, varpi) -> None:
     _weight_slice(k, np.asarray(W, dtype=np.int64), varpi)
 
 
-def section_basis(k: int, model: ProjectiveModel, W=None, varpi=None) -> SectionBasis:
-    """The level-k monomial basis; with a torus weight matrix W (g x (d+1))
-    and a label varpi, only its rows with -W alpha = varpi.
-
-    The weight slice's lattice points are walked directly (`_weight_slice`,
-    on a plan cached per weight system) instead of the C(k+d, d) rows of the full
-    basis; rows and their order are those of the filtered full basis, by the
-    walk's own order and no sort, and `points_walked` counts the walk's points
-    over all its stages.  The slice is tagged with (W, varpi), and
-    `symmetry.isotype_basis` takes a tagged slice as the isotype as it is.
+def section_basis(k: int, model: ProjectiveModel, W=None, varpi=()) -> SectionBasis:
+    """The level-k monomial basis (the trivial group's slice), or with a
+    torus weight matrix W (g x (d+1)) and a label varpi its rows with
+    -W alpha = varpi, walked directly (`_weight_slice`, on a plan cached per
+    weight system): the rows and order of the filtered full basis, with no
+    sort.  `points_walked` counts the walk's points over all its stages.  The
+    slice is tagged with (W, varpi), and `symmetry.isotype_basis` takes a
+    slice of its own weight as the isotype as it is.
     """
     if k < 0:
         raise ValueError("level k must be nonnegative")
-    if W is None:
-        idx = multi_indices(k, model.n_coords)
-        return SectionBasis(k=k, dim=len(idx), blocks=lambda: iter([idx]), model=model)
-    W = np.asarray(W, dtype=np.int64)
+    W = np.zeros((0, model.n_coords), np.int64) if W is None else np.asarray(W, dtype=np.int64)
     if W.ndim != 2 or W.shape[1] != model.n_coords:
         raise ValueError("W must be a g x (d+1) integer matrix")
     varpi = np.asarray(varpi, dtype=np.int64).reshape(W.shape[0])
@@ -392,7 +379,9 @@ def sphere_cubature(d: int, K: int) -> tuple:
     n = math.comb(s + d + 1, d + 1) * (K + 1) ** d
     if n > MAX_CUBATURE_NODES:
         raise NumericFailure(f"{n} cubature nodes, over the budget of {MAX_CUBATURE_NODES}")
-    u = np.vstack([(2 * multi_indices(s - i, d + 1) + 1) / (m - 2 * i) for i in range(s + 1)])
+    model = ProjectiveModel(d)
+    u = np.vstack([(2 * section_basis(s - i, model).indices + 1) / (m - 2 * i)
+                   for i in range(s + 1)])
     c = [(-1) ** i * math.factorial(d) * (m - 2 * i) ** (2 * s + 1)
          / (4 ** s * math.factorial(i) * math.factorial(m - i)) for i in range(s + 1)]
     w = np.repeat(c, [math.comb(s - i + d, d) for i in range(s + 1)])

@@ -226,21 +226,20 @@ class IsotypeBasis:
 def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> IsotypeBasis:
     """The level-k monomials with weight_of(alpha) == varpi.
 
-    `basis` is the full level-k basis, which is filtered (selftest's
-    independent route), or its slice of this same (W, varpi), as
-    `section_basis(k, model, action.W, varpi)` walks it: that slice is
-    already the isotype and is returned as it is, its arrays and its walk
-    shared.  Empty results are valid (that is the content of the vanishing
-    statement).
+    `basis` is the full level-k basis, the trivial group's slice, which is
+    filtered (selftest's independent route), or its slice of this same
+    (W, varpi), as `section_basis(k, model, action.W, varpi)` walks it: that
+    slice is already the isotype and is returned as it is, its arrays and
+    its walk shared.  Empty results are valid (that is the content of the
+    vanishing statement).
     """
     if basis.k != k:
         raise ValueError("basis level mismatch")
     varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
-    if basis.isotype not in (None, (tuple(map(tuple, action.W.tolist())),
-                                    tuple(varpi_vec.tolist()))):
-        raise ValueError("basis is the slice of another torus weight")
     keep = None
-    if basis.isotype is None:
+    if basis.isotype != (tuple(map(tuple, action.W.tolist())), tuple(varpi_vec.tolist())):
+        if basis.isotype != ((), ()):
+            raise ValueError("basis is the slice of another torus weight")
         keep = np.all(weight_of(basis.indices, action) == varpi_vec[None, :], axis=1)
     return IsotypeBasis(k=k, varpi=tuple(int(v) for v in varpi_vec), parent=basis, keep=keep)
 

@@ -1,7 +1,10 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from eqtoeplitz._intlinalg import int_det
+from eqtoeplitz._intlinalg import pivot_minor
 from eqtoeplitz.geometry import ProjectiveModel
 from eqtoeplitz.symmetry import TorusAction
 
@@ -69,9 +72,10 @@ def monomial_matrix(points, indices, log_norms=None):
 
 
 def multi_indices_by_level(k, n_vars):
-    """Independent oracle for `geometry.multi_indices`: the tables of every
-    degree 0..k are extended one variable at a time, each row of a table of
-    degree j stacked under its leading coordinate j, j-1, .., 0."""
+    """Independent oracle for the full basis `geometry.section_basis(k,
+    model)`, n_vars = d+1: the tables of every degree 0..k are extended one
+    variable at a time, each row of a table of degree j stacked under its
+    leading coordinate j, j-1, .., 0, so the rows are lex-descending."""
     table = [np.array([[j]], dtype=np.int64) for j in range(k + 1)]
 
     def extend(tab, j):
@@ -83,6 +87,51 @@ def multi_indices_by_level(k, n_vars):
     for _ in range(n_vars - 2):
         table = [extend(table, j) for j in range(k + 1)]
     return table[k] if n_vars == 1 else extend(table, k)
+
+
+def int_det(M) -> int:
+    """Exact determinant of a small integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    M = [list(row) for row in M]
+    r, sign, prev = len(M), 1, 1
+    for k in range(r - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, r) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        for row in M[k + 1:]:
+            for j in range(k + 1, r):
+                row[j] = (row[j] * M[k][k] - row[k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if r else 1
+
+
+def cramer_vertices(A, b) -> list:
+    """Oracle for `_intlinalg.basic_feasible_solutions`: every r-column basis
+    B of the rows R of `pivot_minor` solved by Cramer's rule, r + 1
+    determinants each, kept when nonnegative and consistent with every row;
+    sorted (numerators, denominator) pairs in lowest terms."""
+    n = np.shape(A)[1]
+    A = np.asarray(A, dtype=np.int64).tolist()
+    b = [int(v) for v in b]
+    rows, _ = pivot_minor(A)
+    out, bR = set(), [b[i] for i in rows]
+    for B in combinations(range(n), len(rows)):
+        M = [[A[i][j] for j in B] for i in rows]
+        det = int_det(M)
+        if not det:
+            continue
+        sign, det = (1 if det > 0 else -1), abs(det)
+        x = [0] * n
+        for t, j in enumerate(B):
+            x[j] = sign * int_det([row[:t] + [v] + row[t + 1:] for row, v in zip(M, bR)])
+        if min(x, default=0) < 0 or any(
+                sum(a * v for a, v in zip(Ai, x)) != bi * det for Ai, bi in zip(A, b)):
+            continue
+        g = math.gcd(det, *x)
+        out.add((tuple(v // g for v in x), det // g))
+    return sorted(out)
 
 
 def int_adjugate(M):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from eqtoeplitz.reduction import (DegenerateSymmetryError, component_invariants,
 from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction
 from eqtoeplitz.toeplitz import TraceRecord, TraceSeries, trace_psi, trace_sweep
 from eqtoeplitz.asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe,
-                                    TracePrediction, compare_and_fit, decay_probe, orbit_distance,
-                                    predict_toeplitz_leading, scaling_probe, tangent_frame)
+                                    TracePrediction, compare_and_fit, decay_probe, identity_roots,
+                                    orbit_distance, predict_toeplitz_leading, scaling_probe,
+                                    tangent_frame)
 from eqtoeplitz.selftest import check_fixed_point_pin, check_scaling_gaussian
 
 
@@ -124,6 +126,15 @@ def identity_fit(W, phi, varpi, ks, f, drop=None):
 
 
 class TestCompareAndFit:
+    def test_too_many_roots_are_refused_before_they_are_listed(self):
+        # random d = 8 weights whose vertex denominators have the lcm
+        # q = 7,611,403,800: listing the roots of unity would take 57 GiB
+        W = np.random.default_rng(11).integers(-3, 4, (2, 9))
+        rep = SimpleNamespace(h_l=1.0, d_l=6, _w_j0=np.zeros(2), stab_angles=np.zeros((1, 2)))
+        with pytest.raises(NumericFailure, match="7611403800 distinct roots and needs at least "
+                                                 "7611403803 levels, have 61"):
+            identity_roots([rep], TorusAction(W), SimpleNamespace(degree=1), range(61))
+
     @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
     def test_identity_holds_from_the_first_level(self, name):
         fit = identity_fit(*IDENTITY_CASES[name])

@@ -1012,15 +1012,54 @@ class TestBudgets:
         assert not any((tmp_path / "o" / f).exists() for f in ("trace.csv", "comparison.csv"))
 
     @pytest.mark.parametrize("cmd", ["trace", "compare"])
-    def test_lower_level_over_budget_exits_4(self, tmp_path, capsys, cmd):
-        # P2 under W = [[1, -1, -1]]: the odd top level 2,000,001 has no row
-        # and passes the check, level 2,000,000 has 1,000,001 rows and fails
-        # the sweep before its last stage is built; no CSV is written
+    def test_lower_level_over_budget_exits_4(self, tmp_path, capsys, monkeypatch, cmd):
+        # P2 under W = [[1, -1, -1]]: the odd top level has no row and passes
+        # the check, the even level below it has one row over the budget and
+        # fails the sweep before its last stage is built; no CSV is written.
+        # trace sweeps levels 2,000,000..2,000,001 (1,000,001 rows) under the
+        # real budget.  compare first needs the identity's 8 unknowns + 3
+        # levels, so it sweeps levels 40..61 under a budget of 30 rows
+        if cmd == "trace":
+            k_range, level = {"min": 2_000_000, "max": 2_000_001}, 2_000_000
+        else:
+            monkeypatch.setattr(geometry, "MAX_SLICE_ROWS", 30)
+            k_range, level = {"min": 40, "max": 61}, 60
         out = tmp_path / "o"
-        doc = base_config(out, **{**P2_SWEEP, "k_range": {"min": 2_000_000, "max": 2_000_001}})
+        doc = base_config(out, **{**P2_SWEEP, "k_range": k_range})
         assert main([cmd, "--config", write_config(tmp_path, doc)]) == 4
         err = capsys.readouterr().err
-        assert "level 2000000 failed" in err and "over the budget" in err
+        assert f"level {level} failed" in err and "over the budget" in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("system, message", [
+        ("p2-sweep", "8 unknowns and needs at least 11 levels, have 6"),
+        ("d8", "7392 distinct roots and needs at least 7395 levels, have 61")],
+        ids=["p2-sweep", "d8"])
+    def test_identity_over_its_levels_exits_4_before_the_sweep(self, tmp_path, capsys,
+                                                               monkeypatch, system, message):
+        # from the components alone, before any level: the p2-sweep identity
+        # has 8 unknowns at step 1 and needs 11 levels, and a regular d = 8
+        # system's vertex denominators {3, 6, 7, 22, 32} give q = 7,392 roots
+        # of unity per coset phase (59,136 unknowns), which are not listed
+        import eqtoeplitz.toeplitz as tp
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(tp, "trace_sweep", sweep)
+        out = tmp_path / "o"
+        if system == "p2-sweep":
+            doc = base_config(out, **{**P2_SWEEP, "k_range": {"min": 40, "max": 45}})
+        else:
+            W = np.array([[1, 2, 3, 3, 3, -3, 2, 0, 1], [-2, -3, -3, 3, 3, -1, 0, -2, -2]])
+            doc = base_config(out, model={"d": 8}, action={"W": W.tolist()},
+                              symmetry={"phi": (np.array([0.3, 0.5]) @ W).tolist()},
+                              observable={"u_terms": [{"beta": [0, 1] + [0] * 7, "coef": 1.0}]},
+                              isotype=[0, 0], k_range={"min": 0, "max": 60, "step": 1},
+                              sampling={"n_samples": 2 ** 18, "seed": 0})
+        t0 = time.perf_counter()
+        assert main(["compare", "--config", write_config(tmp_path, doc)]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert message in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("cmd", ["trace", "predict", "compare"])

@@ -1,8 +1,10 @@
 """The runtime needs numpy alone: no module of the package imports scipy or
 numpy.random or reads a file out of another package's install, and the
-declared runtime dependencies say the same."""
+declared runtime dependencies say the same.  Every name a module exports
+exists."""
 
 import ast
+import importlib
 import os
 import re
 
@@ -47,3 +49,12 @@ def test_runtime_dependencies_are_numpy_alone():
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+@pytest.mark.parametrize("module", ["eqtoeplitz"] + sorted(
+    f"eqtoeplitz.{name[:-3]}" for name in os.listdir(PACKAGE)
+    if name.endswith(".py") and name != "__init__.py"))
+def test_every_export_resolves(module):
+    # a deleted function left in `__all__` would break `from m import *` only
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

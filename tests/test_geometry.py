@@ -12,7 +12,7 @@ from eqtoeplitz import geometry
 from eqtoeplitz._intlinalg import NumericFailure, pivot_minor
 from eqtoeplitz.geometry import (MAX_CUBATURE_NODES, MAX_SLICE_ROWS, ProjectiveModel,
                                  _log_factorials, _sobol, _weight_slice, check_slice_budget, kernel_pair_values, log_monomial_norm,
-                                 monomial_norm, multi_indices, sample_sphere, section_basis,
+                                 monomial_norm, sample_sphere, section_basis,
                                  sphere_cubature, szego_kernel)
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
@@ -42,7 +42,7 @@ def candidate_slice(k, W, varpi):
     free = [j for j in range(n) if j not in dep]
     adj, det = int_adjugate([[int(A[i, j]) for j in dep] for i in rows])
     adj = np.array(adj, dtype=np.int64)
-    a_free = multi_indices(k, n - r + 1)[:, :n - r]
+    a_free = multi_indices_by_level(k, n - r + 1)[:, :n - r]
     num = (b[list(rows)][None, :] - a_free @ A[np.ix_(rows, free)].T) @ adj.T
     alpha = np.empty((a_free.shape[0], n), np.int64)
     alpha[:, free] = a_free
@@ -147,6 +147,20 @@ class TestWeightSlice:
             tracemalloc.stop()
         assert len(alpha) == 18_145 and peak < 16 * 2 ** 20
 
+    def test_w8_top_prefix_stage_heap(self):
+        # the W_8 sweep's top level: its last prefix stage sets the walk's heap
+        # peak, 35.3 MiB while each stage's prefixes were repeated and then
+        # stacked with the new column, 32.5 MiB filled in place
+        W = np.array(W_8)
+        _weight_slice(20, W, np.array([0, 0]))          # the plan, outside the trace
+        tracemalloc.start()
+        try:
+            dim, _, _ = _weight_slice(52, W, np.array([0, 0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 838_980 and peak < 34 * 2 ** 20
+
 
 def sobol_points(*args):
     """`_sobol`'s blocks stacked into one (n, dim) array."""
@@ -165,19 +179,41 @@ class TestModel:
 
 
 class TestMultiIndices:
+    """The full basis, the trivial group's weight slice, against the level
+    table oracle."""
+
     @pytest.mark.parametrize("k,d", [(0, 1), (3, 1), (5, 2), (12, 2)])
     def test_count_and_degree(self, k, d):
-        idx = multi_indices(k, d + 1)
+        idx = section_basis(k, ProjectiveModel(d)).indices
         assert idx.shape[0] == math.comb(k + d, d)
         assert np.all(idx.sum(axis=1) == k)
         assert len({tuple(r) for r in idx}) == idx.shape[0]
 
     def test_matches_level_table_oracle(self):
-        for n_vars in range(1, 7):
+        for d in range(1, 6):
             for k in range(41):
-                want = multi_indices_by_level(k, n_vars)
-                got = multi_indices(k, n_vars)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (n_vars, k)
+                if math.comb(k + d, d) > MAX_SLICE_ROWS:      # d = 5, k = 39 and 40
+                    with pytest.raises(NumericFailure, match="budget"):
+                        section_basis(k, ProjectiveModel(d))
+                    continue
+                want = multi_indices_by_level(k, d + 1)
+                got = section_basis(k, ProjectiveModel(d)).indices
+                assert got.dtype == want.dtype and np.array_equal(got, want), (d, k)
+
+    @given(st.integers(1, 6), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    @example(6, 26)                               # the largest within the budget
+    @example(6, 27)                               # C(33, 6) = 1,107,568 rows: refused
+    def test_full_basis_is_the_level_table(self, d, k):
+        model = ProjectiveModel(d)
+        if math.comb(k + d, d) > MAX_SLICE_ROWS:
+            with pytest.raises(NumericFailure, match="budget"):
+                section_basis(k, model)
+            return
+        basis = section_basis(k, model)
+        want = multi_indices_by_level(k, d + 1)
+        assert basis.isotype == ((), ()) and basis.dim == len(want)
+        assert basis.indices.dtype == want.dtype and np.array_equal(basis.indices, want)
 
     def test_basis_dimension(self, p2):
         basis = section_basis(7, p2)
@@ -521,6 +557,23 @@ class TestSphereCubature:
             a, b = (np.diff([0, *data.draw(cuts), deg]) for _ in range(2))
             if not np.array_equal(a, b):
                 assert abs(w @ (np.prod(z ** a, axis=1) * np.prod(z.conj() ** b, axis=1))) <= 1e-14
+
+    @pytest.mark.parametrize("d,K", [(d, K) for d in (1, 2) for K in range(13)]
+                             + [(3, K) for K in range(9)] + [(2, 18)])
+    def test_nodes_are_the_level_table_rule(self, d, K):
+        # the Grundmann-Moller index sets are full bases: array-equal to the
+        # rule built on the level table oracle's index sets
+        s, m = K // 2, d + 2 * (K // 2) + 1
+        u = np.vstack([(2 * multi_indices_by_level(s - i, d + 1) + 1) / (m - 2 * i)
+                       for i in range(s + 1)])
+        c = [(-1) ** i * math.factorial(d) * (m - 2 * i) ** (2 * s + 1)
+             / (4 ** s * math.factorial(i) * math.factorial(m - i)) for i in range(s + 1)]
+        w = np.repeat(c, [math.comb(s - i + d, d) for i in range(s + 1)])
+        phases = np.exp(2j * math.pi / (K + 1)
+                        * np.indices((1,) + (K + 1,) * d).reshape(d + 1, -1).T)
+        z, weights = sphere_cubature(d, K)
+        assert np.array_equal(z, (phases[:, None, :] * np.sqrt(u)[None, :, :]).reshape(-1, d + 1))
+        assert np.array_equal(weights, np.tile(w / len(phases), len(phases)))
 
     def test_node_counts_and_read_only(self):
         for (d, K), n in {(1, 6): 70, (2, 8): 2835, (2, 18): 79_420}.items():

@@ -12,7 +12,7 @@ from eqtoeplitz._intlinalg import (NumericFailure, basic_feasible_solutions, smi
                                    solve_phase_congruence, torsion_angles)
 from eqtoeplitz.symmetry import TorusAction, slice_vertices
 
-from conftest import int_adjugate
+from conftest import cramer_vertices, int_adjugate, int_det
 
 
 def as_int(M):
@@ -121,22 +121,23 @@ def test_torsion_enumeration_rank_two():
 
 
 def test_vertex_enumeration_over_budget_fails_before_solving(monkeypatch):
-    # C(60, 4) = 487,635 basis solves; only the rank search may run
+    # C(60, 4) = 487,635 basis solves; only the rank search may run, whose
+    # two eliminations (rows, then columns) are the only ones made
     calls = []
-    det = il.int_det
-    monkeypatch.setattr(il, "int_det", lambda M: calls.append(1) or det(M))
+    reduce = il._row_reduce
+    monkeypatch.setattr(il, "_row_reduce", lambda M: calls.append(len(M)) or reduce(M))
     A = np.vstack([np.ones((1, 60), np.int64),
                    np.random.default_rng(0).integers(-3, 4, (3, 60))])
     with pytest.raises(NumericFailure, match="budget"):
         basic_feasible_solutions(A, [1, 0, 0, 0])
-    assert len(calls) < 100
+    assert calls == [60, 4]
 
 
 @given(st.lists(st.integers(-9, 9), min_size=16, max_size=16), st.integers(0, 4))
 @settings(max_examples=150, deadline=None)
 def test_int_det_and_adjugate(entries, r):
     M = np.array(entries[:r * r], dtype=np.int64).reshape(r, r)
-    det = il.int_det(M.tolist())
+    det = int_det(M.tolist())
     assert det == round(np.linalg.det(M)) if r else det == 1
     adj, d = int_adjugate(M.tolist())
     assert d == abs(det)
@@ -169,7 +170,7 @@ def pivot_minor_search(A) -> tuple:
     for r in range(min(m, n), 0, -1):
         for rows in itertools.combinations(range(m), r):
             for cols in itertools.combinations(range(n), r):
-                if il.int_det([[A[i][j] for j in cols] for i in rows]):
+                if int_det([[A[i][j] for j in cols] for i in rows]):
                     return rows, cols
     return (), ()
 
@@ -193,6 +194,20 @@ def minor_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_pivot_minor_is_the_search_s_first_minor(A):
     assert il.pivot_minor(A) == pivot_minor_search(A)
+
+
+@given(minor_matrices().filter(lambda A: A and A[0]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_vertices_match_the_cramer_enumeration(A, data):
+    # b = A x0 for an integer x0 >= 0 makes the polytope nonempty; an arbitrary
+    # b is mostly infeasible or inconsistent with the dependent rows
+    n = len(A[0])
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = data.draw(st.lists(st.integers(-4, 4), min_size=len(A), max_size=len(A)))
+    assert basic_feasible_solutions(A, b) == cramer_vertices(A, b)
 
 
 def test_dependent_rows_build_fast():
