@@ -52,9 +52,10 @@ def _row_reduce(M) -> tuple:
     """(pivots, R): the pivot columns of the row echelon form of the integer
     matrix M (a list of rows), the lex-first set of independent columns, and
     its reduced rows R, where row i < len(pivots) is zero in every pivot
-    column but pivots[i].  Fraction-free Gauss-Jordan elimination, each row
-    reduced by its gcd, keeps every step exact."""
-    M, pivots = [[int(x) for x in row] for row in M], []
+    column but pivots[i].  M holds Python ints, which the callers convert
+    once.  Fraction-free Gauss-Jordan elimination, each row reduced by its
+    gcd, keeps every step exact."""
+    M, pivots = [list(row) for row in M], []
     for j in range(len(M[0]) if M else 0):
         t = len(pivots)
         i = next((i for i in range(t, len(M)) if M[i][j]), None)
@@ -64,8 +65,9 @@ def _row_reduce(M) -> tuple:
         for row in M[:t] + M[t + 1:]:
             if row[j]:
                 row[:] = [a * M[t][j] - row[j] * b for a, b in zip(row, M[t])]
-                g = math.gcd(*row) or 1
-                row[:] = [a // g for a in row]
+                g = math.gcd(*row)
+                if g > 1:
+                    row[:] = [a // g for a in row]
         pivots.append(j)
     return pivots, M
 
@@ -75,6 +77,7 @@ def pivot_minor(A) -> tuple:
     matrix A: rows taken greedily, each kept when independent of those kept
     before it, then columns greedily within those rows.  Its size is the
     rank of A (0 for a zero or empty matrix), found in O(m n r) exact steps."""
+    A = [[int(x) for x in row] for row in A]
     rows = tuple(_row_reduce(list(zip(*A)))[0])
     return rows, tuple(_row_reduce([A[i] for i in rows])[0])
 

@@ -26,8 +26,9 @@ from ._intlinalg import NumericFailure, ProbeDomainError
 from .geometry import ProjectiveModel
 from .observables import Observable
 from .reduction import effective_volume, zero_locus
-from .symmetry import TorusAction, equivariant_kernel_pairs, moment_map, torus_grid_overlaps
-from .toeplitz import TraceSeries, isotype_slice
+from .symmetry import (TorusAction, equivariant_kernel_pairs, isotype_basis, moment_map,
+                       torus_grid_overlaps)
+from .toeplitz import TraceSeries
 
 __all__ = [
     "NumericFailure",
@@ -228,7 +229,7 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
     floored = False
     xv, yv = np.asarray(x, dtype=complex)[None, :], np.asarray(y, dtype=complex)[None, :]
     for k in ks:
-        iso = isotype_slice(k, varpi, action, model)
+        iso = isotype_basis(k, varpi, action, model)
         v = abs(complex(equivariant_kernel_pairs(xv, yv, iso)[0]))
         if v < 1e-300:
             v = 1e-300
@@ -329,7 +330,7 @@ def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
 
     rows = []
     for k in sorted(int(k) for k in probe.k_values):
-        iso = isotype_slice(k, varpi, action, model)
+        iso = isotype_basis(k, varpi, action, model)
         xk = _displace(xv, probe.w, k)[None, :]
         yk = _displace(xv, probe.v, k)[None, :]
         exact = complex(equivariant_kernel_pairs(xk, yk, iso)[0])

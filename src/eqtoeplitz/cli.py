@@ -36,20 +36,26 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERIC = 4
 
+#: most --threads: `ThreadPoolExecutor`'s own default ceiling
+MAX_THREADS = 32
+
 #: the one prediction route: the leading term summed over fixed components
 METHOD = "fixed-component-sum"
 
 
 def _configured(name: str, cmd):
-    """The subcommand `name`: load the config (with the --seed override),
-    create the output directory, run cmd(cfg, out, args) and merge its
-    artifacts, its work counters and the wall time into <out>/run_record.json.
+    """The subcommand `name`: check --threads, load the config (with the
+    --seed override), create the output directory, run cmd(cfg, out, args)
+    and merge its artifacts, its work counters and the wall time into
+    <out>/run_record.json.
 
     Subcommands run on the same config accumulate in one record, which
     holds that config and the timings and counters keyed by subcommand; a
     different config (or an unreadable record) starts a new one."""
     def run(args) -> int:
         t0 = time.perf_counter()
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ConfigError(f"--threads must be in 1..{MAX_THREADS}, got {args.threads}")
         cfg = load_config(args.config)
         if args.seed is not None:
             doc = dict(cfg.raw)
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the JSON config")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads")
+        sp.add_argument("--threads", type=int, default=1, help=f"worker threads, 1..{MAX_THREADS}")
         sp.set_defaults(func=_configured(name, cmd))
 
     sp = sub.add_parser("selftest")

@@ -156,20 +156,22 @@ def _parse_h_term(obj, d):
 
 
 def _probe_coords(probe: dict, key: str, n: int, default=None) -> np.ndarray:
-    """kernel_probe[key] as a complex n-vector from n numbers or n [re, im]
-    pairs, or default when absent (required without one).  Points must be
-    nonzero and are normalized to the unit sphere."""
+    """kernel_probe[key] as a complex n-vector from n finite JSON numbers or
+    n [re, im] pairs of them (`_floats`), or default when absent (required
+    without one).  Points must be nonzero and are normalized to the unit
+    sphere."""
     where = f"kernel_probe.{key}"
     if probe.get(key) is None:
         if default is None:
             raise ConfigError(f"{where} is required")
         return default
+    coords = probe[key]
+    pairs = isinstance(coords, list) and any(isinstance(x, list) for x in coords)
     try:
-        arr = np.asarray(probe[key], dtype=float)
-    except (TypeError, ValueError):
-        arr = np.zeros(0)
-    if arr.shape not in ((n,), (n, 2)) or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{where} must be d+1 = {n} finite numbers or {n} [re, im] pairs")
+        arr = _floats(coords, (n, 2) if pairs else (n,), where)
+    except ConfigError:
+        raise ConfigError(f"{where} must be d+1 = {n} finite numbers or {n} [re, im] pairs") \
+            from None
     vec = arr.astype(complex) if arr.ndim == 1 else arr[:, 0] + 1j * arr[:, 1]
     if not key.endswith("point"):
         return vec

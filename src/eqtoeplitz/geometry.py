@@ -76,17 +76,15 @@ class ProjectiveModel:
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """The slice of the level-k monomial basis of one torus weight,
-    `isotype` = (W rows, varpi); the trivial group's, ((), ()), is the full
-    basis.  `dim` rows, lex-descending, which `blocks()` yields in order,
-    _SLICE_BLOCK rows at a time.  The (dim, d+1) `indices` and their L2(X)
-    `log_norms` are built on first read."""
+    """The slice of the level-k monomial basis of one torus weight; the
+    trivial group's is the full basis.  `dim` rows, lex-descending, which
+    `blocks()` yields in order, _SLICE_BLOCK rows at a time.  The (dim, d+1)
+    `indices` and their L2(X) `log_norms` are built on first read."""
 
     k: int
     dim: int
     blocks: Callable = field(repr=False)     # () -> iterator over (rows, d+1) int64 blocks
     model: ProjectiveModel = field(repr=False)
-    isotype: tuple = field(repr=False)
     points_walked: int = field(default=0, repr=False)   # by the slice's walk
 
     @property
@@ -334,9 +332,8 @@ def section_basis(k: int, model: ProjectiveModel, W=None, varpi=()) -> SectionBa
     torus weight matrix W (g x (d+1)) and a label varpi its rows with
     -W alpha = varpi, walked directly (`_weight_slice`, on a plan cached per
     weight system): the rows and order of the filtered full basis, with no
-    sort.  `points_walked` counts the walk's points over all its stages.  The
-    slice is tagged with (W, varpi), and `symmetry.isotype_basis` takes a
-    slice of its own weight as the isotype as it is.
+    sort.  `points_walked` counts the walk's points over all its stages.
+    `symmetry.isotype_basis` returns the slice as the varpi isotype.
     """
     if k < 0:
         raise ValueError("level k must be nonnegative")
@@ -345,8 +342,7 @@ def section_basis(k: int, model: ProjectiveModel, W=None, varpi=()) -> SectionBa
         raise ValueError("W must be a g x (d+1) integer matrix")
     varpi = np.asarray(varpi, dtype=np.int64).reshape(W.shape[0])
     dim, walked, blocks = _weight_slice(k, W, varpi)
-    return SectionBasis(k=k, dim=dim, blocks=blocks, model=model, points_walked=walked,
-                        isotype=(tuple(map(tuple, W.tolist())), tuple(varpi.tolist())))
+    return SectionBasis(k=k, dim=dim, blocks=blocks, model=model, points_walked=walked)
 
 
 def szego_kernel(x, y, k: int, model: ProjectiveModel) -> complex:

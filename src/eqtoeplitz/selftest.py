@@ -124,9 +124,11 @@ def check_moment_sign_pin(flip=None, d=2,
 
 
 def check_projector_partition(levels=(5, 12, 40), W=((1, -1, -1),)):
-    """The isotype kernels of W (default (1, -1, -1), on P^2; d + 1 is its
-    width) sum to the full kernel at two fixed generic points (no zero
-    coordinate, distinct moduli and phases), the dimensions to dim H^0_k."""
+    """The walked isotypes of W (default (1, -1, -1), on P^2; d + 1 is its
+    width), one per weight occurring in the full basis, partition it: their
+    kernels sum to the closed-form Szego kernel at two fixed generic points
+    (no zero coordinate, distinct moduli and phases), their dimensions to
+    dim H^0_k = C(k+d, d)."""
     action = TorusAction(W)
     model = ProjectiveModel(action.n_coords - 1)
     j = np.arange(1.0, action.n_coords + 1)
@@ -135,11 +137,10 @@ def check_projector_partition(levels=(5, 12, 40), W=((1, -1, -1),)):
     err = 0.0
     dims_ok = True
     for k in levels:
-        basis = section_basis(k, model)
         total = 0.0 + 0.0j
         dsum = 0
-        for w in occurring_weights(action, basis):
-            iso = isotype_basis(k, w, action, basis)
+        for w in occurring_weights(action, section_basis(k, model)):
+            iso = isotype_basis(k, w, action, model)
             dsum += iso.dim
             total += equivariant_kernel_pairs(x, y, iso)[0]
         err = max(err, abs(total - szego_kernel(x, y, k, model)))
@@ -188,7 +189,7 @@ def check_toeplitz_closed_forms(levels=range(1, 41), f=None, herm_level=8):
     if f is None:
         f = Observable(u_terms={(1, 0): 0.5},
                        h_term=np.array([[0.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.0]]))
-    iso = isotype_basis(herm_level, (), action, section_basis(herm_level, model))
+    iso = isotype_basis(herm_level, (), action, model)
     T = toeplitz_matrix(f, iso, model)
     herm = float(np.max(np.abs(T - T.conj().T)))
     return worst < 1e-10 and herm < 1e-12, \
@@ -216,7 +217,7 @@ def check_dimension_case(levels=range(41)):
     action = TorusAction([[1, -1]])
     ok = True
     for k in levels:
-        iso = isotype_basis(k, (0,), action, section_basis(k, model))
+        iso = isotype_basis(k, (0,), action, model)
         ok = ok and (iso.dim == (1 if k % 2 == 0 else 0))
     return ok, f"isotype dimension on the line matches parity rule for k <= {max(levels)}"
 

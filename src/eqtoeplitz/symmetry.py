@@ -10,14 +10,13 @@ each of these against independent identities.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._intlinalg import NumericFailure, basic_feasible_solutions
-from .geometry import SectionBasis, kernel_pair_values
+from .geometry import ProjectiveModel, SectionBasis, kernel_pair_values, section_basis
 
 __all__ = [
     "TorusAction",
@@ -198,50 +197,38 @@ def gamma_phase(alpha: np.ndarray, sym: DiagonalSymmetry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsotypeBasis:
-    """Sub-basis of a fixed character label inside a level-k basis: the rows
-    of `parent` that `keep` selects, or, with keep None, the parent itself (a
-    walked slice of this label), whose arrays and blocks it shares."""
+    """The varpi isotype at level k: `parent`, the walked weight slice of
+    (W, varpi), whose rows, norms and blocks it shares.  A plain view, kept
+    because `perfbench/tracer.py` reads `.parent.dim`."""
 
     k: int
     varpi: tuple
     parent: SectionBasis = field(repr=False)
-    keep: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.parent.dim if self.keep is None else len(self.indices)
+        return self.parent.dim
 
-    @functools.cached_property
+    @property
     def indices(self) -> np.ndarray:
-        return self.parent.indices if self.keep is None else self.parent.indices[self.keep]
+        return self.parent.indices
 
-    @functools.cached_property
+    @property
     def log_norms(self) -> np.ndarray:
-        return self.parent.log_norms if self.keep is None else self.parent.log_norms[self.keep]
+        return self.parent.log_norms
 
     def blocks(self):
-        return self.parent.blocks() if self.keep is None else iter([self.indices])
+        return self.parent.blocks()
 
 
-def isotype_basis(k: int, varpi, action: TorusAction, basis: SectionBasis) -> IsotypeBasis:
-    """The level-k monomials with weight_of(alpha) == varpi.
-
-    `basis` is the full level-k basis, the trivial group's slice, which is
-    filtered (selftest's independent route), or its slice of this same
-    (W, varpi), as `section_basis(k, model, action.W, varpi)` walks it: that
-    slice is already the isotype and is returned as it is, its arrays and
-    its walk shared.  Empty results are valid (that is the content of the
-    vanishing statement).
+def isotype_basis(k: int, varpi, action: TorusAction, model: ProjectiveModel) -> IsotypeBasis:
+    """The level-k monomials with weight_of(alpha) == varpi, their weight
+    slice walked directly (`section_basis(k, model, action.W, varpi)`), so
+    time and memory scale with the isotype, not the C(k+d, d) basis.  Empty
+    results are valid (that is the content of the vanishing statement).
     """
-    if basis.k != k:
-        raise ValueError("basis level mismatch")
-    varpi_vec = np.asarray(varpi, dtype=np.int64).reshape(action.g)
-    keep = None
-    if basis.isotype != (tuple(map(tuple, action.W.tolist())), tuple(varpi_vec.tolist())):
-        if basis.isotype != ((), ()):
-            raise ValueError("basis is the slice of another torus weight")
-        keep = np.all(weight_of(basis.indices, action) == varpi_vec[None, :], axis=1)
-    return IsotypeBasis(k=k, varpi=tuple(int(v) for v in varpi_vec), parent=basis, keep=keep)
+    varpi = tuple(int(v) for v in np.asarray(varpi, dtype=np.int64).reshape(action.g))
+    return IsotypeBasis(k=k, varpi=varpi, parent=section_basis(k, model, action.W, varpi))
 
 
 def occurring_weights(action: TorusAction, basis: SectionBasis) -> np.ndarray:

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ProjectiveModel, section_basis, sphere_cubature
+from ._intlinalg import NumericFailure
+from .geometry import ProjectiveModel, sphere_cubature
 from .observables import Observable
 from .symmetry import (DiagonalSymmetry, IsotypeBasis, TorusAction, equivariant_kernel_pairs,
                        gamma_phase, isotype_basis)
 
 __all__ = [
-    "isotype_slice",
     "toeplitz_matrix",
     "trace_psi",
     "trace_via_kernel_quadrature",
@@ -32,16 +32,20 @@ __all__ = [
 def _u_diagonal(indices: np.ndarray, beta: tuple, k: int, d: int) -> np.ndarray:
     """(alpha+beta)! (d+k)! / (alpha! (d+k+|beta|)!) for each index row.
 
-    Numerator and denominator are exact integer products below 2^53.
+    Both are float products of integer factors, exact while below 2^53.
+    Each numerator factor is at most its paired denominator factor, so a
+    finite denominator bounds the numerator too: NumericFailure when not.
     """
+    denom = 1.0
+    for r in range(1, sum(beta) + 1):
+        denom *= d + k + r
+    if not math.isfinite(denom):
+        raise NumericFailure(f"the u-term {beta} overflows at level {k}")
     out = np.ones(indices.shape[0])
     for j, b in enumerate(beta):
         col = indices[:, j].astype(float)
         for r in range(1, b + 1):
             out *= col + r
-    denom = 1.0
-    for r in range(1, sum(beta) + 1):
-        denom *= d + k + r
     return out / denom
 
 
@@ -87,12 +91,6 @@ def toeplitz_matrix(f: Observable, iso: IsotypeBasis, model: ProjectiveModel) ->
     return T
 
 
-def isotype_slice(k: int, varpi, action: TorusAction, model: ProjectiveModel) -> IsotypeBasis:
-    """The varpi isotype at level k, its weight slice's lattice points walked
-    directly (time and memory scale with the isotype, not the C(k+d, d) basis)."""
-    return isotype_basis(k, varpi, action, section_basis(k, model, action.W, varpi))
-
-
 def trace_psi(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
               action: TorusAction, model: ProjectiveModel,
               iso: IsotypeBasis | None = None) -> complex:
@@ -104,7 +102,7 @@ def trace_psi(k: int, varpi, f: Observable, sym: DiagonalSymmetry,
     the isotype's blocks as its walk yields them, in order, so a walked
     slice is never held whole, and a one-block isotype is one array sum.
     """
-    iso = iso if iso is not None else isotype_slice(k, varpi, action, model)
+    iso = iso if iso is not None else isotype_basis(k, varpi, action, model)
     sums = (np.sum(gamma_phase(rows, sym) * toeplitz_diagonal(f, rows, k, model))
             for rows in iso.blocks())
     return complex(sum(sums, next(sums, 0j)))
@@ -116,7 +114,7 @@ def trace_via_kernel_quadrature(k: int, varpi, f: Observable, sym: DiagonalSymme
     f(y) is phase-invariant of bidegree (k + f.degree, k + f.degree), so
     `sphere_cubature` integrates it exactly against the calibrated volume."""
     ys, weights = sphere_cubature(model.d, k + f.degree)
-    iso = isotype_slice(k, varpi, action, model)
+    iso = isotype_basis(k, varpi, action, model)
     vals = equivariant_kernel_pairs(sym.gamma_X_inv(ys), ys, iso) * f.value(ys)
     return model.vol_X * complex(weights @ vals)
 
@@ -171,7 +169,7 @@ def trace_sweep(k_values, varpi, f: Observable, sym: DiagonalSymmetry,
 
     def one(k: int):
         try:
-            iso = isotype_slice(k, varpi_t, action, model)
+            iso = isotype_basis(k, varpi_t, action, model)
             tr = trace_psi(k, varpi_t, f, sym, action, model, iso=iso)
             return TraceRecord(k=k, varpi=varpi_t, trace=tr, dim_isotype=iso.dim,
                                points_walked=iso.parent.points_walked,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from eqtoeplitz._intlinalg import pivot_minor
-from eqtoeplitz.geometry import ProjectiveModel
-from eqtoeplitz.symmetry import TorusAction
+from eqtoeplitz.geometry import ProjectiveModel, section_basis
+from eqtoeplitz.symmetry import TorusAction, weight_of
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +69,15 @@ def monomial_matrix(points, indices, log_norms=None):
     A = np.asarray(indices, dtype=np.int64)
     vals = np.prod(pts[:, None, :] ** A[None, :, :], axis=2)
     return vals if log_norms is None else vals * np.exp(-0.5 * np.asarray(log_norms))
+
+
+def filtered_isotype(k, varpi, action, model):
+    """Oracle for `symmetry.isotype_basis`, which walks the weight slice:
+    the full level-k basis (the trivial group's slice) filtered by weight,
+    as (indices, log_norms)."""
+    basis = section_basis(k, model)
+    keep = np.all(weight_of(basis.indices, action) == np.reshape(varpi, (1, action.g)), axis=1)
+    return basis.indices[keep], basis.log_norms[keep]
 
 
 def multi_indices_by_level(k, n_vars):

@@ -79,7 +79,7 @@ def test_criterion_3_equivariant_dimension(p2, circle_p2):
 
     dims_ok = True
     for k in range(20, 401, 2):
-        dim = isotype_basis(k, (0,), circle_p2, section_basis(k, p2)).dim
+        dim = isotype_basis(k, (0,), circle_p2, p2).dim
         if dim != k // 2 + 1 or dim != oracle_dim(k):
             dims_ok = False
     vol, err = reduced_volume(circle_p2, p2, 1_000_000, seed=41)

@@ -224,6 +224,27 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", [0, -1, 33, 10_000])
+    @pytest.mark.parametrize("cmd", ["trace", "compare"])
+    def test_threads_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, cmd, threads):
+        # refused before the config loads: no sweep, no thread, no output
+        import eqtoeplitz.toeplitz as tp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace_sweep was called")
+        monkeypatch.setattr(tp, "trace_sweep", refuse)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main([cmd, "--config", cfg, "--threads", str(threads)]) == 2
+        assert "--threads must be in 1..32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_at_the_ceiling_run(self, tmp_path):
+        # two levels: the pool starts at most one thread per level
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, k_range={"min": 2, "max": 3, "step": 1}))
+        assert main(["trace", "--config", cfg, "--threads", "32"]) == 0
+
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
@@ -462,15 +483,15 @@ class TestFailedLevels:
     @pytest.mark.parametrize("command, csv", [("trace", "trace.csv"),
                                               ("compare", "comparison.csv")])
     def test_failed_level_exits_4(self, tmp_path, monkeypatch, capsys, command, csv):
-        import eqtoeplitz.toeplitz as tp
-        orig = tp.section_basis
+        import eqtoeplitz.symmetry as sy
+        orig = sy.section_basis
 
         def flaky(k, model, *rest):
             if k == 7:
                 raise RuntimeError("boom")
             return orig(k, model, *rest)
 
-        monkeypatch.setattr(tp, "section_basis", flaky)
+        monkeypatch.setattr(sy, "section_basis", flaky)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_config(out, k_range={"min": 2, "max": 12,
                                                                "step": 1}))
@@ -478,6 +499,19 @@ class TestFailedLevels:
         assert "levels 7" in capsys.readouterr().err
         assert not (out / csv).exists()
         assert not (out / "fit_report.txt").exists()
+
+
+    def test_overflowing_u_term_exits_4(self, tmp_path, capsys):
+        # u_0^150 on P^1: (d + k + 1) ... (d + k + 150) overflows a float at
+        # k near 1000, where the trace was written as nan with exit 0
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(
+            out, action={"W": [[1, -1]]}, isotype=[0],
+            observable={"u_terms": [{"beta": [150, 0], "coef": 1.0}]},
+            k_range={"min": 998, "max": 1000, "step": 1}))
+        assert main(["trace", "--config", cfg]) == 4
+        assert "failed at levels 998, 1000" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
 
 class TestTraceAndPredict:
@@ -734,8 +768,13 @@ class TestKernelCommands:
         ({"point": None}, "point is required"),
         ({"second_point": [[0.0, 0.0]] * 3}, "second_point must be nonzero"),
         ({"displacement_w": [0.1, 0.2]}, "displacement_w must be d+1 = 3"),
+        ({"point": [True, False, True]}, "point must be d+1 = 3"),
+        ({"point": ["1", "0", "1"]}, "point must be d+1 = 3"),
+        ({"second_point": [[0.6, 0.0], [0.8, False], [0.0, 0.0]]}, "second_point must be d+1"),
+        ({"displacement_v": [[0.1, 0.0], 0.2, 0.3]}, "displacement_v must be d+1 = 3"),
     ], ids=["short", "short-pairs", "zero", "string", "nan", "missing", "zero-pairs",
-            "short-displacement"])
+            "short-displacement", "booleans", "numeric-strings", "boolean-in-pair",
+            "mixed-pairs"])
     def test_malformed_probe_input_exit_2(self, tmp_path, capsys, command, probe, message):
         # probe inputs are validated with the config, by every subcommand
         out = tmp_path / "out"
@@ -1076,7 +1115,7 @@ class TestBudgets:
 
     def test_too_many_probe_levels_exits_4(self, tmp_path, capsys, monkeypatch):
         probed = []
-        monkeypatch.setattr(asymptotics, "isotype_slice", lambda *a: probed.append(a))
+        monkeypatch.setattr(asymptotics, "isotype_basis", lambda *a: probed.append(a))
         monkeypatch.setattr(config, "MAX_LEVELS", 3)
         out = tmp_path / "o"
         cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60, 80]))
@@ -1088,7 +1127,7 @@ class TestBudgets:
         # level 2,000,002 has 1,000,002 slice rows: refused before the
         # levels 20 and 40 below it are probed
         probed = []
-        monkeypatch.setattr(asymptotics, "isotype_slice", lambda *a: probed.append(a))
+        monkeypatch.setattr(asymptotics, "isotype_basis", lambda *a: probed.append(a))
         out = tmp_path / "o"
         cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 2000000, 2000002]))
         assert main(["kernel", "--config", cfg]) == 4

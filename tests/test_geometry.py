@@ -212,7 +212,7 @@ class TestMultiIndices:
             return
         basis = section_basis(k, model)
         want = multi_indices_by_level(k, d + 1)
-        assert basis.isotype == ((), ()) and basis.dim == len(want)
+        assert basis.dim == len(want)
         assert basis.indices.dtype == want.dtype and np.array_equal(basis.indices, want)
 
     def test_basis_dimension(self, p2):

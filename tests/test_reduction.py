@@ -388,10 +388,9 @@ class TestReducedVolume:
 
     def test_p2_matches_dimension_slope(self, p2, circle_p2):
         # oracle: dim of the invariant isotype grows like (k/pi) vol(M0)
-        from eqtoeplitz.geometry import section_basis
         from eqtoeplitz.symmetry import isotype_basis
         k = 300
-        dim = isotype_basis(k, (0,), circle_p2, section_basis(k, p2)).dim
+        dim = isotype_basis(k, (0,), circle_p2, p2).dim
         assert dim == k // 2 + 1
         vol, err = reduced_volume(circle_p2, p2, 2 ** 18, seed=17)
         assert abs(dim * math.pi / k - vol) <= 5.0 / k + 3 * err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqtoeplitz import selftest, symmetry
+from eqtoeplitz import geometry, selftest, symmetry
 from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis
 from eqtoeplitz.reduction import vanishing_level
 from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kernel_pairs,
@@ -16,7 +16,7 @@ from eqtoeplitz.symmetry import (DiagonalSymmetry, TorusAction, equivariant_kern
 from eqtoeplitz.selftest import (check_dimension_case, check_moment_sign_pin,
                                  check_projector_partition)
 
-from conftest import monomial_matrix
+from conftest import filtered_isotype, monomial_matrix
 
 
 def equivariant_kernel_fourier(x, y, k, varpi, action, model):
@@ -49,12 +49,10 @@ class TestWeights:
         # W = (1, 1): all weights at level k equal -k, so +3 never occurs
         act = TorusAction([[1, 1]])
         for k in range(21):
-            basis = section_basis(k, p1)
-            iso = isotype_basis(k, (3,), act, basis)
-            assert iso.dim == 0
+            assert isotype_basis(k, (3,), act, p1).dim == 0
 
     def test_isotype_members_p2(self, p2, circle_p2):
-        iso = isotype_basis(2, (0,), circle_p2, section_basis(2, p2))
+        iso = isotype_basis(2, (0,), circle_p2, p2)
         assert sorted(map(tuple, iso.indices)) == [(1, 0, 1), (1, 1, 0)]
 
     def test_parity_obstruction(self):
@@ -105,16 +103,16 @@ def _slice_cases(draw):
 
 
 def _assert_slice_matches_filter(model, action, k, varpi):
-    direct = isotype_basis(k, varpi, action, section_basis(k, model, action.W, varpi))
-    oracle = isotype_basis(k, varpi, action, section_basis(k, model))
-    assert np.array_equal(direct.indices, oracle.indices)
-    assert np.array_equal(direct.log_norms, oracle.log_norms)
-    assert direct.parent.dim == direct.dim
+    direct = isotype_basis(k, varpi, action, model)
+    indices, log_norms = filtered_isotype(k, varpi, action, model)
+    assert direct.dim == len(indices)
+    assert np.array_equal(direct.indices, indices)
+    assert np.array_equal(direct.log_norms, log_norms)
     return direct
 
 
 class TestIsotypeSlice:
-    """The directly enumerated weight slice against the full-basis filter."""
+    """The walked weight slice against the full-basis filter oracle."""
 
     @given(_slice_cases())
     @settings(max_examples=80, deadline=None)
@@ -139,28 +137,27 @@ class TestIsotypeSlice:
             assert iso.dim == math.comb(k + W.shape[1] - 1, k)
 
     def test_slice_rows_scale_with_isotype(self):
+        # C(104, 4) = 4,598,126 basis rows at k = 100
         action = TorusAction([[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]])
-        basis = section_basis(100, ProjectiveModel(4), action.W, (0, 0))
-        assert basis.dim == isotype_basis(100, (0, 0), action, basis).dim < 1000
+        iso = isotype_basis(100, (0, 0), action, ProjectiveModel(4))
+        assert 0 < iso.dim == len(iso.indices) < 1000
 
     def test_walked_slice_is_returned_as_it_is(self, monkeypatch):
-        # a slice tagged with the same (W, varpi) is the isotype: no weight is
-        # recomputed, no row masked and no array copied
+        # the walked slice of (W, varpi) is the isotype: no weight is
+        # computed, no row masked and no array copied
         action = TorusAction([[1, 0, -1, 2, -2], [0, 1, -1, -1, 1]])
-        basis = section_basis(100, ProjectiveModel(4), action.W, (0, 0))
+        walked = []
 
         def weight_of(*args, **kwargs):
             raise AssertionError("weight_of was called")
         monkeypatch.setattr(symmetry, "weight_of", weight_of)
-        iso = isotype_basis(100, (0, 0), action, basis)
-        assert iso.parent is basis and iso.dim == basis.dim > 0
-        assert np.shares_memory(iso.indices, basis.indices)
-        assert np.shares_memory(iso.log_norms, basis.log_norms)
-
-    def test_slice_of_another_weight_refused(self, p2, circle_p2):
-        basis = section_basis(6, p2, circle_p2.W, (0,))
-        with pytest.raises(ValueError):
-            isotype_basis(6, (2,), circle_p2, basis)
+        monkeypatch.setattr(symmetry, "section_basis",
+                            lambda *a: walked.append(section_basis(*a)) or walked[-1])
+        iso = isotype_basis(100, (0, 0), action, ProjectiveModel(4))
+        assert [iso.parent] == walked and iso.dim == walked[0].dim > 0
+        assert np.array_equal(walked[0].indices @ -action.W.T, np.zeros((iso.dim, 2)))
+        assert iso.indices is walked[0].indices
+        assert iso.log_norms is walked[0].log_norms
 
 
 class TestMomentMap:
@@ -259,6 +256,22 @@ class TestEquivariantKernel:
         errors += [partition_error(12, 6), partition_error(40, 20)]
         assert min(errors) > 1e-6, errors
 
+    def test_partition_fails_when_the_walk_drops_a_row(self, monkeypatch):
+        # the check walks each isotype: a weighted walk (g >= 1) that loses
+        # its last row fails it, while the full basis (the g = 0 walk) and so
+        # the occurring weights stay as they are
+        walk = geometry._weight_slice
+
+        def lossy(k, W, varpi):
+            dim, walked, blocks = walk(k, W, varpi)
+            if len(W) == 0 or dim == 0:
+                return dim, walked, blocks
+            rows = np.concatenate(list(blocks()))[:-1]
+            return dim - 1, walked, lambda: iter([rows])
+        monkeypatch.setattr(geometry, "_weight_slice", lossy)
+        ok, detail = check_projector_partition()
+        assert not ok and "dimension bookkeeping ok=False" in detail, detail
+
     @given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 12), st.data())
     @settings(max_examples=100, deadline=None)
     def test_partition_over_random_weights(self, g, d, k, data):
@@ -269,30 +282,27 @@ class TestEquivariantKernel:
 
     def test_character_average_oracle(self, p2, circle_p2):
         k = 5
-        basis = section_basis(k, p2)
         x, y = sample_sphere(2, 43, p2)
         for w in [(0,), (-2,), (3,)]:
-            direct = equivariant_kernel_pairs(x, y, isotype_basis(k, w, circle_p2, basis))[0]
+            direct = equivariant_kernel_pairs(x, y, isotype_basis(k, w, circle_p2, p2))[0]
             fourier = equivariant_kernel_fourier(x, y, k, w, circle_p2, p2)
             assert abs(direct - fourier) < 1e-12
 
     def test_character_average_rank2(self, p2):
         act = TorusAction([[1, -1, 0], [0, 1, -1]])
         k = 3
-        basis = section_basis(k, p2)
         x, y = sample_sphere(2, 47, p2)
         w = (0, 1)
-        direct = equivariant_kernel_pairs(x, y, isotype_basis(k, w, act, basis))[0]
+        direct = equivariant_kernel_pairs(x, y, isotype_basis(k, w, act, p2))[0]
         fourier = equivariant_kernel_fourier(x, y, k, w, act, p2)
         assert abs(direct - fourier) < 1e-12
 
     def test_conjugation_invariance(self, p2, circle_p2):
         k = 7
-        basis = section_basis(k, p2)
         sym = DiagonalSymmetry(phi=[0.3, 1.1, 2.9], theta_A=0.4)
         x, y = sample_sphere(2, 53, p2)
         for w in [(0,), (1,)]:
-            iso = isotype_basis(k, w, circle_p2, basis)
+            iso = isotype_basis(k, w, circle_p2, p2)
             lhs = equivariant_kernel_pairs(sym.gamma_X(x), sym.gamma_X(y), iso)[0]
             rhs = equivariant_kernel_pairs(x, y, iso)[0]
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))

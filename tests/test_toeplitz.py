@@ -12,7 +12,7 @@ from eqtoeplitz.observables import Observable
 from eqtoeplitz.reduction import vanishing_level
 from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction, gamma_phase, isotype_basis
 from eqtoeplitz.selftest import check_toeplitz_closed_forms, check_trace_quadrature
-from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, isotype_slice, toeplitz_diagonal,
+from eqtoeplitz.toeplitz import (TraceRecord, TraceSeries, toeplitz_diagonal,
                                  toeplitz_matrix, trace_psi, trace_sweep,
                                  trace_via_kernel_quadrature)
 
@@ -28,7 +28,7 @@ def toeplitz_entry(f, alpha, alpha2, model):
     """<f z^alpha, z^alpha2> / sqrt(N N'): the (alpha2, alpha) entry of the
     dense Toeplitz matrix of level |alpha| (trivial group, full basis)."""
     k, n = int(sum(alpha)), model.n_coords
-    iso = isotype_basis(k, (), TorusAction(np.zeros((0, n), np.int64)), section_basis(k, model))
+    iso = isotype_basis(k, (), TorusAction(np.zeros((0, n), np.int64)), model)
     row = {tuple(a): i for i, a in enumerate(iso.indices.tolist())}
     return toeplitz_matrix(f, iso, model)[row[tuple(alpha2)], row[tuple(alpha)]]
 
@@ -115,7 +115,7 @@ class TestTraces:
                        h_term=np.array([[0.1, 0, 0], [0, 0.0, 0.2 + 0.1j],
                                         [0, 0.2 - 0.1j, -0.3]]))
         sym = DiagonalSymmetry(phi=[0.2, 1.0, 2.4], theta_A=0.05)
-        iso = isotype_basis(8, (0,), circle_p2, section_basis(8, p2))
+        iso = isotype_basis(8, (0,), circle_p2, p2)
         dense = np.trace(np.diag(gamma_phase(iso.indices, sym)) @ toeplitz_matrix(f, iso, p2))
         assert abs(trace_psi(8, (0,), f, sym, circle_p2, p2) - dense) < 1e-12
 
@@ -125,7 +125,7 @@ class TestTraces:
         f = Observable(u_terms={(0, 1, 0): 1.0})
         sym = DiagonalSymmetry(phi=[0.1, 0.8, 1.9])
         k, w = 10, (0,)
-        iso = isotype_basis(k, w, circle_p2, section_basis(k, p2))
+        iso = isotype_basis(k, w, circle_p2, p2)
         T = toeplitz_matrix(f, iso, p2)
         G = np.diag(gamma_phase(iso.indices, sym))
         rng = np.random.default_rng(7)
@@ -146,7 +146,7 @@ class TestTraces:
 
     def test_positivity_of_diagonal(self, p2, circle_p2):
         f = Observable(u_terms={(1, 2, 0): 1.0})
-        iso = isotype_basis(9, (-1,), circle_p2, section_basis(9, p2))
+        iso = isotype_basis(9, (-1,), circle_p2, p2)
         T = toeplitz_matrix(f, iso, p2)
         assert np.all(np.real(np.diag(T)) >= 0)
 
@@ -154,7 +154,7 @@ class TestTraces:
         f = Observable(u_terms={(1, 0, 0): 0.7, (0, 2, 0): -0.3})
         sym = DiagonalSymmetry(phi=[0.3, 0.9, 1.4])
         k, w = 12, (0,)
-        iso = isotype_basis(k, w, circle_p2, section_basis(k, p2))
+        iso = isotype_basis(k, w, circle_p2, p2)
         t = trace_psi(k, w, f, sym, circle_p2, p2)
         assert abs(t) <= iso.dim * sup_bound(f) + 1e-12
 
@@ -264,7 +264,7 @@ class TestBlockedTrace:
         block = max(block, len(rows) // 50)         # a few rows, or at most ~50 blocks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_SLICE_BLOCK", block)
-            iso = isotype_slice(k, varpi, action, model)
+            iso = isotype_basis(k, varpi, action, model)
             blocks, n_blocks = list(iso.blocks()), iso.parent.n_blocks
             got = trace_psi(k, varpi, f, sym, action, model, iso=iso)
         assert len(blocks) == n_blocks == -(-len(rows) // block)
