@@ -36,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERIC = 4
 
-#: most --threads: `ThreadPoolExecutor`'s own default ceiling
+#: most worker threads: `ThreadPoolExecutor`'s own default ceiling
 MAX_THREADS = 32
 
 #: the one prediction route: the leading term summed over fixed components

@@ -85,7 +85,7 @@ class SectionBasis:
     dim: int
     blocks: Callable = field(repr=False)     # () -> iterator over (rows, d+1) int64 blocks
     model: ProjectiveModel = field(repr=False)
-    points_walked: int = field(default=0, repr=False)   # by the slice's walk
+    points_walked: int = 0      # lattice points the slice's walk visited
 
     @property
     def n_blocks(self) -> int:
