@@ -6,8 +6,8 @@ solves phase congruences t^(W_j - W_j0) = e^{i delta_j} over the torus
 with it, one Smith form per support pattern: the solution is a fixed
 component's g_m, and the info it returns holds the finite stabilizer
 coset g_m is defined up to (`torsion_angles`; delta = 0 gives the
-stabilizer alone).  Fraction-free elimination gives the rank of an integer
-matrix and the vertices of polytopes {x >= 0, A x = b}.
+stabilizer alone).  Fraction-free elimination gives the vertices of
+polytopes {x >= 0, A x = b}.
 
 The exception types the CLI maps to exit codes 2, 3 and 4 are defined here,
 the one module every subcommand loads.
@@ -72,22 +72,13 @@ def _row_reduce(M) -> tuple:
     return pivots, M
 
 
-def pivot_minor(A) -> tuple:
-    """(rows, cols) of the lex-first nonzero maximal minor of the integer
-    matrix A: rows taken greedily, each kept when independent of those kept
-    before it, then columns greedily within those rows.  Its size is the
-    rank of A (0 for a zero or empty matrix), found in O(m n r) exact steps."""
-    A = [[int(x) for x in row] for row in A]
-    rows = tuple(_row_reduce(list(zip(*A)))[0])
-    return rows, tuple(_row_reduce([A[i] for i in rows])[0])
-
-
 def basic_feasible_solutions(A, b) -> list:
     """The vertices of {x >= 0, A x = b} for an integer (m, n) array A and
     integers b, exactly: sorted (numerators, denominator) pairs in lowest
     terms, x = numerators / denominator.
 
-    With rows R spanning the row space of A (rank r), each vertex solves
+    With rows R spanning the row space of A (rank r), the pivot columns of
+    one elimination of A^T (`_row_reduce`), each vertex solves
     A_RB x_B = b_R for a column subset B with det A_RB != 0; one
     fraction-free Gauss-Jordan elimination of [A_RB | b_R] per subset
     (`_row_reduce`) leaves row i as c_i x_{B_i} = e_i, and x is kept when
@@ -98,7 +89,7 @@ def basic_feasible_solutions(A, b) -> list:
     n = np.shape(A)[1]
     A = np.asarray(A, dtype=np.int64).tolist()
     b = [int(v) for v in b]
-    rows, _ = pivot_minor(A)
+    rows = _row_reduce(list(zip(*A)))[0]
     r = len(rows)
     if math.comb(n, r) > MAX_BASIS_SOLVES:
         raise NumericFailure(f"vertex enumeration needs C({n}, {r}) = {math.comb(n, r)} "

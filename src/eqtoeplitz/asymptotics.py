@@ -103,28 +103,44 @@ def _loglog_slope(ks, values) -> float:
     return float(np.linalg.lstsq(A, np.log(values[half:]), rcond=None)[0][0])
 
 
+def _merge_roots(fed) -> list:
+    """[root, degree, feeding components] of the (root, degree, component)
+    triples fed, in order of first appearance: a root within 1e-8 of a merged
+    one joins the lowest-indexed such, its degree the largest fed.  Merged
+    roots are looked up in cells of 2e-8, a root's own and the adjacent ones."""
+    merged, cells = [], {}
+    for r, deg, l in fed:
+        a, b = math.floor(r.real / 2e-8), math.floor(r.imag / 2e-8)
+        near = [i for x in (a - 1, a, a + 1) for y in (b - 1, b, b + 1)
+                for i in cells.get((x, y), ()) if abs(merged[i][0] - r) < 1e-8]
+        if not near:
+            cells.setdefault((a, b), []).append(len(merged))
+            near.append(len(merged))
+            merged.append([r, 0, set()])
+        m = merged[min(near)]
+        m[1] = max(m[1], deg)
+        m[2].add(l)
+    return merged
+
+
 def identity_roots(reports, action: TorusAction, f: Observable, ks) -> list:
     """The roots of the identity the components imply for the traces at
     levels ks, [root, degree, feeding components]: component l feeds the
     roots (h_l e^{i <W_j0, th_s>} z)^step, th_s over its stabilizer coset, z
     over the q-th roots of unity (q the lcm of P's vertex denominators), with
-    degree d_l + f.degree; equal roots merge.  NumericFailure, before any
-    trace, with fewer than unknowns (the degrees + 1) + 3 levels, and before
-    the roots are listed when one coset phase feeds too many: q / gcd(q, step)."""
+    degree d_l + f.degree; equal roots merge (`_merge_roots`).  NumericFailure,
+    before any trace, with fewer than unknowns (the degrees + 1) + 3 levels,
+    and before the roots are listed when one coset phase feeds too many:
+    q / gcd(q, step)."""
     step = math.gcd(*np.diff(ks).tolist()) or 1
     q = math.lcm(*(den for _, den in zero_locus(action).vertices))
     if len(ks) < q // math.gcd(q, step) + 3:
         raise NumericFailure(f"the trace identity has {q // math.gcd(q, step)} distinct roots and "
                              f"needs at least {q // math.gcd(q, step) + 3} levels, have {len(ks)}")
-    merged = []
-    for l, rep in enumerate(reports):
-        coset = rep.h_l * np.exp(1j * (rep.stab_angles @ rep._w_j0))
-        for r in np.outer(coset, np.exp(2j * math.pi * np.arange(q) / q)).ravel() ** step:
-            m = next((m for m in merged if abs(m[0] - r) < 1e-8), None)
-            if m is None:
-                merged.append(m := [r, 0, set()])
-            m[1] = max(m[1], rep.d_l + f.degree)
-            m[2].add(l)
+    z = np.exp(2j * math.pi * np.arange(q) / q)
+    merged = _merge_roots((r, rep.d_l + f.degree, l) for l, rep in enumerate(reports)
+                          for r in np.outer(rep.h_l * np.exp(1j * (rep.stab_angles @ rep._w_j0)),
+                                            z).ravel() ** step)
     n = sum(deg + 1 for _, deg, _ in merged)
     if len(ks) < n + 3:
         raise NumericFailure(f"the trace identity has {n} unknowns and needs at least "
@@ -132,16 +148,17 @@ def identity_roots(reports, action: TorusAction, f: Observable, ks) -> list:
     return merged
 
 
-def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusAction,
+def compare_and_fit(series: TraceSeries, predictions, reports, roots, action: TorusAction,
                     f: Observable) -> FitReport | None:
     """The exact identity the components imply for the traces, and the
     predictions' top coefficients against it; None without components.
 
     y(k) = D(k) trace(k), D(k) = (k+d+1)...(k+d+B) with B the largest |beta|
     of f (an h-term counts 1), is sum_rho rho^((k - k_first)/step) Q_rho(k/k_max)
-    from some k* on (Brion 1988), over the roots of `identity_roots`.  y and
-    D(k) prediction(k) are fitted on the top unknowns + 3 levels
-    (NumericFailure first with fewer levels or a condition above COND_CAP);
+    from some k* on (Brion 1988), over the roots of `identity_roots` (roots,
+    listed by the caller before its sweep).  y and D(k) prediction(k) are
+    fitted on the top unknowns + 3 levels, whose design condition is read off
+    the fit's singular values (NumericFailure above COND_CAP);
     f_bar a_trace / a_pred of their top coefficients on a root fed by one
     component alone is that component's trace-side f-bar.
     """
@@ -150,20 +167,19 @@ def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusActi
     ks, kf = series.k_values, series.k_values.astype(float)
     D = np.prod(kf[:, None] + action.n_coords + np.arange(f.degree), axis=1)
     step = math.gcd(*np.diff(ks).tolist()) or 1
-    merged = identity_roots(reports, action, f, ks)
-    n = sum(deg + 1 for _, deg, _ in merged)
+    n = sum(deg + 1 for _, deg, _ in roots)
     e, x, top = (ks - ks[0]) // step, kf / kf[-1], slice(len(ks) - n - 3, None)
-    X = np.hstack([rho ** e[:, None] * x[:, None] ** np.arange(deg + 1) for rho, deg, _ in merged])
-    cond = float(np.linalg.cond(X[top]))
+    X = np.hstack([rho ** e[:, None] * x[:, None] ** np.arange(deg + 1) for rho, deg, _ in roots])
+    Y = D[:, None] * np.stack([series.traces, np.asarray(predictions, dtype=complex)], axis=1)
+    coef, _, _, sv = np.linalg.lstsq(X[top], Y[top], rcond=None)
+    cond = float(sv[0] / sv[-1]) if sv[-1] else math.inf
     if cond > COND_CAP:
         raise NumericFailure(f"ill-conditioned identity design: condition {cond:.3e} "
                              f"over levels {ks[top][0]}..{ks[-1]}")
-    Y = D[:, None] * np.stack([series.traces, np.asarray(predictions, dtype=complex)], axis=1)
-    coef = np.linalg.lstsq(X[top], Y[top], rcond=None)[0]
     miss = np.abs(Y[:, 0] - X @ coef[:, 0]) / (np.max(np.abs(Y[:, 0])) or 1.0)
     first = int(np.max(np.nonzero(miss > MISS_TOL)[0], initial=-1)) + 1
     holds = first <= top.start
-    a_t, a_p = coef[np.cumsum([deg + 1 for _, deg, _ in merged]) - 1].T
+    a_t, a_p = coef[np.cumsum([deg + 1 for _, deg, _ in roots]) - 1].T
     # the top level's prediction before its stabilizer averages, which can cancel
     # every top coefficient to rounding (an isotype empty at every level)
     size = D[-1] * sum((kf[-1] / math.pi) ** rep.d_l * abs(rep.f_bar_integral / rep.c_l)
@@ -171,8 +187,8 @@ def compare_and_fit(series: TraceSeries, predictions, reports, action: TorusActi
                        for rep in reports) or 1.0
     lone = {}                  # component -> its lone root with the largest prediction
     for i in np.argsort(np.abs(a_p)):
-        if len(merged[i][2]) == 1 and abs(a_p[i]) > MISS_TOL * size:
-            lone[min(merged[i][2])] = i
+        if len(roots[i][2]) == 1 and abs(a_p[i]) > MISS_TOL * size:
+            lone[min(roots[i][2])] = i
     return FitReport(n, cond, int(ks[first]) if holds else None,
                      float(np.max(miss[first:] if holds else miss[top])),
                      (int(ks[top][0]), int(ks[-1])),

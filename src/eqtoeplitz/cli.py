@@ -245,8 +245,8 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
     _check_top_level(cfg)
     ks = cfg.k_values()
     preds, comps = _predictions(cfg, out, ks)
-    if comps:          # an identity with too many unknowns is refused before the sweep
-        identity_roots(comps, cfg.action(), cfg.observable(), ks)
+    # an identity with too many unknowns is refused before the sweep
+    roots = identity_roots(comps, cfg.action(), cfg.observable(), ks) if comps else []
     series = _complete_sweep(cfg, args.threads)
     rows = []
     for rec, p in zip(series.records, preds):
@@ -260,7 +260,7 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
                "phase_err"], rows)
     artifacts = ["comparison.csv"]
     summary = [f"comparison over {len(ks)} levels (prediction: {METHOD})"]
-    fit = compare_and_fit(series, preds, comps, cfg.action(), cfg.observable())
+    fit = compare_and_fit(series, preds, comps, roots, cfg.action(), cfg.observable())
     if fit is not None:
         diffs = np.abs(series.traces - preds)
         held = "fails" if fit.k_star is None else f"holds from k* = {fit.k_star}"

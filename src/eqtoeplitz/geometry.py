@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._intlinalg import NumericFailure, pivot_minor, smith_normal_form
+from ._intlinalg import NumericFailure, smith_normal_form
 
 __all__ = [
     "ProjectiveModel",
@@ -161,8 +161,7 @@ class _SlicePlan:
     integer solutions alpha = p + t L; stage j bounds t_j given t_<j."""
 
     A: list
-    rows: tuple       # the rows of A a nonzero maximal minor sits in
-    U: list           # the Smith form U A_rows V = diag(s); V: its first r columns
+    U: list           # the Smith form U A V = diag(s, 0): U's first r rows, V's first r columns
     s: list
     V: list
     L: list           # m x n, a basis of the lattice ker A in row echelon form: row i is 0
@@ -176,8 +175,8 @@ class _SlicePlan:
 def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     """The plan of the weight rows W (a tuple of n-tuples), built once.
 
-    The Smith form of the rows A_R of A a nonzero maximal minor sits in gives
-    a particular solution and a basis of the lattice ker A, which row
+    The Smith form of A gives its rank r (dependent rows give zero invariant
+    factors), a particular solution and a basis of the lattice ker A, which row
     operations bring to row echelon form over the coordinates 0..n-1
     (Hermite normal form; Schrijver 1986, sec. 4.1).  alpha up to the next
     pivot then depends on t_0..t_i alone, rising with t_i at pivot i, so
@@ -191,9 +190,9 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     counted before they are formed: over MAX_PLAN_BOUNDS in all is a
     NumericFailure."""
     A = [[1] * n] + [[-w for w in row] for row in W]
-    rows, _ = pivot_minor(A)
-    r = len(rows)
-    U, S, V = smith_normal_form(np.array([A[i] for i in rows], dtype=object))
+    U, S, V = smith_normal_form(np.array(A, dtype=object))
+    s = [int(S[i][i]) for i in range(min(len(A), n)) if S[i][i]]
+    r = len(s)
     L, pivots, beta = [[int(V[i][j]) for i in range(n)] for j in range(r, n)], [], []
     for f in range(n):
         i = len(pivots)
@@ -237,9 +236,8 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     stages = tuple((np.array([a for a, _, _ in st], np.int64).reshape(len(st), j),
                     [c for _, c, _ in st], [lam for _, _, lam in st])
                    for j, st in enumerate(reversed(stages)))
-    return _SlicePlan(A=A, rows=rows, U=U.tolist(), s=[int(S[i][i]) for i in range(r)],
-                      V=[row[:r] for row in V.tolist()], L=L, pivots=tuple(pivots), stages=stages,
-                      feasible=[lam for _, lam in bounds], scale=scale * n * max(beta + [0]))
+    return _SlicePlan(A=A, U=U.tolist()[:r], s=s, V=[row[:r] for row in V.tolist()], L=L,
+                      pivots=tuple(pivots), stages=stages, feasible=[lam for _, lam in bounds], scale=scale * n * max(beta + [0]))
 
 
 #: rows per block in which a walked slice's last stage is expanded, so a
@@ -264,7 +262,7 @@ def _weight_slice(k: int, W: np.ndarray, varpi) -> tuple:
     n = W.shape[1]
     plan = _slice_plan(n, tuple(map(tuple, W.tolist())))
     b = [int(k)] + [int(v) for v in varpi]
-    y = [sum(u * b[i] for u, i in zip(row, plan.rows)) for row in plan.U]
+    y = [sum(u * bi for u, bi in zip(row, b)) for row in plan.U]
     empty = 0, 0, lambda: iter(())
     if any(v % s for v, s in zip(y, plan.s)):
         return empty

@@ -4,8 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from eqtoeplitz._intlinalg import pivot_minor
-from eqtoeplitz.geometry import ProjectiveModel, section_basis
+from eqtoeplitz._intlinalg import NumericFailure, _row_reduce, smith_normal_form
+from eqtoeplitz.geometry import MAX_PLAN_BOUNDS, ProjectiveModel, _SlicePlan, section_basis
 from eqtoeplitz.symmetry import TorusAction, weight_of
 
 
@@ -114,6 +114,83 @@ def int_det(M) -> int:
                 row[j] = (row[j] * M[k][k] - row[k] * M[k][j]) // prev
         prev = M[k][k]
     return sign * M[-1][-1] if r else 1
+
+
+def pivot_minor(A) -> tuple:
+    """(rows, cols) of the lex-first nonzero maximal minor of the integer
+    matrix A: rows taken greedily, each kept when independent of those kept
+    before it, then columns greedily within those rows.  Its size is the
+    rank of A (0 for a zero or empty matrix), found in O(m n r) exact steps."""
+    A = [[int(x) for x in row] for row in A]
+    rows = tuple(_row_reduce(list(zip(*A)))[0])
+    return rows, tuple(_row_reduce([A[i] for i in rows])[0])
+
+
+def row_selected_plan(n, W):
+    """Oracle for `geometry._slice_plan`: the Smith form of only the rows A_R
+    of A = [1; -W] that `pivot_minor` selects, whose particular solution and
+    lattice basis are then brought to the same echelon form and
+    Fourier-Motzkin stages.  Its U (r x r) is widened to act on all of
+    [k; varpi] with zeros off R, so `_weight_slice` walks this plan as it is."""
+    A = [[1] * n] + [[-w for w in row] for row in W]
+    rows, _ = pivot_minor(A)
+    r = len(rows)
+    U, S, V = smith_normal_form(np.array([A[i] for i in rows], dtype=object))
+    L, pivots, beta = [[int(V[i][j]) for i in range(n)] for j in range(r, n)], [], []
+    for f in range(n):
+        i = len(pivots)
+        for j in range(i + 1, n - r):
+            while L[j][f]:
+                q = L[i][f] // L[j][f]
+                L[i], L[j] = L[j], [a - q * b for a, b in zip(L[i], L[j])]
+        if i == n - r or not L[i][f]:
+            continue
+        if L[i][f] < 0:
+            L[i] = [-a for a in L[i]]
+        for j in range(i):
+            q = L[j][f] // L[i][f]
+            L[j] = [a - q * b for a, b in zip(L[j], L[i])]
+        beta.append((1 + sum(L[j][f] * beta[j] for j in range(i))) / L[i][f])
+        pivots.append(f)
+    bounds = {(tuple(-c[i] for c in L), tuple(int(i == q) for q in range(n))): 1 << i
+              for i in range(n)}
+    stages, pairs = [], 0
+    for j in reversed(range(n - r)):
+        stages.append([(c[:j], c[j], lam) for c, lam in bounds if c[j]])
+        pos = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] > 0]
+        neg = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] < 0]
+        bounds = {key: h for key, h in bounds.items() if not key[0][j]}
+        pairs += len(pos) * len(neg)
+        if pairs > MAX_PLAN_BOUNDS:
+            raise NumericFailure("over the plan's pair budget")
+        for cp, lp, hp in pos:
+            for cn, ln, hn in neg:
+                if (hp | hn).bit_count() <= n - r - j + 1:
+                    c = [-cn[j] * x + cp[j] * y for x, y in zip(cp, cn)]
+                    lam = [-cn[j] * x + cp[j] * y for x, y in zip(lp, ln)]
+                    g = math.gcd(*c, *lam)
+                    bounds[tuple(x // g for x in c), tuple(x // g for x in lam)] = hp | hn
+    scale = max([abs(x) for row in L + [a for st in stages for a, _, _ in st] for x in row] + [0])
+    stages = tuple((np.array([a for a, _, _ in st], np.int64).reshape(len(st), j),
+                    [c for _, c, _ in st], [lam for _, _, lam in st])
+                   for j, st in enumerate(reversed(stages)))
+    wide = [[row[rows.index(i)] if i in rows else 0 for i in range(len(A))] for row in U.tolist()]
+    return _SlicePlan(A=A, U=wide, s=[int(S[i][i]) for i in range(r)],
+                      V=[row[:r] for row in V.tolist()], L=L, pivots=tuple(pivots), stages=stages,
+                      feasible=[lam for _, lam in bounds], scale=scale * n * max(beta + [0]))
+
+
+def scan_merge(fed) -> list:
+    """Oracle for `asymptotics._merge_roots`: each (root, degree, component)
+    fed joins the first merged root within 1e-8, found by a linear scan."""
+    merged = []
+    for r, deg, l in fed:
+        m = next((m for m in merged if abs(m[0] - r) < 1e-8), None)
+        if m is None:
+            merged.append(m := [r, 0, set()])
+        m[1] = max(m[1], deg)
+        m[2].add(l)
+    return merged
 
 
 def cramer_vertices(A, b) -> list:

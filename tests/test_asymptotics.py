@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,10 +15,12 @@ from eqtoeplitz.reduction import (DegenerateSymmetryError, component_invariants,
 from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction
 from eqtoeplitz.toeplitz import TraceRecord, TraceSeries, trace_psi, trace_sweep
 from eqtoeplitz.asymptotics import (NumericFailure, ProbeDomainError, ScalingProbe,
-                                    TracePrediction, compare_and_fit, decay_probe, identity_roots,
-                                    orbit_distance, predict_toeplitz_leading, scaling_probe,
-                                    tangent_frame)
+                                    TracePrediction, _merge_roots, compare_and_fit, decay_probe,
+                                    identity_roots, orbit_distance, predict_toeplitz_leading,
+                                    scaling_probe, tangent_frame)
 from eqtoeplitz.selftest import check_fixed_point_pin, check_scaling_gaussian
+
+from conftest import scan_merge
 
 
 def completed_components(action, sym, model, f, n=2 ** 15, seed=5):
@@ -121,8 +124,9 @@ def identity_fit(W, phi, varpi, ks, f, drop=None):
     if drop is not None:
         del comps[drop]
     pred = TracePrediction(tuple(comps), varpi)
+    roots = identity_roots(comps, action, f, ks)
     series = trace_sweep(ks, varpi, f, sym, action, model)
-    return compare_and_fit(series, [pred(k) for k in ks], comps, action, f)
+    return compare_and_fit(series, [pred(k) for k in ks], comps, roots, action, f)
 
 
 class TestCompareAndFit:
@@ -193,7 +197,8 @@ class TestCompareAndFit:
         for rec, e in zip(exact.records, noise):
             noisy.append(TraceRecord(k=rec.k, varpi=(), trace=rec.trace * (1 + e),
                                      dim_isotype=rec.dim_isotype))
-        f0, f1 = (compare_and_fit(s, preds, comps, trivial_g1, u0) for s in (exact, noisy))
+        roots = identity_roots(comps, trivial_g1, u0, ks)
+        f0, f1 = (compare_and_fit(s, preds, comps, roots, trivial_g1, u0) for s in (exact, noisy))
         shift = abs(f1.f_bar_trace[0][2] - f0.f_bar_trace[0][2]) / (math.pi / 2)
         assert 0 < shift <= 3 * f0.condition * eta
 
@@ -201,7 +206,7 @@ class TestCompareAndFit:
         # 4 unknowns need 7 levels; 6 fail before any solve
         W, phi, varpi, _, f = IDENTITY_CASES["p2-sweep"]
         monkeypatch.setattr(np.linalg, "lstsq", None)
-        monkeypatch.setattr(np.linalg, "cond", None)
+        monkeypatch.setattr(np.linalg, "svd", None)
         with pytest.raises(NumericFailure, match="4 unknowns and needs at least 7 levels, have 6"):
             identity_fit(W, phi, varpi, range(40, 81, 8), f)
 
@@ -221,7 +226,7 @@ class TestCompareAndFit:
     def test_no_components_no_report(self):
         series = TraceSeries()
         series.append(TraceRecord(k=3, varpi=(0,), trace=0j, dim_isotype=0))
-        assert compare_and_fit(series, [0.0], (), TorusAction([[1, 1]]),
+        assert compare_and_fit(series, [0.0], (), [], TorusAction([[1, 1]]),
                                Observable.constant(1.0, 2)) is None
 
     @settings(max_examples=40, deadline=None,
@@ -271,13 +276,76 @@ class TestCompareAndFit:
         ks = range(unknowns + 23)
         pred = TracePrediction(tuple(comps), varpi)
         series = trace_sweep(ks, varpi, f, sym, action, model)
-        fit = compare_and_fit(series, [pred(k) for k in ks], comps, action, f)
+        fit = compare_and_fit(series, [pred(k) for k in ks], comps,
+                              identity_roots(comps, action, f, ks), action, f)
         # close roots raise the condition; its rounding, 256 eps cond, reaches
         # 1e-7 in the same draws
         slack = 256 * np.finfo(float).eps * fit.condition
         assert fit.k_star is not None and fit.miss <= 1e-10 + slack
         if all(c.d_l == 0 for c in comps):
             assert fit.leading_gap <= 1e-9 + slack
+
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_condition_is_the_top_window_s(self, seed):
+        # s[0] / s[-1] of the singular values the fit's least squares returns
+        # is np.linalg.cond of the design it solved: random distinct roots
+        # near the unit circle, degrees 0..2 and complex traces
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        roots = [[rng.uniform(0.95, 1.05) * np.exp(1j * (2 * np.pi * j / m + rng.uniform(-0.3, 0.3))),
+                  int(rng.integers(0, 3)), {0}] for j in range(m)]
+        ks = range(sum(deg + 1 for _, deg, _ in roots) + 3 + int(rng.integers(0, 10)))
+        series = TraceSeries()
+        for k, t in zip(ks, rng.standard_normal((len(ks), 2)) @ [1, 1j]):
+            series.append(TraceRecord(k=k, varpi=(), trace=t, dim_isotype=1))
+        rep = SimpleNamespace(d_l=0, f_bar_integral=1.0, c_l=1.0, branch_weights=None,
+                              support=(0,))
+        designs, lstsq = [], np.linalg.lstsq
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", lambda X, Y, rcond: designs.append(X) or lstsq(X, Y, rcond))
+            fit = compare_and_fit(series, np.ones(len(ks)), [rep], roots,
+                                  SimpleNamespace(n_coords=1), SimpleNamespace(degree=0))
+        X, = designs
+        assert np.iscomplexobj(X) and np.linalg.matrix_rank(X) == X.shape[1]
+        assert fit.condition == pytest.approx(np.linalg.cond(X), rel=1e-9)
+
+
+def fed_roots(offsets):
+    """(root, degree, component) triples: eighth roots of unity moved by
+    multiples of 0.4e-8 in each coordinate, so roots merge, chain across
+    1e-8 and straddle the 2e-8 cells of the lookup."""
+    return [(np.exp(1j * math.pi * c / 4) + shift + 0.4e-8 * complex(x, y), deg, l)
+            for c, x, y, deg, l, shift in offsets]
+
+
+class TestMergeRoots:
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(-4, 4), st.integers(-4, 4),
+                              st.integers(0, 3), st.integers(0, 3),
+                              st.sampled_from([0.0, 1e-8, 2e-8 - 1e-17, 3.3e-9 + 7e-9j])),
+                    max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_merges_as_the_scan(self, offsets):
+        fed = fed_roots(offsets)
+        assert _merge_roots(fed) == scan_merge(fed)
+
+    def test_many_roots_merge_fast(self):
+        # the d = 8 system's q = 7,392 roots of unity from two components, the
+        # second's rotated by a whole turn, so rounding alone separates them:
+        # the scan took ~3 s on these; CPU time, the best of three merges
+        q = 7392
+        z = np.exp(2j * math.pi * np.arange(q) / q)
+        fed = [(r, 6, 0) for r in z] + [(r, 7, 1) for r in z * np.exp(2j * math.pi * (1 + 1 / q))]
+
+        def merge():
+            start = time.process_time()
+            merged = _merge_roots(fed)
+            assert len(merged) == q
+            assert all(deg == 7 and l == {0, 1} for _, deg, l in merged)
+            assert [r for r, _, _ in merged] == list(z)
+            return time.process_time() - start
+        assert any(merge() < 0.5 for _ in range(3))
 
 
 class TestDecayProbe:

@@ -388,6 +388,20 @@ class TestAnalyze:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("over", [P2_SWEEP, D3_REDUCE], ids=["p2-sweep", "d3-reduce"])
+    def test_identity_listed_and_factored_once(self, tmp_path, monkeypatch, over):
+        # the roots listed for the refusal before the sweep are the ones the
+        # fit uses, and the design's condition is read off the fit's own
+        # singular values: no second SVD
+        calls, listed = [], asymptotics.identity_roots
+        monkeypatch.setattr(asymptotics, "identity_roots", lambda *a: calls.append(a) or listed(*a))
+        for name in ("cond", "svd"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **kw: pytest.fail(
+                f"numpy.linalg.{name} was called"))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", write_config(tmp_path, base_config(out, **over))]) == 0
+        assert len(calls) == 1 and (out / "fit_report.txt").exists()
+
     def test_toeplitz_ratio_column(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_config(out))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from eqtoeplitz import geometry
-from eqtoeplitz._intlinalg import NumericFailure, pivot_minor
+from eqtoeplitz._intlinalg import NumericFailure
 from eqtoeplitz.geometry import (MAX_CUBATURE_NODES, MAX_SLICE_ROWS, ProjectiveModel,
                                  _log_factorials, _sobol, _weight_slice, check_slice_budget, kernel_pair_values, log_monomial_norm,
                                  monomial_norm, sample_sphere, section_basis,
@@ -17,7 +17,8 @@ from eqtoeplitz.geometry import (MAX_CUBATURE_NODES, MAX_SLICE_ROWS, ProjectiveM
 from eqtoeplitz.selftest import (check_kappa_calibration, check_norm_table,
                                  check_reproducing_property, check_sampler_determinism)
 
-from conftest import int_adjugate, monomial_matrix, multi_indices_by_level, plain_sphere
+from conftest import (int_adjugate, monomial_matrix, multi_indices_by_level, pivot_minor,
+                      plain_sphere, row_selected_plan)
 
 
 #: the d4-isotype benchmark's weights, and two wider systems of the same kind
@@ -77,6 +78,50 @@ def slice_systems(draw):
     else:
         varpi = draw(st.lists(st.integers(-40, 40), min_size=g, max_size=g))
     return k, W, [int(v) for v in varpi]
+
+
+@st.composite
+def dependent_systems(draw):
+    """(k, W, varpi): W = B stacked on -B, B of g in 1..3 rows of d+1 <= 7
+    entries in [-3, 3] with some columns zeroed (coordinates of weight 0),
+    k <= 16, and a label that occurs at level k or an arbitrary one."""
+    n, g, k = draw(st.integers(2, 7)), draw(st.integers(1, 3)), draw(st.integers(0, 16))
+    B = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=g, max_size=g)), dtype=np.int64)
+    B[:, sorted(draw(st.sets(st.integers(0, n - 1))))] = 0
+    W = np.vstack([B, -B])
+    if draw(st.booleans()):
+        alpha = draw(st.lists(st.integers(0, k), min_size=n - 1, max_size=n - 1))
+        varpi = -W @ np.diff(np.sort([0, k] + alpha))
+    else:
+        varpi = draw(st.lists(st.integers(-20, 20), min_size=2 * g, max_size=2 * g))
+    return k, W, [int(v) for v in varpi]
+
+
+class TestPlanFromOneSmithForm:
+    """The plan read off one Smith form of all of A = [1; -W] against the
+    plan of the rows a nonzero maximal minor sits in."""
+
+    @given(st.one_of(slice_systems(), dependent_systems()))
+    @settings(max_examples=150, deadline=None)
+    @example((20, np.array(W_8), [1, 0]))
+    @example((12, np.array([[1, -1, 0, 2], [-1, 1, 0, -2]]), [0, 0]))
+    @example((12, np.array([[1, -1, 0, 2], [-1, 1, 0, -2]]), [1, 1]))     # inconsistent
+    @example((5, np.zeros((2, 3), np.int64), [0, 0]))                     # rank 1: m = 2
+    def test_plan_and_walk_match_the_row_selected_plan(self, case):
+        k, W, varpi = case
+        n, key = W.shape[1], tuple(map(tuple, W.tolist()))
+        plan, want = geometry._slice_plan.__wrapped__(n, key), row_selected_plan(n, key)
+        assert (plan.L, plan.pivots, plan.feasible, plan.scale) == (
+            want.L, want.pivots, want.feasible, want.scale)
+        assert len(plan.stages) == len(want.stages)
+        for (a, c, lam), (a0, c0, lam0) in zip(plan.stages, want.stages):
+            assert np.array_equal(a, a0) and (c, lam) == (c0, lam0)
+        got, walked = walked_slice(k, W, varpi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_slice_plan", lambda n, W: want)
+            rows, walked0 = walked_slice(k, W, varpi)
+        assert np.array_equal(got, rows) and walked == walked0
 
 
 class TestWeightSlice:
