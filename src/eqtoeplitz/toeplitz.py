@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._intlinalg import NumericFailure
 from .geometry import ProjectiveModel, sphere_cubature
 from .observables import Observable
 from .symmetry import (DiagonalSymmetry, IsotypeBasis, TorusAction, equivariant_kernel_pairs,
@@ -30,23 +29,18 @@ __all__ = [
 
 
 def _u_diagonal(indices: np.ndarray, beta: tuple, k: int, d: int) -> np.ndarray:
-    """(alpha+beta)! (d+k)! / (alpha! (d+k+|beta|)!) for each index row.
-
-    Both are float products of integer factors, exact while below 2^53.
-    Each numerator factor is at most its paired denominator factor, so a
-    finite denominator bounds the numerator too: NumericFailure when not.
+    """(alpha+beta)! (d+k)! / (alpha! (d+k+|beta|)!) for each index row: the
+    product of the ratios (alpha_j + r) / (d+k+s), the s-th numerator factor
+    over the s-th denominator factor.  Each ratio is at most 1, so no partial
+    product overflows, and with |beta| <= 1 the result is one division.
     """
-    denom = 1.0
-    for r in range(1, sum(beta) + 1):
-        denom *= d + k + r
-    if not math.isfinite(denom):
-        raise NumericFailure(f"the u-term {beta} overflows at level {k}")
-    out = np.ones(indices.shape[0])
+    out, s = np.ones(indices.shape[0]), d + k
     for j, b in enumerate(beta):
         col = indices[:, j].astype(float)
         for r in range(1, b + 1):
-            out *= col + r
-    return out / denom
+            s += 1
+            out *= (col + r) / s
+    return out
 
 
 def toeplitz_diagonal(f: Observable, indices: np.ndarray, k: int,

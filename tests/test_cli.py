@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -515,17 +516,25 @@ class TestFailedLevels:
         assert not (out / "fit_report.txt").exists()
 
 
-    def test_overflowing_u_term_exits_4(self, tmp_path, capsys):
+    def test_overflowing_u_term_matches_exact_fractions(self, tmp_path):
         # u_0^150 on P^1: (d + k + 1) ... (d + k + 150) overflows a float at
-        # k near 1000, where the trace was written as nan with exit 0
+        # k near 1000, but each paired ratio (alpha_0 + r) / (d + k + r) is at
+        # most 1; the one row alpha = (k/2, k/2) of an even level gives the
+        # trace, an odd level's isotype is empty
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_config(
             out, action={"W": [[1, -1]]}, isotype=[0],
             observable={"u_terms": [{"beta": [150, 0], "coef": 1.0}]},
             k_range={"min": 998, "max": 1000, "step": 1}))
-        assert main(["trace", "--config", cfg]) == 4
-        assert "failed at levels 998, 1000" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        assert main(["trace", "--config", cfg]) == 0
+        header, rows = read_csv(out / "trace.csv")
+        assert [int(r[0]) for r in rows] == [998, 999, 1000]
+        for r in rows:
+            k = int(r[0])
+            want = (math.prod(Fraction(k // 2 + j, 1 + k + j) for j in range(1, 151))
+                    if k % 2 == 0 else 0)
+            assert float(r[header.index("trace_im")]) == 0
+            assert abs(float(r[header.index("trace_re")]) - want) <= 1e-12 * want
 
 
 class TestTraceAndPredict:
