@@ -111,15 +111,14 @@ def _merge_roots(fed) -> list:
     merged, cells = [], {}
     for r, deg, l in fed:
         a, b = math.floor(r.real / 2e-8), math.floor(r.imag / 2e-8)
-        near = [i for x in (a - 1, a, a + 1) for y in (b - 1, b, b + 1)
-                for i in cells.get((x, y), ()) if abs(merged[i][0] - r) < 1e-8]
-        if not near:
-            cells.setdefault((a, b), []).append(len(merged))
-            near.append(len(merged))
-            merged.append([r, 0, set()])
-        m = merged[min(near)]
-        m[1] = max(m[1], deg)
-        m[2].add(l)
+        near = (i for x in (a - 1, a, a + 1) for y in (b - 1, b, b + 1)
+                for i in cells.get((x, y), ()) if abs(merged[i][0] - r) < 1e-8)
+        i = min(near, default=len(merged))
+        if i == len(merged):
+            cells.setdefault((a, b), []).append(i)
+            merged.append([r, deg, set()])
+        merged[i][1] = max(merged[i][1], deg)
+        merged[i][2].add(l)
     return merged
 
 

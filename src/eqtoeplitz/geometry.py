@@ -237,7 +237,8 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
                     [c for _, c, _ in st], [lam for _, _, lam in st])
                    for j, st in enumerate(reversed(stages)))
     return _SlicePlan(A=A, U=U.tolist()[:r], s=s, V=[row[:r] for row in V.tolist()], L=L,
-                      pivots=tuple(pivots), stages=stages, feasible=[lam for _, lam in bounds], scale=scale * n * max(beta + [0]))
+                      pivots=tuple(pivots), stages=stages, feasible=[lam for _, lam in bounds],
+                      scale=scale * n * max(beta + [0]))
 
 
 #: rows per block in which a walked slice's last stage is expanded, so a

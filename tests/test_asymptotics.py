@@ -294,8 +294,9 @@ class TestCompareAndFit:
         # near the unit circle, degrees 0..2 and complex traces
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 5))
-        roots = [[rng.uniform(0.95, 1.05) * np.exp(1j * (2 * np.pi * j / m + rng.uniform(-0.3, 0.3))),
-                  int(rng.integers(0, 3)), {0}] for j in range(m)]
+        angles = 2 * np.pi * np.arange(m) / m + rng.uniform(-0.3, 0.3, m)
+        roots = [[rng.uniform(0.95, 1.05) * np.exp(1j * a), int(rng.integers(0, 3)), {0}]
+                 for a in angles]
         ks = range(sum(deg + 1 for _, deg, _ in roots) + 3 + int(rng.integers(0, 10)))
         series = TraceSeries()
         for k, t in zip(ks, rng.standard_normal((len(ks), 2)) @ [1, 1j]):
@@ -304,7 +305,8 @@ class TestCompareAndFit:
                               support=(0,))
         designs, lstsq = [], np.linalg.lstsq
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "lstsq", lambda X, Y, rcond: designs.append(X) or lstsq(X, Y, rcond))
+            mp.setattr(np.linalg, "lstsq",
+                       lambda X, Y, rcond: designs.append(X) or lstsq(X, Y, rcond))
             fit = compare_and_fit(series, np.ones(len(ks)), [rep], roots,
                                   SimpleNamespace(n_coords=1), SimpleNamespace(degree=0))
         X, = designs

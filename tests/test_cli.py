@@ -395,7 +395,8 @@ class TestCompare:
         # fit uses, and the design's condition is read off the fit's own
         # singular values: no second SVD
         calls, listed = [], asymptotics.identity_roots
-        monkeypatch.setattr(asymptotics, "identity_roots", lambda *a: calls.append(a) or listed(*a))
+        monkeypatch.setattr(asymptotics, "identity_roots",
+                            lambda *a: calls.append(a) or listed(*a))
         for name in ("cond", "svd"):
             monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **kw: pytest.fail(
                 f"numpy.linalg.{name} was called"))
