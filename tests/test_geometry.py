@@ -123,6 +123,14 @@ class TestPlanFromOneSmithForm:
             rows, walked0 = walked_slice(k, W, varpi)
         assert np.array_equal(got, rows) and walked == walked0
 
+    def test_one_smith_form_of_every_row(self, monkeypatch):
+        # B stacked on -B: A = [1; -W] has 7 rows of rank 4, all put in Smith form at once
+        calls, snf = [], geometry.smith_normal_form
+        monkeypatch.setattr(geometry, "smith_normal_form", lambda A: calls.append(A.shape) or snf(A))
+        B = np.random.default_rng(0).integers(-2, 3, (3, 16))
+        plan = geometry._slice_plan.__wrapped__(16, tuple(map(tuple, np.vstack([B, -B]).tolist())))
+        assert calls == [(7, 16)] and len(plan.s) == 4 and len(plan.L) == 12
+
 
 class TestWeightSlice:
     """The walk of the slice's lattice points against the candidate filter."""
