@@ -285,7 +285,6 @@ class TestCompareAndFit:
         if all(c.d_l == 0 for c in comps):
             assert fit.leading_gap <= 1e-9 + slack
 
-
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_condition_is_the_top_window_s(self, seed):
@@ -334,8 +333,9 @@ class TestMergeRoots:
 
     def test_many_roots_merge_fast(self):
         # the d = 8 system's q = 7,392 roots of unity from two components, the
-        # second's rotated by a whole turn, so rounding alone separates them:
-        # the scan took ~3 s on these; CPU time, the best of three merges
+        # second's turned by one root and a whole turn, so that rounding alone
+        # separates each from a first one; the scan took ~3 s on the d = 8
+        # system's roots.  CPU time, the best of three merges
         q = 7392
         z = np.exp(2j * math.pi * np.arange(q) / q)
         fed = [(r, 6, 0) for r in z] + [(r, 7, 1) for r in z * np.exp(2j * math.pi * (1 + 1 / q))]
