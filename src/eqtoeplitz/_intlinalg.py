@@ -43,7 +43,7 @@ class ReductionHypothesisError(RuntimeError):
         self.witness = witness
 
 
-class DegenerateSymmetryError(RuntimeError):
+class DegenerateSymmetryError(NumericFailure):
     """The normal return map has an eigenvalue 1: the determinant factor
     vanishes and the leading-term formula does not apply."""
 

@@ -20,14 +20,14 @@ import platform
 import sys
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from ._intlinalg import (DegenerateSymmetryError, NumericFailure, ProbeDomainError,
-                         ReductionHypothesisError)
+from ._intlinalg import NumericFailure, ProbeDomainError, ReductionHypothesisError
 from .config import (FLIPPABLE_PINS, PINNED, ConfigError, ExperimentConfig,
-                     check_level_budget, load_config, parse_config)
+                     load_config as read_config)
 from .geometry import SAMPLER, check_slice_budget
 from .iotools import write_csv
 
@@ -38,6 +38,10 @@ EXIT_NUMERIC = 4
 
 #: most worker threads: `ThreadPoolExecutor`'s own default ceiling
 MAX_THREADS = 32
+#: most levels one subcommand visits, from k_range or kernel_probe.k_values:
+#: the d = 1 sweep k = 1..10,000 takes ~14 s for `trace` or `compare` and
+#: ~0.5 s for `predict`; a level's work grows with k (2-vCPU Xeon)
+MAX_LEVELS = 10_000
 
 #: the one prediction route: the leading term summed over fixed components
 METHOD = "fixed-component-sum"
@@ -51,16 +55,13 @@ def _configured(name: str, cmd):
 
     Subcommands run on the same config accumulate in one record, which
     holds that config and the timings and counters keyed by subcommand; a
-    different config (or an unreadable record) starts a new one."""
+    different config, or an unreadable record (a field of the wrong type
+    too), starts a new one."""
     def run(args) -> int:
         t0 = time.perf_counter()
         if not 1 <= args.threads <= MAX_THREADS:
             raise ConfigError(f"--threads must be in 1..{MAX_THREADS}, got {args.threads}")
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            doc = dict(cfg.raw)
-            doc["sampling"] = dict(doc["sampling"], seed=args.seed)
-            cfg = parse_config(doc)
+        cfg = read_config(args.config, args.seed)
         out = args.out or cfg.output_dir
         os.makedirs(out, exist_ok=True)
         artifacts, counters = cmd(cfg, out, args)
@@ -71,7 +72,10 @@ def _configured(name: str, cmd):
                 old = json.load(fh)
         except (OSError, ValueError):
             old = {}
-        if not isinstance(old, dict) or old.get("config") != cfg.raw:
+        kinds = {"artifacts": list, "timings_seconds": dict, "counters": dict}
+        if not isinstance(old, dict) or old.get("config") != cfg.raw \
+                or not all(isinstance(old.get(key, kind()), kind) for key, kind in kinds.items()) \
+                or not all(isinstance(a, str) for a in old.get("artifacts", [])):
             old = {}
         record = {
             "config": cfg.raw,
@@ -100,7 +104,7 @@ def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
     from .reduction import (component_invariants, f_bar_integral, f_bar_is_sampled,
                             find_fixed_components)
 
-    model, action, sym, f = cfg.model(), cfg.action(), cfg.symmetry(), cfg.observable()
+    model, action, sym, f = cfg.model, cfg.action, cfg.symmetry, cfg.observable
     comps = []
     for rep in find_fixed_components(action, sym, model):
         rep = component_invariants(rep, sym, action, model)
@@ -143,9 +147,8 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
     when the hypotheses hold (else exit 3 after the report)."""
     from .reduction import check_regular_and_free, vanishing_level
 
-    model, action = cfg.model(), cfg.action()
-    diagnostics, sample = check_regular_and_free(action, model, n_samples=cfg.n_samples,
-                                                 seed=cfg.seed)
+    diagnostics, sample = check_regular_and_free(cfg.action, cfg.model,
+                                                 n_samples=cfg.n_samples, seed=cfg.seed)
     lines = ["reduction diagnostics", "====================="]
     for name, val in sorted(vars(diagnostics).items()):
         lines.append(f"{name}: {val}")
@@ -153,7 +156,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
     if diagnostics.empty_locus:
         lines.append("")
         lines.append("empty zero locus: twisted operators vanish identically for k >= k0;")
-        k0 = vanishing_level(action, cfg.varpi)
+        k0 = vanishing_level(cfg.action, cfg.varpi)
         lines.append(f"k0 (weight-range bound for the configured isotype): {k0}")
     elif not diagnostics.regular_value:
         _write_report(out, lines)
@@ -189,20 +192,23 @@ def _write_report(out, lines):
     print("\n".join(lines))
 
 
-def _check_top_level(cfg: ExperimentConfig):
-    """The top level's slice-row budget, checked before any level."""
-    check_slice_budget(cfg.k_min + (cfg.k_max - cfg.k_min) // cfg.k_step * cfg.k_step, cfg.W,
-                       cfg.varpi)
+def _check_levels(cfg: ExperimentConfig, ks, walk=True):
+    """Refuse, before any level is visited, more than `MAX_LEVELS` levels ks,
+    then, when walk, a top level whose slice walk is over its row budget."""
+    if len(ks) > MAX_LEVELS:
+        raise NumericFailure(f"{len(ks)} levels, over the budget of {MAX_LEVELS}")
+    if walk:
+        check_slice_budget(max(ks), cfg.action.W, cfg.varpi)
 
 
 def _complete_sweep(cfg: ExperimentConfig, threads: int):
-    """Exact traces over every configured level, after `_check_top_level`;
+    """Exact traces over every configured level, after `_check_levels`;
     any failed level is a numeric failure, so no output is ever written over
     a gapped series."""
     from .toeplitz import trace_sweep
 
-    series = trace_sweep(cfg.k_values(), cfg.varpi, cfg.observable(), cfg.symmetry(),
-                         cfg.action(), cfg.model(), threads=threads)
+    series = trace_sweep(cfg.levels, cfg.varpi, cfg.observable, cfg.symmetry, cfg.action,
+                         cfg.model, threads=threads)
     if series.failures:
         for k, err in series.failures:
             print(f"level {k} failed: {err}", file=sys.stderr)
@@ -220,7 +226,7 @@ def _slice_counters(series) -> dict:
 
 
 def cmd_trace(cfg: ExperimentConfig, out: str, args) -> list:
-    _check_top_level(cfg)
+    _check_levels(cfg, cfg.levels)
     series = _complete_sweep(cfg, args.threads)
     series.to_csv(os.path.join(out, "trace.csv"))
     nonzero = [r for r in series.records if r.dim_isotype > 0]
@@ -230,7 +236,8 @@ def cmd_trace(cfg: ExperimentConfig, out: str, args) -> list:
 
 
 def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
-    ks = cfg.k_values()
+    ks = cfg.levels
+    _check_levels(cfg, ks, walk=False)      # the prediction walks no slice
     vals, _ = _predictions(cfg, out, ks)
     rows = [[k, v.real, v.imag, METHOD] for k, v in zip(ks, vals)]
     write_csv(os.path.join(out, "predictions.csv"),
@@ -242,11 +249,11 @@ def cmd_predict(cfg: ExperimentConfig, out: str, args) -> list:
 def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
     from .asymptotics import compare_and_fit, identity_roots
 
-    _check_top_level(cfg)
-    ks = cfg.k_values()
+    ks = cfg.levels
+    _check_levels(cfg, ks)
     preds, comps = _predictions(cfg, out, ks)
     # an identity with too many unknowns is refused before the sweep
-    roots = identity_roots(comps, cfg.action(), cfg.observable(), ks) if comps else []
+    roots = identity_roots(comps, cfg.action, cfg.observable, ks) if comps else []
     series = _complete_sweep(cfg, args.threads)
     rows = []
     for rec, p in zip(series.records, preds):
@@ -260,7 +267,7 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
                "phase_err"], rows)
     artifacts = ["comparison.csv"]
     summary = [f"comparison over {len(ks)} levels (prediction: {METHOD})"]
-    fit = compare_and_fit(series, preds, comps, roots, cfg.action(), cfg.observable())
+    fit = compare_and_fit(series, preds, comps, roots, cfg.action, cfg.observable)
     if fit is not None:
         diffs = np.abs(series.traces - preds)
         held = "fails" if fit.k_star is None else f"holds from k* = {fit.k_star}"
@@ -286,10 +293,8 @@ def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
     probe = cfg.kernel_probe
     if probe is None:
         raise ConfigError("kernel subcommand needs a kernel_probe config section")
-    model, action = cfg.model(), cfg.action()
-    ks = probe["k_values"]
-    check_level_budget(len(ks))
-    check_slice_budget(max(ks), cfg.W, cfg.varpi)
+    model, action, ks = cfg.model, cfg.action, probe["k_values"]
+    _check_levels(cfg, ks)
     if probe["type"] == "decay":
         res = decay_probe(probe["point"], probe["second_point"], cfg.varpi, action, model, ks)
         rows = [[int(k), float(v)] for k, v in zip(res.k_values, res.abs_values)]
@@ -308,6 +313,15 @@ def cmd_kernel(cfg: ExperimentConfig, out: str, args) -> list:
     print("scaling probe: " + ", ".join(
         f"k={r.k} ratio={r.abs_ratio:.4f}" for r in rows_out))
     return ["kernel_scaling.csv"], {}
+
+
+def load_config(path):
+    """The config at path as `perfbench/run.py`'s thread probe reads it, the
+    levels and layer objects behind calls (ROADMAP item 1a drops this)."""
+    cfg = read_config(path)
+    return SimpleNamespace(varpi=cfg.varpi, k_values=lambda: list(cfg.levels),
+                           model=lambda: cfg.model, action=lambda: cfg.action,
+                           symmetry=lambda: cfg.symmetry, observable=lambda: cfg.observable)
 
 
 def cmd_selftest(args) -> int:
@@ -370,7 +384,7 @@ def main(argv=None) -> int:
         if getattr(exc, "witness", None) is not None:
             print(f"witness: {exc.witness}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (DegenerateSymmetryError, NumericFailure) as exc:
+    except NumericFailure as exc:
         print(f"numeric failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

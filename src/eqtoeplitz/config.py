@@ -8,25 +8,20 @@ no run is ever silently nondeterministic.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._intlinalg import NumericFailure
-from .geometry import MAX_SAMPLES, ProjectiveModel
+from .geometry import KAPPA_X, MAX_SAMPLES, ProjectiveModel
 from .observables import Observable
 from .symmetry import DiagonalSymmetry, TorusAction
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "check_level_budget",
-           "CalibrationRecord", "PINNED", "FLIPPABLE_PINS"]
-
-#: most levels one subcommand visits, from k_range or kernel_probe.k_values:
-#: the d = 1 sweep k = 1..10,000 takes ~14 s for `trace` or `compare` and
-#: ~0.5 s for `predict`; a level's work grows with k (2-vCPU Xeon)
-MAX_LEVELS = 10_000
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "CalibrationRecord", "PINNED",
+           "FLIPPABLE_PINS"]
 
 
 class ConfigError(ValueError):
@@ -63,20 +58,13 @@ class CalibrationRecord:
 
 
 PINNED = CalibrationRecord(
-    kappa_x=1.0,
+    kappa_x=KAPPA_X,
     gamma_phase_sign=-1,      # lift eigenvalue e^{i k theta_A} e^{-i <phi, alpha>}
     chi_orientation=+1,       # chi_varpi(t) = e^{+i <varpi, theta>}
     moment_sign=-1,           # Phi = -(W u)
     pinned_by=("on-diagonal kernel scaling", "holomorphic fixed-point identity",
                "weight support principle", "reduced dimension slope"),
 )
-
-
-def check_level_budget(n_levels: int) -> None:
-    """Raise NumericFailure, before any level is visited, when a sweep or
-    probe has more than MAX_LEVELS levels."""
-    if n_levels > MAX_LEVELS:
-        raise NumericFailure(f"{n_levels} levels, over the budget of {MAX_LEVELS}")
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str):
@@ -102,46 +90,26 @@ def _floats(obj, shape: tuple, where: str):
                       + (f" in shape {shape}" if shape else ""))
 
 
-def _is_int(x, low: int = -2 ** 63) -> bool:
-    """Whether x is a JSON integer (not a boolean) in low..2^63 - 1."""
-    return isinstance(x, int) and not isinstance(x, bool) and low <= x < 2 ** 63
+def _is_int(x, low: int = -2 ** 63, high=2 ** 63) -> bool:
+    """Whether x is a JSON integer (not a boolean) in low..high - 1."""
+    return isinstance(x, int) and not isinstance(x, bool) and low <= x < high
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    d: int
-    W: np.ndarray
-    phi: np.ndarray
-    theta_A: float
-    u_terms: dict
-    h_term: np.ndarray | None
+    """A parsed config: the layer objects, the k_range levels and the rest as read."""
+
+    model: ProjectiveModel
+    action: TorusAction
+    symmetry: DiagonalSymmetry
+    observable: Observable
     varpi: tuple
-    k_min: int
-    k_max: int
-    k_step: int
+    levels: range
     n_samples: int
     seed: int
     output_dir: str
     kernel_probe: dict | None = None     # with the points and displacements as arrays
     raw: dict = field(default=None, repr=False)
-
-    # ---- constructed objects -------------------------------------------
-    def model(self) -> ProjectiveModel:
-        return ProjectiveModel(self.d)
-
-    def action(self) -> TorusAction:
-        return TorusAction(self.W)
-
-    def symmetry(self) -> DiagonalSymmetry:
-        return DiagonalSymmetry(phi=self.phi, theta_A=self.theta_A)
-
-    def observable(self) -> Observable:
-        return Observable(u_terms=self.u_terms, h_term=self.h_term)
-
-    def k_values(self) -> list:
-        """The k_range levels, after `check_level_budget` on their count."""
-        check_level_budget((self.k_max - self.k_min) // self.k_step + 1)
-        return list(range(self.k_min, self.k_max + 1, self.k_step))
 
 
 def _parse_h_term(obj, d):
@@ -182,12 +150,10 @@ def _probe_coords(probe: dict, key: str, n: int, default=None) -> np.ndarray:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    _require_keys(doc, {"schema_version", "model", "action", "symmetry", "observable",
-                        "isotype", "k_range", "sampling", "fit", "output_dir",
-                        "kernel_probe"},
-                  {"schema_version", "model", "action", "symmetry", "observable",
-                   "isotype", "k_range", "sampling", "output_dir"}, "config")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    required = {"schema_version", "model", "action", "symmetry", "observable", "isotype",
+                "k_range", "sampling", "output_dir"}
+    _require_keys(doc, required | {"fit", "kernel_probe"}, required, "config")
+    if not _is_int(doc["schema_version"]) or doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {doc['schema_version']!r} "
                           f"(this build reads {SCHEMA_VERSION})")
 
@@ -234,8 +200,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(doc["k_range"], {"min", "max", "step"}, {"min", "max"}, "k_range")
     k_min, k_max = doc["k_range"]["min"], doc["k_range"]["max"]
     k_step = doc["k_range"].get("step", 1)
-    if not all(_is_int(x) for x in (k_min, k_max, k_step)) \
-            or k_min < 0 or k_step < 1 or k_max < k_min:
+    # under 2^63 - 1, so that the level count len(levels) fits in 63 bits
+    if not all(_is_int(x, 0, 2 ** 63 - 1) for x in (k_min, k_max, k_step)) \
+            or k_step < 1 or k_max < k_min:
         raise ConfigError("k_range must satisfy 0 <= min <= max, step >= 1")
 
     _require_keys(doc["sampling"], {"n_samples", "seed"}, {"n_samples", "seed"}, "sampling")
@@ -243,7 +210,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not _is_int(n_samples, 1) or n_samples > MAX_SAMPLES:
         raise ConfigError(f"sampling.n_samples must be an integer in 1..{MAX_SAMPLES} "
                           "(the Sobol sequence has 30-bit direction numbers)")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed, 0, math.inf):
         raise ConfigError("sampling.seed is mandatory and must be a nonnegative integer")
 
     # accepted and validated for schema-1 configs, but read by nothing: the
@@ -279,13 +246,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
                  "displacement_v": _probe_coords(probe, "displacement_v", n, zero)}
 
     return ExperimentConfig(
-        d=d, W=W, phi=phi, theta_A=theta_A, u_terms=u_terms, h_term=h_term,
-        varpi=tuple(varpi), k_min=k_min, k_max=k_max, k_step=k_step,
-        n_samples=n_samples, seed=seed, output_dir=out,
-        kernel_probe=probe, raw=doc)
+        model=ProjectiveModel(d), action=TorusAction(W),
+        symmetry=DiagonalSymmetry(phi=phi, theta_A=theta_A),
+        observable=Observable(u_terms=u_terms, h_term=h_term), varpi=tuple(varpi),
+        levels=range(k_min, k_max + 1, k_step), n_samples=n_samples, seed=seed,
+        output_dir=out, kernel_probe=probe, raw=doc)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed=None) -> ExperimentConfig:
+    """The config at path, parsed once; a seed (`--seed`) first replaces a
+    valid sampling.seed, and never supplies or repairs one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -293,4 +263,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    sampling = doc.get("sampling") if isinstance(doc, dict) else None
+    if seed is not None and isinstance(sampling, dict) \
+            and _is_int(sampling.get("seed"), 0, math.inf):
+        sampling["seed"] = seed
     return parse_config(doc)

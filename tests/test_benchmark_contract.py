@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import types
 
 import pytest
 
@@ -48,6 +49,22 @@ def test_trace_sweep_takes_threads():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_config_parses(name, tmp_path):
     parse_config(workloads.WORKLOADS[name].config_for(0, str(tmp_path)))
+
+
+def test_thread_probe_reads_the_loaded_config(tmp_path, monkeypatch):
+    # `run.py --trace 1` sweeps p2-sweep's levels with 1 and 2 threads on
+    # `cli.load_config(path)`, calling its k_values(), observable(),
+    # symmetry(), action() and model(); importing run.py extends sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load("run")
+    wl = workloads.WORKLOADS["p2-sweep"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(wl.config_for(0, str(tmp_path))))
+    errors = []
+    probed = types.SimpleNamespace(wl=wl, fresh_dir=lambda: (str(tmp_path), str(config)),
+                                   tally=errors.extend)
+    cli = importlib.import_module(f"{tracer.PACKAGE}.cli")
+    assert run.thread_probe(probed, cli) > 0 and errors == []
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

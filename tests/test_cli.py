@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import eqtoeplitz.asymptotics as asymptotics
-import eqtoeplitz.config as config
+import eqtoeplitz.cli as cli
 import eqtoeplitz.geometry as geometry
 import eqtoeplitz.reduction as red
 import eqtoeplitz.symmetry as symmetry
@@ -127,9 +127,10 @@ class TestConfigValidation:
             parse_config(doc)
 
     @pytest.mark.parametrize("cmd", ["analyze", "predict", "compare"])
-    @pytest.mark.parametrize("seed,override", [(-1, None), (True, None), (5, "-5")])
+    @pytest.mark.parametrize("seed,override", [(-1, None), (True, None), (5, "-5"), (-1, "5")])
     def test_bad_seed_exit_2(self, tmp_path, capsys, cmd, seed, override):
-        # from the config or from --seed, refused before any output
+        # from the config or from --seed, refused before any output; --seed
+        # replaces a valid seed and never repairs a malformed one
         out = tmp_path / "out"
         cfg = write_config(tmp_path, decay_config(out, k_values=[20]) | {
             "sampling": {"n_samples": 1000, "seed": seed}})
@@ -137,6 +138,42 @@ class TestConfigValidation:
         assert main(argv) == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_override_never_supplies_a_seed(self, tmp_path, capsys):
+        # --seed is written over the config's seed before the one parse
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, sampling={"n_samples": 1000}))
+        assert main(["predict", "--config", cfg, "--seed", "3"]) == 2
+        assert "missing keys ['seed']" in capsys.readouterr().err and not out.exists()
+
+    def test_seed_override_before_the_parse(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path / "o"))
+        cfg = load_config(path, seed=3)
+        assert cfg.seed == 3 and cfg.raw["sampling"] == {"n_samples": 20000, "seed": 3}
+        assert load_config(path).seed == 5
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_schema_version_must_be_the_integer_1(self, tmp_path, version):
+        # True == 1 == 1.0 in Python, but neither is the JSON integer 1
+        doc = base_config(tmp_path / "o", schema_version=version)
+        with pytest.raises(ConfigError, match="schema_version"):
+            parse_config(doc)
+        assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 2
+
+    def test_config_holds_the_layer_objects(self, tmp_path):
+        cfg = parse_config(base_config(tmp_path / "o", **P2_SWEEP))
+        assert cfg.model.d == 2 and cfg.action.W.tolist() == [[1, -1, -1]]
+        assert cfg.symmetry.phi.tolist() == [0.0, 1.1, 3.7] and cfg.symmetry.theta_A == 0.0
+        assert cfg.observable.u_terms == {(0, 1, 0): 1.0} and cfg.observable.h_term is None
+        assert cfg.levels == range(40, 121, 8)
+
+    def test_k_range_count_fits_63_bits(self, tmp_path):
+        # k = 0..2^63 - 1 would be 2^63 levels, one more than len() can count
+        doc = base_config(tmp_path / "o", k_range={"min": 0, "max": 2 ** 63 - 1})
+        with pytest.raises(ConfigError, match="k_range"):
+            parse_config(doc)
+        doc["k_range"]["max"] -= 1
+        assert len(parse_config(doc).levels) == 2 ** 63 - 1
 
     @pytest.mark.parametrize("fit", [{"order": 0}, {"order": "3"}, {"order": 3, "x": 1}, {}])
     def test_malformed_fit_exit_2(self, tmp_path, fit):
@@ -583,7 +620,7 @@ class TestTraceAndPredict:
         header, rows = read_csv(out / "predictions.csv")
         cfg = parse_config(doc)
         for r in rows:
-            want = predict_toeplitz_leading(int(r[0]), cfg.observable(), cfg.model())
+            want = predict_toeplitz_leading(int(r[0]), cfg.observable, cfg.model)
             assert (float(r[1]), float(r[2]), r[3]) == (want, 0.0, "fixed-component-sum")
 
     @pytest.mark.parametrize("seed,n_samples", [(1, 2 ** 16), (2, 2 ** 17), (3, 2 ** 17),
@@ -897,6 +934,22 @@ class TestSelfTest:
         assert set(record["timings_seconds"]) == {"predict"}
         assert record["artifacts"] == ["predictions.csv"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("artifacts", {}), ("artifacts", "trace.csv"), ("artifacts", [1]),
+        ("timings_seconds", []), ("counters", "x")])
+    def test_record_field_of_the_wrong_type_starts_a_new_record(self, tmp_path, field, value):
+        # a record of the same config whose field has the wrong type is
+        # unreadable: the next run replaces it, and exits 0
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, k_range={"min": 2, "max": 12}))
+        assert main(["trace", "--config", cfg]) == 0
+        path = out / "run_record.json"
+        path.write_text(json.dumps(json.loads(path.read_text()) | {field: value}))
+        assert main(["predict", "--config", cfg]) == 0
+        record = json.loads(path.read_text())
+        assert set(record["timings_seconds"]) == {"predict"}
+        assert record["artifacts"] == ["predictions.csv"]
+
     def test_run_records_merge_across_subcommands(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_config(out, k_range={"min": 2, "max": 12,
@@ -1126,6 +1179,29 @@ class TestBudgets:
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("cmd", ["trace", "predict", "compare"])
+    def test_level_count_is_checked_before_any_walk(self, tmp_path, capsys, monkeypatch, cmd):
+        # d = 1, k = 1..10^12: over MAX_LEVELS, and the top level's 10^12 + 1
+        # slice rows are over the row budget.  The count is checked first,
+        # so no slice is walked; predict walks none at all
+        walked = []
+        monkeypatch.setattr(geometry, "_weight_slice", lambda *a: walked.append(a))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, base_config(out, k_range={"min": 1, "max": 10 ** 12}))
+        assert main([cmd, "--config", cfg]) == 4
+        assert "1000000000000 levels, over the budget" in capsys.readouterr().err
+        assert not walked and not list(out.glob("*.csv"))
+
+    def test_degenerate_symmetry_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a vanishing c_l is a numeric failure that names its own type
+        def degenerate(*args, **kwargs):
+            raise red.DegenerateSymmetryError("normal eigenvalue 1")
+        monkeypatch.setattr(red, "component_invariants", degenerate)
+        cfg = write_config(tmp_path, base_config(tmp_path / "o", **P2_SWEEP))
+        assert main(["predict", "--config", cfg]) == 4
+        assert ("numeric failure [DegenerateSymmetryError]: normal eigenvalue 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("cmd", ["trace", "predict", "compare"])
     def test_too_many_levels_exits_4(self, tmp_path, capsys, cmd):
         # d = 1, k = 1..999,999: the top level's 10^6 slice rows fit their
         # budget, the 999,999 levels do not fit MAX_LEVELS
@@ -1140,7 +1216,7 @@ class TestBudgets:
     def test_too_many_probe_levels_exits_4(self, tmp_path, capsys, monkeypatch):
         probed = []
         monkeypatch.setattr(asymptotics, "isotype_basis", lambda *a: probed.append(a))
-        monkeypatch.setattr(config, "MAX_LEVELS", 3)
+        monkeypatch.setattr(cli, "MAX_LEVELS", 3)
         out = tmp_path / "o"
         cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60, 80]))
         assert main(["kernel", "--config", cfg]) == 4
