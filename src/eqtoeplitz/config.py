@@ -117,10 +117,7 @@ def _parse_h_term(obj, d):
         return None
     _require_keys(obj, {"re", "im"}, {"re"}, "observable.h_term")
     re = _floats(obj["re"], (d + 1, d + 1), "observable.h_term.re")
-    h = re + 1j * (_floats(obj["im"], re.shape, "observable.h_term.im") if "im" in obj else 0.0)
-    if np.max(np.abs(h - h.conj().T)) > 1e-12:
-        raise ConfigError("observable.h_term: matrix must be Hermitian")
-    return h
+    return re + 1j * (_floats(obj["im"], re.shape, "observable.h_term.im") if "im" in obj else 0.0)
 
 
 def _probe_coords(probe: dict, key: str, n: int, default=None) -> np.ndarray:
@@ -191,6 +188,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     h_term = _parse_h_term(doc["observable"].get("h_term"), d)
     if not u_terms and h_term is None:
         raise ConfigError("observable must have at least one term")
+    try:
+        observable = Observable(u_terms=u_terms, h_term=h_term)
+    except ValueError as exc:       # the Hermitian check: the rest is checked above
+        raise ConfigError(f"observable.h_term: {exc}") from exc
 
     varpi = doc["isotype"]
     if not isinstance(varpi, list) or len(varpi) != len(W_rows) \
@@ -248,7 +249,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=ProjectiveModel(d), action=TorusAction(W),
         symmetry=DiagonalSymmetry(phi=phi, theta_A=theta_A),
-        observable=Observable(u_terms=u_terms, h_term=h_term), varpi=tuple(varpi),
+        observable=observable, varpi=tuple(varpi),
         levels=range(k_min, k_max + 1, k_step), n_samples=n_samples, seed=seed,
         output_dir=out, kernel_probe=probe, raw=doc)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._intlinalg import NumericFailure, smith_normal_form
+from ._intlinalg import NumericFailure, fourier_motzkin, smith_normal_form
 
 __all__ = [
     "ProjectiveModel",
@@ -149,10 +149,6 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
 #: with the walk's prefixes, ~0.1 GiB and ~0.35 s at d = 8 (2-vCPU Xeon)
 MAX_SLICE_ROWS = 1_000_000
 
-#: most candidate bounds (pairs of a positive and a negative bound) the
-#: Fourier-Motzkin eliminations of `_slice_plan` form over all stages
-MAX_PLAN_BOUNDS = 500_000
-
 
 @dataclass(frozen=True)
 class _SlicePlan:
@@ -181,14 +177,9 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     (Hermite normal form; Schrijver 1986, sec. 4.1).  alpha up to the next
     pivot then depends on t_0..t_i alone, rising with t_i at pivot i, so
     the walk's order on t is the lex order on alpha.
-    Fourier-Motzkin elimination of t_{m-1}, .., t_0 from the n rows
-    -L t <= p of alpha >= 0 (Schrijver 1986, sec. 12.2) gives each stage's
-    bounds.  A bound keeps its right-hand side as the nonnegative integer
-    combination lam of those rows, so k and varpi enter only when a level is
-    walked, and one combining more than s+1 rows after s eliminations is
-    redundant (Chernikov's rule) and dropped.  Each elimination's pairs are
-    counted before they are formed: over MAX_PLAN_BOUNDS in all is a
-    NumericFailure."""
+    `fourier_motzkin` on the n rows -L t <= p of alpha >= 0 gives each
+    stage's bounds, with right-hand sides lam . p, so k and varpi enter only
+    when a level is walked."""
     A = [[1] * n] + [[-w for w in row] for row in W]
     U, S, V = smith_normal_form(np.array(A, dtype=object))
     s = [int(S[i][i]) for i in range(min(len(A), n)) if S[i][i]]
@@ -210,34 +201,16 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
         # alpha_f in [0, k] bounds a walked |t_i| by beta_i (k + max |p|)
         beta.append((1 + sum(L[j][f] * beta[j] for j in range(i))) / L[i][f])
         pivots.append(f)
-    # (coefficients on t, lam) -> bitmask of the rows lam combines
-    bounds = {(tuple(-c[i] for c in L), tuple(int(i == q) for q in range(n))): 1 << i
-              for i in range(n)}
-    stages, pairs = [], 0
-    for j in reversed(range(n - r)):
-        stages.append([(c[:j], c[j], lam) for c, lam in bounds if c[j]])
-        pos = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] > 0]
-        neg = [(c, lam, h) for (c, lam), h in bounds.items() if c[j] < 0]
-        bounds = {key: h for key, h in bounds.items() if not key[0][j]}
-        pairs += len(pos) * len(neg)
-        if pairs > MAX_PLAN_BOUNDS:
-            raise NumericFailure(f"the slice plan of these weights forms at least {pairs} "
-                                 f"candidate bounds, over the budget of {MAX_PLAN_BOUNDS}")
-        for cp, lp, hp in pos:
-            for cn, ln, hn in neg:
-                if (hp | hn).bit_count() <= n - r - j + 1:
-                    c = [-cn[j] * x + cp[j] * y for x, y in zip(cp, cn)]
-                    lam = [-cn[j] * x + cp[j] * y for x, y in zip(lp, ln)]
-                    g = math.gcd(*c, *lam)
-                    bounds[tuple(x // g for x in c), tuple(x // g for x in lam)] = hp | hn
+    stages, feasible = fourier_motzkin([[-c[i] for c in L] for i in range(n)],
+                                       "the slice plan of these weights")
     scale = max([abs(x) for row in L + [a for st in stages for a, _, _ in st] for x in row] + [0])
     if scale >= 2 ** 62:
         raise NumericFailure(f"the slice plan of these weights has an entry {scale} >= 2^62")
     stages = tuple((np.array([a for a, _, _ in st], np.int64).reshape(len(st), j),
                     [c for _, c, _ in st], [lam for _, _, lam in st])
-                   for j, st in enumerate(reversed(stages)))
+                   for j, st in enumerate(stages))
     return _SlicePlan(A=A, U=U.tolist()[:r], s=s, V=[row[:r] for row in V.tolist()], L=L,
-                      pivots=tuple(pivots), stages=stages, feasible=[lam for _, lam in bounds],
+                      pivots=tuple(pivots), stages=stages, feasible=feasible,
                       scale=scale * n * max(beta + [0]))
 
 

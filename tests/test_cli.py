@@ -236,6 +236,22 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_hermitian_h_term_exit_2(self, tmp_path, capsys):
+        # Observable's Hermitian check, at its 1e-12, is the config's
+        out = tmp_path / "out"
+        h = np.eye(3)
+        h[0, 1] = 1e-11
+        doc = copy.deepcopy(base_config(out, **P2_SWEEP))
+        doc["k_range"] = {"min": 2, "max": 4, "step": 1}
+        doc["observable"]["h_term"] = {"re": h.tolist()}
+        assert main(["trace", "--config", write_config(tmp_path, doc)]) == 2
+        assert "config error: observable.h_term: h_term must be Hermitian" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+        h[0, 1] = 1e-13
+        doc["observable"]["h_term"] = {"re": h.tolist()}
+        assert main(["trace", "--config", write_config(tmp_path, doc)]) == 0
+
     @pytest.mark.parametrize("cmd, path, value", [
         pytest.param("trace", ("model", "d"), True, id="d-true"),
         pytest.param("trace", ("k_range", "min"), True, id="k_min-true"),
@@ -387,6 +403,23 @@ class TestAnalyze:
         report = (out / "reduction_report.txt").read_text().splitlines()
         assert "regular_value: False" in report and "free_action: False" in report
         assert not (out / "components.csv").exists()
+
+    def test_g4_n24_weights_reach_the_hypothesis_answer(self, tmp_path, capsys):
+        # P has 2,038 vertices among C(24, 5) = 42,504 column bases, too many
+        # for one solve per basis; the vertex enumeration reads them off one
+        # elimination, and the vertex support (0, 4, 5, 18) has a continuous
+        # stabilizer
+        W = np.random.default_rng(0).integers(-3, 4, (4, 24))
+        out = tmp_path / "out"
+        doc = base_config(out, model={"d": 23}, action={"W": W.tolist()},
+                          symmetry={"phi": (np.array([0.3, 0.5, 0.7, 0.11]) @ W).tolist()},
+                          observable={"u_terms": [{"beta": [0, 1] + [0] * 22, "coef": 1.0}]},
+                          isotype=[0] * 4, k_range={"min": 0, "max": 10, "step": 1})
+        cfg = write_config(tmp_path, doc)
+        assert main(["predict", "--config", cfg]) == 3
+        assert "witness: (0, 4, 5, 18)" in capsys.readouterr().err
+        assert main(["analyze", "--config", cfg]) == 3
+        assert "regular_value: False" in (out / "reduction_report.txt").read_text().splitlines()
 
     @pytest.mark.parametrize("over", [P2_SWEEP, D3_REDUCE], ids=["p2-sweep", "d3-reduce"])
     def test_no_singular_value_decomposition(self, tmp_path, monkeypatch, over):

@@ -1,9 +1,11 @@
 import itertools
+import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqtoeplitz._intlinalg as il
@@ -121,16 +123,23 @@ def test_torsion_enumeration_rank_two():
 
 
 def test_vertex_enumeration_over_budget_fails_before_solving(monkeypatch):
-    # C(60, 4) = 487,635 basis solves; only the elimination of A^T that
-    # finds the spanning rows may run
-    calls = []
+    # P of these draws: the elimination that takes the pair count over
+    # MAX_PLAN_BOUNDS is refused before it forms a bound (given the budget,
+    # the g = 3 one forms ~0.9 M).  Each bound formed takes one gcd, as do the
+    # row operations of the one elimination of [A | -b]^T that finds the
+    # spanning rows
     reduce = il._row_reduce
-    monkeypatch.setattr(il, "_row_reduce", lambda M: calls.append(len(M)) or reduce(M))
-    A = np.vstack([np.ones((1, 60), np.int64),
-                   np.random.default_rng(0).integers(-3, 4, (3, 60))])
-    with pytest.raises(NumericFailure, match="budget"):
-        basic_feasible_solutions(A, [1, 0, 0, 0])
-    assert calls == [60]
+    for g, n, pairs in [(3, 60, 9526952), (4, 32, 3450292)]:
+        calls, gcds = [], []
+        monkeypatch.setattr(il, "_row_reduce", lambda M: calls.append(len(M)) or reduce(M))
+        monkeypatch.setattr(il, "math",
+                            SimpleNamespace(gcd=lambda *a: gcds.append(1) or math.gcd(*a)))
+        A = np.vstack([np.ones((1, n), np.int64),
+                       np.random.default_rng(0).integers(-3, 4, (g, n))])
+        with pytest.raises(NumericFailure, match=f"vertex enumeration forms at least {pairs} "
+                                                 f"candidate bounds, over the budget"):
+            basic_feasible_solutions(A, [1] + [0] * g)
+        assert calls == [n + 1] and len(gcds) < 10_000
 
 
 @given(st.lists(st.integers(-9, 9), min_size=16, max_size=16), st.integers(0, 4))
@@ -208,6 +217,57 @@ def test_vertices_match_the_cramer_enumeration(A, data):
     else:
         b = data.draw(st.lists(st.integers(-4, 4), min_size=len(A), max_size=len(A)))
     assert basic_feasible_solutions(A, b) == cramer_vertices(A, b)
+
+
+@st.composite
+def vertex_systems(draw):
+    """(A, b) of P = {u >= 0, sum u = 1, W u = 0} or, without the sum row,
+    of the unbounded {nu >= 0, -W nu = varpi} that `vanishing_level` reads:
+    W of g in 1..3 rows of n in 2..9 entries in [-3, 3], with up to two rows
+    combined from others or negated inserted anywhere, and some columns
+    zeroed (coordinates of weight 0)."""
+    g, n = draw(st.integers(1, 3)), draw(st.integers(2, 9))
+    W = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=g, max_size=g))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(W) - 1)), draw(st.integers(0, len(W) - 1))
+        c = draw(st.integers(-2, 2))
+        row = [-a for a in W[i]] if draw(st.booleans()) else [a + c * b for a, b in zip(W[i], W[j])]
+        W.insert(draw(st.integers(0, len(W))), row)
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    W = [[0 if j in zero else x for j, x in enumerate(row)] for row in W]
+    if draw(st.booleans()):
+        return [[1] * n] + W, [1] + [0] * len(W)
+    if draw(st.booleans()):
+        nu = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return [[-a for a in row] for row in W], [-sum(a * x for a, x in zip(row, nu)) for row in W]
+    return [[-a for a in row] for row in W], draw(st.lists(st.integers(-6, 6), min_size=len(W),
+                                                          max_size=len(W)))
+
+
+@given(vertex_systems())
+@example(([[1] * 7, [0, -1, -2, 1, 1, -3, 1], [-3, 1, 0, 0, 0, 2, 0], [3, -1, -1, -3, 2, 2, 3]],
+          [1, 0, 0, 0]))
+@example(([[1, 3, 0, 0, -1], [-2, 1, -2, 3, -3], [2, -1, 0, -3, 3]], [5, 2, -2]))
+@settings(max_examples=300, deadline=None)
+def test_vertices_of_weight_systems_match_the_cramer_enumeration(system):
+    # without the sum row the polyhedron has recession rays, which are no
+    # vertices.  In both examples the elimination leaves a ray that is not
+    # extreme, with s > 0: only the support test drops it
+    A, b = system
+    assert basic_feasible_solutions(A, b) == cramer_vertices(A, b)
+
+
+def test_g4_n24_vertices_enumerate_fast():
+    # 2,038 vertices, C(24, 5) = 42,504 bases.  CPU time, the best of up to
+    # three runs, so a collector pause or a busy machine does not decide it
+    W = np.random.default_rng(0).integers(-3, 4, (4, 24))
+
+    def run():
+        start = time.process_time()
+        assert len(slice_vertices(TorusAction(W))) == 2038
+        return time.process_time() - start
+    assert any(run() < 2.0 for _ in range(3))
 
 
 def test_dependent_rows_build_fast():
