@@ -6,10 +6,11 @@ solves phase congruences t^(W_j - W_j0) = e^{i delta_j} over the torus
 with it, one Smith form per support pattern: the solution is a fixed
 component's g_m, and the info it returns holds the finite stabilizer
 coset g_m is defined up to (`torsion_angles`; delta = 0 gives the
-stabilizer alone).  `fourier_motzkin` gives the slice plan's stages and
-the vertices of polytopes {x >= 0, A x = b} under one pair budget: P of
-weights in [-3, 3] takes < 0.5 s up to n = 34 at g = 3 and n = 24 at g = 4
-(2-vCPU Xeon), and larger systems are mostly refused on the pair count.
+stabilizer alone).  `fourier_motzkin` gives the slice plan's stages and,
+through `homogenized_rays`, the rays of polyhedra {x >= 0, A x = b} under
+one pair budget: the vertices of P of weights in [-3, 3] take < 0.5 s up
+to n = 34 at g = 3 and n = 24 at g = 4 (2-vCPU Xeon), and larger systems
+are mostly refused on the pair count.
 
 The exception types the CLI maps to exit codes 2, 3 and 4 are defined here,
 the one module every subcommand loads.
@@ -24,6 +25,8 @@ import numpy as np
 #: most candidate bounds (pairs of a positive and a negative bound) one
 #: `fourier_motzkin` run forms over all its eliminations
 MAX_PLAN_BOUNDS = 500_000
+#: most elements of a finite stabilizer `torsion_angles` lists
+MAX_STABILIZER_ORDER = 4096
 
 
 class NumericFailure(RuntimeError):
@@ -113,27 +116,19 @@ def fourier_motzkin(coeffs, what: str) -> tuple:
     return stages[::-1], [lam for _, lam in bounds]
 
 
-def basic_feasible_solutions(A, b) -> list:
-    """The vertices of {x >= 0, A x = b} for an integer (m, n) array A and
-    integers b, exactly: sorted (numerators, denominator) pairs in lowest
-    terms, x = numerators / denominator.
-
-    They are the extreme rays (x, s), s > 0, of {y >= 0 : [A | -b] y = 0},
-    among the rays `fourier_motzkin` returns over the columns of its
-    independent rows (one `_row_reduce` of the transpose); rays with s = 0
-    span the recession cone.  A ray is extreme when its support contains no
-    other ray's: when the columns there have rank one less than their
-    number.  An empty list means the polytope is empty.
-    """
+def homogenized_rays(A, b) -> tuple:
+    """(rays, cols) of {x >= 0, A x = b}, A an integer (m, n) array: the
+    primitive rays (x, s) of {(x, s) >= 0 : A x = s b} that `fourier_motzkin`
+    returns over the columns cols of the independent rows of [A | -b] (one
+    `_row_reduce` of the transpose; a bound left without t is reduced by
+    gcd(lam)).  They hold every extreme ray (the double description method):
+    vertices x / s with s > 0, recession directions with s = 0.  No ray with
+    s > 0 means the polyhedron is empty."""
     n = np.shape(A)[1]
     M = [row + [-int(v)] for row, v in zip(np.asarray(A, dtype=np.int64).tolist(), b)]
     rows = _row_reduce(list(zip(*M)))[0]
     cols = [[M[i][j] for i in rows] for j in range(n + 1)]
-    _, lams = fourier_motzkin(cols, "the vertex enumeration")
-    # each y is primitive: a bound left without t was reduced by gcd(lam)
-    supports = ((y, [j for j, v in enumerate(y) if v]) for y in lams if y[n])
-    return sorted((y[:n], y[n]) for y, S in supports
-                  if len(_row_reduce([cols[j] for j in S])[0]) == len(S) - 1)
+    return fourier_motzkin(cols, "the vertex enumeration")[1], cols
 
 
 def smith_normal_form(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,18 +267,19 @@ def solve_phase_congruence(D: np.ndarray, delta: np.ndarray, tol: float = 1e-9):
     return theta, info
 
 
-def torsion_angles(info: dict, max_order: int = 4096) -> np.ndarray:
+def torsion_angles(info: dict) -> np.ndarray:
     """All theta in [0, 2*pi)^g with D @ theta = 0 (mod 2*pi), modulo the
     continuous part, for the info of a `solve_phase_congruence` on D.
 
     Returns an (order, g) array enumerating the finite subgroup
     {theta : D theta in 2*pi Z^m} / (continuous directions); NumericFailure
-    when the subgroup is larger than max_order.
+    when the subgroup is larger than MAX_STABILIZER_ORDER.
     """
     torsion, V = info["torsion"], info["V"]
     order = math.prod(torsion)
-    if order > max_order:
-        raise NumericFailure(f"stabilizer order {order} is over the budget of {max_order}")
+    if order > MAX_STABILIZER_ORDER:
+        raise NumericFailure(f"stabilizer order {order} is over the budget of "
+                             f"{MAX_STABILIZER_ORDER}")
     coeffs = np.indices(torsion, dtype=np.int64).reshape(len(torsion), order).T
     psi = np.zeros((coeffs.shape[0], V.shape[0]))
     psi[:, :len(torsion)] = 2.0 * np.pi * coeffs / torsion

@@ -200,9 +200,13 @@ def compare_and_fit(series: TraceSeries, predictions, reports, roots, action: To
 # ---------------------------------------------------------------------------
 # kernel-level validators
 
-def orbit_distance(x, y, action: TorusAction, n_grid: int = 256) -> float:
-    """min over the torus of the base distance between mu_t(x) and y."""
-    best = max(float(np.max(np.abs(ov))) for _, ov in torus_grid_overlaps(x, y, action, n_grid))
+#: nodes per circle of the torus grid `orbit_distance` minimizes over
+ORBIT_GRID = 256
+
+
+def orbit_distance(x, y, action: TorusAction) -> float:
+    """min over the ORBIT_GRID^g torus grid of the base distance from mu_t(x) to y."""
+    best = max(float(np.abs(ov).max()) for _, ov in torus_grid_overlaps(x, y, action, ORBIT_GRID))
     return math.sqrt(max(0.0, 2.0 - 2.0 * best))
 
 

@@ -169,21 +169,25 @@ class _SlicePlan:
 
 @functools.lru_cache(maxsize=8)
 def _slice_plan(n: int, W: tuple) -> _SlicePlan:
-    """The plan of the weight rows W (a tuple of n-tuples), built once.
-
-    The Smith form of A gives its rank r (dependent rows give zero invariant
-    factors), a particular solution and a basis of the lattice ker A, which row
-    operations bring to row echelon form over the coordinates 0..n-1
-    (Hermite normal form; Schrijver 1986, sec. 4.1).  alpha up to the next
-    pivot then depends on t_0..t_i alone, rising with t_i at pivot i, so
-    the walk's order on t is the lex order on alpha.
-    `fourier_motzkin` on the n rows -L t <= p of alpha >= 0 gives each
-    stage's bounds, with right-hand sides lam . p, so k and varpi enter only
-    when a level is walked."""
+    """The plan of the weight rows W (a tuple of n-tuples), built once from one
+    Smith form of A = [1; -W] (dependent rows give zero invariant factors)."""
     A = [[1] * n] + [[-w for w in row] for row in W]
     U, S, V = smith_normal_form(np.array(A, dtype=object))
     s = [int(S[i][i]) for i in range(min(len(A), n)) if S[i][i]]
-    r = len(s)
+    return _echelon_plan(A, U.tolist()[:len(s)], s, V.tolist())
+
+
+def _echelon_plan(A: list, U: list, s: list, V: list) -> _SlicePlan:
+    """The plan of A from a Smith form U' A_R V = diag(s, 0) of A or of rows
+    A_R spanning its rows: U is U''s first r = len(s) rows, widened to act on
+    all of [k; varpi], and V is n x n.  V's last n - r columns, a basis of
+    the lattice ker A, are brought to row echelon form over the coordinates
+    0..n-1 (Hermite normal form; Schrijver 1986, sec. 4.1).  alpha up to the
+    next pivot then depends on t_0..t_i alone, rising with t_i at pivot i, so
+    the walk's order on t is the lex order on alpha.  `fourier_motzkin` on the
+    n rows -L t <= p of alpha >= 0 gives each stage's bounds, with right-hand
+    sides lam . p, so k and varpi enter only when a level is walked."""
+    n, r = len(V), len(s)
     L, pivots, beta = [[int(V[i][j]) for i in range(n)] for j in range(r, n)], [], []
     for f in range(n):
         i = len(pivots)
@@ -209,7 +213,7 @@ def _slice_plan(n: int, W: tuple) -> _SlicePlan:
     stages = tuple((np.array([a for a, _, _ in st], np.int64).reshape(len(st), j),
                     [c for _, c, _ in st], [lam for _, _, lam in st])
                    for j, st in enumerate(stages))
-    return _SlicePlan(A=A, U=U.tolist()[:r], s=s, V=[row[:r] for row in V.tolist()], L=L,
+    return _SlicePlan(A=A, U=U, s=s, V=[row[:r] for row in V], L=L,
                       pivots=tuple(pivots), stages=stages, feasible=feasible,
                       scale=scale * n * max(beta + [0]))
 

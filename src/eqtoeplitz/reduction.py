@@ -41,7 +41,7 @@ from operator import or_
 import numpy as np
 
 from ._intlinalg import (DegenerateSymmetryError, NumericFailure, ReductionHypothesisError,
-                         basic_feasible_solutions, solve_phase_congruence, torsion_angles)
+                         homogenized_rays, solve_phase_congruence, torsion_angles)
 from .geometry import ProjectiveModel, sample_sphere
 from .observables import Observable
 from .symmetry import DiagonalSymmetry, TorusAction, moment_map, slice_vertices
@@ -71,6 +71,8 @@ SUPPORT_TOL = 1e-8
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-12, 60
 #: central finite-difference step of the descended differential, per normal coordinate
 FD_STEP = 1e-5
+#: a determinant factor |c_l| at or below C_L_TOL vanishes (DegenerateSymmetryError)
+C_L_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +137,20 @@ def _zero_locus(shape: tuple, data: bytes) -> ZeroLocus:
 def vanishing_level(action: TorusAction, varpi) -> int | None:
     """Smallest k0 with varpi outside k*Phi(M) for every k >= k0.
 
-    k is admissible when -W nu = varpi for some nu >= 0 with sum(nu) = k, so
-    the largest admissible k is the maximum of sum(nu) over that polyhedron,
-    attained at a vertex when finite.  Returns None when it is unbounded,
-    i.e. 0 lies in Phi(M) (P nonempty) and the support never empties;
-    returns 0 when varpi is never admissible at all.
+    k is admissible when -W nu = varpi for some nu >= 0 with sum(nu) = k.
+    The rays (x, s) of {(nu, s) >= 0 : -W nu = s varpi} (`homogenized_rays`)
+    decide it: none with s > 0, no nu at all (returns 0); one with s = 0, an
+    unbounded sum(nu) as 0 lies in Phi(M) (returns None); else the largest
+    admissible k is the largest sum(x) / s, rounded down.
     """
     varpi = np.asarray(varpi, dtype=np.int64).reshape(action.g)
-    nus = basic_feasible_solutions(-action.W, varpi.tolist())
-    if not nus:
+    n = action.n_coords
+    rays, _ = homogenized_rays(-action.W, varpi.tolist())
+    if not any(y[n] for y in rays):
         return 0
-    if zero_locus(action).vertices:
+    if not all(y[n] for y in rays):
         return None
-    return max(sum(num) // den for num, den in nus) + 1
+    return max(sum(y[:n]) // y[n] for y in rays) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +553,7 @@ def _normal_differential(rep, normal, t_angles, sym, action) -> np.ndarray:
 
 
 def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
-                         action: TorusAction, model: ProjectiveModel,
-                         c_tol: float = 1e-8) -> FixedComponentReport:
+                         action: TorusAction, model: ProjectiveModel) -> FixedComponentReport:
     """Fill in c_l, h_l and the normal eigenvalues of a fixed component.
 
     c_l = det(I - DNN^{-1}) needs the descended differential DNN on the
@@ -566,7 +568,7 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
     # DNN is diagonal, but prod(1 - 1/DNN_bb) rounds c_l differently from
     # det/inv in the last bits, which would move every output that holds c_l
     c_l = complex(np.linalg.det(np.eye(len(normal)) - np.linalg.inv(DNN))) if normal else 1 + 0j
-    if abs(c_l) <= c_tol:
+    if abs(c_l) <= C_L_TOL:
         raise DegenerateSymmetryError(
             f"determinant factor {c_l!r} vanishes on component {report.support}")
 

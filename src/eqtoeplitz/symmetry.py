@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._intlinalg import NumericFailure, basic_feasible_solutions
+from ._intlinalg import NumericFailure, _row_reduce, homogenized_rays
 from .geometry import ProjectiveModel, SectionBasis, kernel_pair_values, section_basis
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "isotype_basis",
     "moment_map",
     "slice_vertices",
-    "moment_polytope_contains",
     "torus_grid_overlaps",
     "occurring_weights",
     "gamma_phase",
@@ -130,27 +129,18 @@ def torus_grid_overlaps(x, y, action: TorusAction, n_grid: int):
 
 def slice_vertices(action: TorusAction) -> list:
     """Exact vertices of the zero-locus polytope P = {u >= 0, sum u = 1, W u = 0}
-    (u the squared coordinate moduli) as `basic_feasible_solutions` pairs;
-    empty when the zero locus is.  Every face of P is P cut by a face of the
-    simplex, so the coordinate supports of points of the zero locus are the
-    unions of vertex supports."""
+    (u the squared coordinate moduli) as sorted (numerators, denominator)
+    pairs in lowest terms; empty when the zero locus is.  They are the
+    extreme `homogenized_rays` (u, s) with s > 0: the columns on the support
+    have rank one less than their number.  Every face of P is P cut by a face
+    of the simplex, so the supports of zero-locus points are the unions of
+    vertex supports."""
     n = action.n_coords
-    return basic_feasible_solutions(np.vstack([np.ones((1, n), np.int64), action.W]),
-                                    [1] + [0] * action.g)
-
-
-def moment_polytope_contains(action: TorusAction, target: np.ndarray,
-                             scale: float = 1.0) -> bool:
-    """Is target inside scale * Phi(M) (scale >= 0)?  Phi(M) is the convex
-    hull of the columns of -W, so this asks for nu >= 0 with sum nu = scale
-    and -W nu = target; decided exactly on the binary values of the floats."""
-    if action.g == 0:
-        return True
-    ratios = [float(v).as_integer_ratio()
-              for v in (scale, *np.asarray(target, dtype=float).reshape(action.g))]
-    den = math.lcm(*(q for _, q in ratios))
-    A = np.vstack([np.ones((1, action.n_coords), np.int64), -action.W])
-    return bool(basic_feasible_solutions(A, [p * (den // q) for p, q in ratios]))
+    rays, cols = homogenized_rays(np.vstack([np.ones((1, n), np.int64), action.W]),
+                                  [1] + [0] * action.g)
+    supports = ((y, [j for j, v in enumerate(y) if v]) for y in rays if y[n])
+    return sorted((y[:n], y[n]) for y, S in supports
+                  if len(_row_reduce([cols[j] for j in S])[0]) == len(S) - 1)
 
 
 @dataclass(frozen=True)
@@ -176,11 +166,8 @@ class DiagonalSymmetry:
         """The symmetry on ambient coordinates (projectively, the map on M)."""
         return np.asarray(points, dtype=complex) * np.exp(1j * self.phi)
 
-    def gamma_X(self, points: np.ndarray) -> np.ndarray:
-        """Lifted contactomorphism on the circle bundle: e^{-i theta_A} Gamma."""
-        return self.gamma_M(points) * np.exp(-1j * self.theta_A)
-
     def gamma_X_inv(self, points: np.ndarray) -> np.ndarray:
+        """Inverse of the lifted contactomorphism e^{-i theta_A} Gamma."""
         return np.asarray(points, dtype=complex) * np.exp(1j * (self.theta_A - self.phi))
 
 

@@ -4,8 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from eqtoeplitz._intlinalg import _row_reduce, fourier_motzkin, smith_normal_form
-from eqtoeplitz.geometry import ProjectiveModel, _SlicePlan, section_basis
+from eqtoeplitz._intlinalg import _row_reduce, smith_normal_form
+from eqtoeplitz.geometry import ProjectiveModel, _echelon_plan, section_basis
 from eqtoeplitz.symmetry import TorusAction, weight_of
 
 
@@ -128,39 +128,14 @@ def pivot_minor(A) -> tuple:
 
 def row_selected_plan(n, W):
     """Oracle for `geometry._slice_plan`: the Smith form of only the rows A_R
-    of A = [1; -W] that `pivot_minor` selects, whose particular solution and
-    lattice basis are then brought to the same echelon form and given the
-    same `fourier_motzkin` stages.  Its U (r x r) is widened to act on all of
-    [k; varpi] with zeros off R, so `_weight_slice` walks this plan as it is."""
+    of A = [1; -W] that `pivot_minor` selects, given to the same
+    `_echelon_plan`.  Its U (r x r) is widened to act on all of [k; varpi]
+    with zeros off R, so `_weight_slice` walks this plan as it is."""
     A = [[1] * n] + [[-w for w in row] for row in W]
     rows, _ = pivot_minor(A)
-    r = len(rows)
     U, S, V = smith_normal_form(np.array([A[i] for i in rows], dtype=object))
-    L, pivots, beta = [[int(V[i][j]) for i in range(n)] for j in range(r, n)], [], []
-    for f in range(n):
-        i = len(pivots)
-        for j in range(i + 1, n - r):
-            while L[j][f]:
-                q = L[i][f] // L[j][f]
-                L[i], L[j] = L[j], [a - q * b for a, b in zip(L[i], L[j])]
-        if i == n - r or not L[i][f]:
-            continue
-        if L[i][f] < 0:
-            L[i] = [-a for a in L[i]]
-        for j in range(i):
-            q = L[j][f] // L[i][f]
-            L[j] = [a - q * b for a, b in zip(L[j], L[i])]
-        beta.append((1 + sum(L[j][f] * beta[j] for j in range(i))) / L[i][f])
-        pivots.append(f)
-    stages, feasible = fourier_motzkin([[-c[i] for c in L] for i in range(n)], "the oracle plan")
-    scale = max([abs(x) for row in L + [a for st in stages for a, _, _ in st] for x in row] + [0])
-    stages = tuple((np.array([a for a, _, _ in st], np.int64).reshape(len(st), j),
-                    [c for _, c, _ in st], [lam for _, _, lam in st])
-                   for j, st in enumerate(stages))
     wide = [[row[rows.index(i)] if i in rows else 0 for i in range(len(A))] for row in U.tolist()]
-    return _SlicePlan(A=A, U=wide, s=[int(S[i][i]) for i in range(r)],
-                      V=[row[:r] for row in V.tolist()], L=L, pivots=tuple(pivots), stages=stages,
-                      feasible=feasible, scale=scale * n * max(beta + [0]))
+    return _echelon_plan(A, wide, [int(S[i][i]) for i in range(len(rows))], V.tolist())
 
 
 def scan_merge(fed) -> list:
@@ -177,10 +152,11 @@ def scan_merge(fed) -> list:
 
 
 def cramer_vertices(A, b) -> list:
-    """Oracle for `_intlinalg.basic_feasible_solutions`: every r-column basis
-    B of the rows R of `pivot_minor` solved by Cramer's rule, r + 1
-    determinants each, kept when nonnegative and consistent with every row;
-    sorted (numerators, denominator) pairs in lowest terms."""
+    """The vertices of {x >= 0, A x = b}, the oracle for `slice_vertices`
+    and `vanishing_level`: every r-column basis B of the rows R of
+    `pivot_minor` solved by Cramer's rule, r + 1 determinants each, kept
+    when nonnegative and consistent with every row; sorted (numerators,
+    denominator) pairs in lowest terms."""
     n = np.shape(A)[1]
     A = np.asarray(A, dtype=np.int64).tolist()
     b = [int(v) for v in b]

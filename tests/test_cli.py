@@ -19,7 +19,7 @@ import eqtoeplitz.reduction as red
 import eqtoeplitz.symmetry as symmetry
 from eqtoeplitz.asymptotics import predict_toeplitz_leading
 from eqtoeplitz.cli import main
-from eqtoeplitz.config import ConfigError, load_config, parse_config
+from eqtoeplitz.config import FLIPPABLE_PINS, ConfigError, load_config, parse_config
 from eqtoeplitz.symmetry import TorusAction
 
 from conftest import read_csv
@@ -366,7 +366,7 @@ class TestAnalyze:
         assert solved.count(zl.generic) == 1
 
     def test_empty_locus_enumerates_p_once(self, tmp_path, monkeypatch):
-        # the k0 line reads the vertex set the diagnostics enumerated
+        # the diagnostics enumerate P once, and the k0 line reads no vertex set
         calls, enumerate_p = [], red.slice_vertices
         for module in (red, symmetry):
             monkeypatch.setattr(module, "slice_vertices",
@@ -917,15 +917,15 @@ class TestSelfTest:
         assert all(c["passed"] and c["detail"] for c in record["pin_checks"].values())
         assert record["verified"] is True
 
-    def test_flip_pin_fails_named_check(self, tmp_path, capsys):
-        code = main(["selftest", "--out", str(tmp_path),
-                     "--debug-flip-pin", "gamma-phase"])
+    @pytest.mark.parametrize("pin", FLIPPABLE_PINS)
+    def test_flip_pin_fails_named_check(self, tmp_path, capsys, pin):
+        code = main(["selftest", "--out", str(tmp_path), "--debug-flip-pin", pin])
         out = capsys.readouterr().out
         assert code == 4
-        assert "FAIL" in out and "pin-gamma-phase" in out
+        assert "FAIL" in out and f"pin-{pin}" in out
         record = json.loads((tmp_path / "calibration_record.json").read_text())
-        assert record["pin_checks"]["pin-gamma-phase"]["passed"] is False
-        assert record["pin_checks"]["pin-h-orientation"]["passed"] is True
+        assert {name: c["passed"] for name, c in record["pin_checks"].items()} == {
+            "calibrate-kappa-x": True, **{f"pin-{p}": p != pin for p in FLIPPABLE_PINS}}
         assert record["verified"] is False
 
     def test_run_record_written(self, tmp_path):
@@ -1288,7 +1288,8 @@ class TestBudgets:
     @pytest.mark.parametrize("cmd", ["analyze", "predict"])
     def test_stabilizer_over_cap_exits_4(self, tmp_path, capsys, cmd):
         # the vertex stratum {0, 1} of W = [[-4099, 1, 1]] has a stabilizer of
-        # order 4,100, above the 4,096 angles torsion_angles lists
+        # order 4,100, above the MAX_STABILIZER_ORDER = 4,096 angles
+        # torsion_angles lists
         doc = base_config(tmp_path / "o", model={"d": 2}, action={"W": [[-4099, 1, 1]]},
                           symmetry={"phi": [0.0, 0.4, 1.1]},
                           observable={"u_terms": [{"beta": [0, 0, 0], "coef": 1.0}]},

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import eqtoeplitz._intlinalg as il
 from eqtoeplitz import geometry
-from eqtoeplitz._intlinalg import (NumericFailure, basic_feasible_solutions, smith_normal_form,
+from eqtoeplitz._intlinalg import (NumericFailure, homogenized_rays, smith_normal_form,
                                    solve_phase_congruence, torsion_angles)
+from eqtoeplitz.reduction import vanishing_level
 from eqtoeplitz.symmetry import TorusAction, slice_vertices
 
 from conftest import cramer_vertices, int_adjugate, int_det, pivot_minor
@@ -21,10 +23,10 @@ def as_int(M):
     return np.array([[int(x) for x in row] for row in M])
 
 
-def homogeneous_torsion_angles(D, **kw):
+def homogeneous_torsion_angles(D):
     """The stabilizer angles of D, read off its homogeneous solve."""
     _, info = solve_phase_congruence(D, np.zeros(len(D)))
-    return torsion_angles(info, **kw)
+    return torsion_angles(info)
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
@@ -134,11 +136,10 @@ def test_vertex_enumeration_over_budget_fails_before_solving(monkeypatch):
         monkeypatch.setattr(il, "_row_reduce", lambda M: calls.append(len(M)) or reduce(M))
         monkeypatch.setattr(il, "math",
                             SimpleNamespace(gcd=lambda *a: gcds.append(1) or math.gcd(*a)))
-        A = np.vstack([np.ones((1, n), np.int64),
-                       np.random.default_rng(0).integers(-3, 4, (g, n))])
+        W = np.random.default_rng(0).integers(-3, 4, (g, n))
         with pytest.raises(NumericFailure, match=f"vertex enumeration forms at least {pairs} "
                                                  f"candidate bounds, over the budget"):
-            basic_feasible_solutions(A, [1] + [0] * g)
+            slice_vertices(TorusAction(W))
         assert calls == [n + 1] and len(gcds) < 10_000
 
 
@@ -167,7 +168,8 @@ def test_torsion_angles_match_loop_reference(rows):
         psi = np.zeros(D.shape[1])
         psi[:len(diag)] = [2.0 * np.pi * c / d for c, d in zip(combo, diag)]
         want.append(Vf @ psi)
-    got = homogeneous_torsion_angles(D, max_order=10 ** 6)
+    with mock.patch.object(il, "MAX_STABILIZER_ORDER", 10 ** 6):
+        got = homogeneous_torsion_angles(D)
     assert np.allclose(got, np.array(want), rtol=0, atol=1e-12 * max(1.0, np.abs(Vf).sum()) * 8)
 
 
@@ -216,7 +218,22 @@ def test_vertices_match_the_cramer_enumeration(A, data):
         b = [sum(a * x for a, x in zip(row, x0)) for row in A]
     else:
         b = data.draw(st.lists(st.integers(-4, 4), min_size=len(A), max_size=len(A)))
-    assert basic_feasible_solutions(A, b) == cramer_vertices(A, b)
+    assert ray_vertices(*homogenized_rays(A, b)) == cramer_vertices(A, b)
+
+
+def ray_vertices(rays, cols) -> list:
+    """The vertices among `homogenized_rays`' rays, found by comparing
+    supports pairwise, not by `slice_vertices`' rank test.  Every ray solves
+    the system, and an extreme ray's support strictly contains no other
+    ray's; a ray that is not extreme strictly contains some extreme ray's
+    support, and every extreme ray is in the list."""
+    n = len(cols) - 1
+    for y in rays:
+        assert min(y) >= 0 and any(y) and math.gcd(*y) == 1
+        assert all(sum(c[i] * v for c, v in zip(cols, y)) == 0 for i in range(len(cols[0])))
+    masks = [sum(1 << j for j, v in enumerate(y) if v) for y in rays]
+    return sorted((y[:n], y[n]) for y, m in zip(rays, masks)
+                  if y[n] and not any(o != m and o & m == o for o in masks))
 
 
 @st.composite
@@ -251,11 +268,30 @@ def vertex_systems(draw):
 @example(([[1, 3, 0, 0, -1], [-2, 1, -2, 3, -3], [2, -1, 0, -3, 3]], [5, 2, -2]))
 @settings(max_examples=300, deadline=None)
 def test_vertices_of_weight_systems_match_the_cramer_enumeration(system):
-    # without the sum row the polyhedron has recession rays, which are no
-    # vertices.  In both examples the elimination leaves a ray that is not
-    # extreme, with s > 0: only the support test drops it
+    # a system with the sum row is P of W = A[1:]: `slice_vertices` lists its
+    # vertices.  One without it is {nu >= 0, -W nu = varpi}, W = -A, which
+    # `vanishing_level` reads without listing vertices.  In both examples the
+    # elimination leaves a ray that is not extreme, with s > 0: only the
+    # support test drops it from P, and it never raises the max of sum(nu)
     A, b = system
-    assert basic_feasible_solutions(A, b) == cramer_vertices(A, b)
+    n = len(A[0])
+    if A[0] == [1] * n and b == [1] + [0] * (len(b) - 1):
+        assert slice_vertices(TorusAction(A[1:])) == cramer_vertices(A, b)
+    else:
+        W = [[-a for a in row] for row in A]
+        assert vanishing_level(TorusAction(W), b) == cramer_vanishing_level(W, b)
+
+
+def cramer_vanishing_level(W, varpi):
+    """Oracle for `vanishing_level`, read off vertex lists: 0 when
+    {nu >= 0, -W nu = varpi} has no vertex, None when P of W is nonempty
+    (sum(nu) is unbounded), else floor(max sum(nu)) + 1 over the vertices."""
+    nus = cramer_vertices([[-a for a in row] for row in W], varpi)
+    if not nus:
+        return 0
+    if cramer_vertices([[1] * len(W[0])] + W, [1] + [0] * len(W)):
+        return None
+    return max(sum(num) // den for num, den in nus) + 1
 
 
 def test_g4_n24_vertices_enumerate_fast():

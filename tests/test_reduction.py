@@ -609,13 +609,14 @@ class TestComponentInvariants:
             D, nt = descended_differential(rep, comp.support, comp.t_angles, sym, circle_p2)
             assert nt == comp.d_l == 1 and frame_error(D, nt) < 1e-9
 
-    def test_degenerate_symmetry_error(self, p2, trivial_g2):
+    def test_degenerate_symmetry_error(self, p2, trivial_g2, monkeypatch):
         # phi_1 within 1e-4 of phi_0: |c_l| ~ 1e-4 on the coordinate component
         sym = sym_of(0.0, 1e-4, 2.0)
         comps = find_fixed_components(trivial_g2, sym, p2)
         comp0 = next(c for c in comps if c.support == (0,))
+        monkeypatch.setattr(red, "C_L_TOL", 1e-3)
         with pytest.raises(DegenerateSymmetryError):
-            component_invariants(comp0, sym, trivial_g2, p2, c_tol=1e-3)
+            component_invariants(comp0, sym, trivial_g2, p2)
 
     def test_gm_well_defined_up_to_stabilizer(self, p2, circle_p2):
         # numeric orbit solve at a second representative recovers t mod Stab

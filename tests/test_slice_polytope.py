@@ -1,6 +1,6 @@
 """The exact zero-locus polytope P = {u >= 0, sum u = 1, W u = 0} and the
-moment-image questions decided on it, against scipy's HiGHS LP solver as an
-independent oracle over random small weight matrices (g <= 2, d <= 5)."""
+moment-image questions, against scipy's HiGHS LP solver as an independent
+oracle over random small weight matrices (g <= 2, d <= 5)."""
 
 import math
 from unittest import mock
@@ -13,8 +13,8 @@ from scipy.optimize import linprog
 import eqtoeplitz.reduction as red
 from eqtoeplitz.geometry import ProjectiveModel, section_basis
 from eqtoeplitz.reduction import stabilizer_info, vanishing_level
-from eqtoeplitz.symmetry import (TorusAction, moment_polytope_contains, occurring_weights,
-                                 slice_vertices)
+from eqtoeplitz.selftest import check_moment_sign_pin
+from eqtoeplitz.symmetry import TorusAction, occurring_weights, slice_vertices
 
 
 def weight_rows(max_d):
@@ -128,14 +128,17 @@ def test_vertex_strata_decide_the_hypotheses(rows):
 @given(weights, st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_containment_matches_lp(rows, k):
-    # occurring labels lie in k Phi(M); their reflections may or may not
+    # occurring labels lie in k Phi(M), and the moment-sign pin holds on the
+    # same W and k; flipped, it misses whenever a label is nonzero
     W = np.array(rows)
-    action = TorusAction(W)
-    labels = occurring_weights(action, section_basis(k, ProjectiveModel(W.shape[1] - 1)))
+    d = W.shape[1] - 1
+    labels = occurring_weights(TorusAction(W), section_basis(k, ProjectiveModel(d)))
     for w in labels:
-        assert moment_polytope_contains(action, w, scale=float(k))
         assert lp_contains(W, w, k)
-        assert moment_polytope_contains(action, -w, scale=float(k)) == lp_contains(W, -w, k)
+    ok, detail = check_moment_sign_pin(d=d, weights=(W,), levels=(k,))
+    assert ok, detail
+    ok, detail = check_moment_sign_pin(flip="moment-sign", d=d, weights=(W,), levels=(k,))
+    assert ok == (not labels.any()), detail
 
 
 @given(weights, st.lists(st.integers(-8, 8), min_size=2, max_size=2))

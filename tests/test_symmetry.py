@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqtoeplitz._intlinalg as il
+import eqtoeplitz.reduction as red
 from eqtoeplitz import geometry, selftest, symmetry
 from eqtoeplitz.geometry import ProjectiveModel, sample_sphere, section_basis
 from eqtoeplitz.reduction import vanishing_level
@@ -174,6 +176,16 @@ class TestMomentMap:
         ok, detail = check_moment_sign_pin(d=1, weights=([[1, -1]],), levels=(10,))
         assert ok, detail
 
+    def test_moment_sign_pin_reads_no_rays(self, monkeypatch):
+        # the pin compares each label with the moment map at its monomial's
+        # point and runs no containment elimination.  The basis walks' slice
+        # plans reach the elimination through geometry's import, left in place
+        def refuse(*args):
+            raise AssertionError("the pin ran a Fourier-Motzkin elimination")
+        monkeypatch.setattr(il, "fourier_motzkin", refuse)
+        ok, detail = check_moment_sign_pin()
+        assert ok, detail
+
     @given(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
            st.integers(2, 14))
     @settings(max_examples=40, deadline=None)
@@ -208,6 +220,16 @@ class TestVanishingLevel:
 
     def test_zero_in_image(self, circle_p1):
         assert vanishing_level(circle_p1, [0]) is None
+
+    def test_reads_no_vertex_list(self, monkeypatch, circle_p1):
+        def refuse(*args):
+            raise AssertionError("vanishing_level read a vertex list")
+        for module in (red, symmetry):
+            monkeypatch.setattr(module, "slice_vertices", refuse)
+        monkeypatch.setattr(red, "zero_locus", refuse)
+        assert vanishing_level(TorusAction([[1, 1, 2]]), [-5]) == 6
+        assert vanishing_level(TorusAction([[1, 1, 2]]), [3]) == 0
+        assert vanishing_level(circle_p1, [1]) is None
 
 
 class TestGammaPhase:
@@ -303,7 +325,8 @@ class TestEquivariantKernel:
         x, y = sample_sphere(2, 53, p2)
         for w in [(0,), (1,)]:
             iso = isotype_basis(k, w, circle_p2, p2)
-            lhs = equivariant_kernel_pairs(sym.gamma_X(x), sym.gamma_X(y), iso)[0]
+            lift = np.exp(-1j * sym.theta_A)        # gamma_X = e^{-i theta_A} gamma_M
+            lhs = equivariant_kernel_pairs(lift * sym.gamma_M(x), lift * sym.gamma_M(y), iso)[0]
             rhs = equivariant_kernel_pairs(x, y, iso)[0]
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
