@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._intlinalg import NumericFailure, ProbeDomainError
 from .geometry import ProjectiveModel
 from .observables import Observable
-from .reduction import effective_volume, zero_locus
 from .symmetry import (TorusAction, equivariant_kernel_pairs, isotype_basis, moment_map,
                        torus_grid_overlaps)
-from .toeplitz import TraceSeries
+
+if TYPE_CHECKING:
+    from .toeplitz import TraceSeries
 
 __all__ = [
     "NumericFailure",
@@ -46,12 +47,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TracePrediction:
+class TracePrediction(namedtuple("TracePrediction", "reports varpi")):
     """Leading-term predictor assembled from completed component reports."""
-
-    reports: tuple
-    varpi: tuple
 
     def component_terms(self, k: int) -> np.ndarray:
         out = []
@@ -131,6 +128,8 @@ def identity_roots(reports, action: TorusAction, f: Observable, ks) -> list:
     before any trace, with fewer than unknowns (the degrees + 1) + 3 levels,
     and before the roots are listed when one coset phase feeds too many:
     q / gcd(q, step)."""
+    from .reduction import zero_locus
+
     step = math.gcd(*np.diff(ks).tolist()) or 1
     q = math.lcm(*(den for _, den in zero_locus(action).vertices))
     if len(ks) < q // math.gcd(q, step) + 3:
@@ -138,7 +137,7 @@ def identity_roots(reports, action: TorusAction, f: Observable, ks) -> list:
                              f"needs at least {q // math.gcd(q, step) + 3} levels, have {len(ks)}")
     z = np.exp(2j * math.pi * np.arange(q) / q)
     merged = _merge_roots((r, rep.d_l + f.degree, l) for l, rep in enumerate(reports)
-                          for r in np.outer(rep.h_l * np.exp(1j * (rep.stab_angles @ rep._w_j0)),
+                          for r in np.outer(rep.h_l * np.exp(1j * (rep.stab_angles @ rep.w_j0)),
                                             z).ravel() ** step)
     n = sum(deg + 1 for _, deg, _ in merged)
     if len(ks) < n + 3:
@@ -210,12 +209,7 @@ def orbit_distance(x, y, action: TorusAction) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * best))
 
 
-@dataclass(frozen=True)
-class DecayProbeResult:
-    k_values: np.ndarray
-    abs_values: np.ndarray
-    slope: float
-    floored: bool
+DecayProbeResult = namedtuple("DecayProbeResult", "k_values abs_values slope floored")
 
 
 #: the decay probe's pair must have |Phi(x)| or its orbit distance at least this
@@ -259,14 +253,10 @@ def decay_probe(x, y, varpi, action: TorusAction, model: ProjectiveModel,
     return DecayProbeResult(k_values=ks, abs_values=vals, slope=slope, floored=floored)
 
 
-@dataclass(frozen=True)
-class TangentFrame:
+class TangentFrame(namedtuple("TangentFrame", "x vertical transverse")):
     """Orthonormal splitting of the tangent space at a zero-locus lift into
-    transverse / vertical / horizontal blocks."""
-
-    x: np.ndarray
-    vertical: np.ndarray     # (g, d+1) rows: orthonormal basis of the orbit dirs
-    transverse: np.ndarray   # (g, d+1) rows: i * vertical
+    transverse / vertical / horizontal blocks: vertical, (g, d+1) rows, an
+    orthonormal basis of the orbit directions, and transverse = i vertical."""
 
     def decompose(self, v: np.ndarray):
         v = np.asarray(v, dtype=complex)
@@ -296,25 +286,11 @@ def _displace(x: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-@dataclass(frozen=True)
-class ScalingProbe:
-    """Near-diagonal probe at a zero-locus base point: displacements w, v are
-    ambient tangent vectors (orthogonal to the base point), rescaled by
-    1/sqrt(k) before evaluation."""
-
-    x: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-    k_values: tuple
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    k: int
-    exact: complex
-    predicted: complex
-    abs_ratio: float
-    phase_err: float
+#: Near-diagonal probe at a zero-locus base point x: displacements w, v are
+#: ambient tangent vectors (orthogonal to x), rescaled by 1/sqrt(k) before
+#: evaluation at each of k_values
+ScalingProbe = namedtuple("ScalingProbe", "x w v k_values")
+ScalingRow = namedtuple("ScalingRow", "k exact predicted abs_ratio phase_err")
 
 
 def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
@@ -326,6 +302,8 @@ def scaling_probe(probe: ScalingProbe, varpi, action: TorusAction,
     Q = -|v_t|^2 - |w_t|^2 + i[omega(w_v, w_t) - omega(v_v, v_t)] and
     psi2 = <w_h, v_h> - (|w_h|^2 + |v_h|^2)/2.
     """
+    from .reduction import effective_volume
+
     xv = np.asarray(probe.x, dtype=complex)
     phin = float(np.linalg.norm(np.atleast_1d(moment_map(xv, action))))
     if phin > 1e-8:

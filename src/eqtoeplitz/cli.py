@@ -7,7 +7,8 @@ floats; two runs with the same config and seed are byte-identical.
 
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: `trace` never loads the reduction, asymptotics, selftest or
-cache modules.
+cache modules, and a decay `kernel` never loads the reduction or toeplitz
+modules.  No subcommand loads `dataclasses`: records are namedtuples.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,8 +129,8 @@ def _components(cfg: ExperimentConfig, out: str, sample=None) -> list:
             return {"re": val.f_bar_integral.real, "im": val.f_bar_integral.imag,
                     "stderr": val.f_bar_stderr}
         val = Cache(os.path.join(out, "cache")).get_or_compute(key, compute)
-        comps.append(replace(rep, f_bar_integral=complex(val["re"], val["im"]),
-                             f_bar_stderr=val["stderr"]))
+        comps.append(rep._replace(f_bar_integral=complex(val["re"], val["im"]),
+                                  f_bar_stderr=val["stderr"]))
     return comps
 
 
@@ -150,7 +150,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, args) -> list:
     diagnostics, sample = check_regular_and_free(cfg.action, cfg.model,
                                                  n_samples=cfg.n_samples, seed=cfg.seed)
     lines = ["reduction diagnostics", "====================="]
-    for name, val in sorted(vars(diagnostics).items()):
+    for name, val in sorted(diagnostics._asdict().items()):
         lines.append(f"{name}: {val}")
     artifacts, eigenvalues = ["reduction_report.txt"], {}
     if diagnostics.empty_locus:
@@ -255,6 +255,8 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
     # an identity with too many unknowns is refused before the sweep
     roots = identity_roots(comps, cfg.action, cfg.observable, ks) if comps else []
     series = _complete_sweep(cfg, args.threads)
+    # an identity refused on its condition writes no CSV, as a gapped sweep
+    fit = compare_and_fit(series, preds, comps, roots, cfg.action, cfg.observable)
     rows = []
     for rec, p in zip(series.records, preds):
         t = rec.trace
@@ -267,7 +269,6 @@ def cmd_compare(cfg: ExperimentConfig, out: str, args) -> list:
                "phase_err"], rows)
     artifacts = ["comparison.csv"]
     summary = [f"comparison over {len(ks)} levels (prediction: {METHOD})"]
-    fit = compare_and_fit(series, preds, comps, roots, cfg.action, cfg.observable)
     if fit is not None:
         diffs = np.abs(series.traces - preds)
         held = "fails" if fit.k_star is None else f"holds from k* = {fit.k_star}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,19 +35,13 @@ FLIPPABLE_PINS = ("gamma-phase", "h-orientation", "moment-sign")
 CALIBRATION_CHECKS = ("calibrate-kappa-x",) + tuple(f"pin-{p}" for p in FLIPPABLE_PINS)
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
-    kappa_x: float
-    gamma_phase_sign: int
-    chi_orientation: int
-    moment_sign: int
-    pinned_by: tuple
-
+class CalibrationRecord(namedtuple("CalibrationRecord", "kappa_x gamma_phase_sign "
+                                   "chi_orientation moment_sign pinned_by")):
     def to_dict(self, results=None) -> dict:
         """The pinned constants.  With a selftest's results, also each
         calibration check's outcome and whether all passed; without, the
         constants are marked as not re-verified by this run."""
-        doc = asdict(self)
+        doc = self._asdict()
         if results is None:
             doc["verified"] = False
             return doc
@@ -95,21 +89,10 @@ def _is_int(x, low: int = -2 ** 63, high=2 ** 63) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and low <= x < high
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A parsed config: the layer objects, the k_range levels and the rest as read."""
-
-    model: ProjectiveModel
-    action: TorusAction
-    symmetry: DiagonalSymmetry
-    observable: Observable
-    varpi: tuple
-    levels: range
-    n_samples: int
-    seed: int
-    output_dir: str
-    kernel_probe: dict | None = None     # with the points and displacements as arrays
-    raw: dict = field(default=None, repr=False)
+#: A parsed config: the layer objects, the k_range levels and the rest as
+#: read, kernel_probe (or None) with its points and displacements as arrays
+ExperimentConfig = namedtuple("ExperimentConfig", "model action symmetry observable varpi levels "
+                              "n_samples seed output_dir kernel_probe raw")
 
 
 def _parse_h_term(obj, d):

@@ -14,8 +14,7 @@ import functools
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,22 +40,19 @@ __all__ = [
 KAPPA_X = 1.0
 
 
-@dataclass(frozen=True)
-class ProjectiveModel:
+class ProjectiveModel(namedtuple("ProjectiveModel", "d kappa_x")):
     """Complex projective space of dimension d with its unit circle bundle.
 
     vol_M is pinned to pi^d/d!; vol_X = kappa_x * vol_M with kappa_x frozen
     by the one-time calibration.
     """
 
-    d: int
-    kappa_x: float = KAPPA_X
-
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d: int, kappa_x: float = KAPPA_X):
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        if self.kappa_x <= 0:
+        if kappa_x <= 0:
             raise ValueError("kappa_x must be positive")
+        return super().__new__(cls, d, kappa_x)
 
     @property
     def n_coords(self) -> int:
@@ -74,18 +70,14 @@ class ProjectiveModel:
         return math.comb(k + self.d, self.d)
 
 
-@dataclass(frozen=True)
-class SectionBasis:
+class SectionBasis(namedtuple("SectionBasis", "k dim blocks model points_walked")):
     """The slice of the level-k monomial basis of one torus weight; the
     trivial group's is the full basis.  `dim` rows, lex-descending, which
-    `blocks()` yields in order, _SLICE_BLOCK rows at a time.  The (dim, d+1)
-    `indices` and their L2(X) `log_norms` are built on first read."""
-
-    k: int
-    dim: int
-    blocks: Callable = field(repr=False)     # () -> iterator over (rows, d+1) int64 blocks
-    model: ProjectiveModel = field(repr=False)
-    points_walked: int = 0      # lattice points the slice's walk visited
+    `blocks()` yields in order as (rows, d+1) int64 arrays, _SLICE_BLOCK rows
+    at a time; `points_walked` counts the lattice points the slice's walk
+    visited.  The (dim, d+1) `indices` and their L2(X) `log_norms` are built
+    on first read (`cached_property`, which needs the instance dict that a
+    namedtuple subclass without `__slots__` has)."""
 
     @property
     def n_blocks(self) -> int:
@@ -150,21 +142,16 @@ def monomial_norm(alpha, model: ProjectiveModel) -> float:
 MAX_SLICE_ROWS = 1_000_000
 
 
-@dataclass(frozen=True)
-class _SlicePlan:
-    """What `_weight_slice` needs of weights W (g x n) at any level k and
-    label varpi, in exact integers: A alpha = [k; varpi], A = [1; -W], has the
-    integer solutions alpha = p + t L; stage j bounds t_j given t_<j."""
-
-    A: list
-    U: list           # the Smith form U A V = diag(s, 0): U's first r rows, V's first r columns
-    s: list
-    V: list
-    L: list           # m x n, a basis of the lattice ker A in row echelon form: row i is 0
-    pivots: tuple     # left of pivots[i] and > 0 there, and the rows above it in [0, that)
-    stages: tuple     # stage j: (a (rows, j) int64 array, c, lam): a . t_<j + c t_j <= lam . p
-    feasible: list    # the lam of the bounds left without t: 0 <= lam . p
-    scale: float      # bounds |a . t| and |L t| over the walk by scale (k + max |p|)
+#: What `_weight_slice` needs of weights W (g x n) at any level k and label
+#: varpi, in exact integers: A alpha = [k; varpi], A = [1; -W], has the
+#: integer solutions alpha = p + t L; stage j bounds t_j given t_<j.  U, s, V:
+#: the Smith form U A V = diag(s, 0), U's first r rows, V's first r columns;
+#: L, m x n, a basis of the lattice ker A in row echelon form: row i is 0 left
+#: of pivots[i] and > 0 there, and the rows above it in [0, that); stage j:
+#: (a (rows, j) int64 array, c, lam), a . t_<j + c t_j <= lam . p; feasible:
+#: the lam of the bounds left without t, 0 <= lam . p; scale bounds |a . t|
+#: and |L t| over the walk by scale (k + max |p|)
+_SlicePlan = namedtuple("_SlicePlan", "A U s V L pivots stages feasible scale")
 
 
 @functools.lru_cache(maxsize=8)

@@ -11,36 +11,33 @@ trace computation genuinely exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 __all__ = ["Observable"]
 
 
-@dataclass(frozen=True)
-class Observable:
-    u_terms: dict = field(default_factory=dict)   # {beta tuple: real coefficient}
-    h_term: np.ndarray | None = None              # Hermitian (d+1, d+1) or None
+class Observable(namedtuple("Observable", "u_terms h_term")):
+    """u_terms {beta tuple: real coefficient}; h_term Hermitian (d+1, d+1) or None."""
 
-    def __post_init__(self):
+    def __new__(cls, u_terms=None, h_term=None):
         terms = {}
-        for beta, c in self.u_terms.items():
+        for beta, c in (u_terms or {}).items():
             bt = tuple(int(b) for b in beta)
             if any(b < 0 for b in bt):
                 raise ValueError("u-term exponents must be nonnegative")
             if abs(complex(c).imag) > 1e-12:
                 raise ValueError("u-term coefficients must be real")
             terms[bt] = float(np.real(c))
-        object.__setattr__(self, "u_terms", terms)
-        if self.h_term is not None:
-            h = np.asarray(self.h_term, dtype=complex)
-            if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        if h_term is not None:
+            h_term = np.asarray(h_term, dtype=complex)
+            if h_term.ndim != 2 or h_term.shape[0] != h_term.shape[1]:
                 raise ValueError("h_term must be a square matrix")
-            if np.max(np.abs(h - h.conj().T)) > 1e-12:
+            if np.max(np.abs(h_term - h_term.conj().T)) > 1e-12:
                 raise ValueError("h_term must be Hermitian")
-            h.setflags(write=False)
-            object.__setattr__(self, "h_term", h)
+            h_term.setflags(write=False)
+        return super().__new__(cls, terms, h_term)
 
     @staticmethod
     def constant(value: float, n_coords: int) -> "Observable":

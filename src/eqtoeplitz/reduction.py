@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache, reduce
 from operator import or_
 
@@ -182,8 +181,8 @@ def _newton_refine(pts: np.ndarray, action: TorusAction) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
-class ZeroLocusSample:
+class ZeroLocusSample(namedtuple("ZeroLocusSample", "points weight n_total band support",
+                                 defaults=(None,))):
     """Refined points on the zero locus of a stratum and their one weight.
 
     A point's coarea weight, vol_M 2^g sqrt(det Gram) / (n_total ball), over
@@ -192,12 +191,6 @@ class ZeroLocusSample:
     point: sum(weight * order * h(points)) estimates the integral of h over
     the reduced space of the stratum, whose stabilizer has that finite order.
     """
-
-    points: np.ndarray
-    weight: float
-    n_total: int
-    band: float
-    support: tuple | None = None
 
     def integrate(self, h_values) -> tuple[float, float]:
         h = np.asarray(h_values, dtype=float)
@@ -304,25 +297,14 @@ def reduced_volume(action: TorusAction, model: ProjectiveModel, n_samples: int,
 # ---------------------------------------------------------------------------
 # hypothesis diagnostics
 
-@dataclass(frozen=True)
-class ReductionDiagnostics:
-    """Exact hypothesis flags and stabilizer orders, the exact least dPhi
-    singular value and V_eff and the Monte-Carlo volume and V_eff statistics
-    of a regular locus.  Defaults describe a locus where nothing was found."""
-
-    empty_locus: bool
-    regular_value: bool = False
-    min_singular_dphi: float = 0.0
-    free_action: bool = False
-    kernel_order: int | None = None
-    stabilizer_order: int | None = None
-    stabilizer_constant: bool = True
-    vol_M0: float | None = None
-    vol_M0_stderr: float | None = None
-    v_eff_min: float | None = None
-    v_eff_mean: float | None = None
-    v_eff_max: float | None = None
-    n_samples: int = 0
+#: Exact hypothesis flags and stabilizer orders, the exact least dPhi
+#: singular value and V_eff and the Monte-Carlo volume and V_eff statistics
+#: of a regular locus.  Defaults describe a locus where nothing was found.
+ReductionDiagnostics = namedtuple(
+    "ReductionDiagnostics", "empty_locus regular_value min_singular_dphi free_action "
+    "kernel_order stabilizer_order stabilizer_constant vol_M0 vol_M0_stderr v_eff_min "
+    "v_eff_mean v_eff_max n_samples",
+    defaults=(False, 0.0, False, None, None, True, None, None, None, None, None, 0))
 
 
 def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
@@ -362,8 +344,8 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
     gram = np.einsum("ij,nj,lj->nil", action.W, u, action.W)
     lam_min = np.min(np.linalg.eigvalsh(gram), initial=np.inf)
     det_min = np.min(np.linalg.det(gram))
-    return replace(
-        diag, min_singular_dphi=2.0 * math.sqrt(lam_min), vol_M0=vol, vol_M0_stderr=err,
+    return diag._replace(
+        min_singular_dphi=2.0 * math.sqrt(lam_min), vol_M0=vol, vol_M0_stderr=err,
         v_eff_min=(2.0 * math.pi) ** action.g * math.sqrt(det_min) / order,
         v_eff_mean=float(np.mean(veffs)), v_eff_max=float(np.max(veffs)),
         n_samples=sample.n_total), sample
@@ -372,26 +354,18 @@ def check_regular_and_free(action: TorusAction, model: ProjectiveModel,
 # ---------------------------------------------------------------------------
 # fixed components of the descended symmetry
 
-@dataclass(frozen=True)
-class FixedComponentReport:
-    """Per-component invariants feeding the leading trace term."""
-
-    support: tuple
-    d_l: int
-    codim: int
-    t_angles: np.ndarray          # one solution g_m of gamma(m) = mu_t(m)
-    stab_order: int
-    stab_angles: np.ndarray       # (order, g): the g_m ambiguity coset is t * stab
-    u_star: np.ndarray            # interior barycentric representative (full length)
-    representative: np.ndarray    # unit vector over the component
-    suspected_nongeneric: bool = False
-    h_l: complex | None = None
-    c_l: complex | None = None
-    c_l_exact: complex | None = None
-    normal_eigenvalues: np.ndarray | None = None
-    f_bar_integral: complex | None = None
-    f_bar_stderr: float | None = None
-    branch_weights: np.ndarray | None = None   # c_l / c_l(s) per branch; None when all 1
+class FixedComponentReport(namedtuple(
+        "FixedComponentReport", "support d_l codim t_angles stab_order stab_angles u_star "
+        "representative w_j0 suspected_nongeneric h_l c_l c_l_exact normal_eigenvalues "
+        "f_bar_integral f_bar_stderr branch_weights", defaults=(False,) + (None,) * 7)):
+    """Per-component invariants feeding the leading trace term: t_angles, one
+    solution g_m of gamma(m) = mu_t(m); stab_angles (order, g), the g_m
+    ambiguity coset t * stab; u_star, the interior barycentric representative
+    (full length); representative, a unit vector over the component; w_j0,
+    the weight of its first support coordinate; branch_weights, c_l / c_l(s)
+    per branch, None when all 1.  `find_fixed_components` fills the fields
+    through suspected_nongeneric, `component_invariants` and `f_bar_integral`
+    the rest."""
 
     def chi(self, varpi) -> complex:
         v = np.asarray(varpi, dtype=float).reshape(-1)
@@ -401,10 +375,7 @@ class FixedComponentReport:
         """Phase multipliers over the stabilizer coset: replacing t by t*s
         multiplies h_l^k chi_varpi by e^{i(k <W_j0, th_s> + <varpi, th_s>)}."""
         v = np.asarray(varpi, dtype=float).reshape(-1)
-        return np.exp(1j * (k * (self.stab_angles @ self._w_j0) + self.stab_angles @ v))
-
-    # populated by find_fixed_components
-    _w_j0: np.ndarray = field(default=None, repr=False)
+        return np.exp(1j * (k * (self.stab_angles @ self.w_j0) + self.stab_angles @ v))
 
 
 #: most phase congruences find_fixed_components solves (one small Smith
@@ -521,9 +492,8 @@ def find_fixed_components(action: TorusAction, sym: DiagonalSymmetry,
         out.append(FixedComponentReport(
             support=S, d_l=d_l, codim=model.d - action.g - d_l, t_angles=theta,
             stab_order=stab_angles.shape[0], stab_angles=stab_angles, u_star=u_star,
-            representative=np.sqrt(u_star) + 0j,
-            suspected_nongeneric=F in shared or any((T & ~F).bit_count() <= 1 for T in near),
-            _w_j0=action.W[:, S[0]].astype(float)))
+            representative=np.sqrt(u_star) + 0j, w_j0=action.W[:, S[0]].astype(float),
+            suspected_nongeneric=F in shared or any((T & ~F).bit_count() <= 1 for T in near)))
     return out
 
 
@@ -597,8 +567,8 @@ def component_invariants(report: FixedComponentReport, sym: DiagonalSymmetry,
             f"representative of {report.support} is not fixed (|h| = {abs(h)})")
     h /= abs(h)
 
-    return replace(report, c_l=c_l, c_l_exact=c_exact,
-                   normal_eigenvalues=lam, h_l=h, branch_weights=weights)
+    return report._replace(c_l=c_l, c_l_exact=c_exact, normal_eigenvalues=lam, h_l=h,
+                           branch_weights=weights)
 
 
 def f_bar_is_sampled(report: FixedComponentReport, action: TorusAction,
@@ -627,8 +597,8 @@ def f_bar_integral(report: FixedComponentReport, f: Observable, action: TorusAct
     if not f_bar_is_sampled(report, action, model):
         val = (favg.value(report.representative[None, :])[0] if report.d_l == 0
                else favg.integral_over_M(model))
-        return replace(report, f_bar_integral=complex(val), f_bar_stderr=0.0)
+        return report._replace(f_bar_integral=complex(val), f_bar_stderr=0.0)
     if sample is None or sample.support != report.support:
         sample = zero_locus_sample(action, model, n_samples, seed, support=report.support)
     est, err = reduced_space_integral(action, sample, h=favg.value)
-    return replace(report, f_bar_integral=complex(est), f_bar_stderr=err)
+    return report._replace(f_bar_integral=complex(est), f_bar_stderr=err)

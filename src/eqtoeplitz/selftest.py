@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -34,12 +34,7 @@ __all__ = ["CalibrationRecord", "SelfTestResult", "run_selftest", "FLIPPABLE_PIN
            "PIN_CHECKS"]
 
 
-@dataclass(frozen=True)
-class SelfTestResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+SelfTestResult = namedtuple("SelfTestResult", "name passed detail seconds")
 
 
 def _check(name, fn) -> SelfTestResult:
@@ -90,12 +85,12 @@ def check_fixed_point_pin(flip=None, phi=(0.0, 1.3), theta_A=0.0, levels=range(4
     sym = DiagonalSymmetry(phi=phi, theta_A=theta_A)
     # the reversed lift eigenvalue e^{i k theta_A} e^{+i <phi, alpha>} is the
     # pinned one of the symmetry with phases -phi, so that one is traced
-    traced = replace(sym, phi=-sym.phi) if flip == "gamma-phase" else sym
+    traced = DiagonalSymmetry(-sym.phi, sym.theta_A) if flip == "gamma-phase" else sym
     one = Observable.constant(1.0, n)
     comps = [f_bar_integral(component_invariants(c, sym, action, model), one, action, model)
              for c in find_fixed_components(action, sym, model)]
     if flip == "h-orientation":
-        comps = [replace(c, h_l=np.conj(c.h_l)) for c in comps]
+        comps = [c._replace(h_l=np.conj(c.h_l)) for c in comps]
     pred = TracePrediction(tuple(comps), ())
     worst = max(abs(trace_psi(k, (), one, traced, action, model) - pred(k)) for k in levels)
     return worst < tol, f"max |trace - leading| = {worst:.3e} over k <= {max(levels)}"

@@ -11,7 +11,7 @@ each of these against independent identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,18 +33,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TorusAction:
+class TorusAction(namedtuple("TorusAction", "W")):
     """Linear T^g action on C^(d+1): column j of W is the weight of z_j."""
 
-    W: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=np.int64)
+    def __new__(cls, W):
+        W = np.asarray(W, dtype=np.int64)
         if W.ndim != 2:
             raise ValueError("W must be a g x (d+1) integer matrix")
         W.setflags(write=False)
-        object.__setattr__(self, "W", W)
+        return super().__new__(cls, W)
 
     @property
     def g(self) -> int:
@@ -143,20 +140,16 @@ def slice_vertices(action: TorusAction) -> list:
                   if len(_row_reduce([cols[j] for j in S])[0]) == len(S) - 1)
 
 
-@dataclass(frozen=True)
-class DiagonalSymmetry:
+class DiagonalSymmetry(namedtuple("DiagonalSymmetry", "phi theta_A")):
     """Gamma = diag(e^{i phi_j}) with an extra global lift phase theta_A.
 
     Always unitary and commuting with any diagonal torus action.
     """
 
-    phi: np.ndarray
-    theta_A: float = 0.0
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float).reshape(-1)
+    def __new__(cls, phi, theta_A: float = 0.0):
+        phi = np.asarray(phi, dtype=float).reshape(-1)
         phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
+        return super().__new__(cls, phi, theta_A)
 
     @property
     def n_coords(self) -> int:
@@ -182,15 +175,10 @@ def gamma_phase(alpha: np.ndarray, sym: DiagonalSymmetry) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class IsotypeBasis:
+class IsotypeBasis(namedtuple("IsotypeBasis", "k varpi parent")):
     """The varpi isotype at level k: `parent`, the walked weight slice of
     (W, varpi), whose rows, norms and blocks it shares.  A plain view, kept
     because `perfbench/tracer.py` reads `.parent.dim`."""
-
-    k: int
-    varpi: tuple
-    parent: SectionBasis = field(repr=False)
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,7 @@ of every trace identity is correct to a few ulps even at k in the hundreds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -113,20 +113,18 @@ def trace_via_kernel_quadrature(k: int, varpi, f: Observable, sym: DiagonalSymme
     return model.vol_X * complex(weights @ vals)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    k: int
-    varpi: tuple
-    trace: complex
-    dim_isotype: int
-    points_walked: int = 0     # lattice points the isotype's slice walk visited
-    blocks: int = 0            # blocks of the walk the trace summed
+#: one level's trace; points_walked, the lattice points the isotype's slice
+#: walk visited, and blocks, those of the walk the trace summed
+TraceRecord = namedtuple("TraceRecord", "k varpi trace dim_isotype points_walked blocks",
+                         defaults=(0, 0))
 
 
-@dataclass
-class TraceSeries:
-    records: list = field(default_factory=list)
-    failures: list = field(default_factory=list)   # (k, repr of error)
+class TraceSeries(namedtuple("TraceSeries", "records failures")):
+    """The levels' TraceRecords, ascending in k, and failures, (k, repr of
+    error) pairs: two lists of its own, empty when it is made."""
+
+    def __new__(cls):
+        return super().__new__(cls, [], [])
 
     def append(self, rec: TraceRecord):
         if self.records and rec.k <= self.records[-1].k:

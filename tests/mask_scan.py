@@ -109,5 +109,5 @@ def scan_fixed_components(action, sym, model) -> list:
             stab_angles=c["stab_angles"], u_star=c["u_star"],
             representative=c["representative"],
             suspected_nongeneric=(i in flagged),
-            _w_j0=action.W[:, c["support"][0]].astype(float)))
+            w_j0=action.W[:, c["support"][0]].astype(float)))
     return out

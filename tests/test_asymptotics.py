@@ -1,6 +1,5 @@
 import math
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,7 +133,7 @@ class TestCompareAndFit:
         # random d = 8 weights whose vertex denominators have the lcm
         # q = 7,611,403,800: listing the roots of unity would take 57 GiB
         W = np.random.default_rng(11).integers(-3, 4, (2, 9))
-        rep = SimpleNamespace(h_l=1.0, d_l=6, _w_j0=np.zeros(2), stab_angles=np.zeros((1, 2)))
+        rep = SimpleNamespace(h_l=1.0, d_l=6, w_j0=np.zeros(2), stab_angles=np.zeros((1, 2)))
         with pytest.raises(NumericFailure, match="7611403800 distinct roots and needs at least "
                                                  "7611403803 levels, have 61"):
             identity_roots([rep], TorusAction(W), SimpleNamespace(degree=1), range(61))
@@ -270,7 +269,7 @@ class TestCompareAndFit:
         assume(unknowns <= 60)
         # a positive-dimensional f-bar is Monte-Carlo: stand in 1, check no gap
         comps = [f_bar_integral(c, f, action, model) if c.d_l == 0
-                 else replace(c, f_bar_integral=1.0 + 0j) for c in comps]
+                 else c._replace(f_bar_integral=1.0 + 0j) for c in comps]
         # the identity holds from k* on (k* <= 11 in 2,000 draws): 20 levels
         # more keep the fitted ones above it
         ks = range(unknowns + 23)

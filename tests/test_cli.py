@@ -586,6 +586,18 @@ class TestFailedLevels:
         assert not (out / csv).exists()
         assert not (out / "fit_report.txt").exists()
 
+    def test_ill_conditioned_identity_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        # the identity is refused on its condition after the sweep, and before
+        # comparison.csv is written, as for a gapped sweep
+        monkeypatch.setattr(asymptotics, "COND_CAP", 1.0)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, **P2_SWEEP))
+        assert main(["compare", "--config", cfg]) == 4
+        assert "ill-conditioned identity design" in capsys.readouterr().err
+        assert not os.path.exists(out / "comparison.csv")
+        assert not os.path.exists(out / "fit_report.txt")
+        assert not os.path.exists(out / "run_record.json")
+
 
     def test_overflowing_u_term_matches_exact_fractions(self, tmp_path):
         # u_0^150 on P^1: (d + k + 1) ... (d + k + 150) overflows a float at
@@ -1013,8 +1025,9 @@ sys.meta_path.insert(0, NoScipy())
 NOT_TRACE = ("eqtoeplitz.reduction", "eqtoeplitz.asymptotics", "eqtoeplitz.selftest",
              "eqtoeplitz.cache")
 #: loaded by no subcommand: OpenSSL's hashes (the cache names its files by
-#: zlib's crc32) and numpy's masked arrays (which `np.unique(axis=0)` loads)
-UNUSED = ("_hashlib", "numpy.ma")
+#: zlib's crc32), numpy's masked arrays (which `np.unique(axis=0)` loads) and
+#: dataclasses (every record is a namedtuple)
+UNUSED = ("_hashlib", "numpy.ma", "dataclasses")
 #: `loaded(names)`: the loaded modules that are one of names or inside one
 LOADED = """
 import sys
@@ -1068,6 +1081,17 @@ found = loaded({HEAVY + SAMPLER + UNUSED + NOT_TRACE!r})
 assert not found, found
 """)
         assert (out / "trace.csv").exists()
+
+    def test_decay_kernel_loads_no_reduction_or_trace(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, decay_config(out, k_values=[20, 40, 60]))
+        self.run_isolated(f"""
+from eqtoeplitz.cli import main
+assert main(["kernel", "--config", {cfg!r}]) == 0
+found = loaded(("eqtoeplitz.reduction", "eqtoeplitz.toeplitz"))
+assert not found, found
+""")
+        assert (out / "kernel_decay.csv").exists()
 
     def test_exact_f_bar_loads_no_cache(self, tmp_path):
         # P2 with generic phases: isolated fixed points, no f-bar is sampled,

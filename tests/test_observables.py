@@ -3,7 +3,7 @@ import pytest
 
 from eqtoeplitz.geometry import ProjectiveModel
 from eqtoeplitz.observables import Observable
-from eqtoeplitz.symmetry import TorusAction
+from eqtoeplitz.symmetry import DiagonalSymmetry, TorusAction
 
 from conftest import plain_sphere, sup_bound
 
@@ -14,6 +14,33 @@ def test_realness_validation():
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         Observable(h_term=h)
+
+
+@pytest.mark.parametrize("record, field, value, bad", [
+    (ProjectiveModel(2), "kappa_x", 2.0, {"d": 0}),
+    (TorusAction([[1, -1, -1]]), "W", [[2, 0, -1]], {"W": [1, -1, -1]}),
+    (DiagonalSymmetry([0.0, 1.1, 3.7], theta_A=0.5), "phi", [0.5, 0.0, 1.0], {"phi": ["x"]}),
+    (Observable(u_terms={(0, 1, 0): 1.0}), "h_term", [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+     {"u_terms": {(0, -1, 0): 1.0}})],
+    ids=["ProjectiveModel", "TorusAction", "DiagonalSymmetry", "Observable"])
+def test_validated_records_rebuild_through_their_checks(record, field, value, bad):
+    # a validated record is rebuilt through its constructor, never `_replace`,
+    # which would skip the coercion: the new field is a read-only array of the
+    # record's dtype, the others carry over, and bad input is still refused
+    fields = record._asdict()
+    rebuilt = type(record)(**{**fields, field: value})
+    got = getattr(rebuilt, field)
+    if isinstance(got, np.ndarray):
+        assert not got.flags.writeable and np.array_equal(got, value)
+        assert got.dtype == (fields[field].dtype if fields[field] is not None else complex)
+    else:
+        assert got == value
+    assert all(getattr(rebuilt, k) is v or getattr(rebuilt, k) == v
+               for k, v in fields.items() if k != field)
+    with pytest.raises(AttributeError):
+        setattr(rebuilt, field, value)
+    with pytest.raises(ValueError):
+        type(record)(**{**fields, **bad})
 
 
 def test_value_matches_manual():

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -506,7 +505,7 @@ class TestFixedComponents:
         # a true miss of 1e-7 at one coordinate is not forgiven: the locus is
         # no longer fixed, and every component lies within one coordinate of
         # a support through that coordinate that misses by about 1e-7
-        shifted = replace(sym, phi=sym.phi + 1e-7 * (np.arange(9) == 0))
+        shifted = DiagonalSymmetry(sym.phi + 1e-7 * (np.arange(9) == 0), sym.theta_A)
         comps = find_fixed_components(action, shifted, ProjectiveModel(8))
         assert supp not in [c.support for c in comps]
         assert all(c.suspected_nongeneric for c in comps)
@@ -592,7 +591,7 @@ class TestComponentInvariants:
         comp = find_fixed_components(circle_p2, sym, p2)[0]
         vals = []
         for rep in component_representatives(comp, circle_p2, 3, seed=23):
-            done = component_invariants(replace(comp, representative=rep),
+            done = component_invariants(comp._replace(representative=rep),
                                         sym, circle_p2, p2)
             vals.append((done.c_l, done.h_l))
         for c_l, h_l in vals[1:]:
@@ -603,7 +602,7 @@ class TestComponentInvariants:
         sym = sym_of(0.0, 0.0, 0.0)
         comp = find_fixed_components(circle_p2, sym, p2)[0]
         for rep in component_representatives(comp, circle_p2, 3, seed=29):
-            done = component_invariants(replace(comp, representative=rep),
+            done = component_invariants(comp._replace(representative=rep),
                                         sym, circle_p2, p2)
             assert done.c_l == pytest.approx(1.0, abs=1e-9)
             D, nt = descended_differential(rep, comp.support, comp.t_angles, sym, circle_p2)

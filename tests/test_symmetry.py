@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +75,7 @@ class TestWeights:
         action = TorusAction(W)
         basis = section_basis(k, ProjectiveModel(W.shape[1] - 1))
         if empty:
-            basis = replace(basis, dim=0, blocks=lambda: iter(()))
+            basis = basis._replace(dim=0, blocks=lambda: iter(()))
         got = occurring_weights(action, basis)
         want = np.unique(weight_of(basis.indices, action), axis=0)
         assert got.dtype == want.dtype and got.shape == want.shape

@@ -230,6 +230,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             s.append(TraceRecord(k=5, varpi=(), trace=1.0, dim_isotype=0))
 
+    def test_series_share_no_list(self):
+        # a namedtuple's defaults are shared objects: each series builds its own lists
+        a, b = TraceSeries(), TraceSeries()
+        a.append(TraceRecord(k=1, varpi=(), trace=1.0, dim_isotype=2))
+        a.failures.append((2, "RuntimeError('boom')"))
+        assert tuple(b) == ([], []) and len(a.records) == len(a.failures) == 1
+
     def test_csv_roundtrip(self, tmp_path, p1, trivial_g1):
         u0 = Observable.coordinate_modulus(0, 2)
         series = trace_sweep(range(1, 6), (), u0, sym_id(2), trivial_g1, p1)
